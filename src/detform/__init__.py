@@ -34,7 +34,6 @@ from .errors import (
     DetformError,
     DimensionMismatch,
     EmptyInput,
-    FloorTooHigh,
     InterpolationMismatch,
     NoInteriorPoint,
     NonGenericDirection,
@@ -82,7 +81,6 @@ __all__ = [
     "DimensionMismatch",
     "EhrhartPair",
     "EmptyInput",
-    "FloorTooHigh",
     "InterpolationMismatch",
     "NoInteriorPoint",
     "NonGenericDirection",

@@ -37,7 +37,6 @@ from .errors import (
     DetformError,
     DimensionMismatch,
     EmptyInput,
-    FloorTooHigh,
     InterpolationMismatch,
     NoInteriorPoint,
     NonGenericDirection,
@@ -72,7 +71,7 @@ EXIT_VERIFY = 6
 _ERROR_CODES = (
     ((ParseError, EmptyInput), EXIT_PARSE),
     ((DegenerateSpan, NoInteriorPoint, NonGenericDirection), EXIT_GEOMETRY),
-    ((DimensionMismatch, FloorTooHigh, DegreePatternViolation,
+    ((DimensionMismatch, DegreePatternViolation,
       InterpolationMismatch), EXIT_DIMENSION),
     ((NotStabilized,), EXIT_VERIFY),
 )
@@ -103,6 +102,13 @@ def _load_polytope(path: str):
     return convex_hull_with_facets(points)
 
 
+def _parse_indices(spec: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in spec[len("indices="):].split(","))
+    except ValueError:
+        raise ParseError(f"bad facet index list in {spec!r}") from None
+
+
 def _resolve_shelling(Q, spec: str, seed: int):
     if spec == "auto":
         try:
@@ -110,10 +116,7 @@ def _resolve_shelling(Q, spec: str, seed: int):
         except ValueError as exc:
             raise NoDiskSelection(str(exc)) from None
     if spec.startswith("indices="):
-        try:
-            ids = tuple(int(t) for t in spec[len("indices="):].split(","))
-        except ValueError:
-            raise ParseError(f"bad facet index list in {spec!r}") from None
+        ids = _parse_indices(spec)
         try:
             return shelling_order_for(Q, ids)
         except ValueError as exc:
@@ -370,10 +373,7 @@ def _cmd_feasibility(config: RunConfig, Q) -> int:
         out["witness_facet"] = witness
     elif Q.dim >= 5:
         if config.shelling.startswith("indices="):
-            try:
-                ids = tuple(int(t) for t in config.shelling[len("indices="):].split(","))
-            except ValueError:
-                raise ParseError(f"bad facet index list in {config.shelling!r}") from None
+            ids = _parse_indices(config.shelling)
             try:
                 out["feasible"] = feasibility_high_dim(Q, ids)
             except ValueError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import InterpolationMismatch
 from .lattice import Polytope, interior_points, lattice_points_scaled, points_off_facets
 from .linalg import QQ
-from .shelling import euler_characteristic
+from .shelling import as_selection, euler_characteristic
 
 # monomial coefficients of the binomial basis 1, x, C(x,2), C(x,3)
 _BINOM = (
@@ -71,12 +71,6 @@ class EhrhartPair:
         return self.p_at(x) - self.p_off_at(x)
 
 
-def _as_selection(sel) -> tuple[int, ...]:
-    if hasattr(sel, "selection"):
-        return tuple(sel.selection)
-    return tuple(sorted(set(sel)))
-
-
 def ehrhart_pair(Q: Polytope, sel) -> EhrhartPair:
     """Interpolate both polynomials and verify every identity they must satisfy.
 
@@ -85,7 +79,7 @@ def ehrhart_pair(Q: Polytope, sel) -> EhrhartPair:
     """
     if Q.dim != 3:
         raise ValueError("counting polynomials are implemented for dimension 3 only")
-    selection = _as_selection(sel)
+    selection = as_selection(sel)
     complement = tuple(i for i in range(Q.num_facets) if i not in selection)
 
     counts = [1] + [len(lattice_points_scaled(Q, k)) for k in range(1, 4)]

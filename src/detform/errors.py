@@ -33,10 +33,6 @@ class InterpolationMismatch(DetformError):
     """Counting polynomial failed an out-of-sample consistency check."""
 
 
-class FloorTooHigh(DetformError):
-    """A free cover was cut off above degrees that still carry generators."""
-
-
 class DegreePatternViolation(DetformError):
     """A map entry sits in a degree the block structure forbids."""
 

@@ -1,4 +1,4 @@
-"""Exterior algebra over the rationals and graded free modules over it.
+"""Exterior algebra over the integers and graded free modules over it.
 
 Everything downstream reduces to exact linear algebra on graded pieces of
 maps between free modules. Pieces split into independent blocks along an
@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import FloorTooHigh
-from .linalg import QQ, Echelon, primitive_integer_vector
+from .linalg import Echelon, primitive_integer_vector
 
 Subset = tuple[int, ...]
 
@@ -36,29 +35,20 @@ def wedge_subsets(T: Subset, S: Subset) -> tuple[int, Subset] | None:
 
 
 class ExteriorElement:
-    """Sparse rational combination of basis monomials e_S, S ascending."""
+    """Sparse integer combination of basis monomials e_S, S ascending."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms: dict[Subset, QQ] = {}
+        self.terms: dict[Subset, int] = {}
         if terms:
             for S, c in terms.items():
-                c = QQ(c)
                 if c:
                     self.terms[tuple(S)] = c
 
     @classmethod
-    def zero(cls) -> ExteriorElement:
-        return cls()
-
-    @classmethod
-    def unit(cls) -> ExteriorElement:
-        return cls({(): QQ(1)})
-
-    @classmethod
     def generator(cls, i: int) -> ExteriorElement:
-        return cls({(i,): QQ(1)})
+        return cls({(i,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -73,14 +63,14 @@ class ExteriorElement:
         return -sizes.pop()
 
     def wedge(self, other: ExteriorElement) -> ExteriorElement:
-        out: dict[Subset, QQ] = {}
+        out: dict[Subset, int] = {}
         for T, a in self.terms.items():
             for S, b in other.terms.items():
                 hit = wedge_subsets(T, S)
                 if hit is None:
                     continue
                 sign, U = hit
-                c = out.get(U, QQ(0)) + sign * a * b
+                c = out.get(U, 0) + sign * a * b
                 if c:
                     out[U] = c
                 elif U in out:
@@ -92,7 +82,7 @@ class ExteriorElement:
     def __add__(self, other: ExteriorElement) -> ExteriorElement:
         out = dict(self.terms)
         for S, c in other.terms.items():
-            v = out.get(S, QQ(0)) + c
+            v = out.get(S, 0) + c
             if v:
                 out[S] = v
             elif S in out:
@@ -101,26 +91,8 @@ class ExteriorElement:
         result.terms = out
         return result
 
-    def __neg__(self) -> ExteriorElement:
-        result = ExteriorElement()
-        result.terms = {S: -c for S, c in self.terms.items()}
-        return result
-
-    def __sub__(self, other: ExteriorElement) -> ExteriorElement:
-        return self + (-other)
-
-    def scale(self, c) -> ExteriorElement:
-        c = QQ(c)
-        result = ExteriorElement()
-        if c:
-            result.terms = {S: c * v for S, v in self.terms.items()}
-        return result
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ExteriorElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -205,9 +177,6 @@ class FreeModuleMap:
             raise ValueError("source and target live over different algebras")
         self.entries = {k: v for k, v in self.entries.items() if not v.is_zero()}
 
-    def entry(self, i: int, j: int) -> ExteriorElement:
-        return self.entries.get((i, j), ExteriorElement.zero())
-
     def validate_degrees(self):
         """Every entry must be homogeneous of the degree the generators force."""
         for (i, j), v in self.entries.items():
@@ -247,15 +216,15 @@ class GradedPiece:
     degree: int
     source_coords: list[tuple[int, Subset]]
     target_coords: list[tuple[int, Subset]]
-    blocks: list[tuple[list[int], list[int], list[dict[int, QQ]]]]
+    blocks: list[tuple[list[int], list[int], list[dict[int, int]]]]
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.target_coords), len(self.source_coords)
 
-    def matrix_rows(self) -> list[dict[int, QQ]]:
+    def matrix_rows(self) -> list[dict[int, int]]:
         """Global sparse rows (target-indexed), merging all blocks."""
-        rows: list[dict[int, QQ]] = [dict() for _ in self.target_coords]
+        rows: list[dict[int, int]] = [dict() for _ in self.target_coords]
         for src_ids, tgt_ids, local_rows in self.blocks:
             for r, row in zip(tgt_ids, local_rows):
                 for c, v in row.items():
@@ -268,18 +237,18 @@ class GradedPiece:
             ech = Echelon()
             for row in local_rows:
                 if row:
-                    ech.insert(dict(row))
+                    ech.insert(row)
             total += ech.rank
         return total
 
-    def kernel_vectors(self) -> list[dict[int, QQ]]:
+    def kernel_vectors(self) -> list[dict[int, int]]:
         """Canonical nullspace basis, globally ordered by free coordinate."""
-        found: list[tuple[int, dict[int, QQ]]] = []
+        found: list[tuple[int, dict[int, int]]] = []
         for src_ids, _, local_rows in self.blocks:
             ech = Echelon()
             for row in local_rows:
                 if row:
-                    ech.insert(dict(row))
+                    ech.insert(row)
             for free in ech.free_columns(len(src_ids)):
                 local = ech.kernel_vector(free)
                 found.append((src_ids[free], {src_ids[c]: v for c, v in local.items()}))
@@ -297,7 +266,7 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
     for c, coord in enumerate(source_coords):
         by_weight.setdefault(phi.source.coord_weight(coord), []).append(c)
 
-    by_col: dict[int, list[tuple[int, Subset, QQ]]] = {}
+    by_col: dict[int, list[tuple[int, Subset, int]]] = {}
     for (i, j), v in phi.entries.items():
         by_col.setdefault(j, []).extend((i, T, cf) for T, cf in v.terms.items())
 
@@ -305,7 +274,7 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
     for _, src_ids in sorted(by_weight.items(), key=lambda kv: kv[1][0]):
         tgt_ids: list[int] = []
         tgt_local: dict[int, int] = {}
-        local_rows: list[dict[int, QQ]] = []
+        local_rows: list[dict[int, int]] = []
         for local_c, c in enumerate(src_ids):
             j, S = source_coords[c]
             for i, T, cf in by_col.get(j, ()):
@@ -319,7 +288,7 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
                     lr = tgt_local[r] = len(tgt_ids)
                     tgt_ids.append(r)
                     local_rows.append({})
-                val = local_rows[lr].get(local_c, QQ(0)) + sign * cf
+                val = local_rows[lr].get(local_c, 0) + sign * cf
                 if val:
                     local_rows[lr][local_c] = val
                 elif local_c in local_rows[lr]:
@@ -328,38 +297,18 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
     return GradedPiece(d, source_coords, target_coords, blocks)
 
 
-def kernel_in_degree(phi: FreeModuleMap, d: int) -> list[dict[tuple[int, Subset], QQ]]:
-    """Canonical basis of the degree-d kernel, keyed by (generator, monomial)."""
-    piece = graded_piece(phi, d)
-    return [
-        {piece.source_coords[c]: v for c, v in vec.items()}
-        for vec in piece.kernel_vectors()
-    ]
-
-
-def _default_labeler(degree: int, weight, ordinal: int):
-    return ("ker", degree, ordinal)
-
-
 def minimal_free_cover(
     phi: FreeModuleMap,
     degree_floor: int,
-    labeler=None,
-    check_below_floor: bool = False,
 ) -> tuple[GradedFreeModule, FreeModuleMap]:
     """Minimal graded free cover of ker(phi), scanned from the top degree down.
 
     In each degree the new generators are canonical kernel vectors that are
     independent of everything the previously chosen generators already span
     after multiplication by the algebra. The returned map sends the cover
-    onto the kernel through degree_floor.
-
-    With check_below_floor the degree just under the floor is also examined
-    and FloorTooHigh is raised if the cover would need generators there;
-    callers that know the floor from theory leave it off and rely on
-    generator-count audits instead.
+    onto the kernel through degree_floor; callers know the floor from theory
+    and audit the generator counts instead of probing below it.
     """
-    labeler = labeler or _default_labeler
     F = phi.source
     algebra = F.algebra
     if F.rank == 0:
@@ -368,14 +317,14 @@ def minimal_free_cover(
     top = max(F.degrees())
 
     gens: list[Generator] = []
-    vectors: list[dict[tuple[int, Subset], QQ]] = []
+    vectors: list[dict[tuple[int, Subset], int]] = []
 
-    def new_gens_at(d: int) -> list[dict[int, QQ]]:
+    def new_generators(d: int) -> list[dict[tuple[int, Subset], int]]:
         piece = graded_piece(phi, d)
         coord_at = {coord: c for c, coord in enumerate(piece.source_coords)}
         echelons: dict[object, Echelon] = {}
 
-        def block_of(vec: dict[int, QQ]):
+        def block_of(vec: dict[int, int]):
             w = F.coord_weight(piece.source_coords[min(vec)])
             return echelons.setdefault(w, Echelon())
 
@@ -384,40 +333,36 @@ def minimal_free_cover(
             if not 0 <= k <= algebra.nvars:
                 continue
             for S in itertools.combinations(range(algebra.nvars), k):
-                shifted: dict[int, QQ] = {}
+                shifted: dict[int, int] = {}
                 for (j, T), cf in gvec.items():
                     hit = wedge_subsets(T, S)
                     if hit is None:
                         continue
                     sign, U = hit
-                    shifted[coord_at[(j, U)]] = shifted.get(coord_at[(j, U)], QQ(0)) + sign * cf
+                    shifted[coord_at[(j, U)]] = shifted.get(coord_at[(j, U)], 0) + sign * cf
                 shifted = {c: v for c, v in shifted.items() if v}
                 if shifted:
                     block_of(shifted).insert(shifted)
-        fresh = []
-        for vec in piece.kernel_vectors():
-            if block_of(vec).insert(dict(vec)):
-                fresh.append(vec)
-        return [(piece, vec) for vec in fresh]
+        fresh = [vec for vec in piece.kernel_vectors() if block_of(vec).insert(vec)]
+        # an integer kernel vector is positive at its free column, not at its
+        # leading one; the cover's signs follow the leading entry
+        return [
+            {piece.source_coords[c]: v for c, v in primitive_integer_vector(vec).items()}
+            for vec in fresh
+        ]
 
     for d in range(top, degree_floor - 1, -1):
-        for piece, vec in new_gens_at(d):
-            vec = primitive_integer_vector(vec)
-            keyed = {piece.source_coords[c]: QQ(v) for c, v in vec.items()}
+        for keyed in new_generators(d):
             weights = {F.coord_weight(coord) for coord in keyed}
             if len(weights) != 1:
                 raise AssertionError("cover generator is not weight-homogeneous")
-            w = weights.pop()
-            gens.append(Generator(d, labeler(d, w, len(gens)), w))
+            gens.append(Generator(d, ("ker", d, len(gens)), weights.pop()))
             vectors.append(keyed)
-
-    if check_below_floor and new_gens_at(degree_floor - 1):
-        raise FloorTooHigh(f"kernel needs generators below degree {degree_floor}")
 
     cover = GradedFreeModule(algebra, tuple(gens))
     entries: dict[tuple[int, int], ExteriorElement] = {}
     for col, vec in enumerate(vectors):
-        by_target: dict[int, dict[Subset, QQ]] = {}
+        by_target: dict[int, dict[Subset, int]] = {}
         for (j, S), cf in vec.items():
             by_target.setdefault(j, {})[S] = cf
         for j, terms in by_target.items():

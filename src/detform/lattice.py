@@ -32,10 +32,10 @@ def _sub(u: Point, v: Point) -> Point:
 def _primitive(vec) -> Point:
     g = 0
     for x in vec:
-        g = gcd(g, int(x))
+        g = gcd(g, x)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(int(x) // g for x in vec)
+    return tuple(x // g for x in vec)
 
 
 def affine_rank(points: list[Point]) -> int:
@@ -88,9 +88,6 @@ class Polytope:
                 return i
         raise KeyError(f"no facet with normal {normal}")
 
-    def facet_edge_ids(self, facet_id: int) -> list[int]:
-        return [i for i, e in enumerate(self.edges) if facet_id in e.facet_ids]
-
 
 def convex_hull_with_facets(points) -> Polytope:
     """Exact convex hull of integer points, with facet inequalities and faces.
@@ -116,8 +113,7 @@ def convex_hull_with_facets(points) -> Polytope:
         null = nullspace_dense(diffs, n)
         if len(null) != 1:
             continue
-        d = _common_denominator(null[0])
-        normal = _primitive([int(QQ(x) * d) for x in null[0]])
+        normal = _primitive(null[0])
         level = _dot(base, normal)
         lo = hi = False
         for p in pts:
@@ -163,14 +159,6 @@ def convex_hull_with_facets(points) -> Polytope:
         edges, cycles = _build_face_complex(facets)
 
     return Polytope(n, tuple(pts), vertices, facets, edges, cycles)
-
-
-def _common_denominator(values) -> int:
-    d = 1
-    for v in values:
-        q = QQ(v)
-        d = d * int(q.denominator) // gcd(d, int(q.denominator))
-    return d
 
 
 def _build_face_complex(facets: tuple[Facet, ...]):
@@ -244,11 +232,6 @@ def _enumerate(Q: Polytope, k: int, strict: tuple[int, ...]) -> list[Point]:
     return out
 
 
-def divisor_of_linear(Q: Polytope, u) -> tuple[int, ...]:
-    """Coefficient vector of the principal divisor of the monomial x^u."""
-    return tuple(_dot(u, f.normal) for f in Q.facets)
-
-
 def interior_rational_point(Q: Polytope) -> tuple:
     """Canonical strictly interior point: the vertex centroid."""
     n = len(Q.vertices)
@@ -297,7 +280,3 @@ def parse_support(text: str) -> list[Point]:
         raise EmptyInput("support file contains no points")
     return points
 
-
-def load_support(path) -> list[Point]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_support(fh.read())

@@ -1,19 +1,16 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the integers, plus rational determinants.
 
 Everything here works with arbitrary-precision integers and exact rationals;
 no floating point. Sparse vectors are dicts mapping column index to a nonzero
-value. Echelon forms use the canonical pivot rule (first nonzero column) so
-results are reproducible bit for bit.
+value. Echelon forms hold integer rows, eliminate fraction-free and use the
+canonical pivot rule (first nonzero column) so results are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as QQ
 from math import gcd
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as QQ
 
 
 def qq(value) -> QQ:
@@ -27,31 +24,27 @@ def rat_str(value) -> str:
 
 
 def primitive_integer_vector(vec: dict) -> dict:
-    """Scale a rational sparse vector to primitive integers, leading entry > 0.
+    """Divide an integer sparse vector by its content, leading entry > 0.
 
     Leading means the smallest column index present. Returns a new dict.
     """
     if not vec:
         return {}
-    denom = 1
-    for v in vec.values():
-        q = QQ(v)
-        denom = denom * q.denominator // gcd(denom, int(q.denominator))
-    ints = {c: int(QQ(v) * denom) for c, v in vec.items()}
     g = 0
-    for v in ints.values():
+    for v in vec.values():
         g = gcd(g, v)
-    if ints[min(ints)] < 0:
+    if vec[min(vec)] < 0:
         g = -g
-    return {c: v // g for c, v in ints.items()}
+    return {c: v // g for c, v in vec.items()}
 
 
 class Echelon:
-    """Incremental row echelon form over Q with primitive integer rows.
+    """Incremental row echelon form with primitive integer rows.
 
-    Rows are inserted one at a time and reduced against the current pivots.
-    Pivot of a row = its smallest column index. Insertion order plus this
-    pivot rule makes the echelon deterministic.
+    Rows are inserted one at a time and reduced against the current pivots
+    without fractions. Pivot of a row = its smallest column index; every
+    stored row is primitive with a positive pivot entry. Insertion order plus
+    this pivot rule makes the echelon deterministic.
     """
 
     def __init__(self) -> None:
@@ -62,14 +55,17 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Return the residue of vec after elimination; does not insert."""
-        row = {c: QQ(v) for c, v in vec.items() if v}
+        """Return a positive multiple of vec's residue; does not insert."""
+        row = {c: v for c, v in vec.items() if v}
         while row:
             c = min(row)
             piv = self.rows.get(c)
             if piv is None:
                 return row
-            factor = row[c] / piv[c]
+            g = gcd(piv[c], row[c])
+            scale, factor = piv[c] // g, row[c] // g
+            if scale != 1:
+                row = {col: scale * val for col, val in row.items()}
             for col, val in piv.items():
                 acc = row.get(col, 0) - factor * val
                 if acc:
@@ -87,24 +83,26 @@ class Echelon:
         self.rows[min(row)] = row
         return True
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
     def kernel_vector(self, free_col: int) -> dict:
-        """Kernel vector of the row space with 1 at free_col, 0 at other free columns.
+        """Integer kernel vector, positive at free_col and 0 at other free columns.
 
-        Matches the vector the reduced echelon form assigns to free_col.
+        A positive multiple of the vector the reduced echelon form assigns
+        to free_col.
         """
-        x = {free_col: QQ(1)}
+        x = {free_col: 1}
         for c in sorted(self.rows, reverse=True):
             if c == free_col:
                 raise ValueError("free_col is a pivot column")
             row = self.rows[c]
-            s = QQ(0)
+            s = 0
             for col in row.keys() & x.keys():
-                s += QQ(row[col]) * x[col]
+                s += row[col] * x[col]
             if s:
-                x[c] = -s / QQ(row[c])
+                g = gcd(s, row[c])
+                scale = row[c] // g
+                if scale != 1:
+                    x = {col: scale * v for col, v in x.items()}
+                x[c] = -s // g
         return x
 
     def free_columns(self, ncols: int) -> list[int]:
@@ -180,8 +178,8 @@ def integer_row_rank(rows: list[list[int]]) -> int:
     return sparse_rank(sparse)
 
 
-def nullspace_dense(rows: list[list[int]], ncols: int) -> list[list]:
-    """Canonical rational nullspace basis of a small dense integer matrix."""
+def nullspace_dense(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Canonical integer nullspace basis of a small dense integer matrix."""
     sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
     basis = kernel_basis(sparse, ncols)
-    return [[vec.get(j, QQ(0)) for j in range(ncols)] for vec in basis]
+    return [[vec.get(j, 0) for j in range(ncols)] for vec in basis]

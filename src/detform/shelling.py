@@ -18,6 +18,11 @@ from .lattice import Polytope, polar_dual_vertices
 Selection = tuple[int, ...]
 
 
+def as_selection(sel) -> Selection:
+    """Sorted distinct facet ids of a selection or of anything carrying one."""
+    return tuple(sorted(set(int(i) for i in getattr(sel, "selection", sel))))
+
+
 @dataclass(frozen=True)
 class ShellingStep:
     """Intersection of one facet with the union of the facets before it."""

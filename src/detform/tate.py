@@ -20,20 +20,8 @@ from .exterior import (
     graded_piece,
     minimal_free_cover,
 )
-from .lattice import Point, Polytope, lattice_points_scaled, points_off_facets
-from .shelling import is_disk
-
-
-def _neg(p: Point) -> Point:
-    return tuple(-c for c in p)
-
-
-def _add(p: Point, q: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, q))
-
-
-def _sub(p: Point, q: Point) -> Point:
-    return tuple(a - b for a, b in zip(p, q))
+from .lattice import Point, Polytope, _add, lattice_points_scaled, points_off_facets
+from .shelling import as_selection, is_disk
 
 
 @dataclass(frozen=True)
@@ -63,11 +51,11 @@ def build_phi2(Q: Polytope, sel) -> FreeModuleMap:
     a source point m is the sum over support points a of (m + a) tensored
     with the exterior generator of a.
     """
-    selection = tuple(sorted(set(getattr(sel, "selection", sel))))
+    selection = as_selection(sel)
     if not is_disk(Q, selection):
         raise ValueError("facet selection must be a disk")
     support = tuple(lattice_points_scaled(Q, 1))
-    algebra = ExteriorAlgebra(len(support), tuple(_neg(a) for a in support))
+    algebra = ExteriorAlgebra(len(support), tuple(tuple(-c for c in a) for a in support))
 
     src_pts = points_off_facets(Q, 3, selection)
     tgt_pts = points_off_facets(Q, 4, selection)
@@ -92,8 +80,9 @@ def _relabel(module: GradedFreeModule, cover_map: FreeModuleMap,
     """Replace cover labels with lattice points, auditing counts and weights.
 
     Generators at a primal degree must carry exactly the predicted points as
-    weights. Dual-degree generators are matched to predicted points through
-    a constant weight shift; the points become labels tagged as dual.
+    weights; generators at a dual degree carry the negated points, since dual
+    spaces carry negated torus characters. The points become the labels,
+    tagged as dual in dual degrees.
     """
     by_degree: dict[int, list[int]] = {}
     for idx, g in enumerate(module.generators):
@@ -105,23 +94,14 @@ def _relabel(module: GradedFreeModule, cover_map: FreeModuleMap,
         raise DimensionMismatch(f"{where}: generator counts {got}, predicted {expected}")
 
     labels: dict[int, object] = {}
-    for d, pts in primal.items():
-        ids = by_degree.get(d, [])
-        weights = {module.generators[i].weight for i in ids}
-        if weights != set(pts):
+    for d, pts in {**primal, **dual}.items():
+        sign = -1 if d in dual else 1
+        found = {i: tuple(sign * c for c in module.generators[i].weight)
+                 for i in by_degree.get(d, [])}
+        if set(found.values()) != set(pts):
             raise DimensionMismatch(f"{where}: degree {d} weights do not match the predicted points")
-        for i in ids:
-            labels[i] = module.generators[i].weight
-    for d, pts in dual.items():
-        ids = by_degree.get(d, [])
-        if not ids:
-            continue
-        weights = [module.generators[i].weight for i in ids]
-        matched = _match_dual_labels(weights, pts)
-        if matched is None:
-            raise DimensionMismatch(f"{where}: degree {d} dual weights do not match predictions")
-        for i, mu in zip(ids, matched):
-            labels[i] = ("dual", mu)
+        for i, point in found.items():
+            labels[i] = ("dual", point) if d in dual else point
 
     relabeled = GradedFreeModule(
         module.algebra,
@@ -130,31 +110,13 @@ def _relabel(module: GradedFreeModule, cover_map: FreeModuleMap,
     return FreeModuleMap(relabeled, cover_map.target, cover_map.entries)
 
 
-def _match_dual_labels(weights: list, points: list[Point]) -> list[Point] | None:
-    """Points assigned to dual generators via a constant shift of weights.
-
-    Tries weight = shift - point first (dual spaces carry negated torus
-    characters), then weight = shift + point.
-    """
-    if len(weights) != len(points) or len(set(weights)) != len(weights):
-        return None
-    ws = sorted(weights)
-    for flip in (-1, 1):
-        pts = sorted(points, key=lambda p: tuple(flip * c for c in p))
-        shift = _sub(ws[0], tuple(flip * c for c in pts[0]))
-        if all(_sub(w, tuple(flip * c for c in p)) == shift for w, p in zip(ws, pts)):
-            assign = {w: p for w, p in zip(ws, pts)}
-            return [assign[w] for w in weights]
-    return None
-
-
 def step_left(Q: Polytope, sel, rightmost: FreeModuleMap) -> TateWindow:
     """Two minimal free covers, with every generator count audited.
 
     DimensionMismatch here is a hard failure: the predicted counts encode
     the vanishing theorem, so a mismatch means a bug, not an unlucky input.
     """
-    selection = tuple(sorted(set(getattr(sel, "selection", sel))))
+    selection = as_selection(sel)
     complement = tuple(i for i in range(Q.num_facets) if i not in selection)
     support = tuple(lattice_points_scaled(Q, 1))
 
@@ -174,11 +136,6 @@ def step_left(Q: Polytope, sel, rightmost: FreeModuleMap) -> TateWindow:
         raise DimensionMismatch("left cover does not land in the kernel")
 
     left_map.validate_degrees()
-    for (i, j) in left_map.entries:
-        src_d = left_map.source.generators[j].degree
-        tgt_d = left_map.target.generators[i].degree
-        if (src_d, tgt_d) == (-1, -3):
-            raise DimensionMismatch("corner block must be structurally zero")
 
     terms = {
         -1: left_map.source,

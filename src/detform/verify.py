@@ -16,12 +16,7 @@ from .bracket import CoefficientSystem
 from .errors import NotStabilized
 from .lattice import Polytope, points_off_facets
 from .linalg import QQ, qq, sparse_rank
-
-
-def _as_selection(sel) -> tuple[int, ...]:
-    if hasattr(sel, "selection"):
-        return tuple(sel.selection)
-    return tuple(sorted(set(int(i) for i in sel)))
+from .shelling import as_selection
 
 
 @dataclass(frozen=True)
@@ -54,14 +49,14 @@ class FacetComplex:
         return worst
 
     def reduced_betti(self) -> tuple[int, int, int]:
-        r1 = sparse_rank([{v: qq(s) for v, s in row.items()} for row in self.d1])
-        r2 = sparse_rank([{e: qq(s) for e, s in row.items()} for row in self.d2])
+        r1 = sparse_rank(self.d1)
+        r2 = sparse_rank(self.d2)
         nv, ne, nf = self.cell_counts()
         return (nv - 1 - r1, ne - r1 - r2, nf - r2)
 
 
 def facet_complex(Q: Polytope, selection) -> FacetComplex:
-    sel = _as_selection(selection)
+    sel = as_selection(selection)
     if Q.dim != 3:
         raise ValueError("facet complexes are built from 3-polytopes")
     if not sel:
@@ -108,7 +103,7 @@ def nerve_reduced_betti(Q: Polytope, selection, length: int | None = None) -> tu
     Facets are convex and intersect in faces, so the nerve has the homotopy
     type of the union in any dimension.
     """
-    sel = _as_selection(selection)
+    sel = as_selection(selection)
     if not sel:
         raise ValueError("empty facet selection")
     if len(sel) > 16:
@@ -140,7 +135,7 @@ def nerve_reduced_betti(Q: Polytope, selection, length: int | None = None) -> tu
             row = {}
             for drop in range(len(s)):
                 face = s[:drop] + s[drop + 1:]
-                row[pos[d - 1][face]] = qq((-1) ** drop)
+                row[pos[d - 1][face]] = (-1) ** drop
             rows.append(row)
         ranks.append(sparse_rank(rows))
     ranks.append(0)
@@ -180,7 +175,7 @@ def divisor_cohomology(Q: Polytope, selection, k: int,
     Raises NotStabilized when a nonzero contribution touches the enumeration
     box boundary; call again with a larger box_radius.
     """
-    sel = _as_selection(selection)
+    sel = as_selection(selection)
     if Q.dim != 3:
         raise ValueError("divisor cohomology enumeration is for 3-polytopes")
     chosen = set(sel)
@@ -288,7 +283,7 @@ def feasibility_high_dim(Q: Polytope, selection) -> bool:
     n = Q.dim
     if n < 5:
         raise ValueError("expected dimension at least 5")
-    sel = _as_selection(selection)
+    sel = as_selection(selection)
     if not sel or len(sel) >= Q.num_facets:
         raise ValueError("selection must be a nonempty proper facet subset")
     if any(nerve_reduced_betti(Q, sel, length=n)):

@@ -1,4 +1,4 @@
-"""Hull construction, point enumeration, divisors, duality."""
+"""Hull construction, point enumeration, duality."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from detform.errors import DegenerateSpan, EmptyInput, ParseError
 from detform.lattice import (
     affine_rank,
     convex_hull_with_facets,
-    divisor_of_linear,
     interior_points,
     lattice_points_scaled,
     parse_support,
@@ -84,20 +83,6 @@ def test_points_off_facets_octahedron(octahedron):
     sel = [octahedron.facet_index(n)
            for n in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]]
     assert points_off_facets(octahedron, 1, sel) == [(0, 0, 0)]
-
-
-def test_divisor_of_linear_cube(cube):
-    div = divisor_of_linear(cube, (1, 0, 0))
-    assert div == (-1, 0, 0, 0, 0, 1)
-    assert div[cube.facet_index((1, 0, 0))] == 1
-    assert div[cube.facet_index((-1, 0, 0))] == -1
-
-
-def test_divisor_of_linear_octahedron(octahedron):
-    div = divisor_of_linear(octahedron, (1, 1, 1))
-    assert sorted(div) == [-3, -1, -1, -1, 1, 1, 1, 3]
-    for f, d in zip(octahedron.facets, div):
-        assert d == sum(f.normal)
 
 
 def test_polar_dual_cube(octahedron, cube):

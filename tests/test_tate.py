@@ -162,3 +162,17 @@ def test_random_small_windows():
         want = {k: {d: n for d, n in v.items() if n} for k, v in want.items()}
         assert w.generator_counts() == want
         done += 1
+
+
+@pytest.mark.parametrize("name", ["cube", "octahedron"])
+def test_window_is_integral_with_negated_dual_labels(name, request):
+    Q = request.getfixturevalue(name)
+    sel = CORNER if name == "cube" else best_selection(Q).selection
+    w = build_window(Q, sel)
+    coeffs = [c for phi in w.maps.values()
+              for v in phi.entries.values() for c in v.terms.values()]
+    assert coeffs and all(type(c) is int for c in coeffs)
+    duals = [(g.label[1], g.weight) for module in w.terms.values()
+             for g in module.generators if g.label[0] == "dual"]
+    assert duals
+    assert all(point == tuple(-c for c in weight) for point, weight in duals)
