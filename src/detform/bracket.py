@@ -170,10 +170,7 @@ def _label_point(generator) -> Point:
 
 def apply_U4(phi0: FreeModuleMap) -> BracketMatrix:
     """Expand the window's leftmost map into brackets and coefficient entries."""
-    weights = phi0.source.algebra.var_weights
-    if weights is None:
-        raise ValueError("the exterior algebra must carry torus weights")
-    support = tuple(tuple(-c for c in w) for w in weights)
+    support = tuple(tuple(-c for c in w) for w in phi0.source.algebra.var_weights)
 
     def split(module, primal_degree, dual_degree, where):
         primal, dual = [], []
@@ -212,30 +209,29 @@ def apply_U4(phi0: FreeModuleMap) -> BracketMatrix:
             f"bracket matrix is {len(row_labels)} x {len(col_labels)}")
 
     cells = {}
-    for (i, j), v in phi0.entries.items():
-        try:
-            d = v.degree()
-        except ValueError:
-            raise DegreePatternViolation(f"entry ({i}, {j}) is inhomogeneous") from None
+    for (i, j), terms in phi0.cells().items():
+        sizes = {len(S) for S in terms}
+        if len(sizes) != 1:
+            raise DegreePatternViolation(f"entry ({i}, {j}) is inhomogeneous")
+        d = -sizes.pop()
         sd = phi0.source.generators[j].degree
         td = phi0.target.generators[i].degree
         if sd == -4 and td == 0:
             if d != -4:
                 raise DegreePatternViolation(f"entry ({i}, {j}) has degree {d}")
-            terms = tuple(sorted(
-                (tuple(x + 1 for x in S), c) for S, c in v.terms.items()))
-            cells[(row_of[i], col_of[j])] = BracketCell(terms)
+            quads = tuple(sorted((tuple(x + 1 for x in S), c) for S, c in terms.items()))
+            cells[(row_of[i], col_of[j])] = BracketCell(quads)
         elif sd == -1 and td == 0:
             if d != -1:
                 raise DegreePatternViolation(f"entry ({i}, {j}) has degree {d}")
-            refs = tuple(sorted((S[0] + 1, c) for S, c in v.terms.items()))
+            refs = tuple(sorted((S[0] + 1, c) for S, c in terms.items()))
             base = col_base[j]
             for k in range(1, NUM_POLYS + 1):
                 cells[(row_of[i], base + k - 1)] = LinearCell(k, refs)
         elif sd == -4 and td == -3:
             if d != -1:
                 raise DegreePatternViolation(f"entry ({i}, {j}) has degree {d}")
-            refs = tuple(sorted((S[0] + 1, c) for S, c in v.terms.items()))
+            refs = tuple(sorted((S[0] + 1, c) for S, c in terms.items()))
             base = row_base[i]
             for k in range(1, NUM_POLYS + 1):
                 cells[(base + k - 1, col_of[j])] = LinearCell(k, refs)

@@ -102,11 +102,14 @@ def _load_polytope(path: str):
     return convex_hull_with_facets(points)
 
 
-def _parse_indices(spec: str) -> tuple[int, ...]:
+def _parse_indices(spec: str, num_facets: int) -> tuple[int, ...]:
     try:
-        return tuple(int(t) for t in spec[len("indices="):].split(","))
+        ids = tuple(int(t) for t in spec[len("indices="):].split(","))
     except ValueError:
         raise ParseError(f"bad facet index list in {spec!r}") from None
+    if not all(0 <= i < num_facets for i in ids):
+        raise ParseError(f"facet ids in {spec!r} must lie in 0..{num_facets - 1}")
+    return ids
 
 
 def _resolve_shelling(Q, spec: str, seed: int):
@@ -116,7 +119,7 @@ def _resolve_shelling(Q, spec: str, seed: int):
         except ValueError as exc:
             raise NoDiskSelection(str(exc)) from None
     if spec.startswith("indices="):
-        ids = _parse_indices(spec)
+        ids = _parse_indices(spec, Q.num_facets)
         try:
             return shelling_order_for(Q, ids)
         except ValueError as exc:
@@ -373,7 +376,7 @@ def _cmd_feasibility(config: RunConfig, Q) -> int:
         out["witness_facet"] = witness
     elif Q.dim >= 5:
         if config.shelling.startswith("indices="):
-            ids = _parse_indices(config.shelling)
+            ids = _parse_indices(config.shelling, Q.num_facets)
             try:
                 out["feasible"] = feasibility_high_dim(Q, ids)
             except ValueError as exc:

@@ -1,8 +1,14 @@
 """Exterior algebra over the integers and graded free modules over it.
 
+The algebra has N generators e_0, ..., e_{N-1}, one per support point, and
+every generator carries an integer torus weight. A map of graded free right
+modules is stored as the images of its source generators: column j is a
+sparse vector {(target generator i, subset S): c} standing for the sum of
+c * t_i ∧ e_S, and the map sends g_j ∧ w to column j ∧ w. The same format
+holds kernel vectors, so a cover map's columns are its kernel vectors.
+
 Everything downstream reduces to exact linear algebra on graded pieces of
-maps between free modules. Pieces split into independent blocks along an
-optional fine grading by integer vectors (one weight per algebra generator);
+such maps. Pieces split into independent blocks along the torus weights;
 blockwise results are assembled back in the canonical coordinate order, so
 the splitting is invisible except in running time.
 """
@@ -10,11 +16,12 @@ the splitting is invisible except in running time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .linalg import Echelon, primitive_integer_vector
+from .linalg import Echelon, echelon_from_rows, primitive_integer_vector
 
 Subset = tuple[int, ...]
+Vector = dict[tuple[int, Subset], int]
 
 
 def wedge_subsets(T: Subset, S: Subset) -> tuple[int, Subset] | None:
@@ -34,89 +41,29 @@ def wedge_subsets(T: Subset, S: Subset) -> tuple[int, Subset] | None:
     return (-1 if inversions % 2 else 1), merged
 
 
-class ExteriorElement:
-    """Sparse integer combination of basis monomials e_S, S ascending."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[Subset, int] = {}
-        if terms:
-            for S, c in terms.items():
-                if c:
-                    self.terms[tuple(S)] = c
-
-    @classmethod
-    def generator(cls, i: int) -> ExteriorElement:
-        return cls({(i,): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int | None:
-        """Degree of a homogeneous element (None for zero)."""
-        sizes = {len(S) for S in self.terms}
-        if not sizes:
-            return None
-        if len(sizes) > 1:
-            raise ValueError("element is not homogeneous")
-        return -sizes.pop()
-
-    def wedge(self, other: ExteriorElement) -> ExteriorElement:
-        out: dict[Subset, int] = {}
-        for T, a in self.terms.items():
-            for S, b in other.terms.items():
-                hit = wedge_subsets(T, S)
-                if hit is None:
-                    continue
-                sign, U = hit
-                c = out.get(U, 0) + sign * a * b
-                if c:
-                    out[U] = c
-                elif U in out:
-                    del out[U]
-        result = ExteriorElement()
-        result.terms = out
-        return result
-
-    def __add__(self, other: ExteriorElement) -> ExteriorElement:
-        out = dict(self.terms)
-        for S, c in other.terms.items():
-            v = out.get(S, 0) + c
-            if v:
-                out[S] = v
-            elif S in out:
-                del out[S]
-        result = ExteriorElement()
-        result.terms = out
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExteriorElement) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for S in sorted(self.terms):
-            mono = "1" if not S else "e" + "".join(f"[{i}]" for i in S)
-            bits.append(f"{self.terms[S]}*{mono}")
-        return " + ".join(bits)
+def times(vec: Vector, S: Subset) -> Vector:
+    """vec ∧ e_S. Distinct terms of vec stay distinct, so nothing cancels."""
+    out = {}
+    for (i, T), c in vec.items():
+        hit = wedge_subsets(T, S)
+        if hit is not None:
+            out[(i, hit[1])] = hit[0] * c
+    return out
 
 
 @dataclass(frozen=True)
 class ExteriorAlgebra:
-    """Ambient algebra data: generator count and optional fine grading."""
+    """Ambient algebra data: generator count and one torus weight per generator."""
 
     nvars: int
-    var_weights: tuple[tuple[int, ...], ...] | None = None
+    var_weights: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class Generator:
     degree: int
-    label: object = None
-    weight: tuple[int, ...] | None = None
+    label: object
+    weight: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -147,13 +94,10 @@ class GradedFreeModule:
                 out.extend((j, S) for S in itertools.combinations(range(N), k))
         return out
 
-    def coord_weight(self, coord: tuple[int, Subset]) -> tuple[int, ...] | None:
+    def coord_weight(self, coord: tuple[int, Subset]) -> tuple[int, ...]:
         j, S = coord
-        gw = self.generators[j].weight
         vw = self.algebra.var_weights
-        if gw is None or vw is None:
-            return None
-        acc = list(gw)
+        acc = list(self.generators[j].weight)
         for i in S:
             for axis, c in enumerate(vw[i]):
                 acc[axis] += c
@@ -162,56 +106,57 @@ class GradedFreeModule:
 
 @dataclass
 class FreeModuleMap:
-    """Map of graded free right modules, given by a sparse entry matrix.
-
-    Entry (i, j) is the coefficient of target generator i in the image of
-    source generator j; the map acts by phi(g_j * w) = sum_i t_i * (entry_ij ∧ w).
-    """
+    """Map of graded free right modules, given by the images of the source
+    generators: columns[j] is the image of source generator j, a vector with
+    nonzero integer coefficients."""
 
     source: GradedFreeModule
     target: GradedFreeModule
-    entries: dict[tuple[int, int], ExteriorElement] = field(default_factory=dict)
+    columns: list[Vector]
 
     def __post_init__(self):
         if self.source.algebra != self.target.algebra:
             raise ValueError("source and target live over different algebras")
-        self.entries = {k: v for k, v in self.entries.items() if not v.is_zero()}
+        if len(self.columns) != self.source.rank:
+            raise ValueError(f"{len(self.columns)} columns for {self.source.rank} generators")
+
+    def cells(self) -> dict[tuple[int, int], dict[Subset, int]]:
+        """Matrix entries: (target, source) -> {subset: coefficient}, nonzero only."""
+        out: dict[tuple[int, int], dict[Subset, int]] = {}
+        for j, col in enumerate(self.columns):
+            for (i, S), c in col.items():
+                out.setdefault((i, j), {})[S] = c
+        return out
 
     def validate_degrees(self):
         """Every entry must be homogeneous of the degree the generators force."""
-        for (i, j), v in self.entries.items():
+        for (i, j), terms in self.cells().items():
             want = self.source.generators[j].degree - self.target.generators[i].degree
-            if v.degree() != want:
-                raise ValueError(f"entry ({i}, {j}) has degree {v.degree()}, expected {want}")
+            got = sorted({-len(S) for S in terms})
+            if got != [want]:
+                raise ValueError(f"entry ({i}, {j}) has degrees {got}, expected {want}")
 
     def compose(self, inner: FreeModuleMap) -> FreeModuleMap:
-        """self ∘ inner; entries are wedge-products summed over the middle index."""
+        """self ∘ inner: column j is the sum of c * (self column i ∧ e_S) over
+        the terms (i, S), c of inner's column j."""
         if inner.target is not self.source and inner.target != self.source:
             raise ValueError("composition mismatch")
-        by_col: dict[int, list[tuple[int, ExteriorElement]]] = {}
-        for (i, j), v in inner.entries.items():
-            by_col.setdefault(j, []).append((i, v))
-        out: dict[tuple[int, int], ExteriorElement] = {}
-        by_mid: dict[int, list[tuple[int, ExteriorElement]]] = {}
-        for (k, i), w in self.entries.items():
-            by_mid.setdefault(i, []).append((k, w))
-        for j, col in by_col.items():
-            for i, v in col:
-                for k, w in by_mid.get(i, ()):
-                    term = w.wedge(v)
-                    if term.is_zero():
-                        continue
-                    cur = out.get((k, j))
-                    out[(k, j)] = term if cur is None else cur + term
-        return FreeModuleMap(inner.source, self.target, out)
+        columns = []
+        for col in inner.columns:
+            out: Vector = {}
+            for (i, S), c in col.items():
+                for key, v in times(self.columns[i], S).items():
+                    out[key] = out.get(key, 0) + c * v
+            columns.append({key: v for key, v in out.items() if v})
+        return FreeModuleMap(inner.source, self.target, columns)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.entries.values())
+        return not any(self.columns)
 
 
 @dataclass
 class GradedPiece:
-    """Degree-d component of a map, stored blockwise along the fine grading."""
+    """Degree-d component of a map, stored blockwise by torus weight."""
 
     degree: int
     source_coords: list[tuple[int, Subset]]
@@ -232,23 +177,16 @@ class GradedPiece:
         return rows
 
     def rank(self) -> int:
-        total = 0
-        for src_ids, _, local_rows in self.blocks:
-            ech = Echelon()
-            for row in local_rows:
-                if row:
-                    ech.insert(row)
-            total += ech.rank
-        return total
+        return sum(echelon_from_rows(rows).rank for _, _, rows in self.blocks)
+
+    def nullity(self) -> int:
+        return len(self.source_coords) - self.rank()
 
     def kernel_vectors(self) -> list[dict[int, int]]:
         """Canonical nullspace basis, globally ordered by free coordinate."""
         found: list[tuple[int, dict[int, int]]] = []
         for src_ids, _, local_rows in self.blocks:
-            ech = Echelon()
-            for row in local_rows:
-                if row:
-                    ech.insert(row)
+            ech = echelon_from_rows(local_rows)
             for free in ech.free_columns(len(src_ids)):
                 local = ech.kernel_vector(free)
                 found.append((src_ids[free], {src_ids[c]: v for c, v in local.items()}))
@@ -266,10 +204,6 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
     for c, coord in enumerate(source_coords):
         by_weight.setdefault(phi.source.coord_weight(coord), []).append(c)
 
-    by_col: dict[int, list[tuple[int, Subset, int]]] = {}
-    for (i, j), v in phi.entries.items():
-        by_col.setdefault(j, []).extend((i, T, cf) for T, cf in v.terms.items())
-
     blocks = []
     for _, src_ids in sorted(by_weight.items(), key=lambda kv: kv[1][0]):
         tgt_ids: list[int] = []
@@ -277,7 +211,9 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
         local_rows: list[dict[int, int]] = []
         for local_c, c in enumerate(src_ids):
             j, S = source_coords[c]
-            for i, T, cf in by_col.get(j, ()):
+            # column j ∧ e_S, written out rather than through times() so the
+            # innermost loop allocates no dict per source coordinate
+            for (i, T), cf in phi.columns[j].items():
                 hit = wedge_subsets(T, S)
                 if hit is None:
                     continue
@@ -288,11 +224,7 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
                     lr = tgt_local[r] = len(tgt_ids)
                     tgt_ids.append(r)
                     local_rows.append({})
-                val = local_rows[lr].get(local_c, 0) + sign * cf
-                if val:
-                    local_rows[lr][local_c] = val
-                elif local_c in local_rows[lr]:
-                    del local_rows[lr][local_c]
+                local_rows[lr][local_c] = sign * cf
         blocks.append((src_ids, tgt_ids, local_rows))
     return GradedPiece(d, source_coords, target_coords, blocks)
 
@@ -313,13 +245,13 @@ def minimal_free_cover(
     algebra = F.algebra
     if F.rank == 0:
         cover = GradedFreeModule(algebra, ())
-        return cover, FreeModuleMap(cover, F, {})
+        return cover, FreeModuleMap(cover, F, [])
     top = max(F.degrees())
 
     gens: list[Generator] = []
-    vectors: list[dict[tuple[int, Subset], int]] = []
+    vectors: list[Vector] = []
 
-    def new_generators(d: int) -> list[dict[tuple[int, Subset], int]]:
+    def new_generators(d: int) -> list[Vector]:
         piece = graded_piece(phi, d)
         coord_at = {coord: c for c, coord in enumerate(piece.source_coords)}
         echelons: dict[object, Echelon] = {}
@@ -333,14 +265,7 @@ def minimal_free_cover(
             if not 0 <= k <= algebra.nvars:
                 continue
             for S in itertools.combinations(range(algebra.nvars), k):
-                shifted: dict[int, int] = {}
-                for (j, T), cf in gvec.items():
-                    hit = wedge_subsets(T, S)
-                    if hit is None:
-                        continue
-                    sign, U = hit
-                    shifted[coord_at[(j, U)]] = shifted.get(coord_at[(j, U)], 0) + sign * cf
-                shifted = {c: v for c, v in shifted.items() if v}
+                shifted = {coord_at[key]: v for key, v in times(gvec, S).items()}
                 if shifted:
                     block_of(shifted).insert(shifted)
         fresh = [vec for vec in piece.kernel_vectors() if block_of(vec).insert(vec)]
@@ -352,19 +277,12 @@ def minimal_free_cover(
         ]
 
     for d in range(top, degree_floor - 1, -1):
-        for keyed in new_generators(d):
-            weights = {F.coord_weight(coord) for coord in keyed}
+        for vec in new_generators(d):
+            weights = {F.coord_weight(coord) for coord in vec}
             if len(weights) != 1:
                 raise AssertionError("cover generator is not weight-homogeneous")
             gens.append(Generator(d, ("ker", d, len(gens)), weights.pop()))
-            vectors.append(keyed)
+            vectors.append(vec)
 
     cover = GradedFreeModule(algebra, tuple(gens))
-    entries: dict[tuple[int, int], ExteriorElement] = {}
-    for col, vec in enumerate(vectors):
-        by_target: dict[int, dict[Subset, int]] = {}
-        for (j, S), cf in vec.items():
-            by_target.setdefault(j, {})[S] = cf
-        for j, terms in by_target.items():
-            entries[(j, col)] = ExteriorElement(terms)
-    return cover, FreeModuleMap(cover, F, entries)
+    return cover, FreeModuleMap(cover, F, vectors)

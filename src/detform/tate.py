@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch
 from .exterior import (
     ExteriorAlgebra,
-    ExteriorElement,
     FreeModuleMap,
     GradedFreeModule,
     Generator,
@@ -63,15 +62,16 @@ def build_phi2(Q: Polytope, sel) -> FreeModuleMap:
     source = GradedFreeModule(algebra, tuple(Generator(1, m, m) for m in src_pts))
     target = GradedFreeModule(algebra, tuple(Generator(2, m, m) for m in tgt_pts))
 
-    entries: dict[tuple[int, int], ExteriorElement] = {}
-    for j, m in enumerate(src_pts):
+    columns = []
+    for m in src_pts:
+        column = {}
         for i_var, a in enumerate(support):
-            shifted = _add(m, a)
-            row = tgt_at.get(shifted)
+            row = tgt_at.get(_add(m, a))
             if row is None:
                 raise AssertionError(f"{m} + {a} escaped the dilated point set")
-            entries[(row, j)] = ExteriorElement.generator(i_var)
-    return FreeModuleMap(source, target, entries)
+            column[(row, (i_var,))] = 1
+        columns.append(column)
+    return FreeModuleMap(source, target, columns)
 
 
 def _relabel(module: GradedFreeModule, cover_map: FreeModuleMap,
@@ -107,7 +107,7 @@ def _relabel(module: GradedFreeModule, cover_map: FreeModuleMap,
         module.algebra,
         tuple(Generator(g.degree, labels[i], g.weight) for i, g in enumerate(module.generators)),
     )
-    return FreeModuleMap(relabeled, cover_map.target, cover_map.entries)
+    return FreeModuleMap(relabeled, cover_map.target, cover_map.columns)
 
 
 def step_left(Q: Polytope, sel, rightmost: FreeModuleMap) -> TateWindow:
@@ -158,7 +158,7 @@ def check_exactness(window: TateWindow) -> None:
         (1, 0, range(-1, -5, -1)),
     ):
         for d in degrees:
-            kernel_dim = len(graded_piece(window.maps[upper], d).kernel_vectors())
+            kernel_dim = graded_piece(window.maps[upper], d).nullity()
             image_dim = graded_piece(window.maps[lower], d).rank()
             if kernel_dim != image_dim:
                 raise DimensionMismatch(
@@ -183,12 +183,13 @@ def window_dump(window: TateWindow) -> dict:
     maps = {}
     for k, phi in sorted(window.maps.items()):
         cells = []
-        for (i, j), v in sorted(phi.entries.items()):
+        for (i, j), entry in sorted(phi.cells().items()):
+            subsets = sorted(entry)
             cells.append({
                 "row": i,
                 "col": j,
-                "degree": v.degree(),
-                "terms": [[list(S), str(c)] for S, c in sorted(v.terms.items())],
+                "degree": -len(subsets[0]),
+                "terms": [[list(S), str(entry[S])] for S in subsets],
             })
         maps[str(k)] = cells
     return {

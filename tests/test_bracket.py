@@ -23,7 +23,6 @@ from detform.bracket import (
 from detform.errors import DegreePatternViolation, ParseError
 from detform.exterior import (
     ExteriorAlgebra,
-    ExteriorElement,
     FreeModuleMap,
     GradedFreeModule,
     Generator,
@@ -194,15 +193,17 @@ def test_apply_rejects_degree_pattern_violations():
     algebra = ExteriorAlgebra(4, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
     src = GradedFreeModule(algebra, (Generator(-2, (0, 0, 0), (0, 0, 0)),))
     tgt = GradedFreeModule(algebra, (Generator(0, (1, 1, 1), (1, 1, 1)),))
-    bad_gen = FreeModuleMap(src, tgt, {(0, 0): ExteriorElement.generator(0).wedge(
-        ExteriorElement.generator(1))})
-    with pytest.raises(DegreePatternViolation):
+    bad_gen = FreeModuleMap(src, tgt, [{(0, (0, 1)): 1}])
+    with pytest.raises(DegreePatternViolation, match="source generator in degree -2"):
         apply_U4(bad_gen)
 
     src2 = GradedFreeModule(algebra, (Generator(-1, (0, 0, 0), (0, 0, 0)),))
     tgt4 = GradedFreeModule(algebra, tuple(
         Generator(0, (i, 0, 0), (i, 0, 0)) for i in range(4)))
-    bad_entry = FreeModuleMap(src2, tgt4, {(0, 0): ExteriorElement.generator(2).wedge(
-        ExteriorElement.generator(3))})
-    with pytest.raises(DegreePatternViolation):
+    bad_entry = FreeModuleMap(src2, tgt4, [{(0, (2, 3)): 1}])
+    with pytest.raises(DegreePatternViolation, match="degree -2"):
         apply_U4(bad_entry)
+
+    inhomogeneous = FreeModuleMap(src2, tgt4, [{(0, (2,)): 1, (0, (2, 3)): 1}])
+    with pytest.raises(DegreePatternViolation, match="inhomogeneous"):
+        apply_U4(inhomogeneous)

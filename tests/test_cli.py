@@ -284,6 +284,16 @@ def test_bad_shelling_spec_exits_two(cube_file, capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["shell", "build-matrix", "feasibility"])
+@pytest.mark.parametrize("spec", ["indices=99", "indices=-1"])
+def test_out_of_range_facet_ids_exit_two(cube_file, capsys, command, spec):
+    code = run(RunConfig(command=command, support_path=cube_file, shelling=spec))
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ParseError"
+    assert "0..5" in error["message"]
+
+
 def test_dimension_mismatch_exits_five(octa_file, capsys, monkeypatch):
     def explode(Q, sel):
         raise DimensionMismatch("forced for the error-path test")

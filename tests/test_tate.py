@@ -10,7 +10,6 @@ import pytest
 from detform.errors import DimensionMismatch
 from detform.exterior import (
     ExteriorAlgebra,
-    ExteriorElement,
     FreeModuleMap,
     GradedFreeModule,
     Generator,
@@ -33,22 +32,18 @@ def test_phi2_cube_shapes(cube):
     assert rightmost.target.rank == 60
     piece = graded_piece(rightmost, 1)
     assert piece.shape == (480, 24)
-    cols = {}
-    for (i, j), v in rightmost.entries.items():
-        assert v.degree() == -1
-        assert len(v.terms) == 1
-        cols.setdefault(j, 0)
-        cols[j] += 1
-    assert all(n == 8 for n in cols.values())
+    rightmost.validate_degrees()
+    for col in rightmost.columns:
+        assert len(col) == 8
+        assert {len(S) for _, S in col} == {1}
+        assert set(col.values()) == {1}
+        assert len({i for i, _ in col}) == 8
 
 
 def test_phi2_octahedron_columns(octahedron):
     sel = best_selection(octahedron).selection
     rightmost = build_phi2(octahedron, sel)
-    cols = {}
-    for (i, j), v in rightmost.entries.items():
-        cols[j] = cols.get(j, 0) + 1
-    assert all(n == 7 for n in cols.values())
+    assert all(len({i for i, _ in col}) == 7 for col in rightmost.columns)
 
 
 def test_phi2_rejects_non_disk(cube):
@@ -65,7 +60,7 @@ def test_cube_strip_window(cube):
     dual_pts = sorted(g.label[1] for g in w.terms[-1].generators)
     comp = tuple(i for i in range(6) if i not in STRIP)
     assert dual_pts == points_off_facets(cube, 2, comp)
-    assert {v.degree() for v in w.maps[0].entries.values()} == {-4}
+    assert {-len(S) for col in w.maps[0].columns for _, S in col} == {-4}
     assert w.maps[2].compose(w.maps[1]).is_zero()
     assert w.maps[1].compose(w.maps[0]).is_zero()
 
@@ -79,7 +74,7 @@ def test_cube_corner_window(cube):
     assert [g.label for g in w.terms[0].generators if g.degree == -3] == [("dual", (0, 0, 1))]
     blocks = sorted({
         (w.maps[0].source.generators[j].degree, w.maps[0].target.generators[i].degree)
-        for (i, j) in w.maps[0].entries
+        for (i, j) in w.maps[0].cells()
     })
     assert blocks == [(-4, -3), (-4, 0), (-1, 0)]
 
@@ -121,12 +116,9 @@ def test_cover_counts_survive_support_permutation(cube):
     tgt_at = {m: i for i, m in enumerate(tgt_pts)}
     source = GradedFreeModule(algebra, tuple(Generator(1, m, m) for m in src_pts))
     target = GradedFreeModule(algebra, tuple(Generator(2, m, m) for m in tgt_pts))
-    entries = {}
-    for j, m in enumerate(src_pts):
-        for i_var, a in enumerate(shuffled):
-            row = tgt_at[tuple(x + y for x, y in zip(m, a))]
-            entries[(row, j)] = ExteriorElement.generator(i_var)
-    permuted = FreeModuleMap(source, target, entries)
+    columns = [{(tgt_at[tuple(x + y for x, y in zip(m, a))], (i_var,)): 1
+                for i_var, a in enumerate(shuffled)} for m in src_pts]
+    permuted = FreeModuleMap(source, target, columns)
     cover, _ = minimal_free_cover(permuted, degree_floor=-3)
     reference = build_window(cube, sel).terms[0]
     assert cover.counts_by_degree() == reference.counts_by_degree()
@@ -169,8 +161,7 @@ def test_window_is_integral_with_negated_dual_labels(name, request):
     Q = request.getfixturevalue(name)
     sel = CORNER if name == "cube" else best_selection(Q).selection
     w = build_window(Q, sel)
-    coeffs = [c for phi in w.maps.values()
-              for v in phi.entries.values() for c in v.terms.values()]
+    coeffs = [c for phi in w.maps.values() for col in phi.columns for c in col.values()]
     assert coeffs and all(type(c) is int for c in coeffs)
     duals = [(g.label[1], g.weight) for module in w.terms.values()
              for g in module.generators if g.label[0] == "dual"]
