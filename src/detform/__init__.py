@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     InterpolationMismatch,
+    InvariantViolation,
     NoInteriorPoint,
     NonGenericDirection,
     NotStabilized,
@@ -82,6 +83,7 @@ __all__ = [
     "EhrhartPair",
     "EmptyInput",
     "InterpolationMismatch",
+    "InvariantViolation",
     "NoInteriorPoint",
     "NonGenericDirection",
     "NotStabilized",

@@ -6,7 +6,7 @@ randomness flows from the single --seed value, which is echoed in the output.
 
 Exit codes: 0 success, 2 parse failure, 3 degenerate geometry, 4 no disk
 selection found, 5 dimension mismatch against the predicted counts, 6
-verification failure.
+verification failure, 7 broken internal invariant (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     InterpolationMismatch,
+    InvariantViolation,
     NoInteriorPoint,
     NonGenericDirection,
     NotStabilized,
@@ -67,6 +68,7 @@ EXIT_GEOMETRY = 3
 EXIT_NO_DISK = 4
 EXIT_DIMENSION = 5
 EXIT_VERIFY = 6
+EXIT_INTERNAL = 7
 
 _ERROR_CODES = (
     ((ParseError, EmptyInput), EXIT_PARSE),
@@ -74,6 +76,7 @@ _ERROR_CODES = (
     ((DimensionMismatch, DegreePatternViolation,
       InterpolationMismatch), EXIT_DIMENSION),
     ((NotStabilized,), EXIT_VERIFY),
+    ((InvariantViolation,), EXIT_INTERNAL),
 )
 
 

@@ -39,3 +39,7 @@ class DegreePatternViolation(DetformError):
 
 class NotStabilized(DetformError):
     """Cohomology contributions did not vanish on the enumeration boundary."""
+
+
+class InvariantViolation(DetformError):
+    """An internal invariant failed: a bug in this package, not bad input."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import InvariantViolation
 from .linalg import Echelon, echelon_from_rows, primitive_integer_vector
 
 Subset = tuple[int, ...]
@@ -179,9 +180,6 @@ class GradedPiece:
     def rank(self) -> int:
         return sum(echelon_from_rows(rows).rank for _, _, rows in self.blocks)
 
-    def nullity(self) -> int:
-        return len(self.source_coords) - self.rank()
-
     def kernel_vectors(self) -> list[dict[int, int]]:
         """Canonical nullspace basis, globally ordered by free coordinate."""
         found: list[tuple[int, dict[int, int]]] = []
@@ -232,7 +230,7 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
 def minimal_free_cover(
     phi: FreeModuleMap,
     degree_floor: int,
-) -> tuple[GradedFreeModule, FreeModuleMap]:
+) -> tuple[GradedFreeModule, FreeModuleMap, dict[int, tuple[int, int]]]:
     """Minimal graded free cover of ker(phi), scanned from the top degree down.
 
     In each degree the new generators are canonical kernel vectors that are
@@ -240,16 +238,21 @@ def minimal_free_cover(
     after multiplication by the algebra. The returned map sends the cover
     onto the kernel through degree_floor; callers know the floor from theory
     and audit the generator counts instead of probing below it.
+
+    Returns (cover, onto, dims), where dims[d] = (columns, nullity) of
+    phi's degree-d piece for every degree scanned, so that callers can
+    compare kernel and image dimensions without reducing the piece again.
     """
     F = phi.source
     algebra = F.algebra
     if F.rank == 0:
         cover = GradedFreeModule(algebra, ())
-        return cover, FreeModuleMap(cover, F, [])
+        return cover, FreeModuleMap(cover, F, []), {}
     top = max(F.degrees())
 
     gens: list[Generator] = []
     vectors: list[Vector] = []
+    dims: dict[int, tuple[int, int]] = {}
 
     def new_generators(d: int) -> list[Vector]:
         piece = graded_piece(phi, d)
@@ -268,7 +271,9 @@ def minimal_free_cover(
                 shifted = {coord_at[key]: v for key, v in times(gvec, S).items()}
                 if shifted:
                     block_of(shifted).insert(shifted)
-        fresh = [vec for vec in piece.kernel_vectors() if block_of(vec).insert(vec)]
+        kernel = piece.kernel_vectors()
+        dims[d] = (len(piece.source_coords), len(kernel))
+        fresh = [vec for vec in kernel if block_of(vec).insert(vec)]
         # an integer kernel vector is positive at its free column, not at its
         # leading one; the cover's signs follow the leading entry
         return [
@@ -280,9 +285,9 @@ def minimal_free_cover(
         for vec in new_generators(d):
             weights = {F.coord_weight(coord) for coord in vec}
             if len(weights) != 1:
-                raise AssertionError("cover generator is not weight-homogeneous")
+                raise InvariantViolation("cover generator is not weight-homogeneous")
             gens.append(Generator(d, ("ker", d, len(gens)), weights.pop()))
             vectors.append(vec)
 
     cover = GradedFreeModule(algebra, tuple(gens))
-    return cover, FreeModuleMap(cover, F, vectors)
+    return cover, FreeModuleMap(cover, F, vectors), dims

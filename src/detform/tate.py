@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvariantViolation
 from .exterior import (
     ExteriorAlgebra,
     FreeModuleMap,
@@ -31,12 +31,15 @@ class TateWindow:
     maps[k] goes terms[k-1] -> terms[k]. maps[0] carries the final matrix:
     its entries are quartic (degree -4) between the principal blocks, linear
     (degree -1) in the two mixed blocks, and structurally zero in the corner.
+    piece_dims[k][d] = (columns, nullity) of the degree-d piece of maps[k]
+    for k = 2, 1, as the cover of ker maps[k] found them while building.
     """
 
     support: tuple[Point, ...]
     selection: tuple[int, ...]
     terms: dict[int, GradedFreeModule]
     maps: dict[int, FreeModuleMap]
+    piece_dims: dict[int, dict[int, tuple[int, int]]]
 
     def generator_counts(self) -> dict[int, dict[int, int]]:
         return {k: m.counts_by_degree() for k, m in self.terms.items()}
@@ -68,7 +71,7 @@ def build_phi2(Q: Polytope, sel) -> FreeModuleMap:
         for i_var, a in enumerate(support):
             row = tgt_at.get(_add(m, a))
             if row is None:
-                raise AssertionError(f"{m} + {a} escaped the dilated point set")
+                raise InvariantViolation(f"{m} + {a} escaped the dilated point set")
             column[(row, (i_var,))] = 1
         columns.append(column)
     return FreeModuleMap(source, target, columns)
@@ -125,12 +128,12 @@ def step_left(Q: Polytope, sel, rightmost: FreeModuleMap) -> TateWindow:
     left_primal = {-1: points_off_facets(Q, 1, selection)}
     left_dual = {-4: points_off_facets(Q, 2, complement)}
 
-    cover_mid, onto_mid = minimal_free_cover(rightmost, degree_floor=-3)
+    cover_mid, onto_mid, phi2_dims = minimal_free_cover(rightmost, degree_floor=-3)
     middle_map = _relabel(cover_mid, onto_mid, mid_primal, mid_dual, "middle term")
     if not rightmost.compose(middle_map).is_zero():
         raise DimensionMismatch("middle cover does not land in the kernel")
 
-    cover_left, onto_left = minimal_free_cover(middle_map, degree_floor=-4)
+    cover_left, onto_left, middle_dims = minimal_free_cover(middle_map, degree_floor=-4)
     left_map = _relabel(cover_left, onto_left, left_primal, left_dual, "left term")
     if not middle_map.compose(left_map).is_zero():
         raise DimensionMismatch("left cover does not land in the kernel")
@@ -144,7 +147,7 @@ def step_left(Q: Polytope, sel, rightmost: FreeModuleMap) -> TateWindow:
         2: rightmost.target,
     }
     maps = {0: left_map, 1: middle_map, 2: rightmost}
-    return TateWindow(support, selection, terms, maps)
+    return TateWindow(support, selection, terms, maps, {2: phi2_dims, 1: middle_dims})
 
 
 def build_window(Q: Polytope, sel) -> TateWindow:
@@ -152,18 +155,31 @@ def build_window(Q: Polytope, sel) -> TateWindow:
 
 
 def check_exactness(window: TateWindow) -> None:
-    """Degreewise image ranks must equal kernel dimensions over the window."""
-    for upper, lower, degrees in (
-        (2, 1, range(0, -4, -1)),
-        (1, 0, range(-1, -5, -1)),
-    ):
-        for d in degrees:
-            kernel_dim = graded_piece(window.maps[upper], d).nullity()
-            image_dim = graded_piece(window.maps[lower], d).rank()
-            if kernel_dim != image_dim:
-                raise DimensionMismatch(
-                    f"window not exact at term {upper - 1}, degree {d}: "
-                    f"kernel {kernel_dim}, image {image_dim}")
+    """Degreewise, the kernel of each window map must equal the image of the
+    map before it (term 1 at degrees 0..-3, term 0 at degrees -1..-4).
+
+    Term 1 compares the nullity of maps[2] against the rank (columns minus
+    nullity) of maps[1]; both come from window.piece_dims, recorded by the
+    middle and the left cover, two reductions of two different matrices.
+    Term 0 compares the nullity of maps[1], again from piece_dims, against
+    the rank of maps[0]'s graded piece, reduced here because no cover
+    reduces it. piece_dims describes maps[2] and maps[1] as step_left built
+    them, so on such a window every number equals what reducing the piece
+    again would give.
+    """
+    phi2, middle = window.piece_dims[2], window.piece_dims[1]
+    for d in range(0, -4, -1):
+        columns, nullity = middle[d]
+        _require_exact(1, d, phi2[d][1], columns - nullity)
+    for d in range(-1, -5, -1):
+        _require_exact(0, d, middle[d][1], graded_piece(window.maps[0], d).rank())
+
+
+def _require_exact(term: int, d: int, kernel_dim: int, image_dim: int) -> None:
+    if kernel_dim != image_dim:
+        raise DimensionMismatch(
+            f"window not exact at term {term}, degree {d}: "
+            f"kernel {kernel_dim}, image {image_dim}")
 
 
 def window_dump(window: TateWindow) -> dict:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .bracket import CoefficientSystem
-from .errors import NotStabilized
+from .errors import InvariantViolation, NotStabilized
 from .lattice import Polytope, points_off_facets
 from .linalg import QQ, qq, sparse_rank
 from .shelling import as_selection
@@ -93,7 +93,7 @@ def facet_complex(Q: Polytope, selection) -> FacetComplex:
 
     complex_ = FacetComplex(tuple(vertices), tuple(pairs), sel, tuple(d1), tuple(d2))
     if complex_.boundary_squared_entries() != 0:
-        raise AssertionError("facet complex boundaries do not square to zero")
+        raise InvariantViolation("facet complex boundaries do not square to zero")
     return complex_
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from detform.bracket import format_coefficients, import_matrix
 from detform.cli import RunConfig, build_parser, config_from_args, main, run
-from detform.errors import DimensionMismatch
+from detform.errors import DimensionMismatch, InvariantViolation
 from detform.verify import common_root_system
 
 CUBE = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n1 0 1\n0 1 1\n1 1 1\n"
@@ -303,6 +303,17 @@ def test_dimension_mismatch_exits_five(octa_file, capsys, monkeypatch):
                          shelling="indices=0,1,2,4"))
     assert code == 5
     assert json.loads(capsys.readouterr().err)["error"]["code"] == 5
+
+
+def test_invariant_violation_exits_seven(octa_file, capsys, monkeypatch):
+    def explode(Q, sel):
+        raise InvariantViolation("forced for the error-path test")
+
+    monkeypatch.setattr("detform.cli.build_window", explode)
+    code = run(RunConfig(command="build-matrix", support_path=octa_file,
+                         shelling="indices=0,1,2,4"))
+    assert code == 7
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == 7
 
 
 def test_fixed_seed_is_bit_identical(octa_file, capsys):

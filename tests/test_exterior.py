@@ -149,7 +149,7 @@ def test_composition_commutes_with_pieces():
 def test_minimal_cover_of_whole_module():
     alg = algebra(3)
     M = module(alg, 0, -1)
-    cover, into = minimal_free_cover(FreeModuleMap(M, module(alg), [{}, {}]), degree_floor=-4)
+    cover, into, _ = minimal_free_cover(FreeModuleMap(M, module(alg), [{}, {}]), degree_floor=-4)
     assert cover.degrees() == [0, -1]
     assert graded_piece(into, 0).matrix_rows() == [{0: 1}]
 
@@ -160,7 +160,7 @@ def test_minimal_cover_finds_deep_generator():
     alg = algebra(2)
     F, G = module(alg, 0), module(alg, 1)
     phi = FreeModuleMap(F, G, [{(0, (0,)): 1}])
-    cover, into = minimal_free_cover(phi, degree_floor=-2)
+    cover, into, _ = minimal_free_cover(phi, degree_floor=-2)
     assert cover.degrees() == [-1]
     assert into.columns == [{(0, (0,)): 1}]
     assert phi.compose(into).is_zero()
@@ -172,11 +172,16 @@ def test_cover_image_matches_kernel_dimensions():
     F, G = module(alg, 0, 0, -1), module(alg, 1, 0)
     phi = FreeModuleMap(F, G, [rand_column(rng, G, d) for d in F.degrees()])
     phi.validate_degrees()
-    cover, into = minimal_free_cover(phi, degree_floor=-3)
+    cover, into, dims = minimal_free_cover(phi, degree_floor=-3)
     assert phi.compose(into).is_zero()
+    # the scan starts at phi's top source degree and stops at the floor
+    assert sorted(dims, reverse=True) == [0, -1, -2, -3]
     for d in range(0, -4, -1):
         piece = graded_piece(phi, d)
-        assert graded_piece(into, d).rank() == len(piece.kernel_vectors())
+        nullity = len(piece.kernel_vectors())
+        assert dims[d] == (len(piece.source_coords), nullity)
+        assert nullity == len(piece.source_coords) - piece.rank()
+        assert graded_piece(into, d).rank() == nullity
         # minimal: no generator of degree d lies in what the higher ones span
         higher = [j for j, g in enumerate(cover.generators) if g.degree > d]
         products = FreeModuleMap(

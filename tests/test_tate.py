@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -16,14 +17,28 @@ from detform.exterior import (
     graded_piece,
     minimal_free_cover,
 )
-from detform.lattice import lattice_points_scaled, points_off_facets, translate
+from detform.lattice import (
+    convex_hull_with_facets,
+    lattice_points_scaled,
+    points_off_facets,
+    translate,
+)
 from detform.shelling import best_selection
 from detform.tate import build_phi2, build_window, check_exactness, window_dump
 
-from conftest import random_polytope
+from conftest import CUBE_POINTS, OCTA_POINTS, random_polytope
 
 STRIP = (0, 1, 4)
 CORNER = (2, 4, 5)
+# Cube, octahedron and the first three instances of the acceptance corpus
+# (seed 1729 recipe in tests/test_acceptance.py), with their selections.
+WINDOW_CASES = {
+    "cube": (CUBE_POINTS, CORNER),
+    "octahedron": (OCTA_POINTS, (0, 1, 2, 4)),
+    "corpus0": ([(0, 1, 2), (1, 3, 0), (2, 2, 1), (3, 3, 1)], (0, 1)),
+    "corpus1": ([(0, 3, 2), (0, 3, 3), (1, 2, 0), (2, 3, 1), (3, 2, 0), (3, 3, 1)], (0, 1, 3)),
+    "corpus2": ([(1, 0, 2), (2, 0, 0), (2, 1, 1), (2, 1, 3), (3, 1, 2), (3, 2, 2)], (0, 1, 2, 4)),
+}
 
 
 def test_phi2_cube_shapes(cube):
@@ -88,6 +103,37 @@ def test_octahedron_window(octahedron):
     check_exactness(w)
 
 
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_piece_dims_match_fresh_pieces(case):
+    # check_exactness trusts these records in place of reducing the pieces
+    # of maps[2] and maps[1] again, so each must equal a fresh reduction
+    points, sel = WINDOW_CASES[case]
+    w = build_window(convex_hull_with_facets(points), sel)
+    assert {k: sorted(dims, reverse=True) for k, dims in w.piece_dims.items()} == {
+        2: [1, 0, -1, -2, -3], 1: [0, -1, -2, -3, -4]}
+    for k, dims in w.piece_dims.items():
+        for d, recorded in dims.items():
+            piece = graded_piece(w.maps[k], d)
+            assert recorded == (len(piece.source_coords), len(piece.kernel_vectors()))
+    check_exactness(w)
+
+
+@pytest.mark.parametrize("column, message", [
+    (0, "term 0, degree -1: kernel 1, image 0"),
+    (1, "term 0, degree -4: kernel 45, image 44"),
+], ids=["degree-1-generator", "degree-4-generator"])
+def test_emptied_left_column_breaks_exactness(octahedron, column, message):
+    w = build_window(octahedron, best_selection(octahedron).selection)
+    left = w.maps[0]
+    assert [g.degree for g in left.source.generators[:2]] == [-1, -4]
+    columns = list(left.columns)
+    columns[column] = {}
+    broken = dataclasses.replace(
+        w, maps={**w.maps, 0: dataclasses.replace(left, columns=columns)})
+    with pytest.raises(DimensionMismatch, match=message):
+        check_exactness(broken)
+
+
 def test_translated_support_same_counts(cube):
     w = build_window(cube, STRIP)
     shifted = translate(cube, (-2, 1, 3))
@@ -119,7 +165,7 @@ def test_cover_counts_survive_support_permutation(cube):
     columns = [{(tgt_at[tuple(x + y for x, y in zip(m, a))], (i_var,)): 1
                 for i_var, a in enumerate(shuffled)} for m in src_pts]
     permuted = FreeModuleMap(source, target, columns)
-    cover, _ = minimal_free_cover(permuted, degree_floor=-3)
+    cover, _, _ = minimal_free_cover(permuted, degree_floor=-3)
     reference = build_window(cube, sel).terms[0]
     assert cover.counts_by_degree() == reference.counts_by_degree()
 
