@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .errors import DegreePatternViolation, DimensionMismatch, ParseError
 from .exterior import FreeModuleMap
 from .linalg import QQ, det_bareiss, qq, rat_str
+from .tate import point_of, support_of
 
 Point = tuple[int, ...]
 Quad = tuple[int, int, int, int]
@@ -159,18 +160,9 @@ class BracketMatrix:
         return "Ltilde" if c else "zero"
 
 
-def _label_point(generator) -> Point:
-    label = generator.label
-    if label is None:
-        raise ValueError("generators must carry point labels")
-    if len(label) == 2 and label[0] == "dual":
-        return tuple(label[1])
-    return tuple(label)
-
-
 def apply_U4(phi0: FreeModuleMap) -> BracketMatrix:
     """Expand the window's leftmost map into brackets and coefficient entries."""
-    support = tuple(tuple(-c for c in w) for w in phi0.source.algebra.var_weights)
+    support = support_of(phi0.source.algebra)
 
     def split(module, primal_degree, dual_degree, where):
         primal, dual = [], []
@@ -182,26 +174,26 @@ def apply_U4(phi0: FreeModuleMap) -> BracketMatrix:
             else:
                 raise DegreePatternViolation(
                     f"{where} generator in degree {g.degree}")
-        key = lambda j: _label_point(module.generators[j])
+        key = lambda j: point_of(module.generators[j])
         return sorted(primal, key=key), sorted(dual, key=key)
 
     src_primal, src_dual = split(phi0.source, -1, -4, "source")
     tgt_primal, tgt_dual = split(phi0.target, 0, -3, "target")
 
-    col_labels = [("point", _label_point(phi0.source.generators[j])) for j in src_dual]
+    col_labels = [("point", point_of(phi0.source.generators[j])) for j in src_dual]
     col_of = {j: c for c, j in enumerate(src_dual)}
     col_base = {}
     for j in src_primal:
         col_base[j] = len(col_labels)
-        m = _label_point(phi0.source.generators[j])
+        m = point_of(phi0.source.generators[j])
         col_labels.extend(("copy", k, m) for k in range(1, NUM_POLYS + 1))
 
-    row_labels = [("point", _label_point(phi0.target.generators[i])) for i in tgt_primal]
+    row_labels = [("point", point_of(phi0.target.generators[i])) for i in tgt_primal]
     row_of = {i: r for r, i in enumerate(tgt_primal)}
     row_base = {}
     for i in tgt_dual:
         row_base[i] = len(row_labels)
-        m = _label_point(phi0.target.generators[i])
+        m = point_of(phi0.target.generators[i])
         row_labels.extend(("copy", k, m) for k in range(1, NUM_POLYS + 1))
 
     if len(row_labels) != len(col_labels):

@@ -268,6 +268,8 @@ def _cmd_verify(config: RunConfig, Q) -> int:
         try:
             detail = fn()
             checks.append({"name": name, "passed": True, "detail": detail})
+        except InvariantViolation:
+            raise  # a bug, not a failed check: run() reports it as exit 7
         except Exception as exc:
             checks.append({"name": name, "passed": False,
                            "detail": f"{type(exc).__name__}: {exc}"})

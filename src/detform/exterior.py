@@ -63,7 +63,6 @@ class ExteriorAlgebra:
 @dataclass(frozen=True)
 class Generator:
     degree: int
-    label: object
     weight: tuple[int, ...]
 
 
@@ -230,7 +229,7 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
 def minimal_free_cover(
     phi: FreeModuleMap,
     degree_floor: int,
-) -> tuple[GradedFreeModule, FreeModuleMap, dict[int, tuple[int, int]]]:
+) -> tuple[FreeModuleMap, dict[int, tuple[int, int]]]:
     """Minimal graded free cover of ker(phi), scanned from the top degree down.
 
     In each degree the new generators are canonical kernel vectors that are
@@ -239,15 +238,16 @@ def minimal_free_cover(
     onto the kernel through degree_floor; callers know the floor from theory
     and audit the generator counts instead of probing below it.
 
-    Returns (cover, onto, dims), where dims[d] = (columns, nullity) of
-    phi's degree-d piece for every degree scanned, so that callers can
-    compare kernel and image dimensions without reducing the piece again.
+    Returns (onto, dims): the cover is onto.source, whose generators carry
+    their degree and torus weight and nothing else; dims[d] = (columns,
+    nullity) of phi's degree-d piece for every degree scanned, so that
+    callers can compare kernel and image dimensions without reducing the
+    piece again.
     """
     F = phi.source
     algebra = F.algebra
     if F.rank == 0:
-        cover = GradedFreeModule(algebra, ())
-        return cover, FreeModuleMap(cover, F, []), {}
+        return FreeModuleMap(GradedFreeModule(algebra, ()), F, []), {}
     top = max(F.degrees())
 
     gens: list[Generator] = []
@@ -286,8 +286,7 @@ def minimal_free_cover(
             weights = {F.coord_weight(coord) for coord in vec}
             if len(weights) != 1:
                 raise InvariantViolation("cover generator is not weight-homogeneous")
-            gens.append(Generator(d, ("ker", d, len(gens)), weights.pop()))
+            gens.append(Generator(d, weights.pop()))
             vectors.append(vec)
 
-    cover = GradedFreeModule(algebra, tuple(gens))
-    return cover, FreeModuleMap(cover, F, vectors), dims
+    return FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), dims

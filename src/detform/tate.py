@@ -4,6 +4,10 @@ The rightmost map is written down directly from lattice points; two minimal
 free covers walk it leftward. Corollary-level lattice counts predict every
 generator multiplicity, and any disagreement aborts the construction: the
 audit doubles as a runtime check of the vanishing theorem behind the method.
+
+Generators store only degree and torus weight; this module alone maps them
+to lattice points (point_of). Dual terms carry negated torus characters, so
+in the dual degrees -3 and -4 the point is the negated weight.
 """
 
 from __future__ import annotations
@@ -22,12 +26,23 @@ from .exterior import (
 from .lattice import Point, Polytope, _add, lattice_points_scaled, points_off_facets
 from .shelling import as_selection, is_disk
 
+DUAL_DEGREES = (-3, -4)
+
+
+def point_of(g: Generator) -> Point:
+    """Lattice point of a window generator: its weight, negated in dual degrees."""
+    return tuple(-c for c in g.weight) if g.degree in DUAL_DEGREES else g.weight
+
+
+def support_of(algebra: ExteriorAlgebra) -> tuple[Point, ...]:
+    """Support points in exterior variable order: the variables' weights negated."""
+    return tuple(tuple(-c for c in w) for w in algebra.var_weights)
+
 
 @dataclass(frozen=True)
 class TateWindow:
-    """Four consecutive terms and the three maps between them.
+    """The window's three maps; its four terms and its support are read off them.
 
-    terms[k] holds the term whose generators Cor-level counting predicts;
     maps[k] goes terms[k-1] -> terms[k]. maps[0] carries the final matrix:
     its entries are quartic (degree -4) between the principal blocks, linear
     (degree -1) in the two mixed blocks, and structurally zero in the corner.
@@ -35,11 +50,19 @@ class TateWindow:
     for k = 2, 1, as the cover of ker maps[k] found them while building.
     """
 
-    support: tuple[Point, ...]
     selection: tuple[int, ...]
-    terms: dict[int, GradedFreeModule]
     maps: dict[int, FreeModuleMap]
     piece_dims: dict[int, dict[int, tuple[int, int]]]
+
+    @property
+    def terms(self) -> dict[int, GradedFreeModule]:
+        """The four terms, whose generators Cor-level counting predicts."""
+        return {-1: self.maps[0].source, 0: self.maps[1].source,
+                1: self.maps[2].source, 2: self.maps[2].target}
+
+    @property
+    def support(self) -> tuple[Point, ...]:
+        return support_of(self.maps[2].source.algebra)
 
     def generator_counts(self) -> dict[int, dict[int, int]]:
         return {k: m.counts_by_degree() for k, m in self.terms.items()}
@@ -62,8 +85,8 @@ def build_phi2(Q: Polytope, sel) -> FreeModuleMap:
     src_pts = points_off_facets(Q, 3, selection)
     tgt_pts = points_off_facets(Q, 4, selection)
     tgt_at = {m: i for i, m in enumerate(tgt_pts)}
-    source = GradedFreeModule(algebra, tuple(Generator(1, m, m) for m in src_pts))
-    target = GradedFreeModule(algebra, tuple(Generator(2, m, m) for m in tgt_pts))
+    source = GradedFreeModule(algebra, tuple(Generator(1, m) for m in src_pts))
+    target = GradedFreeModule(algebra, tuple(Generator(2, m) for m in tgt_pts))
 
     columns = []
     for m in src_pts:
@@ -77,77 +100,46 @@ def build_phi2(Q: Polytope, sel) -> FreeModuleMap:
     return FreeModuleMap(source, target, columns)
 
 
-def _relabel(module: GradedFreeModule, cover_map: FreeModuleMap,
-             primal: dict[int, list[Point]], dual: dict[int, list[Point]],
-             where: str) -> FreeModuleMap:
-    """Replace cover labels with lattice points, auditing counts and weights.
+def _audit(module: GradedFreeModule, predicted: dict[int, list[Point]], where: str) -> None:
+    """Every degree must hold one generator per predicted point, at that point."""
+    found: dict[int, list[Point]] = {}
+    for g in module.generators:
+        found.setdefault(g.degree, []).append(point_of(g))
 
-    Generators at a primal degree must carry exactly the predicted points as
-    weights; generators at a dual degree carry the negated points, since dual
-    spaces carry negated torus characters. The points become the labels,
-    tagged as dual in dual degrees.
-    """
-    by_degree: dict[int, list[int]] = {}
-    for idx, g in enumerate(module.generators):
-        by_degree.setdefault(g.degree, []).append(idx)
-
-    expected = {d: len(pts) for d, pts in {**primal, **dual}.items() if pts}
-    got = {d: len(ids) for d, ids in by_degree.items()}
+    expected = {d: len(pts) for d, pts in predicted.items() if pts}
+    got = {d: len(pts) for d, pts in found.items()}
     if expected != got:
         raise DimensionMismatch(f"{where}: generator counts {got}, predicted {expected}")
-
-    labels: dict[int, object] = {}
-    for d, pts in {**primal, **dual}.items():
-        sign = -1 if d in dual else 1
-        found = {i: tuple(sign * c for c in module.generators[i].weight)
-                 for i in by_degree.get(d, [])}
-        if set(found.values()) != set(pts):
+    for d, pts in predicted.items():
+        if set(found.get(d, ())) != set(pts):
             raise DimensionMismatch(f"{where}: degree {d} weights do not match the predicted points")
-        for i, point in found.items():
-            labels[i] = ("dual", point) if d in dual else point
-
-    relabeled = GradedFreeModule(
-        module.algebra,
-        tuple(Generator(g.degree, labels[i], g.weight) for i, g in enumerate(module.generators)),
-    )
-    return FreeModuleMap(relabeled, cover_map.target, cover_map.columns)
 
 
 def step_left(Q: Polytope, sel, rightmost: FreeModuleMap) -> TateWindow:
-    """Two minimal free covers, with every generator count audited.
+    """Two minimal free covers, with every generator count and point audited.
 
     DimensionMismatch here is a hard failure: the predicted counts encode
     the vanishing theorem, so a mismatch means a bug, not an unlucky input.
     """
     selection = as_selection(sel)
     complement = tuple(i for i in range(Q.num_facets) if i not in selection)
-    support = tuple(lattice_points_scaled(Q, 1))
 
-    mid_primal = {0: points_off_facets(Q, 2, selection)}
-    mid_dual = {-3: points_off_facets(Q, 1, complement)}
-    left_primal = {-1: points_off_facets(Q, 1, selection)}
-    left_dual = {-4: points_off_facets(Q, 2, complement)}
-
-    cover_mid, onto_mid, phi2_dims = minimal_free_cover(rightmost, degree_floor=-3)
-    middle_map = _relabel(cover_mid, onto_mid, mid_primal, mid_dual, "middle term")
+    middle_map, phi2_dims = minimal_free_cover(rightmost, degree_floor=-3)
+    _audit(middle_map.source, {0: points_off_facets(Q, 2, selection),
+                               -3: points_off_facets(Q, 1, complement)}, "middle term")
     if not rightmost.compose(middle_map).is_zero():
         raise DimensionMismatch("middle cover does not land in the kernel")
 
-    cover_left, onto_left, middle_dims = minimal_free_cover(middle_map, degree_floor=-4)
-    left_map = _relabel(cover_left, onto_left, left_primal, left_dual, "left term")
+    left_map, middle_dims = minimal_free_cover(middle_map, degree_floor=-4)
+    _audit(left_map.source, {-1: points_off_facets(Q, 1, selection),
+                             -4: points_off_facets(Q, 2, complement)}, "left term")
     if not middle_map.compose(left_map).is_zero():
         raise DimensionMismatch("left cover does not land in the kernel")
 
     left_map.validate_degrees()
 
-    terms = {
-        -1: left_map.source,
-        0: middle_map.source,
-        1: rightmost.source,
-        2: rightmost.target,
-    }
     maps = {0: left_map, 1: middle_map, 2: rightmost}
-    return TateWindow(support, selection, terms, maps, {2: phi2_dims, 1: middle_dims})
+    return TateWindow(selection, maps, {2: phi2_dims, 1: middle_dims})
 
 
 def build_window(Q: Polytope, sel) -> TateWindow:
@@ -183,17 +175,17 @@ def _require_exact(term: int, d: int, kernel_dim: int, image_dim: int) -> None:
 
 
 def window_dump(window: TateWindow) -> dict:
-    """JSON-ready description: generators with labels, entries with degrees."""
+    """JSON-ready description: generators with points (labelled {"dual": point}
+    in dual degrees), entries with degrees."""
 
-    def enc_label(label):
-        if isinstance(label, tuple) and len(label) == 2 and label[0] == "dual":
-            return {"dual": list(label[1])}
-        return list(label)
+    def enc_label(g: Generator):
+        point = list(point_of(g))
+        return {"dual": point} if g.degree in DUAL_DEGREES else point
 
     terms = {}
     for k, module in sorted(window.terms.items()):
         terms[str(k)] = [
-            {"degree": g.degree, "label": enc_label(g.label)}
+            {"degree": g.degree, "label": enc_label(g)}
             for g in module.generators
         ]
     maps = {}

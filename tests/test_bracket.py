@@ -191,15 +191,15 @@ def test_import_rejects_bad_blocks(cube):
 
 def test_apply_rejects_degree_pattern_violations():
     algebra = ExteriorAlgebra(4, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
-    src = GradedFreeModule(algebra, (Generator(-2, (0, 0, 0), (0, 0, 0)),))
-    tgt = GradedFreeModule(algebra, (Generator(0, (1, 1, 1), (1, 1, 1)),))
+    src = GradedFreeModule(algebra, (Generator(-2, (0, 0, 0)),))
+    tgt = GradedFreeModule(algebra, (Generator(0, (1, 1, 1)),))
     bad_gen = FreeModuleMap(src, tgt, [{(0, (0, 1)): 1}])
     with pytest.raises(DegreePatternViolation, match="source generator in degree -2"):
         apply_U4(bad_gen)
 
-    src2 = GradedFreeModule(algebra, (Generator(-1, (0, 0, 0), (0, 0, 0)),))
+    src2 = GradedFreeModule(algebra, (Generator(-1, (0, 0, 0)),))
     tgt4 = GradedFreeModule(algebra, tuple(
-        Generator(0, (i, 0, 0), (i, 0, 0)) for i in range(4)))
+        Generator(0, (i, 0, 0)) for i in range(4)))
     bad_entry = FreeModuleMap(src2, tgt4, [{(0, (2, 3)): 1}])
     with pytest.raises(DegreePatternViolation, match="degree -2"):
         apply_U4(bad_entry)

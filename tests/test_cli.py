@@ -316,6 +316,19 @@ def test_invariant_violation_exits_seven(octa_file, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"]["code"] == 7
 
 
+def test_invariant_violation_in_verify_exits_seven(octa_file, capsys, monkeypatch):
+    # a broken invariant is a bug: verify must not report it as a failed check
+    def explode(Q, sel):
+        raise InvariantViolation("forced for the error-path test")
+
+    monkeypatch.setattr("detform.cli.build_window", explode)
+    code = run(RunConfig(command="verify", support_path=octa_file, roots=1))
+    assert code == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["code"] == 7
+
+
 def test_fixed_seed_is_bit_identical(octa_file, capsys):
     def capture():
         code = run(RunConfig(command="verify", support_path=octa_file,

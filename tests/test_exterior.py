@@ -25,7 +25,7 @@ def algebra(nvars: int) -> ExteriorAlgebra:
 
 
 def module(alg: ExteriorAlgebra, *degrees: int) -> GradedFreeModule:
-    return GradedFreeModule(alg, tuple(Generator(d, None, (0,)) for d in degrees))
+    return GradedFreeModule(alg, tuple(Generator(d, (0,)) for d in degrees))
 
 
 ONE = module(algebra(5), 0)
@@ -149,8 +149,8 @@ def test_composition_commutes_with_pieces():
 def test_minimal_cover_of_whole_module():
     alg = algebra(3)
     M = module(alg, 0, -1)
-    cover, into, _ = minimal_free_cover(FreeModuleMap(M, module(alg), [{}, {}]), degree_floor=-4)
-    assert cover.degrees() == [0, -1]
+    into, _ = minimal_free_cover(FreeModuleMap(M, module(alg), [{}, {}]), degree_floor=-4)
+    assert into.source.degrees() == [0, -1]
     assert graded_piece(into, 0).matrix_rows() == [{0: 1}]
 
 
@@ -160,8 +160,8 @@ def test_minimal_cover_finds_deep_generator():
     alg = algebra(2)
     F, G = module(alg, 0), module(alg, 1)
     phi = FreeModuleMap(F, G, [{(0, (0,)): 1}])
-    cover, into, _ = minimal_free_cover(phi, degree_floor=-2)
-    assert cover.degrees() == [-1]
+    into, _ = minimal_free_cover(phi, degree_floor=-2)
+    assert into.source.degrees() == [-1]
     assert into.columns == [{(0, (0,)): 1}]
     assert phi.compose(into).is_zero()
 
@@ -172,7 +172,8 @@ def test_cover_image_matches_kernel_dimensions():
     F, G = module(alg, 0, 0, -1), module(alg, 1, 0)
     phi = FreeModuleMap(F, G, [rand_column(rng, G, d) for d in F.degrees()])
     phi.validate_degrees()
-    cover, into, dims = minimal_free_cover(phi, degree_floor=-3)
+    into, dims = minimal_free_cover(phi, degree_floor=-3)
+    cover = into.source
     assert phi.compose(into).is_zero()
     # the scan starts at phi's top source degree and stops at the floor
     assert sorted(dims, reverse=True) == [0, -1, -2, -3]

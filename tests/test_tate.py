@@ -1,13 +1,15 @@
-"""Window construction: counts, labels, block degrees, exactness."""
+"""Window construction: counts, points, block degrees, exactness."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
+from detform import tate
 from detform.errors import DimensionMismatch
 from detform.exterior import (
     ExteriorAlgebra,
@@ -24,7 +26,7 @@ from detform.lattice import (
     translate,
 )
 from detform.shelling import best_selection
-from detform.tate import build_phi2, build_window, check_exactness, window_dump
+from detform.tate import build_phi2, build_window, check_exactness, point_of, window_dump
 
 from conftest import CUBE_POINTS, OCTA_POINTS, random_polytope
 
@@ -71,8 +73,8 @@ def test_cube_strip_window(cube):
     assert w.generator_counts() == {
         -1: {-4: 6}, 0: {0: 6}, 1: {1: 24}, 2: {2: 60},
     }
-    assert sorted(g.label for g in w.terms[0].generators) == points_off_facets(cube, 2, STRIP)
-    dual_pts = sorted(g.label[1] for g in w.terms[-1].generators)
+    assert sorted(point_of(g) for g in w.terms[0].generators) == points_off_facets(cube, 2, STRIP)
+    dual_pts = sorted(point_of(g) for g in w.terms[-1].generators)
     comp = tuple(i for i in range(6) if i not in STRIP)
     assert dual_pts == points_off_facets(cube, 2, comp)
     assert {-len(S) for col in w.maps[0].columns for _, S in col} == {-4}
@@ -85,8 +87,8 @@ def test_cube_corner_window(cube):
     assert w.generator_counts() == {
         -1: {-1: 1, -4: 8}, 0: {0: 8, -3: 1}, 1: {1: 27}, 2: {2: 64},
     }
-    assert [g.label for g in w.terms[-1].generators if g.degree == -1] == [(1, 1, 0)]
-    assert [g.label for g in w.terms[0].generators if g.degree == -3] == [("dual", (0, 0, 1))]
+    assert [point_of(g) for g in w.terms[-1].generators if g.degree == -1] == [(1, 1, 0)]
+    assert [point_of(g) for g in w.terms[0].generators if g.degree == -3] == [(0, 0, 1)]
     blocks = sorted({
         (w.maps[0].source.generators[j].degree, w.maps[0].target.generators[i].degree)
         for (i, j) in w.maps[0].cells()
@@ -134,16 +136,42 @@ def test_emptied_left_column_breaks_exactness(octahedron, column, message):
         check_exactness(broken)
 
 
+def _patched_degree0_points(monkeypatch, change):
+    # replaces the prediction of the middle term's degree-0 points (2Q off
+    # the selection) and leaves every other points_off_facets call alone
+    original = tate.points_off_facets
+
+    def patched(Q, k, selection):
+        points = original(Q, k, selection)
+        return change(points) if (k, tuple(selection)) == (2, STRIP) else points
+
+    monkeypatch.setattr(tate, "points_off_facets", patched)
+
+
+def test_audit_rejects_shifted_points(cube, monkeypatch):
+    _patched_degree0_points(
+        monkeypatch, lambda pts: [tuple(c + 1 for c in m) for m in pts])
+    with pytest.raises(DimensionMismatch,
+                       match="middle term: degree 0 weights do not match the predicted points"):
+        build_window(cube, STRIP)
+
+
+def test_audit_rejects_wrong_counts(cube, monkeypatch):
+    _patched_degree0_points(monkeypatch, lambda pts: pts[1:])
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape("middle term: generator counts {0: 6}, predicted {0: 5}")):
+        build_window(cube, STRIP)
+
+
 def test_translated_support_same_counts(cube):
     w = build_window(cube, STRIP)
     shifted = translate(cube, (-2, 1, 3))
     w2 = build_window(shifted, STRIP)
     assert w.generator_counts() == w2.generator_counts()
-    # labels translate along: degree-0 generators shift by 2v
-    assert [g.label for g in w2.terms[0].generators] == [
-        tuple(c + 2 * v for c, v in zip(m, (-2, 1, 3)))
+    # points translate along: degree-0 generators shift by 2v
+    assert [point_of(g) for g in w2.terms[0].generators] == [
+        tuple(c + 2 * v for c, v in zip(point_of(g), (-2, 1, 3)))
         for g in w.terms[0].generators
-        for m in [g.label]
     ]
 
 
@@ -160,14 +188,14 @@ def test_cover_counts_survive_support_permutation(cube):
     src_pts = points_off_facets(cube, 3, sel)
     tgt_pts = points_off_facets(cube, 4, sel)
     tgt_at = {m: i for i, m in enumerate(tgt_pts)}
-    source = GradedFreeModule(algebra, tuple(Generator(1, m, m) for m in src_pts))
-    target = GradedFreeModule(algebra, tuple(Generator(2, m, m) for m in tgt_pts))
+    source = GradedFreeModule(algebra, tuple(Generator(1, m) for m in src_pts))
+    target = GradedFreeModule(algebra, tuple(Generator(2, m) for m in tgt_pts))
     columns = [{(tgt_at[tuple(x + y for x, y in zip(m, a))], (i_var,)): 1
                 for i_var, a in enumerate(shuffled)} for m in src_pts]
     permuted = FreeModuleMap(source, target, columns)
-    cover, _, _ = minimal_free_cover(permuted, degree_floor=-3)
+    onto, _ = minimal_free_cover(permuted, degree_floor=-3)
     reference = build_window(cube, sel).terms[0]
-    assert cover.counts_by_degree() == reference.counts_by_degree()
+    assert onto.source.counts_by_degree() == reference.counts_by_degree()
 
 
 def test_window_dump_is_json(cube):
@@ -209,7 +237,14 @@ def test_window_is_integral_with_negated_dual_labels(name, request):
     w = build_window(Q, sel)
     coeffs = [c for phi in w.maps.values() for col in phi.columns for c in col.values()]
     assert coeffs and all(type(c) is int for c in coeffs)
-    duals = [(g.label[1], g.weight) for module in w.terms.values()
-             for g in module.generators if g.label[0] == "dual"]
+    # dual generators stand for the negated weight, a point of kQ off the
+    # complement: k = 1 in degree -3, k = 2 in degree -4
+    comp = tuple(i for i in range(Q.num_facets) if i not in sel)
+    dilation = {-3: 1, -4: 2}
+    duals = [g for module in w.terms.values() for g in module.generators
+             if g.degree in dilation]
     assert duals
-    assert all(point == tuple(-c for c in weight) for point, weight in duals)
+    for g in duals:
+        assert point_of(g) == tuple(-c for c in g.weight)
+        assert point_of(g) in points_off_facets(Q, dilation[g.degree], comp)
+
