@@ -301,20 +301,38 @@ def export_matrix(matrix: BracketMatrix) -> dict:
 
 
 def import_matrix(data: dict) -> BracketMatrix:
+    """Inverse of export_matrix; a cell outside the square, a poly outside
+    1..4, a point or bracket index outside the support or a bracket that is
+    not 4 increasing indices is a ParseError."""
     try:
         support = tuple(tuple(p) for p in data["support"])
         row_labels = tuple(_decode_label(lab) for lab in data["row_labels"])
         col_labels = tuple(_decode_label(lab) for lab in data["col_labels"])
+        n = len(row_labels)
+        if len(col_labels) != n:
+            raise ValueError(f"{n} row labels but {len(col_labels)} column labels")
+
+        def index(i: int) -> int:
+            if not 1 <= i <= len(support):
+                raise ValueError(f"point index {i} outside 1..{len(support)}")
+            return i
+
         cells = {}
         for cell in data["cells"]:
             key = (cell["row"], cell["col"])
+            if not (0 <= key[0] < n and 0 <= key[1] < n):
+                raise ValueError(f"cell {key} outside the {n} x {n} matrix")
             if "poly" in cell:
+                if not 1 <= cell["poly"] <= NUM_POLYS:
+                    raise ValueError(f"poly {cell['poly']} outside 1..{NUM_POLYS}")
                 terms = tuple(
-                    (t["point"], qq(t["coeff"])) for t in cell["terms"])
+                    (index(t["point"]), qq(t["coeff"])) for t in cell["terms"])
                 cells[key] = LinearCell(cell["poly"], terms)
             else:
                 terms = tuple(
-                    (tuple(t["quad"]), qq(t["coeff"])) for t in cell["terms"])
+                    (tuple(map(index, t["quad"])), qq(t["coeff"])) for t in cell["terms"])
+                if any(len(q) != NUM_POLYS or list(q) != sorted(set(q)) for q, _ in terms):
+                    raise ValueError(f"a bracket of cell {key} is not 4 increasing indices")
                 cells[key] = BracketCell(terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix description: {exc}") from None

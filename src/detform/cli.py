@@ -142,6 +142,11 @@ def _resolve_shelling(Q, spec: str, seed: int):
     raise ParseError(f"unknown shelling spec {spec!r}")
 
 
+def _require_positive(flag: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise ParseError(f"{flag} must be at least 1, got {value}")
+
+
 def _emit(config: RunConfig, payload) -> None:
     text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if config.output_path:
@@ -261,6 +266,8 @@ def _cmd_evaluate(config: RunConfig, Q) -> int:
 
 
 def _cmd_verify(config: RunConfig, Q) -> int:
+    _require_positive("--roots", config.roots)
+    _require_positive("--box-radius", config.box_radius)
     rng = random.Random(config.seed)
     checks = []
 
@@ -345,12 +352,15 @@ def _fail(message: str):
 
 
 def _cmd_cohomology(config: RunConfig, Q) -> int:
-    shelling = _resolve_shelling(Q, config.shelling, config.seed)
+    _require_positive("--box-radius", config.box_radius)
     try:
         lo, hi = config.k_range.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError:
         raise ParseError(f"bad twist range {config.k_range!r}") from None
+    if lo > hi:
+        raise ParseError(f"empty twist range {config.k_range!r}")
+    shelling = _resolve_shelling(Q, config.shelling, config.seed)
     entries = cohomology_profile(Q, shelling.selection, lo, hi,
                                  box_radius=config.box_radius)
     _emit(config, {

@@ -8,15 +8,19 @@ c * t_i ∧ e_S, and the map sends g_j ∧ w to column j ∧ w. The same format
 holds kernel vectors, so a cover map's columns are its kernel vectors.
 
 Everything downstream reduces to exact linear algebra on graded pieces of
-such maps. Pieces split into independent blocks along the torus weights;
-blockwise results are assembled back in the canonical coordinate order, so
-the splitting is invisible except in running time.
+such maps. A map of weighted modules preserves the torus weight, so each
+piece is block-diagonal by weight and is built as its blocks directly. A
+block holds its source columns (ids into the piece's canonical coordinate
+list), its weight, and its rows, numbered within the block in the order
+their (target generator, subset) keys first appear. The target module's
+coordinates are never enumerated: a row exists only where a column lands.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .errors import InvariantViolation
 from .linalg import Echelon, echelon_from_rows, primitive_integer_vector
@@ -84,25 +88,6 @@ class GradedFreeModule:
             out[g.degree] = out.get(g.degree, 0) + 1
         return dict(sorted(out.items(), reverse=True))
 
-    def coords_in_degree(self, d: int) -> list[tuple[int, Subset]]:
-        """Basis of the degree-d piece: (generator, monomial) pairs, canonical order."""
-        N = self.algebra.nvars
-        out = []
-        for j, g in enumerate(self.generators):
-            k = g.degree - d
-            if 0 <= k <= N:
-                out.extend((j, S) for S in itertools.combinations(range(N), k))
-        return out
-
-    def coord_weight(self, coord: tuple[int, Subset]) -> tuple[int, ...]:
-        j, S = coord
-        vw = self.algebra.var_weights
-        acc = list(self.generators[j].weight)
-        for i in S:
-            for axis, c in enumerate(vw[i]):
-                acc[axis] += c
-        return tuple(acc)
-
 
 @dataclass
 class FreeModuleMap:
@@ -116,9 +101,10 @@ class FreeModuleMap:
 
     def __post_init__(self):
         if self.source.algebra != self.target.algebra:
-            raise ValueError("source and target live over different algebras")
+            raise InvariantViolation("source and target live over different algebras")
         if len(self.columns) != self.source.rank:
-            raise ValueError(f"{len(self.columns)} columns for {self.source.rank} generators")
+            raise InvariantViolation(
+                f"{len(self.columns)} columns for {self.source.rank} generators")
 
     def cells(self) -> dict[tuple[int, int], dict[Subset, int]]:
         """Matrix entries: (target, source) -> {subset: coefficient}, nonzero only."""
@@ -134,13 +120,13 @@ class FreeModuleMap:
             want = self.source.generators[j].degree - self.target.generators[i].degree
             got = sorted({-len(S) for S in terms})
             if got != [want]:
-                raise ValueError(f"entry ({i}, {j}) has degrees {got}, expected {want}")
+                raise InvariantViolation(f"entry ({i}, {j}) has degrees {got}, expected {want}")
 
     def compose(self, inner: FreeModuleMap) -> FreeModuleMap:
         """self ∘ inner: column j is the sum of c * (self column i ∧ e_S) over
         the terms (i, S), c of inner's column j."""
         if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("composition mismatch")
+            raise InvariantViolation("composition mismatch")
         columns = []
         for col in inner.columns:
             out: Vector = {}
@@ -156,25 +142,15 @@ class FreeModuleMap:
 
 @dataclass
 class GradedPiece:
-    """Degree-d component of a map, stored blockwise by torus weight."""
+    """Degree-d component of a map, built as its torus-weight blocks.
 
-    degree: int
+    source_coords lists the (source generator, subset) coordinates in
+    canonical order. Each block is (column ids into source_coords, weight,
+    rows); a row is a sparse dict over the block's local column numbers.
+    """
+
     source_coords: list[tuple[int, Subset]]
-    target_coords: list[tuple[int, Subset]]
-    blocks: list[tuple[list[int], list[int], list[dict[int, int]]]]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.target_coords), len(self.source_coords)
-
-    def matrix_rows(self) -> list[dict[int, int]]:
-        """Global sparse rows (target-indexed), merging all blocks."""
-        rows: list[dict[int, int]] = [dict() for _ in self.target_coords]
-        for src_ids, tgt_ids, local_rows in self.blocks:
-            for r, row in zip(tgt_ids, local_rows):
-                for c, v in row.items():
-                    rows[r][src_ids[c]] = v
-        return rows
+    blocks: list[tuple[list[int], tuple[int, ...], list[dict[int, int]]]]
 
     def rank(self) -> int:
         return sum(echelon_from_rows(rows).rank for _, _, rows in self.blocks)
@@ -187,43 +163,49 @@ class GradedPiece:
             for free in ech.free_columns(len(src_ids)):
                 local = ech.kernel_vector(free)
                 found.append((src_ids[free], {src_ids[c]: v for c, v in local.items()}))
-        found.sort(key=lambda t: t[0])
-        return [vec for _, vec in found]
+        return [vec for _, vec in sorted(found)]  # free columns are distinct
 
 
 def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
-    """Materialize the degree-d component of phi as exact sparse blocks."""
-    source_coords = phi.source.coords_in_degree(d)
-    target_coords = phi.target.coords_in_degree(d)
-    tgt_index = {coord: r for r, coord in enumerate(target_coords)}
+    """Materialize the degree-d component of phi as exact sparse blocks.
 
-    by_weight: dict[object, list[int]] = {}
-    for c, coord in enumerate(source_coords):
-        by_weight.setdefault(phi.source.coord_weight(coord), []).append(c)
+    The coordinate (j, S) has weight g_j.weight plus the weights of the
+    variables in S; each subset's part is summed once per size k = deg g_j - d.
+    Blocks come in the order of their first coordinate.
+    """
+    algebra = phi.source.algebra
+    N = algebra.nvars
+    subset_weights: dict[int, list[tuple[Subset, tuple[int, ...]]]] = {}
+    source_coords: list[tuple[int, Subset]] = []
+    by_weight: dict[tuple[int, ...], list[int]] = {}
+    for j, g in enumerate(phi.source.generators):
+        k = g.degree - d
+        if not 0 <= k <= N:
+            continue
+        if k not in subset_weights:
+            zero = (0,) * len(g.weight)
+            subset_weights[k] = [
+                (S, tuple(map(sum, zip(zero, *(algebra.var_weights[i] for i in S)))))
+                for S in itertools.combinations(range(N), k)]
+        for S, w in subset_weights[k]:
+            by_weight.setdefault(tuple(map(add, g.weight, w)), []).append(len(source_coords))
+            source_coords.append((j, S))
 
     blocks = []
-    for _, src_ids in sorted(by_weight.items(), key=lambda kv: kv[1][0]):
-        tgt_ids: list[int] = []
-        tgt_local: dict[int, int] = {}
-        local_rows: list[dict[int, int]] = []
+    for weight, src_ids in by_weight.items():
+        rows: dict[tuple[int, Subset], dict[int, int]] = {}
         for local_c, c in enumerate(src_ids):
             j, S = source_coords[c]
-            # column j ∧ e_S, written out rather than through times() so the
-            # innermost loop allocates no dict per source coordinate
+            # column j ∧ e_S, written out rather than through times() so each
+            # term goes straight into its row, with no product dict between
             for (i, T), cf in phi.columns[j].items():
                 hit = wedge_subsets(T, S)
                 if hit is None:
                     continue
                 sign, U = hit
-                r = tgt_index[(i, U)]
-                lr = tgt_local.get(r)
-                if lr is None:
-                    lr = tgt_local[r] = len(tgt_ids)
-                    tgt_ids.append(r)
-                    local_rows.append({})
-                local_rows[lr][local_c] = sign * cf
-        blocks.append((src_ids, tgt_ids, local_rows))
-    return GradedPiece(d, source_coords, target_coords, blocks)
+                rows.setdefault((i, U), {})[local_c] = sign * cf
+        blocks.append((src_ids, weight, list(rows.values())))
+    return GradedPiece(source_coords, blocks)
 
 
 def minimal_free_cover(
@@ -238,55 +220,43 @@ def minimal_free_cover(
     onto the kernel through degree_floor; callers know the floor from theory
     and audit the generator counts instead of probing below it.
 
-    Returns (onto, dims): the cover is onto.source, whose generators carry
-    their degree and torus weight and nothing else; dims[d] = (columns,
-    nullity) of phi's degree-d piece for every degree scanned, so that
-    callers can compare kernel and image dimensions without reducing the
-    piece again.
+    Returns (onto, dims): the cover is onto.source, each generator carrying
+    its degree and its block's torus weight; dims[d] = (columns, nullity) of
+    phi's degree-d piece for every degree scanned, so that callers need not
+    reduce the piece again.
     """
     F = phi.source
     algebra = F.algebra
-    if F.rank == 0:
-        return FreeModuleMap(GradedFreeModule(algebra, ()), F, []), {}
-    top = max(F.degrees())
+    top = max(F.degrees(), default=degree_floor - 1)
 
     gens: list[Generator] = []
     vectors: list[Vector] = []
     dims: dict[int, tuple[int, int]] = {}
 
-    def new_generators(d: int) -> list[Vector]:
+    def add_generators(d: int) -> None:
         piece = graded_piece(phi, d)
         coord_at = {coord: c for c, coord in enumerate(piece.source_coords)}
-        echelons: dict[object, Echelon] = {}
-
-        def block_of(vec: dict[int, int]):
-            w = F.coord_weight(piece.source_coords[min(vec)])
-            return echelons.setdefault(w, Echelon())
+        # kernel vectors and their shifted products each lie in one block
+        block_at = {c: b for b, (src_ids, _, _) in enumerate(piece.blocks) for c in src_ids}
+        echelons = [Echelon() for _ in piece.blocks]
 
         for g, gvec in zip(gens, vectors):
-            k = g.degree - d
-            if not 0 <= k <= algebra.nvars:
-                continue
-            for S in itertools.combinations(range(algebra.nvars), k):
+            for S in itertools.combinations(range(algebra.nvars), g.degree - d):
                 shifted = {coord_at[key]: v for key, v in times(gvec, S).items()}
                 if shifted:
-                    block_of(shifted).insert(shifted)
+                    echelons[block_at[next(iter(shifted))]].insert(shifted)
         kernel = piece.kernel_vectors()
         dims[d] = (len(piece.source_coords), len(kernel))
-        fresh = [vec for vec in kernel if block_of(vec).insert(vec)]
-        # an integer kernel vector is positive at its free column, not at its
-        # leading one; the cover's signs follow the leading entry
-        return [
-            {piece.source_coords[c]: v for c, v in primitive_integer_vector(vec).items()}
-            for vec in fresh
-        ]
+        for vec in kernel:
+            b = block_at[next(iter(vec))]
+            if echelons[b].insert(vec):
+                gens.append(Generator(d, piece.blocks[b][1]))
+                # an integer kernel vector is positive at its free column, not
+                # at its leading one; the cover's signs follow the leading entry
+                vectors.append({piece.source_coords[c]: v
+                                for c, v in primitive_integer_vector(vec).items()})
 
     for d in range(top, degree_floor - 1, -1):
-        for vec in new_generators(d):
-            weights = {F.coord_weight(coord) for coord in vec}
-            if len(weights) != 1:
-                raise InvariantViolation("cover generator is not weight-homogeneous")
-            gens.append(Generator(d, weights.pop()))
-            vectors.append(vec)
+        add_generators(d)
 
     return FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), dims

@@ -189,6 +189,54 @@ def test_import_rejects_bad_blocks(cube):
         import_matrix({"support": [[0, 0, 0]]})
 
 
+@pytest.fixture(scope="module")
+def octahedron_matrix(octahedron):
+    return apply_U4(build_window(octahedron, (0, 1, 2, 4)).maps[0])
+
+
+def _set(kind, field, value):
+    """Set `field` of the first linear ("poly") or bracket ("quad") cell,
+    or of that cell's first term."""
+    def mutate(data):
+        cell = next(c for c in data["cells"] if ("poly" in c) == (kind == "poly"))
+        (cell if field in ("row", "col", "poly") else cell["terms"][0])[field] = value
+    return mutate
+
+
+def _drop_col_label(data):
+    data["col_labels"].pop()
+    del data["blocks"]
+
+
+def _quad(q):
+    return _set("quad", "quad", q)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set("poly", "poly", 0), "poly 0 outside 1..4"),
+    (_set("poly", "poly", 5), "poly 5 outside 1..4"),
+    (_set("poly", "point", 0), "point index 0 outside 1..7"),
+    (_set("poly", "point", 8), "point index 8 outside 1..7"),
+    (_quad([0, 1, 2, 3]), "point index 0 outside 1..7"),
+    (_quad([1, 2, 3, 8]), "point index 8 outside 1..7"),
+    (_quad([2, 1, 3, 4]), "not 4 increasing indices"),
+    (_quad([1, 2, 3]), "not 4 increasing indices"),
+    (_set("poly", "row", 99), r"cell \(99, \d+\) outside the 14 x 14 matrix"),
+    (_set("quad", "col", -1), r"cell \(\d+, -1\) outside the 14 x 14 matrix"),
+    (_drop_col_label, "14 row labels but 13 column labels"),
+], ids=["poly-0", "poly-5", "point-0", "point-8", "quad-0", "quad-8",
+        "quad-order", "quad-short", "row-99", "col-neg", "labels"])
+def test_import_rejects_malformed_cells(octahedron_matrix, mutate, message):
+    # a poly-0 cell used to evaluate silently with the last coefficient row
+    M = octahedron_matrix
+    assert M.size == 14 and len(M.support) == 7
+    assert import_matrix(export_matrix(M)) == M
+    data = export_matrix(M)
+    mutate(data)
+    with pytest.raises(ParseError, match=message):
+        import_matrix(data)
+
+
 def test_apply_rejects_degree_pattern_violations():
     algebra = ExteriorAlgebra(4, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)))
     src = GradedFreeModule(algebra, (Generator(-2, (0, 0, 0)),))

@@ -8,6 +8,7 @@ import pytest
 
 from detform.bracket import format_coefficients, import_matrix
 from detform.cli import RunConfig, build_parser, config_from_args, main, run
+from detform import tate
 from detform.errors import DimensionMismatch, InvariantViolation
 from detform.verify import common_root_system
 
@@ -196,6 +197,24 @@ def test_bad_k_range_is_parse_error(octa_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, options, message", [
+    ("cohomology", {"box_radius": 0}, "--box-radius must be at least 1, got 0"),
+    ("cohomology", {"box_radius": -3}, "--box-radius must be at least 1, got -3"),
+    ("cohomology", {"k_range": "2..-2"}, "empty twist range '2..-2'"),
+    ("verify", {"roots": 0}, "--roots must be at least 1, got 0"),
+    ("verify", {"roots": -2}, "--roots must be at least 1, got -2"),
+    ("verify", {"box_radius": 0}, "--box-radius must be at least 1, got 0"),
+], ids=["box-0", "box-neg", "empty-k-range", "roots-0", "roots-neg", "verify-box-0"])
+def test_bad_arguments_exit_two(octa_file, capsys, command, options, message):
+    code = run(RunConfig(command=command, support_path=octa_file,
+                         shelling="indices=0,1,2,4", **options))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["type"], err["message"]) == ("ParseError", message)
+
+
 def test_feasibility_dim3(cube_file, capsys):
     code, out = run_json(capsys, command="feasibility", support_path=cube_file)
     assert code == 0
@@ -314,6 +333,31 @@ def test_invariant_violation_exits_seven(octa_file, capsys, monkeypatch):
                          shelling="indices=0,1,2,4"))
     assert code == 7
     assert json.loads(capsys.readouterr().err)["error"]["code"] == 7
+
+
+def test_inhomogeneous_left_map_exits_seven(octa_file, capsys, monkeypatch):
+    # a left cover whose degree -4 column also carries a degree -1 column
+    # still composes to zero, so only the degree check can catch it
+    real_cover = tate.minimal_free_cover
+
+    def mixed_cover(phi, degree_floor):
+        onto, dims = real_cover(phi, degree_floor)
+        if degree_floor == -4:
+            degrees = onto.source.degrees()
+            deep, shallow = degrees.index(-4), degrees.index(-1)
+            column = dict(onto.columns[deep])
+            for key, v in onto.columns[shallow].items():
+                column[key] = column.get(key, 0) + v
+            onto.columns[deep] = {key: v for key, v in column.items() if v}
+        return onto, dims
+
+    monkeypatch.setattr("detform.tate.minimal_free_cover", mixed_cover)
+    code = run(RunConfig(command="build-matrix", support_path=octa_file,
+                         shelling="indices=0,1,2,4"))
+    assert code == 7
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "InvariantViolation"
+    assert "has degrees" in err["message"]
 
 
 def test_invariant_violation_in_verify_exits_seven(octa_file, capsys, monkeypatch):

@@ -1,4 +1,9 @@
-"""Wedge products, image columns, graded pieces, kernels, minimal covers."""
+"""Wedge products, image columns, graded pieces, kernels, minimal covers.
+
+Graded pieces are checked against a reference built here from `times`
+alone: the piece's rows, read back through each block's column ids, must
+be the reference's nonzero rows.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ import random
 
 import pytest
 
+from detform.errors import InvariantViolation
 from detform.exterior import (
     ExteriorAlgebra,
     FreeModuleMap,
@@ -55,6 +61,45 @@ def rand_column(rng: random.Random, target: GradedFreeModule, degree: int) -> di
     return col
 
 
+def reference_piece(phi: FreeModuleMap, d: int) -> tuple[list, dict]:
+    """Degree-d piece of phi from `times`: the source coordinates in
+    canonical order and the rows {target (i, U): {source (j, S): c}}."""
+    N = phi.source.algebra.nvars
+    coords, rows = [], {}
+    for j, g in enumerate(phi.source.generators):
+        if g.degree - d < 0:
+            continue
+        for S in itertools.combinations(range(N), g.degree - d):
+            coords.append((j, S))
+            for key, c in times(phi.columns[j], S).items():
+                rows.setdefault(key, {})[(j, S)] = c
+    return coords, rows
+
+
+def piece_rows(piece) -> list[dict]:
+    """Every row of every block, keyed by source coordinate."""
+    return [{piece.source_coords[src_ids[c]]: v for c, v in row.items()}
+            for src_ids, _, rows in piece.blocks for row in rows]
+
+
+def checked_piece(phi: FreeModuleMap, d: int):
+    """graded_piece(phi, d), after checking it against the reference."""
+    piece = graded_piece(phi, d)
+    coords, rows = reference_piece(phi, d)
+    assert piece.source_coords == coords
+    ids = sorted(c for src_ids, _, _ in piece.blocks for c in src_ids)
+    assert ids == list(range(len(coords)))
+    canonical = lambda rs: sorted(sorted(r.items()) for r in rs)
+    assert canonical(piece_rows(piece)) == canonical(rows.values())
+    return piece
+
+
+def coord_weight(module: GradedFreeModule, coord) -> tuple[int, ...]:
+    j, S = coord
+    weights = [module.generators[j].weight] + [module.algebra.var_weights[i] for i in S]
+    return tuple(map(sum, zip(*weights)))
+
+
 def test_wedge_basics():
     e1, e2 = {(1,): 1}, {(2,): 1}
     assert wedge(e1, e1) == {}
@@ -88,27 +133,27 @@ def test_degree_and_homogeneity():
     assert phi.cells() == {(0, 0): {(2,): 1}, (1, 0): {(0, 1): -2}, (1, 1): {(1, 2): 4}}
     phi.validate_degrees()
     inhomogeneous = FreeModuleMap(M, T, [{(0, (0,)): 1, (0, ()): 1}, {}])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="has degrees"):
         inhomogeneous.validate_degrees()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation, match="1 columns for 2 generators"):
         FreeModuleMap(M, T, [{}])
+    with pytest.raises(InvariantViolation, match="composition mismatch"):
+        phi.compose(phi)
 
 
 def test_entry_degrees_validated():
     alg = algebra(3)
     M, T = module(alg, 0), module(alg, 1)
     bad = FreeModuleMap(M, T, [{(0, (0, 1)): 1}])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantViolation):
         bad.validate_degrees()
     FreeModuleMap(M, T, [{(0, (2,)): 1}]).validate_degrees()
 
 
 def test_graded_piece_identity():
     M = module(algebra(4), 0)
-    piece = graded_piece(FreeModuleMap(M, M, [{(0, ()): 1}]), -1)
-    assert piece.shape == (4, 4)
-    rows = piece.matrix_rows()
-    assert all(rows[i] == {i: 1} for i in range(4))
+    piece = checked_piece(FreeModuleMap(M, M, [{(0, ()): 1}]), -1)
+    assert piece_rows(piece) == [{(0, (i,)): 1} for i in range(4)]
     assert piece.rank() == 4
     assert piece.kernel_vectors() == []
 
@@ -116,8 +161,9 @@ def test_graded_piece_identity():
 def test_graded_piece_zero_map():
     alg = algebra(3)
     M = module(alg, 0, 0)
-    piece = graded_piece(FreeModuleMap(M, module(alg), [{}, {}]), -1)
-    assert piece.shape == (0, 6)
+    piece = checked_piece(FreeModuleMap(M, module(alg), [{}, {}]), -1)
+    assert len(piece.source_coords) == 6
+    assert piece_rows(piece) == []
     kers = [{piece.source_coords[c]: v for c, v in vec.items()}
             for vec in piece.kernel_vectors()]
     assert len(kers) == 6
@@ -134,16 +180,18 @@ def test_composition_commutes_with_pieces():
         gf = g.compose(f)
         gf.validate_degrees()
         for d in (0, -1, -2):
-            lhs = graded_piece(gf, d).matrix_rows()
-            rows_f = graded_piece(f, d).matrix_rows()
-            rows_g = graded_piece(g, d).matrix_rows()
-            prod = [dict() for _ in range(len(rows_g))]
-            for r, grow in enumerate(rows_g):
+            for phi in (f, g, gf):
+                checked_piece(phi, d)
+            # the piece of g∘f is the product of the pieces of g and f
+            rows_f = reference_piece(f, d)[1]
+            prod: dict = {}
+            for key, grow in reference_piece(g, d)[1].items():
+                row = prod.setdefault(key, {})
                 for mid, gval in grow.items():
-                    for c, fval in rows_f[mid].items():
-                        prod[r][c] = prod[r].get(c, 0) + gval * fval
-            prod = [{c: v for c, v in row.items() if v} for row in prod]
-            assert lhs == prod
+                    for c, fval in rows_f.get(mid, {}).items():
+                        row[c] = row.get(c, 0) + gval * fval
+            nonzero = {key: {c: v for c, v in row.items() if v} for key, row in prod.items()}
+            assert reference_piece(gf, d)[1] == {key: row for key, row in nonzero.items() if row}
 
 
 def test_minimal_cover_of_whole_module():
@@ -151,7 +199,7 @@ def test_minimal_cover_of_whole_module():
     M = module(alg, 0, -1)
     into, _ = minimal_free_cover(FreeModuleMap(M, module(alg), [{}, {}]), degree_floor=-4)
     assert into.source.degrees() == [0, -1]
-    assert graded_piece(into, 0).matrix_rows() == [{0: 1}]
+    assert piece_rows(checked_piece(into, 0)) == [{(0, ()): 1}]
 
 
 def test_minimal_cover_finds_deep_generator():
@@ -190,3 +238,51 @@ def test_cover_image_matches_kernel_dimensions():
             F, [into.columns[j] for j in higher])
         new = sum(1 for g in cover.generators if g.degree == d)
         assert graded_piece(into, d).rank() - graded_piece(products, d).rank() == new
+
+
+def weighted_map(rng: random.Random, target: GradedFreeModule, degrees) -> FreeModuleMap:
+    """Random weight-preserving map into target from generators of the given
+    degrees: each source weight is that of some target coordinate, and the
+    column mixes target coordinates of exactly that weight."""
+    alg = target.algebra
+    gens, columns = [], []
+    for dj in degrees:
+        i = rng.randrange(target.rank)
+        S = tuple(sorted(rng.sample(range(alg.nvars), target.generators[i].degree - dj)))
+        w = coord_weight(target, (i, S))
+        col = {}
+        for i2, t in enumerate(target.generators):
+            if t.degree < dj:
+                continue
+            for S2 in itertools.combinations(range(alg.nvars), t.degree - dj):
+                if coord_weight(target, (i2, S2)) == w and rng.random() < 0.7:
+                    col[(i2, S2)] = rng.choice((-2, -1, 1, 2))
+        gens.append(Generator(dj, w))
+        columns.append(col)
+    return FreeModuleMap(GradedFreeModule(alg, tuple(gens)), target, columns)
+
+
+def test_blocks_split_pieces_by_weight():
+    # repeated subset weights ({0, 1} and {2}, {2, 3} and {0, 1}) make
+    # blocks of several columns next to blocks of one
+    alg = ExteriorAlgebra(4, ((1, 0), (0, 1), (1, 1), (0, 0)))
+    G = GradedFreeModule(alg, (Generator(1, (0, 0)), Generator(1, (1, 0)), Generator(0, (0, 0))))
+    rng = random.Random(5)
+    for _ in range(4):
+        phi = weighted_map(rng, G, (0, 0, 0, -1, -1))
+        phi.validate_degrees()
+        F = phi.source
+        for d in range(0, -5, -1):
+            piece = checked_piece(phi, d)
+            weights = [w for _, w, _ in piece.blocks]
+            assert len(set(weights)) == len(weights)
+            for src_ids, w, _ in piece.blocks:
+                assert {coord_weight(F, piece.source_coords[c]) for c in src_ids} == {w}
+        into, _ = minimal_free_cover(phi, degree_floor=-4)
+        assert phi.compose(into).is_zero()
+        for g, vec in zip(into.source.generators, into.columns):
+            assert {coord_weight(F, coord) for coord in vec} == {g.weight}
+            piece = graded_piece(phi, g.degree)
+            blocks = {w for src_ids, w, _ in piece.blocks
+                      if any(piece.source_coords[c] in vec for c in src_ids)}
+            assert blocks == {g.weight}

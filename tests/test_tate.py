@@ -47,8 +47,13 @@ def test_phi2_cube_shapes(cube):
     rightmost = build_phi2(cube, STRIP)
     assert rightmost.source.rank == 24
     assert rightmost.target.rank == 60
+    # degree 1: one column per source point, alone in its weight block; the
+    # 24 * 8 entries land on distinct (target point, variable) rows
     piece = graded_piece(rightmost, 1)
-    assert piece.shape == (480, 24)
+    assert len(piece.source_coords) == 24
+    assert [w for _, w, _ in piece.blocks] == [g.weight for g in rightmost.source.generators]
+    assert sum(len(rows) for _, _, rows in piece.blocks) == 24 * 8
+    assert piece.rank() == 24
     rightmost.validate_degrees()
     for col in rightmost.columns:
         assert len(col) == 8
