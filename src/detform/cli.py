@@ -6,7 +6,8 @@ randomness flows from the single --seed value, which is echoed in the output.
 
 Exit codes: 0 success, 2 parse failure, 3 degenerate geometry, 4 no disk
 selection found, 5 dimension mismatch against the predicted counts, 6
-verification failure, 7 broken internal invariant (a bug, not bad input).
+verification failure, 7 broken internal invariant or any other unexpected
+exception (a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .bracket import (
@@ -156,11 +158,12 @@ def _emit(config: RunConfig, payload) -> None:
         print(text)
 
 
-def _diagnose(code: int, exc: Exception) -> int:
+def _diagnose(code: int, exc: Exception, **extra) -> int:
     sys.stderr.write(json.dumps({"error": {
         "code": code,
         "type": type(exc).__name__,
         "message": str(exc),
+        **extra,
     }}) + "\n")
     return code
 
@@ -435,6 +438,10 @@ def run(config: RunConfig) -> int:
         return _diagnose(EXIT_VERIFY, exc)
     except ValueError as exc:
         return _diagnose(EXIT_GEOMETRY, exc)
+    except Exception as exc:  # a bug: diagnosed with its type and origin, not a traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return _diagnose(EXIT_INTERNAL, exc,
+                         where=f"{frame.filename}:{frame.lineno} in {frame.name}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,9 +11,16 @@ Everything downstream reduces to exact linear algebra on graded pieces of
 such maps. A map of weighted modules preserves the torus weight, so each
 piece is block-diagonal by weight and is built as its blocks directly. A
 block holds its source columns (ids into the piece's canonical coordinate
-list), its weight, and its rows, numbered within the block in the order
-their (target generator, subset) keys first appear. The target module's
-coordinates are never enumerated: a row exists only where a column lands.
+list), its weight, and the columns themselves, each a sparse dict over the
+block's rows, numbered in the order their (target generator, subset) keys
+first appear. The target module's coordinates are never enumerated: a row
+exists only where a column lands.
+
+The cover certifies most blocks by rank alone. The products of the earlier
+generators lie in the kernel, so a block whose rank plus the rank of the
+products in it reaches its column count has no new generator; its columns
+are eliminated only that far. Only the other blocks, where the cover gains
+a generator, are transposed to rows for an exact kernel basis.
 """
 
 from __future__ import annotations
@@ -23,7 +30,13 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import InvariantViolation
-from .linalg import Echelon, echelon_from_rows, primitive_integer_vector
+from .linalg import (
+    Echelon,
+    echelon_from_rows,
+    primitive_integer_vector,
+    reaches_rank,
+    sparse_rank,
+)
 
 Subset = tuple[int, ...]
 Vector = dict[tuple[int, Subset], int]
@@ -146,24 +159,37 @@ class GradedPiece:
 
     source_coords lists the (source generator, subset) coordinates in
     canonical order. Each block is (column ids into source_coords, weight,
-    rows); a row is a sparse dict over the block's local column numbers.
+    columns); column c is a sparse dict over the block's row numbers and is
+    the image of coordinate source_coords[ids[c]].
     """
 
     source_coords: list[tuple[int, Subset]]
     blocks: list[tuple[list[int], tuple[int, ...], list[dict[int, int]]]]
 
     def rank(self) -> int:
-        return sum(echelon_from_rows(rows).rank for _, _, rows in self.blocks)
+        return sum(sparse_rank(columns) for _, _, columns in self.blocks)
 
     def kernel_vectors(self) -> list[dict[int, int]]:
         """Canonical nullspace basis, globally ordered by free coordinate."""
-        found: list[tuple[int, dict[int, int]]] = []
-        for src_ids, _, local_rows in self.blocks:
-            ech = echelon_from_rows(local_rows)
-            for free in ech.free_columns(len(src_ids)):
-                local = ech.kernel_vector(free)
-                found.append((src_ids[free], {src_ids[c]: v for c, v in local.items()}))
+        found = [pair for src_ids, _, columns in self.blocks
+                 for pair in block_kernel(src_ids, columns)]
         return [vec for _, vec in sorted(found)]  # free columns are distinct
+
+
+def block_kernel(src_ids: list[int],
+                 columns: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """(free coordinate, kernel vector) pairs of one block, in source ids.
+
+    The block is transposed to its rows, in row-number order, and reduced
+    by the canonical row echelon; each free column gives one vector.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
+    ech = echelon_from_rows(rows.values())  # rows first appear in number order
+    return [(src_ids[free], {src_ids[c]: v for c, v in ech.kernel_vector(free).items()})
+            for free in ech.free_columns(len(src_ids))]
 
 
 def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
@@ -193,18 +219,21 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
 
     blocks = []
     for weight, src_ids in by_weight.items():
-        rows: dict[tuple[int, Subset], dict[int, int]] = {}
-        for local_c, c in enumerate(src_ids):
+        row_at: dict[tuple[int, Subset], int] = {}
+        columns = []
+        for c in src_ids:
             j, S = source_coords[c]
             # column j ∧ e_S, written out rather than through times() so each
-            # term goes straight into its row, with no product dict between
+            # term goes straight to its row number, with no product dict between
+            col = {}
             for (i, T), cf in phi.columns[j].items():
                 hit = wedge_subsets(T, S)
                 if hit is None:
                     continue
                 sign, U = hit
-                rows.setdefault((i, U), {})[local_c] = sign * cf
-        blocks.append((src_ids, weight, list(rows.values())))
+                col[row_at.setdefault((i, U), len(row_at))] = sign * cf
+            columns.append(col)
+        blocks.append((src_ids, weight, columns))
     return GradedPiece(source_coords, blocks)
 
 
@@ -216,9 +245,12 @@ def minimal_free_cover(
 
     In each degree the new generators are canonical kernel vectors that are
     independent of everything the previously chosen generators already span
-    after multiplication by the algebra. The returned map sends the cover
-    onto the kernel through degree_floor; callers know the floor from theory
-    and audit the generator counts instead of probing below it.
+    after multiplication by the algebra. A weight block where those products
+    already span the kernel is certified by rank and yields no kernel
+    vectors; only the other blocks are reduced to a kernel basis. The
+    returned map sends the cover onto the kernel through degree_floor;
+    callers know the floor from theory and audit the generator counts
+    instead of probing below it.
 
     Returns (onto, dims): the cover is onto.source, each generator carrying
     its degree and its block's torus weight; dims[d] = (columns, nullity) of
@@ -245,9 +277,23 @@ def minimal_free_cover(
                 shifted = {coord_at[key]: v for key, v in times(gvec, S).items()}
                 if shifted:
                     echelons[block_at[next(iter(shifted))]].insert(shifted)
-        kernel = piece.kernel_vectors()
-        dims[d] = (len(piece.source_coords), len(kernel))
-        for vec in kernel:
+
+        nullity = 0
+        kernel: list[tuple[int, dict[int, int]]] = []
+        for (src_ids, _, columns), spanned in zip(piece.blocks, echelons):
+            # the products lie in the kernel, so their rank is at most the
+            # nullity; a block rank of columns - rank(products) proves they
+            # span it, and the block has no new generator. Rows are numbered
+            # as the columns first reach them, so taken last-first most
+            # columns pivot on a row that no column before them has reached.
+            if reaches_rank(reversed(columns), len(columns) - spanned.rank):
+                nullity += spanned.rank
+            else:
+                found = block_kernel(src_ids, columns)
+                nullity += len(found)
+                kernel += found
+        dims[d] = (len(piece.source_coords), nullity)
+        for _, vec in sorted(kernel):  # free columns are distinct
             b = block_at[next(iter(vec))]
             if echelons[b].insert(vec):
                 gens.append(Generator(d, piece.blocks[b][1]))

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction as QQ
 from math import gcd
 
+from .errors import InvariantViolation
+
 
 def qq(value) -> QQ:
     """Coerce ints, strings like '3/4', and rationals to the working type."""
@@ -92,7 +94,7 @@ class Echelon:
         x = {free_col: 1}
         for c in sorted(self.rows, reverse=True):
             if c == free_col:
-                raise ValueError("free_col is a pivot column")
+                raise InvariantViolation("free_col is a pivot column")
             row = self.rows[c]
             s = 0
             for col in row.keys() & x.keys():
@@ -118,6 +120,18 @@ def echelon_from_rows(rows) -> Echelon:
 
 def sparse_rank(rows) -> int:
     return echelon_from_rows(rows).rank
+
+
+def reaches_rank(vectors, target: int) -> bool:
+    """Whether the vectors span at least target dimensions. Insertion stops
+    as soon as they do, so the rest of the vectors are never reduced."""
+    if target <= 0:
+        return True
+    ech = Echelon()
+    for vec in vectors:
+        if ech.insert(vec) and ech.rank == target:
+            return True
+    return False
 
 
 def kernel_basis(rows, ncols: int) -> list[dict]:

@@ -335,6 +335,24 @@ def test_invariant_violation_exits_seven(octa_file, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"]["code"] == 7
 
 
+def test_unexpected_exception_exits_seven(octa_file, capsys, monkeypatch):
+    # any exception outside the typed ones is a bug: a JSON diagnosis naming
+    # its type, never a traceback
+    def explode(Q, sel):
+        raise KeyError("forced for the error-path test")
+
+    monkeypatch.setattr("detform.cli.build_window", explode)
+    code = run(RunConfig(command="build-matrix", support_path=octa_file,
+                         shelling="indices=0,1,2,4"))
+    assert code == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["code"], err["type"]) == (7, "KeyError")
+    assert err["where"].endswith(" in explode")
+    assert "Traceback" not in captured.err
+
+
 def test_inhomogeneous_left_map_exits_seven(octa_file, capsys, monkeypatch):
     # a left cover whose degree -4 column also carries a degree -1 column
     # still composes to zero, so only the degree check can catch it

@@ -1,8 +1,10 @@
 """Wedge products, image columns, graded pieces, kernels, minimal covers.
 
 Graded pieces are checked against a reference built here from `times`
-alone: the piece's rows, read back through each block's column ids, must
-be the reference's nonzero rows.
+alone: the piece's rows, read off its columns through each block's column
+ids, must be the reference's nonzero rows. Covers are checked against a
+reference cover built here from the reference pieces: a full kernel basis
+in every degree, every vector inserted against the shifted products.
 """
 
 from __future__ import annotations
@@ -23,6 +25,14 @@ from detform.exterior import (
     times,
     wedge_subsets,
 )
+from detform.linalg import (
+    Echelon,
+    kernel_basis,
+    primitive_integer_vector,
+    reaches_rank,
+    sparse_rank,
+)
+from detform.tate import build_phi2
 
 
 def algebra(nvars: int) -> ExteriorAlgebra:
@@ -77,9 +87,14 @@ def reference_piece(phi: FreeModuleMap, d: int) -> tuple[list, dict]:
 
 
 def piece_rows(piece) -> list[dict]:
-    """Every row of every block, keyed by source coordinate."""
-    return [{piece.source_coords[src_ids[c]]: v for c, v in row.items()}
-            for src_ids, _, rows in piece.blocks for row in rows]
+    """Every row of every block, keyed by source coordinate, read off the
+    block's columns in row-number order."""
+    rows: dict = {}
+    for b, (src_ids, _, columns) in enumerate(piece.blocks):
+        for c, col in zip(src_ids, columns):
+            for r, v in col.items():
+                rows.setdefault((b, r), {})[piece.source_coords[c]] = v
+    return list(rows.values())
 
 
 def checked_piece(phi: FreeModuleMap, d: int):
@@ -89,6 +104,11 @@ def checked_piece(phi: FreeModuleMap, d: int):
     assert piece.source_coords == coords
     ids = sorted(c for src_ids, _, _ in piece.blocks for c in src_ids)
     assert ids == list(range(len(coords)))
+    for src_ids, _, columns in piece.blocks:
+        assert len(columns) == len(src_ids)
+        # row numbers are handed out in the order the columns first reach them
+        seen = list(dict.fromkeys(r for col in columns for r in col))
+        assert seen == list(range(len(seen)))
     canonical = lambda rs: sorted(sorted(r.items()) for r in rs)
     assert canonical(piece_rows(piece)) == canonical(rows.values())
     return piece
@@ -262,6 +282,40 @@ def weighted_map(rng: random.Random, target: GradedFreeModule, degrees) -> FreeM
     return FreeModuleMap(GradedFreeModule(alg, tuple(gens)), target, columns)
 
 
+def reference_cover(phi: FreeModuleMap, degree_floor: int):
+    """The cover by the rule before rank certification, on whole reference
+    pieces: every canonical kernel vector of every scanned piece is inserted
+    against the shifted products of the earlier generators. Returns the
+    generators, columns and dims that minimal_free_cover reports."""
+    alg = phi.source.algebra
+    gens, columns, dims = [], [], {}
+    for d in range(max(phi.source.degrees()), degree_floor - 1, -1):
+        coords, rows = reference_piece(phi, d)
+        coord_at = {coord: c for c, coord in enumerate(coords)}
+        products = Echelon()
+        for g, col in zip(gens, columns):
+            for S in itertools.combinations(range(alg.nvars), g.degree - d):
+                products.insert({coord_at[key]: v for key, v in times(col, S).items()})
+        kernel = kernel_basis([{coord_at[key]: v for key, v in row.items()}
+                               for row in rows.values()], len(coords))
+        dims[d] = (len(coords), len(kernel))
+        for vec in kernel:
+            if products.insert(vec):
+                col = {coords[c]: v for c, v in primitive_integer_vector(vec).items()}
+                gens.append(Generator(d, coord_weight(phi.source, next(iter(col)))))
+                columns.append(col)
+    return gens, columns, dims
+
+
+def cover_like_reference(phi: FreeModuleMap, degree_floor: int) -> FreeModuleMap:
+    into, dims = minimal_free_cover(phi, degree_floor)
+    gens, columns, ref_dims = reference_cover(phi, degree_floor)
+    assert list(into.source.generators) == gens
+    assert into.columns == columns
+    assert dims == ref_dims
+    return into
+
+
 def test_blocks_split_pieces_by_weight():
     # repeated subset weights ({0, 1} and {2}, {2, 3} and {0, 1}) make
     # blocks of several columns next to blocks of one
@@ -278,7 +332,8 @@ def test_blocks_split_pieces_by_weight():
             assert len(set(weights)) == len(weights)
             for src_ids, w, _ in piece.blocks:
                 assert {coord_weight(F, piece.source_coords[c]) for c in src_ids} == {w}
-        into, _ = minimal_free_cover(phi, degree_floor=-4)
+        into = cover_like_reference(phi, degree_floor=-4)
+        cover_like_reference(into, degree_floor=-5)
         assert phi.compose(into).is_zero()
         for g, vec in zip(into.source.generators, into.columns):
             assert {coord_weight(F, coord) for coord in vec} == {g.weight}
@@ -286,3 +341,51 @@ def test_blocks_split_pieces_by_weight():
             blocks = {w for src_ids, w, _ in piece.blocks
                       if any(piece.source_coords[c] in vec for c in src_ids)}
             assert blocks == {g.weight}
+
+
+def test_cover_matches_reference_on_cube_phi2(cube):
+    middle = cover_like_reference(build_phi2(cube, (0, 1, 4)), degree_floor=-3)
+    cover_like_reference(middle, degree_floor=-4)
+
+
+def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
+    # every other block is certified by rank alone, so back-substitution
+    # runs at most once per free column of a block that gains a generator
+    calls = []
+    kernel_vector = Echelon.kernel_vector
+
+    def counted(self, free_col):
+        calls.append(free_col)
+        return kernel_vector(self, free_col)
+
+    monkeypatch.setattr(Echelon, "kernel_vector", counted)
+    phi2 = build_phi2(cube, (0, 1, 4))
+    middle, phi2_dims = minimal_free_cover(phi2, degree_floor=-3)
+    left, middle_dims = minimal_free_cover(middle, degree_floor=-4)
+    monkeypatch.undo()
+
+    gaining = 0
+    for phi, into in ((phi2, middle), (middle, left)):
+        for d, w in {(g.degree, g.weight) for g in into.source.generators}:
+            [columns] = [cols for _, weight, cols in graded_piece(phi, d).blocks if weight == w]
+            gaining += len(columns) - sparse_rank(columns)
+    scanned = sum(nullity for dims in (phi2_dims, middle_dims) for _, nullity in dims.values())
+    assert 0 < len(calls) <= gaining < scanned
+
+
+def test_kernel_vector_rejects_a_pivot_column():
+    ech = Echelon()
+    ech.insert({0: 1, 1: 2})
+    assert ech.kernel_vector(1) == {1: 1, 0: -2}
+    with pytest.raises(InvariantViolation, match="pivot column"):
+        ech.kernel_vector(0)
+
+
+def test_reaches_rank_stops_at_the_target():
+    def vectors():
+        yield from ({0: 1}, {0: 2}, {1: 1})
+        raise AssertionError("read past the target rank")
+
+    assert reaches_rank(vectors(), 2)
+    assert not reaches_rank([{0: 1}, {0: -3}], 2)
+    assert reaches_rank([], 0)

@@ -4,12 +4,14 @@ cross-selection oracle on the determinant."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from detform.bracket import apply_U4, evaluate, export_matrix, random_coefficients
+from detform.lattice import convex_hull_with_facets
 from detform.shelling import best_selection
 from detform.tate import build_window, window_dump
 
@@ -29,6 +31,17 @@ def test_golden_digests(name, window_digest, matrix_digest, request):
     w = build_window(Q, sel)
     assert digest(window_dump(w)) == window_digest
     assert digest(export_matrix(apply_U4(w.maps[0]))) == matrix_digest
+
+
+def test_golden_digests_box():
+    # the 3x2x2 box (N=12): the largest weight blocks tier-1 can afford, most
+    # of them certified by rank, pinned to the digests of the kernel-basis cover
+    Q = convex_hull_with_facets(list(itertools.product(range(3), range(2), range(2))))
+    sel = best_selection(Q, seed=0).selection
+    assert sel == (0, 1, 4)
+    w = build_window(Q, sel)
+    assert digest(window_dump(w)) == "5ec2edb4a2141b51"
+    assert digest(export_matrix(apply_U4(w.maps[0]))) == "6db4d8901b747966"
 
 
 def test_two_selections_give_the_same_determinant(cube):

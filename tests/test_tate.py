@@ -52,7 +52,8 @@ def test_phi2_cube_shapes(cube):
     piece = graded_piece(rightmost, 1)
     assert len(piece.source_coords) == 24
     assert [w for _, w, _ in piece.blocks] == [g.weight for g in rightmost.source.generators]
-    assert sum(len(rows) for _, _, rows in piece.blocks) == 24 * 8
+    assert [len(columns) for _, _, columns in piece.blocks] == [1] * 24
+    assert sum(len(col) for _, _, [col] in piece.blocks) == 24 * 8
     assert piece.rank() == 24
     rightmost.validate_degrees()
     for col in rightmost.columns:
