@@ -280,7 +280,9 @@ def _cmd_verify(config: RunConfig, Q) -> int:
             checks.append({"name": name, "passed": True, "detail": detail})
         except InvariantViolation:
             raise  # a bug, not a failed check: run() reports it as exit 7
-        except Exception as exc:
+        except (DetformError, ValueError, AssertionError) as exc:
+            # what a check can raise when it fails: a typed error, bad
+            # geometry or _fail; anything else is a bug and reaches run()
             checks.append({"name": name, "passed": False,
                            "detail": f"{type(exc).__name__}: {exc}"})
 

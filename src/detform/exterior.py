@@ -14,7 +14,10 @@ block holds its source columns (ids into the piece's canonical coordinate
 list), its weight, and the columns themselves, each a sparse dict over the
 block's rows, numbered in the order their (target generator, subset) keys
 first appear. The target module's coordinates are never enumerated: a row
-exists only where a column lands.
+exists only where a column lands. The product e_T ∧ e_S of a term's subset
+T and a coordinate's subset S does not depend on the generator, so each
+piece wedges each (term subset, coordinate subset) pair once and every
+column is read off that table.
 
 The cover certifies most blocks by rank alone. The products of the earlier
 generators lie in the kernel, so a block whose rank plus the rank of the
@@ -197,12 +200,21 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
 
     The coordinate (j, S) has weight g_j.weight plus the weights of the
     variables in S; each subset's part is summed once per size k = deg g_j - d.
+    The product e_T ∧ e_S depends only on a term's subset T and the
+    coordinate's subset S, so each (T, S) pair is wedged once per piece: one
+    table row per (T, k) lists the products over the size-k subsets, and a
+    coordinate's column reads its terms' rows at its subset's position.
     Blocks come in the order of their first coordinate.
     """
     algebra = phi.source.algebra
     N = algebra.nvars
     subset_weights: dict[int, list[tuple[Subset, tuple[int, ...]]]] = {}
+    wedges: dict[tuple[Subset, int], list[tuple[int, Subset] | None]] = {}
     source_coords: list[tuple[int, Subset]] = []
+    # per generator: its first coordinate, after which its coordinates follow
+    # in subset order, and its column as (target, coefficient, table row)
+    first: dict[int, int] = {}
+    terms: dict[int, list[tuple[int, int, list]]] = {}
     by_weight: dict[tuple[int, ...], list[int]] = {}
     for j, g in enumerate(phi.source.generators):
         k = g.degree - d
@@ -213,6 +225,11 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
             subset_weights[k] = [
                 (S, tuple(map(sum, zip(zero, *(algebra.var_weights[i] for i in S)))))
                 for S in itertools.combinations(range(N), k)]
+        first[j], terms[j] = len(source_coords), []
+        for (i, T), cf in phi.columns[j].items():
+            if (T, k) not in wedges:
+                wedges[T, k] = [wedge_subsets(T, S) for S, _ in subset_weights[k]]
+            terms[j].append((i, cf, wedges[T, k]))
         for S, w in subset_weights[k]:
             by_weight.setdefault(tuple(map(add, g.weight, w)), []).append(len(source_coords))
             source_coords.append((j, S))
@@ -222,16 +239,14 @@ def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
         row_at: dict[tuple[int, Subset], int] = {}
         columns = []
         for c in src_ids:
-            j, S = source_coords[c]
-            # column j ∧ e_S, written out rather than through times() so each
-            # term goes straight to its row number, with no product dict between
+            j = source_coords[c][0]
+            s = c - first[j]
             col = {}
-            for (i, T), cf in phi.columns[j].items():
-                hit = wedge_subsets(T, S)
-                if hit is None:
-                    continue
-                sign, U = hit
-                col[row_at.setdefault((i, U), len(row_at))] = sign * cf
+            for i, cf, row in terms[j]:
+                hit = row[s]
+                if hit is not None:
+                    sign, U = hit
+                    col[row_at.setdefault((i, U), len(row_at))] = sign * cf
             columns.append(col)
         blocks.append((src_ids, weight, columns))
     return GradedPiece(source_coords, blocks)

@@ -391,6 +391,22 @@ def test_invariant_violation_in_verify_exits_seven(octa_file, capsys, monkeypatc
     assert json.loads(captured.err)["error"]["code"] == 7
 
 
+def test_unexpected_exception_in_verify_exits_seven(octa_file, capsys, monkeypatch):
+    # only typed errors, ValueError and _fail's AssertionError are failed
+    # checks; any other exception is a bug, diagnosed as in build-matrix
+    def explode(Q, sel):
+        raise KeyError("forced for the error-path test")
+
+    monkeypatch.setattr("detform.cli.build_window", explode)
+    code = run(RunConfig(command="verify", support_path=octa_file, roots=1))
+    assert code == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["code"], err["type"]) == (7, "KeyError")
+    assert err["where"].endswith(" in explode")
+
+
 def test_fixed_seed_is_bit_identical(octa_file, capsys):
     def capture():
         code = run(RunConfig(command="verify", support_path=octa_file,

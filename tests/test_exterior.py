@@ -32,7 +32,7 @@ from detform.linalg import (
     reaches_rank,
     sparse_rank,
 )
-from detform.tate import build_phi2
+from detform.tate import build_phi2, build_window
 
 
 def algebra(nvars: int) -> ExteriorAlgebra:
@@ -371,6 +371,45 @@ def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
             gaining += len(columns) - sparse_rank(columns)
     scanned = sum(nullity for dims in (phi2_dims, middle_dims) for _, nullity in dims.values())
     assert 0 < len(calls) <= gaining < scanned
+
+
+def test_graded_piece_wedges_each_pair_once(cube, monkeypatch):
+    # e_T ∧ e_S depends only on a term's subset T and a coordinate's subset
+    # S, so a piece wedges each (T, S) pair once, not once per coordinate
+    window = build_window(cube, (0, 1, 4))
+    phi2 = window.maps[2]
+    N = phi2.source.algebra.nvars
+    for d in window.piece_dims[2]:
+        calls = []
+
+        def counted(T, S):
+            calls.append((T, S))
+            return wedge_subsets(T, S)
+
+        monkeypatch.setattr("detform.exterior.wedge_subsets", counted)
+        graded_piece(phi2, d)
+        monkeypatch.undo()
+
+        pairs, per_coordinate = set(), 0
+        for j, g in enumerate(phi2.source.generators):
+            for S in itertools.combinations(range(N), g.degree - d):
+                pairs.update((T, S) for _, T in phi2.columns[j])
+                per_coordinate += len(phi2.columns[j])
+        assert sorted(calls) == sorted(pairs)
+        assert len(calls) < per_coordinate
+
+
+@pytest.mark.parametrize("name, selection, sizes", [("cube", (0, 1, 4), {4}),
+                                                    ("octahedron", (0, 1, 2, 4), {1, 4})])
+def test_left_map_pieces_match_reference(name, selection, sizes, request):
+    # the pieces check_exactness reduces; on the octahedron a degree -4
+    # generator's column carries quartic and linear terms, so one column
+    # reads table rows of two term subset sizes
+    left = build_window(request.getfixturevalue(name), selection).maps[0]
+    assert sizes == {len(T) for j, g in enumerate(left.source.generators)
+                     if g.degree == -4 for _, T in left.columns[j]}
+    for d in range(-1, -5, -1):
+        checked_piece(left, d)
 
 
 def test_kernel_vector_rejects_a_pivot_column():
