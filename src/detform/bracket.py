@@ -8,6 +8,7 @@ times, one copy per polynomial.  Everything stays exact.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import DegreePatternViolation, DimensionMismatch, ParseError
@@ -19,6 +20,7 @@ Point = tuple[int, ...]
 Quad = tuple[int, int, int, int]
 
 NUM_POLYS = 4
+_COEFFICIENT_BOUND = 99
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,10 @@ def format_coefficients(system: CoefficientSystem) -> str:
     return "\n".join(" ".join(rat_str(c) for c in row) for row in system.rows) + "\n"
 
 
-def random_coefficients(npoints: int, rng, bound: int = 99) -> CoefficientSystem:
+def random_coefficients(npoints: int, rng) -> CoefficientSystem:
     rows = tuple(
-        tuple(qq(rng.randint(-bound, bound)) for _ in range(npoints))
+        tuple(qq(rng.randint(-_COEFFICIENT_BOUND, _COEFFICIENT_BOUND))
+              for _ in range(npoints))
         for _ in range(NUM_POLYS))
     return CoefficientSystem(rows)
 
@@ -137,9 +140,6 @@ class BracketMatrix:
     def size(self) -> int:
         return len(self.row_labels)
 
-    def cell(self, row: int, col: int):
-        return self.cells.get((row, col))
-
     def block_shapes(self) -> dict[str, tuple[int, int]]:
         rp = sum(1 for lab in self.row_labels if lab[0] == "point")
         cp = sum(1 for lab in self.col_labels if lab[0] == "point")
@@ -161,41 +161,33 @@ class BracketMatrix:
 
 
 def apply_U4(phi0: FreeModuleMap) -> BracketMatrix:
-    """Expand the window's leftmost map into brackets and coefficient entries."""
+    """Expand the window's leftmost map into brackets and coefficient entries.
+
+    Source generators sit in degrees -4 and -1, target generators in 0 and
+    -3.  A degree -4 source or degree 0 target generator takes one line, a
+    ("point", m) label; the others take NUM_POLYS lines, ("copy", k, m) for
+    k = 1..4; within each group generators go in point order.
+    """
     support = support_of(phi0.source.algebra)
 
-    def split(module, primal_degree, dual_degree, where):
-        primal, dual = [], []
-        for j, g in enumerate(module.generators):
-            if g.degree == primal_degree:
-                primal.append(j)
-            elif g.degree == dual_degree:
-                dual.append(j)
-            else:
-                raise DegreePatternViolation(
-                    f"{where} generator in degree {g.degree}")
-        key = lambda j: point_of(module.generators[j])
-        return sorted(primal, key=key), sorted(dual, key=key)
+    def layout(module, single_degree, copied_degree, where):
+        gens = module.generators
+        for g in gens:
+            if g.degree not in (single_degree, copied_degree):
+                raise DegreePatternViolation(f"{where} generator in degree {g.degree}")
+        labels, lines = [], {}
+        for degree in (single_degree, copied_degree):
+            for j in sorted((j for j, g in enumerate(gens) if g.degree == degree),
+                            key=lambda j: point_of(gens[j])):
+                m = point_of(gens[j])
+                new = ([("point", m)] if degree == single_degree
+                       else [("copy", k, m) for k in range(1, NUM_POLYS + 1)])
+                lines[j] = range(len(labels), len(labels) + len(new))
+                labels += new
+        return labels, lines
 
-    src_primal, src_dual = split(phi0.source, -1, -4, "source")
-    tgt_primal, tgt_dual = split(phi0.target, 0, -3, "target")
-
-    col_labels = [("point", point_of(phi0.source.generators[j])) for j in src_dual]
-    col_of = {j: c for c, j in enumerate(src_dual)}
-    col_base = {}
-    for j in src_primal:
-        col_base[j] = len(col_labels)
-        m = point_of(phi0.source.generators[j])
-        col_labels.extend(("copy", k, m) for k in range(1, NUM_POLYS + 1))
-
-    row_labels = [("point", point_of(phi0.target.generators[i])) for i in tgt_primal]
-    row_of = {i: r for r, i in enumerate(tgt_primal)}
-    row_base = {}
-    for i in tgt_dual:
-        row_base[i] = len(row_labels)
-        m = point_of(phi0.target.generators[i])
-        row_labels.extend(("copy", k, m) for k in range(1, NUM_POLYS + 1))
-
+    col_labels, cols = layout(phi0.source, -4, -1, "source")
+    row_labels, rows = layout(phi0.target, 0, -3, "target")
     if len(row_labels) != len(col_labels):
         raise DimensionMismatch(
             f"bracket matrix is {len(row_labels)} x {len(col_labels)}")
@@ -208,28 +200,19 @@ def apply_U4(phi0: FreeModuleMap) -> BracketMatrix:
         d = -sizes.pop()
         sd = phi0.source.generators[j].degree
         td = phi0.target.generators[i].degree
-        if sd == -4 and td == 0:
-            if d != -4:
-                raise DegreePatternViolation(f"entry ({i}, {j}) has degree {d}")
-            quads = tuple(sorted((tuple(x + 1 for x in S), c) for S, c in terms.items()))
-            cells[(row_of[i], col_of[j])] = BracketCell(quads)
-        elif sd == -1 and td == 0:
-            if d != -1:
-                raise DegreePatternViolation(f"entry ({i}, {j}) has degree {d}")
-            refs = tuple(sorted((S[0] + 1, c) for S, c in terms.items()))
-            base = col_base[j]
-            for k in range(1, NUM_POLYS + 1):
-                cells[(row_of[i], base + k - 1)] = LinearCell(k, refs)
-        elif sd == -4 and td == -3:
-            if d != -1:
-                raise DegreePatternViolation(f"entry ({i}, {j}) has degree {d}")
-            refs = tuple(sorted((S[0] + 1, c) for S, c in terms.items()))
-            base = row_base[i]
-            for k in range(1, NUM_POLYS + 1):
-                cells[(base + k - 1, col_of[j])] = LinearCell(k, refs)
-        else:
+        if (sd, td) == (-1, -3):
             raise DegreePatternViolation(
                 f"entry ({i}, {j}) connects degrees {sd} -> {td}")
+        if d != sd - td:
+            raise DegreePatternViolation(f"entry ({i}, {j}) has degree {d}")
+        if d == -4:
+            quads = tuple(sorted((tuple(x + 1 for x in S), c) for S, c in terms.items()))
+            cells[(rows[i][0], cols[j][0])] = BracketCell(quads)
+        else:
+            # one line on one side, NUM_POLYS on the other: copy k is polynomial k
+            refs = tuple(sorted((S[0] + 1, c) for S, c in terms.items()))
+            for k, rc in enumerate(itertools.product(rows[i], cols[j]), start=1):
+                cells[rc] = LinearCell(k, refs)
     return BracketMatrix(support, tuple(row_labels), tuple(col_labels), cells)
 
 

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every command reads a support file (one lattice point per line), resolves a
-facet selection, and writes JSON to stdout unless --output is given.  All
-randomness flows from the single --seed value, which is echoed in the output.
+facet selection, and writes one JSON object, its first key the --seed value,
+to stdout or to --output; predict-size and evaluate print one line of text
+instead unless --json or --output is given.  All randomness flows from --seed.
 
 Exit codes: 0 success, 2 parse failure, 3 degenerate geometry, 4 no disk
 selection found, 5 dimension mismatch against the predicted counts, 6
@@ -119,29 +120,24 @@ def _parse_indices(spec: str, num_facets: int) -> tuple[int, ...]:
 
 def _resolve_shelling(Q, spec: str, seed: int):
     if spec == "auto":
-        try:
-            return best_selection(Q, seed=seed)
-        except ValueError as exc:
-            raise NoDiskSelection(str(exc)) from None
-    if spec.startswith("indices="):
+        search = lambda: best_selection(Q, seed=seed)
+    elif spec.startswith("indices="):
         ids = _parse_indices(spec, Q.num_facets)
+        search = lambda: shelling_order_for(Q, ids)
+    elif spec.startswith("direction="):
         try:
-            return shelling_order_for(Q, ids)
-        except ValueError as exc:
-            raise NoDiskSelection(str(exc)) from None
-    if spec.startswith("direction="):
-        body = spec[len("direction="):]
-        try:
-            coords, steps = body.split(":")
+            coords, steps = spec[len("direction="):].split(":")
             direction = tuple(int(t) for t in coords.split(","))
             k = int(steps)
         except ValueError:
             raise ParseError(f"bad direction spec {spec!r}") from None
-        try:
-            return line_shelling(Q, direction, k)
-        except ValueError as exc:
-            raise NoDiskSelection(str(exc)) from None
-    raise ParseError(f"unknown shelling spec {spec!r}")
+        search = lambda: line_shelling(Q, direction, k)
+    else:
+        raise ParseError(f"unknown shelling spec {spec!r}")
+    try:
+        return search()
+    except ValueError as exc:
+        raise NoDiskSelection(str(exc)) from None
 
 
 def _require_positive(flag: str, value: int | None) -> None:
@@ -149,13 +145,18 @@ def _require_positive(flag: str, value: int | None) -> None:
         raise ParseError(f"{flag} must be at least 1, got {value}")
 
 
-def _emit(config: RunConfig, payload) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+def _emit(config: RunConfig, payload: dict, text: str | None = None) -> None:
+    """Print `text` if given and neither --json nor --output is set; else write
+    {"seed": config.seed, **payload} as JSON to --output or stdout."""
+    if text is not None and not (config.as_json or config.output_path):
+        print(text)
+        return
+    out = json.dumps({"seed": config.seed, **payload}, indent=2)
     if config.output_path:
         with open(config.output_path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(out + "\n")
     else:
-        print(text)
+        print(out)
 
 
 def _diagnose(code: int, exc: Exception, **extra) -> int:
@@ -170,7 +171,6 @@ def _diagnose(code: int, exc: Exception, **extra) -> int:
 
 def _cmd_facets(config: RunConfig, Q) -> int:
     _emit(config, {
-        "seed": config.seed,
         "dimension": Q.dim,
         "lattice_points": [list(p) for p in lattice_points_scaled(Q, 1)],
         "vertices": [list(v) for v in Q.vertices],
@@ -188,7 +188,6 @@ def _cmd_shell(config: RunConfig, Q) -> int:
     sel = shelling.selection
     disk = is_disk(Q, sel)
     _emit(config, {
-        "seed": config.seed,
         "selection": list(sel),
         "order": list(shelling.order),
         "steps": [
@@ -207,11 +206,7 @@ def _cmd_predict_size(config: RunConfig, Q) -> int:
     size = predicted_size(pair)
     per_poly, total = resultant_degree(pair)
     lower, ceiling = size_bounds_report(pair)
-    if not config.as_json and not config.output_path:
-        print(f"size {size}, normalized volume {per_poly}, degree total {total}")
-        return 0
     _emit(config, {
-        "seed": config.seed,
         "selection": list(shelling.selection),
         "predicted_size": size,
         "normalized_volume": per_poly,
@@ -222,7 +217,7 @@ def _cmd_predict_size(config: RunConfig, Q) -> int:
         "size_lower_bound": lower,
         "size_ceiling_with_interior": ceiling,
         "square": squareness_check(pair),
-    })
+    }, text=f"size {size}, normalized volume {per_poly}, degree total {total}")
     return 0
 
 
@@ -238,11 +233,10 @@ def _build(config: RunConfig, Q):
 def _cmd_build_matrix(config: RunConfig, Q) -> int:
     shelling, window, matrix = _build(config, Q)
     out = {
-        "seed": config.seed,
         "selection": list(shelling.selection),
         "support_order": [list(p) for p in matrix.support],
+        **export_matrix(matrix),
     }
-    out.update(export_matrix(matrix))
     if config.dump_tate:
         out["tate_window"] = window_dump(window)
     _emit(config, out)
@@ -255,16 +249,12 @@ def _cmd_evaluate(config: RunConfig, Q) -> int:
     shelling, _, matrix = _build(config, Q)
     with open(config.coeffs_path) as fh:
         system = parse_coefficients(fh.read(), expected_points=len(matrix.support))
-    det = evaluate(matrix, system)
-    if not config.as_json and not config.output_path:
-        print(rat_str(det))
-        return 0
+    det = rat_str(evaluate(matrix, system))
     _emit(config, {
-        "seed": config.seed,
         "selection": list(shelling.selection),
         "support_order": [list(p) for p in matrix.support],
-        "determinant": rat_str(det),
-    })
+        "determinant": det,
+    }, text=det)
     return 0
 
 
@@ -347,8 +337,8 @@ def _cmd_verify(config: RunConfig, Q) -> int:
     record("generic_determinant_nonzero", generic_nonzero)
 
     all_passed = all(c["passed"] for c in checks)
-    _emit(config, {"seed": config.seed, "selection": list(sel),
-                   "checks": checks, "all_passed": all_passed})
+    _emit(config, {"selection": list(sel), "checks": checks,
+                   "all_passed": all_passed})
     return 0 if all_passed else EXIT_VERIFY
 
 
@@ -369,7 +359,6 @@ def _cmd_cohomology(config: RunConfig, Q) -> int:
     entries = cohomology_profile(Q, shelling.selection, lo, hi,
                                  box_radius=config.box_radius)
     _emit(config, {
-        "seed": config.seed,
         "selection": list(shelling.selection),
         "entries": [
             {"k": e.k, "cohomology_dims": list(e.dims),
@@ -381,7 +370,7 @@ def _cmd_cohomology(config: RunConfig, Q) -> int:
 
 
 def _cmd_feasibility(config: RunConfig, Q) -> int:
-    out = {"seed": config.seed, "dimension": Q.dim}
+    out = {"dimension": Q.dim}
     if Q.dim == 3:
         try:
             shelling = _resolve_shelling(Q, config.shelling, config.seed)
@@ -462,44 +451,34 @@ def build_parser() -> argparse.ArgumentParser:
         ("cohomology", "divisor cohomology dimensions over a twist range"),
         ("feasibility", "determinantal-formula feasibility for the input"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("support", help="path to a support point file")
-        p.add_argument("--shelling", default="auto",
-                       help="auto | indices=i1,i2,... | direction=x,y,z:k")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", default=None, help="write JSON here instead of stdout")
-        p.add_argument("--json", action="store_true",
+        # unset options stay out of the namespace, so RunConfig holds every default
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("support_path", metavar="support",
+                       help="path to a support point file")
+        p.add_argument("--shelling", help="auto | indices=i1,i2,... | direction=x,y,z:k")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--output", dest="output_path", metavar="OUTPUT",
+                       help="write JSON here instead of stdout")
+        p.add_argument("--json", dest="as_json", action="store_true",
                        help="structured output for commands that default to text")
         if name == "build-matrix":
             p.add_argument("--dump-tate", action="store_true",
                            help="include the resolution window in the output")
         if name == "evaluate":
-            p.add_argument("--coeffs", required=True,
+            p.add_argument("--coeffs", dest="coeffs_path", metavar="COEFFS", required=True,
                            help="coefficient file: 4 rows of rationals")
         if name == "verify":
-            p.add_argument("--roots", type=int, default=5,
+            p.add_argument("--roots", type=int,
                            help="number of common-root systems to test")
         if name in ("verify", "cohomology"):
-            p.add_argument("--box-radius", type=int, default=None)
+            p.add_argument("--box-radius", type=int)
         if name == "cohomology":
-            p.add_argument("--k-range", default="-2..2", help="twist range a..b")
+            p.add_argument("--k-range", help="twist range a..b")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        support_path=args.support,
-        shelling=args.shelling,
-        coeffs_path=getattr(args, "coeffs", None),
-        output_path=args.output,
-        seed=args.seed,
-        box_radius=getattr(args, "box_radius", None),
-        k_range=getattr(args, "k_range", "-2..2"),
-        roots=getattr(args, "roots", 5),
-        dump_tate=getattr(args, "dump_tate", False),
-        as_json=args.json,
-    )
+    return RunConfig(**vars(args))
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:

@@ -213,6 +213,8 @@ def points_off_facets(Q: Polytope, k: int, selection) -> list[Point]:
 
 def interior_points(Q: Polytope, k: int) -> list[Point]:
     """Integer points strictly inside k*Q."""
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     return _enumerate(Q, k, strict=tuple(range(Q.num_facets)))
 
 

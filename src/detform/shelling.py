@@ -226,9 +226,10 @@ def shelling_order_for(Q: Polytope, sel) -> PartialShelling:
 
 
 EXHAUSTIVE_FACET_LIMIT = 12
+_SWEEP_SAMPLES = 64  # generic sweep directions drawn above the limit
 
 
-def best_selection(Q: Polytope, seed: int = 0, samples: int = 64) -> PartialShelling:
+def best_selection(Q: Polytope, seed: int = 0) -> PartialShelling:
     """Disk selection maximizing the boundary lattice point count.
 
     With few facets every proper subset is tested; otherwise random sweep
@@ -253,7 +254,7 @@ def best_selection(Q: Polytope, seed: int = 0, samples: int = 64) -> PartialShel
     else:
         rng = random.Random(seed)
         drawn = 0
-        while drawn < samples:
+        while drawn < _SWEEP_SAMPLES:
             direction = tuple(rng.randint(-9, 9) for _ in range(Q.dim))
             if not any(direction):
                 continue

@@ -97,8 +97,8 @@ def facet_complex(Q: Polytope, selection) -> FacetComplex:
     return complex_
 
 
-def nerve_reduced_betti(Q: Polytope, selection, length: int | None = None) -> tuple[int, ...]:
-    """Reduced Betti numbers of a facet union via the nerve of the cover.
+def nerve_reduced_betti(Q: Polytope, selection) -> tuple[int, ...]:
+    """Reduced Betti numbers of a facet union via the nerve, indices 0..dim-1.
 
     Facets are convex and intersect in faces, so the nerve has the homotopy
     type of the union in any dimension.
@@ -124,9 +124,7 @@ def nerve_reduced_betti(Q: Polytope, selection, length: int | None = None) -> tu
                     nxt.append((s + (j,), shared))
         live = nxt
 
-    if length is None:
-        length = max(Q.dim, len(simplices))
-    betti = [0] * length
+    betti = [0] * Q.dim
     pos = [{s: p for p, s in enumerate(level)} for level in simplices]
     ranks = []
     for d in range(1, len(simplices)):
@@ -141,10 +139,10 @@ def nerve_reduced_betti(Q: Polytope, selection, length: int | None = None) -> tu
     ranks.append(0)
     for d in range(len(simplices)):
         below = ranks[d - 1] if d >= 1 else 0
-        b = len(simplices[d]) - below - ranks[d] if d < len(simplices) else 0
+        b = len(simplices[d]) - below - ranks[d]
         if d == 0:
             b -= 1
-        if d < length:
+        if d < Q.dim:
             betti[d] = b
     return tuple(betti)
 
@@ -153,7 +151,7 @@ def reduced_cohomology(Q: Polytope, selection) -> tuple[int, ...]:
     """Rational reduced Betti numbers of a facet union, indices 0..dim-1."""
     if Q.dim == 3:
         return facet_complex(Q, selection).reduced_betti()
-    return nerve_reduced_betti(Q, selection, length=Q.dim)
+    return nerve_reduced_betti(Q, selection)
 
 
 @dataclass(frozen=True)
@@ -286,7 +284,7 @@ def feasibility_high_dim(Q: Polytope, selection) -> bool:
     sel = as_selection(selection)
     if not sel or len(sel) >= Q.num_facets:
         raise ValueError("selection must be a nonempty proper facet subset")
-    if any(nerve_reduced_betti(Q, sel, length=n)):
+    if any(nerve_reduced_betti(Q, sel)):
         raise ValueError("facet union carries reduced homology")
     k1, k2 = _high_dim_scales(n)
     comp = tuple(j for j in range(Q.num_facets) if j not in set(sel))
@@ -329,7 +327,7 @@ def high_dim_feasible_selection(Q: Polytope):
                 continue
             if any(t <= chosen for t in touches2):
                 continue
-            if any(nerve_reduced_betti(Q, sel, length=n)):
+            if any(nerve_reduced_betti(Q, sel)):
                 continue
             return sel
     return None

@@ -20,7 +20,7 @@ from detform.bracket import (
     parse_coefficients,
     random_coefficients,
 )
-from detform.errors import DegreePatternViolation, ParseError
+from detform.errors import DegreePatternViolation, DimensionMismatch, ParseError
 from detform.exterior import (
     ExteriorAlgebra,
     FreeModuleMap,
@@ -255,3 +255,14 @@ def test_apply_rejects_degree_pattern_violations():
     inhomogeneous = FreeModuleMap(src2, tgt4, [{(0, (2,)): 1, (0, (2, 3)): 1}])
     with pytest.raises(DegreePatternViolation, match="inhomogeneous"):
         apply_U4(inhomogeneous)
+
+    # a linear source (4 columns) into a copied target (4 rows): the zero corner
+    tgt3 = GradedFreeModule(algebra, (Generator(-3, (1, 1, 1)),))
+    corner = FreeModuleMap(src2, tgt3, [{(0, (2,)): 1}])
+    with pytest.raises(DegreePatternViolation, match=r"connects degrees -1 -> -3"):
+        apply_U4(corner)
+
+    src4 = GradedFreeModule(algebra, (Generator(-4, (0, 0, 0)),))
+    not_square = FreeModuleMap(src4, tgt3, [{(0, (2,)): 1}])
+    with pytest.raises(DimensionMismatch, match="bracket matrix is 4 x 1"):
+        apply_U4(not_square)

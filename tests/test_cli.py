@@ -430,6 +430,15 @@ def test_parser_round_trip(cube_file):
     assert config.coeffs_path is None
 
 
+def test_parser_defaults_are_run_config_defaults():
+    for command in ("facets", "shell", "predict-size", "build-matrix", "evaluate",
+                    "verify", "cohomology", "feasibility"):
+        required = {"coeffs_path": "c"} if command == "evaluate" else {}
+        argv = [command, "f"] + (["--coeffs", "c"] if required else [])
+        assert config_from_args(build_parser().parse_args(argv)) == RunConfig(
+            command=command, support_path="f", **required)
+
+
 def test_main_exits_zero(cube_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["predict-size", cube_file, "--shelling", "indices=0,1,4"])

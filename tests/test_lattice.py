@@ -111,6 +111,16 @@ def test_interior_points(cube, octahedron):
     assert interior_points(octahedron, 1) == [(0, 0, 0)]
 
 
+def test_point_queries_reject_nonpositive_dilation(octahedron):
+    # -Q contains the origin, so an unchecked k = -1 would answer wrongly
+    queries = (lattice_points_scaled, interior_points,
+               lambda Q, k: points_off_facets(Q, k, (0,)))
+    for query in queries:
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                query(octahedron, k)
+
+
 def test_parse_support_roundtrip():
     text = "# support of a cube\n0 0 0\n1 0 0\n\n0 1 0  # inline note\n1 1 1\n"
     assert parse_support(text) == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)]

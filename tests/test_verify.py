@@ -80,7 +80,7 @@ def test_nerve_matches_direct_complex():
         Q = random_polytope(rng)
         size = rng.randint(1, Q.num_facets)
         sel = tuple(sorted(rng.sample(range(Q.num_facets), size)))
-        assert nerve_reduced_betti(Q, sel, 3) == reduced_cohomology(Q, sel)
+        assert nerve_reduced_betti(Q, sel) == reduced_cohomology(Q, sel)
 
 
 def test_divisor_cohomology_disk_twists(octahedron):
