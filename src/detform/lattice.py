@@ -2,7 +2,9 @@
 
 All arithmetic is integer or exact rational; nothing here touches floats.
 Points are plain integer tuples, ordered lexicographically ascending wherever
-an order matters (this fixes every index used downstream).
+an order matters (this fixes every index used downstream). The points of kQ
+are walked once per polytope and k into a census of each point with the bit
+set of its facets; every point query is a filter over that census.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 
 from .errors import DegenerateSpan, EmptyInput, NoInteriorPoint, ParseError
 from .linalg import QQ, integer_row_rank, nullspace_dense
@@ -18,7 +21,7 @@ Point = tuple[int, ...]
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _add(u: Point, v: Point) -> Point:
@@ -76,6 +79,7 @@ class Polytope:
     facets: tuple[Facet, ...]
     edges: tuple[Edge, ...] = field(default=())
     facet_cycles: tuple[tuple[int, ...], ...] = field(default=())
+    _census: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_facets(self) -> int:
@@ -197,41 +201,66 @@ def _build_face_complex(facets: tuple[Facet, ...]):
     return tuple(edges), tuple(cycles)
 
 
-def lattice_points_scaled(Q: Polytope, k: int) -> list[Point]:
-    """All integer points of k*Q in lexicographic ascending order."""
+def point_census(Q: Polytope, k: int) -> tuple[tuple[Point, ...], tuple[int, ...]]:
+    """Points of k*Q in lexicographic order, and per point the bit set of the
+    facets it lies on (bit i for facet i). Walked once per polytope and k."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return _enumerate(Q, k, strict=())
+    if k not in Q._census:
+        Q._census[k] = _column_walk(Q, k)
+    return Q._census[k]
+
+
+def lattice_points_scaled(Q: Polytope, k: int) -> list[Point]:
+    """All integer points of k*Q in lexicographic ascending order."""
+    return list(point_census(Q, k)[0])
 
 
 def points_off_facets(Q: Polytope, k: int, selection) -> list[Point]:
     """Integer points of k*Q lying on none of the selected facets."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    return _enumerate(Q, k, strict=tuple(selection))
+    points, bits = point_census(Q, k)
+    ids = set(selection)
+    bad = sorted(i for i in ids if not 0 <= i < Q.num_facets)
+    if bad:
+        raise ValueError(f"facet ids out of range 0..{Q.num_facets - 1}: {bad}")
+    mask = sum(1 << i for i in ids)
+    return [m for m, b in zip(points, bits) if not b & mask]
 
 
 def interior_points(Q: Polytope, k: int) -> list[Point]:
     """Integer points strictly inside k*Q."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    return _enumerate(Q, k, strict=tuple(range(Q.num_facets)))
+    points, bits = point_census(Q, k)
+    return [m for m, b in zip(points, bits) if not b]
 
 
-def _enumerate(Q: Polytope, k: int, strict: tuple[int, ...]) -> list[Point]:
-    lo = [k * min(v[j] for v in Q.vertices) for j in range(Q.dim)]
-    hi = [k * max(v[j] for v in Q.vertices) for j in range(Q.dim)]
-    strict_set = set(strict)
-    checks = [(f.normal, k * f.offset, i in strict_set) for i, f in enumerate(Q.facets)]
-    out = []
-    for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        for normal, bound, is_strict in checks:
-            d = _dot(m, normal)
-            if d < -bound or (is_strict and d == -bound):
-                break
+def _column_walk(Q: Polytope, k: int) -> tuple[tuple[Point, ...], tuple[int, ...]]:
+    # Over each prefix of the other coordinates, facet i reads a*t >= r in the
+    # last one: a lower (a > 0) or upper (a < 0) bound on t, tight only at r/a;
+    # for a = 0 it keeps the whole column (tight on it if r = 0) or none of it.
+    box = [range(k * min(c), k * max(c) + 1) for c in zip(*Q.vertices)]
+    cuts = [(f.normal[:-1], f.normal[-1], -k * f.offset, 1 << i) for i, f in enumerate(Q.facets)]
+    points, bits = [], []
+    for prefix in itertools.product(*box[:-1]):
+        lo, hi, whole, tight = box[-1][0], box[-1][-1], 0, {}
+        for head, a, bound, bit in cuts:
+            r = bound - _dot(prefix, head)
+            if a == 0:
+                if r > 0:
+                    break
+                whole |= bit if r == 0 else 0
+                continue
+            q, rem = divmod(r, a)
+            if rem == 0:
+                tight[q] = tight.get(q, 0) | bit
+            if a > 0:
+                lo = max(lo, q + (rem != 0))
+            else:
+                hi = min(hi, q)
         else:
-            out.append(m)
-    return out
+            for t in range(lo, hi + 1):
+                points.append(prefix + (t,))
+                bits.append(whole | tight.get(t, 0))
+    return tuple(points), tuple(bits)
 
 
 def interior_rational_point(Q: Polytope) -> tuple:

@@ -10,10 +10,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import NonGenericDirection
-from .lattice import Polytope, polar_dual_vertices
+from .lattice import Polytope, point_census, polar_dual_vertices
 
 Selection = tuple[int, ...]
 
@@ -107,11 +106,6 @@ def certify(Q: Polytope, order) -> PartialShelling:
     return PartialShelling(tuple(order), steps)
 
 
-def boundary_edges(Q: Polytope, sel) -> list[tuple[int, int]]:
-    """Edges of the subcomplex lying in exactly one selected facet."""
-    return [e for e, hits in _selected_edges(Q, sel).items() if len(hits) == 1]
-
-
 def euler_characteristic(Q: Polytope, sel) -> int:
     edges = _selected_edges(Q, sel)
     verts = {v for i in sel for v in Q.facets[i].vertex_ids}
@@ -165,17 +159,11 @@ def is_disk(Q: Polytope, sel) -> bool:
 def boundary_lattice_count(Q: Polytope, sel) -> int:
     """Number of lattice points on the boundary cycle of the selected disk.
 
-    Each boundary edge from vertex a to b carries gcd(b - a) lattice steps;
-    summing over the closed cycle counts every boundary point exactly once.
+    The cycle is the frontier of the disk in the boundary sphere, so its
+    points are the points of Q on both a selected and an unselected facet.
     """
-    total = 0
-    for a, b in boundary_edges(Q, sel):
-        va, vb = Q.vertices[a], Q.vertices[b]
-        g = 0
-        for x, y in zip(va, vb):
-            g = gcd(g, y - x)
-        total += abs(g) if g else 0
-    return total
+    chosen = sum(1 << i for i in set(sel))
+    return sum(1 for b in point_census(Q, 1)[1] if b & chosen and b & ~chosen)
 
 
 def line_shelling(Q: Polytope, direction, k: int) -> PartialShelling:

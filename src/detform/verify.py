@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bracket import CoefficientSystem
 from .errors import InvariantViolation, NotStabilized
-from .lattice import Polytope, points_off_facets
+from .lattice import Polytope, point_census, points_off_facets
 from .linalg import QQ, qq, sparse_rank
 from .shelling import as_selection
 
@@ -298,8 +298,8 @@ def feasibility_high_dim(Q: Polytope, selection) -> bool:
 def high_dim_feasible_selection(Q: Polytope):
     """Search all proper facet subsets; return the first feasible one or None.
 
-    Touch sets are precomputed once per dilation factor, so the subset sweep
-    is set algebra rather than repeated lattice enumeration.
+    Touch sets are the facet bit sets of each dilation's census, so the
+    subset sweep is bit algebra rather than repeated lattice enumeration.
     """
     n = Q.dim
     if n < 5:
@@ -307,25 +307,15 @@ def high_dim_feasible_selection(Q: Polytope):
     if Q.num_facets > 16:
         raise ValueError("facet count too large for exhaustive search")
     k1, k2 = _high_dim_scales(n)
-
-    def touch_sets(k: int) -> list[frozenset]:
-        out = []
-        for m in points_off_facets(Q, k, ()):
-            on = frozenset(
-                j for j, f in enumerate(Q.facets)
-                if sum(a * b for a, b in zip(m, f.normal)) == -k * f.offset)
-            out.append(on)
-        return out
-
-    touches1 = touch_sets(k1) if k1 >= 1 else []
-    touches2 = touch_sets(k2) if k2 >= 1 else []
+    touches1 = point_census(Q, k1)[1] if k1 >= 1 else ()
+    touches2 = point_census(Q, k2)[1] if k2 >= 1 else ()
     ids = range(Q.num_facets)
     for size in range(1, Q.num_facets):
         for sel in itertools.combinations(ids, size):
-            chosen = set(sel)
-            if any(not (t & chosen) for t in touches1):
+            chosen = sum(1 << j for j in sel)
+            if any(not t & chosen for t in touches1):
                 continue
-            if any(t <= chosen for t in touches2):
+            if any(t | chosen == chosen for t in touches2):
                 continue
             if any(nerve_reduced_betti(Q, sel)):
                 continue

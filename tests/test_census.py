@@ -1,0 +1,99 @@
+"""The lattice point census: one column walk per polytope and dilation.
+
+A brute-force walk over the bounding box of kQ, written here, is the
+reference for the census and for the three point queries filtered from it.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from detform import lattice
+from detform.ehrhart import ehrhart_pair
+from detform.lattice import (
+    affine_rank,
+    convex_hull_with_facets,
+    interior_points,
+    lattice_points_scaled,
+    point_census,
+    points_off_facets,
+    translate,
+)
+from detform.tate import build_window
+
+from conftest import CUBE_POINTS
+
+STRIP = (0, 1, 4)
+
+supports = st.one_of(
+    st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=4, max_size=8, unique=True),
+    st.lists(st.tuples(*[st.integers(0, 1)] * 4), min_size=5, max_size=8, unique=True),
+)
+
+
+def reference_census(Q, k):
+    """Every point of the bounding box of kQ inside kQ, with the set of
+    facets it lies on: those with <m, normal> = -k * offset."""
+    box = [range(k * min(v[j] for v in Q.vertices), k * max(v[j] for v in Q.vertices) + 1)
+           for j in range(Q.dim)]
+    out = []
+    for m in itertools.product(*box):
+        levels = [sum(a * b for a, b in zip(m, f.normal)) + k * f.offset for f in Q.facets]
+        if min(levels) >= 0:
+            out.append((m, {i for i, level in enumerate(levels) if level == 0}))
+    return out
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(supports, st.data())
+def test_census_matches_box_reference(points, data):
+    assume(affine_rank(points) == len(points[0]))
+    Q = convex_hull_with_facets(points)
+    for k in range(1, 6):
+        ref = reference_census(Q, k)
+        found, bits = point_census(Q, k)
+        assert list(found) == [m for m, _ in ref]
+        assert [{i for i in range(Q.num_facets) if b >> i & 1} for b in bits] == [on for _, on in ref]
+        selection = data.draw(st.sets(st.integers(0, Q.num_facets - 1)))
+        assert lattice_points_scaled(Q, k) == [m for m, _ in ref]
+        assert interior_points(Q, k) == [m for m, on in ref if not on]
+        assert points_off_facets(Q, k, selection) == [m for m, on in ref if not on & selection]
+
+
+def test_census_lifecycle(monkeypatch):
+    Q = convex_hull_with_facets(CUBE_POINTS)
+    twin = dataclasses.replace(Q)
+    digest = hash(Q)
+    walks = []
+    walk = lattice._column_walk
+
+    def counted(Q, k):
+        walks.append(k)
+        return walk(Q, k)
+
+    monkeypatch.setattr(lattice, "_column_walk", counted)
+    build_window(Q, STRIP)
+    ehrhart_pair(Q, STRIP)
+    # the window and the counting polynomials share one walk per dilation
+    assert sorted(walks) == [1, 2, 3, 4]
+    assert sorted(Q._census) == [1, 2, 3, 4]
+
+    # a filled census changes neither equality nor hashing, and copies start empty
+    assert Q == twin and hash(Q) == hash(twin) == digest
+    assert twin._census == {}
+    assert dataclasses.replace(Q)._census == {}
+    assert translate(Q, (1, 0, 0))._census == {}
+
+    # every query hands out a fresh list
+    for query in (lattice_points_scaled, interior_points,
+                  lambda Q, k: points_off_facets(Q, k, STRIP)):
+        first = query(Q, 3)
+        expected = list(first)
+        first.append((9, 9, 9))
+        first.reverse()
+        assert query(Q, 3) == expected
+    assert sorted(walks) == [1, 2, 3, 4]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -119,6 +120,13 @@ def test_point_queries_reject_nonpositive_dilation(octahedron):
         for k in (0, -1):
             with pytest.raises(ValueError, match="k must be a positive integer"):
                 query(octahedron, k)
+
+
+def test_points_off_facets_rejects_out_of_range_ids(cube):
+    # the cube has facets 0..5; an unknown id used to be ignored silently
+    for selection, named in (((99,), "[99]"), ((-1,), "[-1]"), ((0, 6, 7), "[6, 7]")):
+        with pytest.raises(ValueError, match=re.escape(f"out of range 0..5: {named}")):
+            points_off_facets(cube, 1, selection)
 
 
 def test_parse_support_roundtrip():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
@@ -138,3 +140,19 @@ def test_random_line_shellings_are_disks():
             assert is_disk(Q, sh.selection)
             assert euler_characteristic(Q, sh.selection) == 1
             assert boundary_lattice_count(Q, sh.selection) >= 3
+
+
+def test_boundary_count_is_the_lattice_length_of_the_boundary_cycle():
+    # reference: an edge in exactly one selected facet is a boundary edge and
+    # carries gcd(b - a) lattice steps; the closed cycle counts each point once
+    rng = random.Random(2718)
+    for _ in range(6):
+        Q = random_polytope(rng, max_points=8)
+        for size in range(1, Q.num_facets):
+            for sel in itertools.combinations(range(Q.num_facets), size):
+                if not is_disk(Q, sel):
+                    continue
+                steps = sum(
+                    math.gcd(*(b - a for a, b in zip(*(Q.vertices[v] for v in e.vertex_ids))))
+                    for e in Q.edges if len(set(e.facet_ids) & set(sel)) == 1)
+                assert boundary_lattice_count(Q, sel) == steps
