@@ -131,6 +131,8 @@ def _resolve_shelling(Q, spec: str, seed: int):
             k = int(steps)
         except ValueError:
             raise ParseError(f"bad direction spec {spec!r}") from None
+        if len(direction) != Q.dim:
+            raise ParseError(f"direction in {spec!r} needs {Q.dim} coordinates")
         search = lambda: line_shelling(Q, direction, k)
     else:
         raise ParseError(f"unknown shelling spec {spec!r}")

@@ -19,11 +19,14 @@ T and a coordinate's subset S does not depend on the generator, so each
 piece wedges each (term subset, coordinate subset) pair once and every
 column is read off that table.
 
-The cover certifies most blocks by rank alone. The products of the earlier
-generators lie in the kernel, so a block whose rank plus the rank of the
-products in it reaches its column count has no new generator; its columns
-are eliminated only that far. Only the other blocks, where the cover gains
-a generator, are transposed to rows for an exact kernel basis.
+The cover keeps one echelon of the earlier generators' products per degree:
+a product lies in one block and its reduction never leaves that block, so a
+block's products rank is the number of pivots among its columns. The cover
+certifies most blocks by rank alone. The products lie in the kernel, so a
+block whose rank plus the rank of the products in it reaches its column
+count has no new generator; its columns are eliminated only that far. Only
+the other blocks, where the cover gains a generator, are transposed to rows
+for an exact kernel basis.
 """
 
 from __future__ import annotations
@@ -33,13 +36,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import InvariantViolation
-from .linalg import (
-    Echelon,
-    echelon_from_rows,
-    primitive_integer_vector,
-    reaches_rank,
-    sparse_rank,
-)
+from .linalg import Echelon, primitive_integer_vector, reaches_rank
 
 Subset = tuple[int, ...]
 Vector = dict[tuple[int, Subset], int]
@@ -170,7 +167,7 @@ class GradedPiece:
     blocks: list[tuple[list[int], tuple[int, ...], list[dict[int, int]]]]
 
     def rank(self) -> int:
-        return sum(sparse_rank(columns) for _, _, columns in self.blocks)
+        return sum(Echelon(columns).rank for _, _, columns in self.blocks)
 
     def kernel_vectors(self) -> list[dict[int, int]]:
         """Canonical nullspace basis, globally ordered by free coordinate."""
@@ -190,7 +187,7 @@ def block_kernel(src_ids: list[int],
     for c, col in enumerate(columns):
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
-    ech = echelon_from_rows(rows.values())  # rows first appear in number order
+    ech = Echelon(rows.values())  # rows first appear in number order
     return [(src_ids[free], {src_ids[c]: v for c, v in ech.kernel_vector(free).items()})
             for free in ech.free_columns(len(src_ids))]
 
@@ -283,35 +280,33 @@ def minimal_free_cover(
     def add_generators(d: int) -> None:
         piece = graded_piece(phi, d)
         coord_at = {coord: c for c, coord in enumerate(piece.source_coords)}
-        # kernel vectors and their shifted products each lie in one block
-        block_at = {c: b for b, (src_ids, _, _) in enumerate(piece.blocks) for c in src_ids}
-        echelons = [Echelon() for _ in piece.blocks]
-
+        # one echelon for every block: reduction never leaves a block
+        spanned = Echelon()
         for g, gvec in zip(gens, vectors):
             for S in itertools.combinations(range(algebra.nvars), g.degree - d):
                 shifted = {coord_at[key]: v for key, v in times(gvec, S).items()}
                 if shifted:
-                    echelons[block_at[next(iter(shifted))]].insert(shifted)
+                    spanned.insert(shifted)
 
         nullity = 0
-        kernel: list[tuple[int, dict[int, int]]] = []
-        for (src_ids, _, columns), spanned in zip(piece.blocks, echelons):
+        kernel: list[tuple[int, tuple[int, ...], dict[int, int]]] = []
+        for src_ids, weight, columns in piece.blocks:
             # the products lie in the kernel, so their rank is at most the
             # nullity; a block rank of columns - rank(products) proves they
             # span it, and the block has no new generator. Rows are numbered
             # as the columns first reach them, so taken last-first most
             # columns pivot on a row that no column before them has reached.
-            if reaches_rank(reversed(columns), len(columns) - spanned.rank):
-                nullity += spanned.rank
+            products = sum(c in spanned.rows for c in src_ids)
+            if reaches_rank(reversed(columns), len(columns) - products):
+                nullity += products
             else:
                 found = block_kernel(src_ids, columns)
                 nullity += len(found)
-                kernel += found
+                kernel += [(free, weight, vec) for free, vec in found]
         dims[d] = (len(piece.source_coords), nullity)
-        for _, vec in sorted(kernel):  # free columns are distinct
-            b = block_at[next(iter(vec))]
-            if echelons[b].insert(vec):
-                gens.append(Generator(d, piece.blocks[b][1]))
+        for _, weight, vec in sorted(kernel):  # free columns are distinct
+            if spanned.insert(vec):
+                gens.append(Generator(d, weight))
                 # an integer kernel vector is positive at its free column, not
                 # at its leading one; the cover's signs follow the leading entry
                 vectors.append({piece.source_coords[c]: v

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
 from operator import mul
 
 from .errors import DegenerateSpan, EmptyInput, NoInteriorPoint, ParseError
-from .linalg import QQ, integer_row_rank, nullspace_dense
+from .linalg import QQ, Echelon, primitive_integer_vector
 
 Point = tuple[int, ...]
 
@@ -32,21 +31,12 @@ def _sub(u: Point, v: Point) -> Point:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _primitive(vec) -> Point:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in vec)
-
-
 def affine_rank(points: list[Point]) -> int:
     """Dimension of the affine span of the given integer points."""
     if not points:
         return -1
     base = points[0]
-    return integer_row_rank([list(_sub(p, base)) for p in points[1:]])
+    return Echelon(dict(enumerate(_sub(p, base))) for p in points[1:]).rank
 
 
 @dataclass(frozen=True)
@@ -113,11 +103,12 @@ def convex_hull_with_facets(points) -> Polytope:
     seen: dict[tuple[Point, int], None] = {}
     for subset in itertools.combinations(range(len(pts)), n):
         base = pts[subset[0]]
-        diffs = [list(_sub(pts[i], base)) for i in subset[1:]]
-        null = nullspace_dense(diffs, n)
-        if len(null) != 1:
+        ech = Echelon(dict(enumerate(_sub(pts[i], base))) for i in subset[1:])
+        free = ech.free_columns(n)
+        if len(free) != 1:
             continue
-        normal = _primitive(null[0])
+        kernel = primitive_integer_vector(ech.kernel_vector(free[0]))
+        normal = tuple(kernel.get(j, 0) for j in range(n))
         level = _dot(base, normal)
         lo = hi = False
         for p in pts:
@@ -146,7 +137,7 @@ def convex_hull_with_facets(points) -> Polytope:
 
     vertex_ids = [
         i for i, fids in enumerate(point_facets)
-        if len(fids) >= n and integer_row_rank([list(facet_keys[f][0]) for f in fids]) == n
+        if len(fids) >= n and Echelon(dict(enumerate(facet_keys[f][0])) for f in fids).rank == n
     ]
     vertices = tuple(pts[i] for i in vertex_ids)
     vid_of = {pts[i]: k for k, i in enumerate(vertex_ids)}
@@ -216,14 +207,20 @@ def lattice_points_scaled(Q: Polytope, k: int) -> list[Point]:
     return list(point_census(Q, k)[0])
 
 
-def points_off_facets(Q: Polytope, k: int, selection) -> list[Point]:
-    """Integer points of k*Q lying on none of the selected facets."""
-    points, bits = point_census(Q, k)
-    ids = set(selection)
+def facet_bits(Q: Polytope, ids) -> int:
+    """Bit set of the given facet ids, bit i for facet i, in the census's
+    encoding. Raises ValueError for an id that names no facet of Q."""
+    ids = set(ids)
     bad = sorted(i for i in ids if not 0 <= i < Q.num_facets)
     if bad:
         raise ValueError(f"facet ids out of range 0..{Q.num_facets - 1}: {bad}")
-    mask = sum(1 << i for i in ids)
+    return sum(1 << i for i in ids)
+
+
+def points_off_facets(Q: Polytope, k: int, selection) -> list[Point]:
+    """Integer points of k*Q lying on none of the selected facets."""
+    mask = facet_bits(Q, selection)
+    points, bits = point_census(Q, k)
     return [m for m, b in zip(points, bits) if not b & mask]
 
 

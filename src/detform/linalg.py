@@ -43,14 +43,17 @@ def primitive_integer_vector(vec: dict) -> dict:
 class Echelon:
     """Incremental row echelon form with primitive integer rows.
 
-    Rows are inserted one at a time and reduced against the current pivots
-    without fractions. Pivot of a row = its smallest column index; every
-    stored row is primitive with a positive pivot entry. Insertion order plus
-    this pivot rule makes the echelon deterministic.
+    Rows are inserted one at a time, starting with the given rows in order,
+    and reduced against the current pivots without fractions. Pivot of a
+    row = its smallest column index; every stored row is primitive with a
+    positive pivot entry. Insertion order plus this pivot rule makes the
+    echelon deterministic.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rows=()) -> None:
         self.rows: dict[int, dict] = {}
+        for row in rows:
+            self.insert(row)
 
     @property
     def rank(self) -> int:
@@ -111,17 +114,6 @@ class Echelon:
         return [c for c in range(ncols) if c not in self.rows]
 
 
-def echelon_from_rows(rows) -> Echelon:
-    ech = Echelon()
-    for row in rows:
-        ech.insert(row)
-    return ech
-
-
-def sparse_rank(rows) -> int:
-    return echelon_from_rows(rows).rank
-
-
 def reaches_rank(vectors, target: int) -> bool:
     """Whether the vectors span at least target dimensions. Insertion stops
     as soon as they do, so the rest of the vectors are never reduced."""
@@ -132,12 +124,6 @@ def reaches_rank(vectors, target: int) -> bool:
         if ech.insert(vec) and ech.rank == target:
             return True
     return False
-
-
-def kernel_basis(rows, ncols: int) -> list[dict]:
-    """Canonical nullspace basis of a matrix given by sparse rows."""
-    ech = echelon_from_rows(rows)
-    return [ech.kernel_vector(f) for f in ech.free_columns(ncols)]
 
 
 def det_bareiss(matrix: list[list]) -> QQ:
@@ -185,15 +171,3 @@ def det_bareiss(matrix: list[list]) -> QQ:
         prev = pivot
     return QQ(sign * m[n - 1][n - 1]) / scale
 
-
-def integer_row_rank(rows: list[list[int]]) -> int:
-    """Rank of a small dense integer matrix."""
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    return sparse_rank(sparse)
-
-
-def nullspace_dense(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Canonical integer nullspace basis of a small dense integer matrix."""
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    basis = kernel_basis(sparse, ncols)
-    return [[vec.get(j, 0) for j in range(ncols)] for vec in basis]

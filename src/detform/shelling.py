@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import NonGenericDirection
-from .lattice import Polytope, point_census, polar_dual_vertices
+from .lattice import Polytope, facet_bits, point_census, polar_dual_vertices
 
 Selection = tuple[int, ...]
 
@@ -62,6 +62,7 @@ def is_partial_shelling(Q: Polytope, order) -> tuple[bool, tuple[ShellingStep, .
     order = tuple(order)
     if len(set(order)) != len(order):
         raise ValueError("facet indices must be distinct")
+    facet_bits(Q, order)
     if not 1 <= len(order) < Q.num_facets:
         raise ValueError("order must be a nonempty proper subset of the facets")
 
@@ -120,6 +121,7 @@ def is_disk(Q: Polytope, sel) -> bool:
     single closed cycle. All four together characterize disks here.
     """
     sel = tuple(sorted(set(sel)))
+    facet_bits(Q, sel)
     if not 1 <= len(sel) < Q.num_facets:
         raise ValueError("selection must be a nonempty proper subset of the facets")
     edges = _selected_edges(Q, sel)
@@ -162,7 +164,7 @@ def boundary_lattice_count(Q: Polytope, sel) -> int:
     The cycle is the frontier of the disk in the boundary sphere, so its
     points are the points of Q on both a selected and an unselected facet.
     """
-    chosen = sum(1 << i for i in set(sel))
+    chosen = facet_bits(Q, sel)
     return sum(1 for b in point_census(Q, 1)[1] if b & chosen and b & ~chosen)
 
 
@@ -175,6 +177,8 @@ def line_shelling(Q: Polytope, direction, k: int) -> PartialShelling:
     """
     if not 1 <= k < Q.num_facets:
         raise ValueError("k must satisfy 1 <= k < number of facets")
+    if len(direction) != Q.dim:
+        raise ValueError(f"direction has {len(direction)} coordinates, expected {Q.dim}")
     duals = polar_dual_vertices(Q)
     values = [sum(d * c for d, c in zip(direction, v)) for v in duals]
     if len(set(values)) != len(values):

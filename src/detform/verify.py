@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .bracket import CoefficientSystem
 from .errors import InvariantViolation, NotStabilized
-from .lattice import Polytope, point_census, points_off_facets
-from .linalg import QQ, qq, sparse_rank
+from .lattice import Polytope, facet_bits, point_census, points_off_facets
+from .linalg import QQ, Echelon, qq
 from .shelling import as_selection
 
 
@@ -49,8 +49,8 @@ class FacetComplex:
         return worst
 
     def reduced_betti(self) -> tuple[int, int, int]:
-        r1 = sparse_rank(self.d1)
-        r2 = sparse_rank(self.d2)
+        r1 = Echelon(self.d1).rank
+        r2 = Echelon(self.d2).rank
         nv, ne, nf = self.cell_counts()
         return (nv - 1 - r1, ne - r1 - r2, nf - r2)
 
@@ -61,8 +61,7 @@ def facet_complex(Q: Polytope, selection) -> FacetComplex:
         raise ValueError("facet complexes are built from 3-polytopes")
     if not sel:
         raise ValueError("empty facet selection")
-    if sel[-1] >= Q.num_facets or sel[0] < 0:
-        raise ValueError(f"facet ids out of range: {sel}")
+    facet_bits(Q, sel)
     chosen = set(sel)
 
     vertices = sorted({v for j in sel for v in Q.facets[j].vertex_ids})
@@ -106,6 +105,7 @@ def nerve_reduced_betti(Q: Polytope, selection) -> tuple[int, ...]:
     sel = as_selection(selection)
     if not sel:
         raise ValueError("empty facet selection")
+    facet_bits(Q, sel)
     if len(sel) > 16:
         raise ValueError("facet selection too large for nerve enumeration")
     verts = {j: set(Q.facets[j].vertex_ids) for j in sel}
@@ -135,7 +135,7 @@ def nerve_reduced_betti(Q: Polytope, selection) -> tuple[int, ...]:
                 face = s[:drop] + s[drop + 1:]
                 row[pos[d - 1][face]] = (-1) ** drop
             rows.append(row)
-        ranks.append(sparse_rank(rows))
+        ranks.append(Echelon(rows).rank)
     ranks.append(0)
     for d in range(len(simplices)):
         below = ranks[d - 1] if d >= 1 else 0
@@ -312,7 +312,7 @@ def high_dim_feasible_selection(Q: Polytope):
     ids = range(Q.num_facets)
     for size in range(1, Q.num_facets):
         for sel in itertools.combinations(ids, size):
-            chosen = sum(1 << j for j in sel)
+            chosen = facet_bits(Q, sel)
             if any(not t & chosen for t in touches1):
                 continue
             if any(t | chosen == chosen for t in touches2):

@@ -303,6 +303,16 @@ def test_bad_shelling_spec_exits_two(cube_file, capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("coords", ["9,5,3,7", "9,5"])
+def test_direction_of_another_dimension_exits_two(octa_file, capsys, coords):
+    code = run(RunConfig(command="shell", support_path=octa_file,
+                         shelling=f"direction={coords}:4"))
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ParseError"
+    assert "needs 3 coordinates" in error["message"]
+
+
 @pytest.mark.parametrize("command", ["shell", "build-matrix", "feasibility"])
 @pytest.mark.parametrize("spec", ["indices=99", "indices=-1"])
 def test_out_of_range_facet_ids_exit_two(cube_file, capsys, command, spec):

@@ -25,13 +25,7 @@ from detform.exterior import (
     times,
     wedge_subsets,
 )
-from detform.linalg import (
-    Echelon,
-    kernel_basis,
-    primitive_integer_vector,
-    reaches_rank,
-    sparse_rank,
-)
+from detform.linalg import Echelon, primitive_integer_vector, reaches_rank
 from detform.tate import build_phi2, build_window
 
 
@@ -296,8 +290,8 @@ def reference_cover(phi: FreeModuleMap, degree_floor: int):
         for g, col in zip(gens, columns):
             for S in itertools.combinations(range(alg.nvars), g.degree - d):
                 products.insert({coord_at[key]: v for key, v in times(col, S).items()})
-        kernel = kernel_basis([{coord_at[key]: v for key, v in row.items()}
-                               for row in rows.values()], len(coords))
+        ech = Echelon({coord_at[key]: v for key, v in row.items()} for row in rows.values())
+        kernel = [ech.kernel_vector(f) for f in ech.free_columns(len(coords))]
         dims[d] = (len(coords), len(kernel))
         for vec in kernel:
             if products.insert(vec):
@@ -368,7 +362,7 @@ def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
     for phi, into in ((phi2, middle), (middle, left)):
         for d, w in {(g.degree, g.weight) for g in into.source.generators}:
             [columns] = [cols for _, weight, cols in graded_piece(phi, d).blocks if weight == w]
-            gaining += len(columns) - sparse_rank(columns)
+            gaining += len(columns) - Echelon(columns).rank
     scanned = sum(nullity for dims in (phi2_dims, middle_dims) for _, nullity in dims.values())
     assert 0 < len(calls) <= gaining < scanned
 
@@ -418,6 +412,60 @@ def test_kernel_vector_rejects_a_pivot_column():
     assert ech.kernel_vector(1) == {1: 1, 0: -2}
     with pytest.raises(InvariantViolation, match="pivot column"):
         ech.kernel_vector(0)
+
+
+def rand_rows(rng: random.Random, nrows: int, ncols: int) -> list[dict]:
+    """Random sparse integer rows over ncols columns, explicit zeros included,
+    some rows repeated up to a multiple so that the rank falls short."""
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            rows.append({c: rng.choice((-2, 3)) * v for c, v in rng.choice(rows).items()})
+        else:
+            rows.append({c: rng.randint(-3, 3) for c in rng.sample(range(ncols), 3)})
+    return rows
+
+
+def test_echelon_from_rows_equals_inserting_them_in_order():
+    rng = random.Random(11)
+    for _ in range(30):
+        rows = rand_rows(rng, rng.randint(0, 8), 6)
+        one_by_one = Echelon()
+        for row in rows:
+            one_by_one.insert(row)
+        built = Echelon(rows)
+        assert built.rows == one_by_one.rows
+        assert built.rank == one_by_one.rank
+
+
+def test_echelon_rows_hold_no_zero_entries():
+    # dense rows go in as dict(enumerate(row)), zeros and all
+    ech = Echelon(dict(enumerate(row)) for row in ([0, 2, 0, 4], [0, 0, 0, 0], [1, 0, 0, 0]))
+    assert ech.rows == {0: {0: 1}, 1: {1: 1, 3: 2}}
+    assert not Echelon([{0: 0, 5: 0}]).rows
+    rng = random.Random(12)
+    for _ in range(30):
+        ech = Echelon(rand_rows(rng, 6, 5))
+        assert all(v for row in ech.rows.values() for v in row.values())
+
+
+def test_kernel_vectors_over_free_columns_span_the_kernel():
+    rng = random.Random(13)
+    for _ in range(30):
+        ncols = rng.randint(3, 7)
+        rows = rand_rows(rng, rng.randint(0, 6), ncols)
+        ech = Echelon(rows)
+        free = ech.free_columns(ncols)
+        kernel = [ech.kernel_vector(f) for f in free]
+        for row in rows:
+            for vec in kernel:
+                assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0
+        # positive at its own free column and zero at the others, so the
+        # vectors are independent, and they number ncols - rank
+        for f, vec in zip(free, kernel):
+            assert vec[f] > 0
+            assert all(vec.get(g, 0) == 0 for g in free if g != f)
+        assert len(kernel) + ech.rank == ncols
 
 
 def test_reaches_rank_stops_at_the_target():

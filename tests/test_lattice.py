@@ -11,6 +11,7 @@ from detform.errors import DegenerateSpan, EmptyInput, ParseError
 from detform.lattice import (
     affine_rank,
     convex_hull_with_facets,
+    facet_bits,
     interior_points,
     lattice_points_scaled,
     parse_support,
@@ -19,6 +20,14 @@ from detform.lattice import (
     translate,
 )
 from detform.linalg import QQ
+from detform.shelling import (
+    boundary_lattice_count,
+    is_disk,
+    is_partial_shelling,
+    shelling_order_for,
+)
+from detform.tate import build_window
+from detform.verify import facet_complex, nerve_reduced_betti
 
 from conftest import CUBE_POINTS, random_polytope
 
@@ -127,6 +136,28 @@ def test_points_off_facets_rejects_out_of_range_ids(cube):
     for selection, named in (((99,), "[99]"), ((-1,), "[-1]"), ((0, 6, 7), "[6, 7]")):
         with pytest.raises(ValueError, match=re.escape(f"out of range 0..5: {named}")):
             points_off_facets(cube, 1, selection)
+
+
+FACET_ID_QUERIES = {
+    "facet_bits": facet_bits,
+    "points_off_facets": lambda Q, sel: points_off_facets(Q, 1, sel),
+    "boundary_lattice_count": boundary_lattice_count,
+    "is_partial_shelling": is_partial_shelling,
+    "is_disk": is_disk,
+    "shelling_order_for": shelling_order_for,
+    "facet_complex": facet_complex,
+    "nerve_reduced_betti": nerve_reduced_betti,
+    "build_window": build_window,
+}
+
+
+@pytest.mark.parametrize("query", FACET_ID_QUERIES)
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_facet_id_queries_reject_ids_outside_the_facets(cube, query, bad):
+    # -1 would wrap to the last facet, or shift by a negative count; 6 would
+    # index past the end or name a bit no census point carries
+    with pytest.raises(ValueError, match=re.escape(f"facet ids out of range 0..5: [{bad}]")):
+        FACET_ID_QUERIES[query](cube, (bad,))
 
 
 def test_parse_support_roundtrip():

@@ -81,6 +81,15 @@ def test_line_shelling_cube(cube):
         line_shelling(cube, (1, 2, 5), 6)
 
 
+def test_line_shelling_rejects_a_direction_of_another_dimension(octahedron):
+    # the direction is zipped against the polar vertices, so a length other
+    # than the dimension would drop or pad coordinates silently
+    assert line_shelling(octahedron, (9, 5, 3), 4).selection == (4, 5, 6, 7)
+    for direction in ((9, 5, 3, 7), (9, 5)):
+        with pytest.raises(ValueError, match=f"direction has {len(direction)} coordinates, expected 3"):
+            line_shelling(octahedron, direction, 4)
+
+
 def test_line_shelling_octahedron(octahedron):
     sh = line_shelling(octahedron, (1, 2, 5), 4)
     assert is_disk(octahedron, sh.selection)
