@@ -284,9 +284,10 @@ def export_matrix(matrix: BracketMatrix) -> dict:
 
 
 def import_matrix(data: dict) -> BracketMatrix:
-    """Inverse of export_matrix; a cell outside the square, a poly outside
-    1..4, a point or bracket index outside the support or a bracket that is
-    not 4 increasing indices is a ParseError."""
+    """Inverse of export_matrix; a row, col, poly, point or bracket index that
+    is not an int (a bool or a float is not), a cell outside the square, a
+    poly outside 1..4, a point or bracket index outside the support or a
+    bracket that is not 4 increasing indices is a ParseError."""
     try:
         support = tuple(tuple(p) for p in data["support"])
         row_labels = tuple(_decode_label(lab) for lab in data["row_labels"])
@@ -295,18 +296,23 @@ def import_matrix(data: dict) -> BracketMatrix:
         if len(col_labels) != n:
             raise ValueError(f"{n} row labels but {len(col_labels)} column labels")
 
-        def index(i: int) -> int:
-            if not 1 <= i <= len(support):
+        def integer(value) -> int:
+            if type(value) is not int:
+                raise ValueError(f"index {value!r} is not an integer")
+            return value
+
+        def index(i) -> int:
+            if not 1 <= integer(i) <= len(support):
                 raise ValueError(f"point index {i} outside 1..{len(support)}")
             return i
 
         cells = {}
         for cell in data["cells"]:
-            key = (cell["row"], cell["col"])
+            key = (integer(cell["row"]), integer(cell["col"]))
             if not (0 <= key[0] < n and 0 <= key[1] < n):
                 raise ValueError(f"cell {key} outside the {n} x {n} matrix")
             if "poly" in cell:
-                if not 1 <= cell["poly"] <= NUM_POLYS:
+                if not 1 <= integer(cell["poly"]) <= NUM_POLYS:
                     raise ValueError(f"poly {cell['poly']} outside 1..{NUM_POLYS}")
                 terms = tuple(
                     (index(t["point"]), qq(t["coeff"])) for t in cell["terms"])

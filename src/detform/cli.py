@@ -133,6 +133,8 @@ def _resolve_shelling(Q, spec: str, seed: int):
             raise ParseError(f"bad direction spec {spec!r}") from None
         if len(direction) != Q.dim:
             raise ParseError(f"direction in {spec!r} needs {Q.dim} coordinates")
+        if not 1 <= k < Q.num_facets:
+            raise ParseError(f"step count in {spec!r} outside 1..{Q.num_facets - 1}")
         search = lambda: line_shelling(Q, direction, k)
     else:
         raise ParseError(f"unknown shelling spec {spec!r}")
@@ -422,7 +424,7 @@ def run(config: RunConfig) -> int:
         return _COMMANDS[config.command](config, Q)
     except NoDiskSelection as exc:
         return _diagnose(EXIT_NO_DISK, exc)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _diagnose(EXIT_PARSE, exc)
     except DetformError as exc:
         for classes, code in _ERROR_CODES:

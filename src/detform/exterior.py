@@ -20,13 +20,13 @@ piece wedges each (term subset, coordinate subset) pair once and every
 column is read off that table.
 
 The cover keeps one echelon of the earlier generators' products per degree:
-a product lies in one block and its reduction never leaves that block, so a
-block's products rank is the number of pivots among its columns. The cover
-certifies most blocks by rank alone. The products lie in the kernel, so a
-block whose rank plus the rank of the products in it reaches its column
-count has no new generator; its columns are eliminated only that far. Only
-the other blocks, where the cover gains a generator, are transposed to rows
-for an exact kernel basis.
+a product lies in one block and its reduction never leaves that block. The
+products lie in the kernel and span a block's kernel exactly when the
+block's columns off their pivots are independent: a kernel vector reduced by
+the products vanishes on the pivots, and a nonzero vector in their span
+leads at one. So a block is certified by inserting only those columns, up to
+the first that reduces to zero. Only blocks where the cover gains a
+generator are transposed to rows, reduced last row first, for a kernel basis.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import InvariantViolation
-from .linalg import Echelon, primitive_integer_vector, reaches_rank
+from .linalg import Echelon, primitive_integer_vector
 
 Subset = tuple[int, ...]
 Vector = dict[tuple[int, Subset], int]
@@ -180,14 +180,16 @@ def block_kernel(src_ids: list[int],
                  columns: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     """(free coordinate, kernel vector) pairs of one block, in source ids.
 
-    The block is transposed to its rows, in row-number order, and reduced
-    by the canonical row echelon; each free column gives one vector.
+    The block is transposed to its rows and reduced by the canonical row
+    echelon, last row first: on tall blocks that fills in far less than
+    number order. Pivot columns and kernel depend only on the row space, so
+    each free column gives one vector, the same up to a positive scale.
     """
     rows: dict[int, dict[int, int]] = {}
     for c, col in enumerate(columns):
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
-    ech = Echelon(rows.values())  # rows first appear in number order
+    ech = Echelon(reversed(rows.values()))
     return [(src_ids[free], {src_ids[c]: v for c, v in ech.kernel_vector(free).items()})
             for free in ech.free_columns(len(src_ids))]
 
@@ -257,12 +259,12 @@ def minimal_free_cover(
 
     In each degree the new generators are canonical kernel vectors that are
     independent of everything the previously chosen generators already span
-    after multiplication by the algebra. A weight block where those products
-    already span the kernel is certified by rank and yields no kernel
-    vectors; only the other blocks are reduced to a kernel basis. The
-    returned map sends the cover onto the kernel through degree_floor;
-    callers know the floor from theory and audit the generator counts
-    instead of probing below it.
+    after multiplication by the algebra. A weight block whose columns off
+    the products' pivots are independent has its kernel spanned by them and
+    yields no kernel vectors; only the other blocks are reduced to a kernel
+    basis. The returned map sends the cover onto the kernel through
+    degree_floor; callers know the floor from theory and audit the generator
+    counts instead of probing below it.
 
     Returns (onto, dims): the cover is onto.source, each generator carrying
     its degree and its block's torus weight; dims[d] = (columns, nullity) of
@@ -291,14 +293,12 @@ def minimal_free_cover(
         nullity = 0
         kernel: list[tuple[int, tuple[int, ...], dict[int, int]]] = []
         for src_ids, weight, columns in piece.blocks:
-            # the products lie in the kernel, so their rank is at most the
-            # nullity; a block rank of columns - rank(products) proves they
-            # span it, and the block has no new generator. Rows are numbered
-            # as the columns first reach them, so taken last-first most
-            # columns pivot on a row that no column before them has reached.
-            products = sum(c in spanned.rows for c in src_ids)
-            if reaches_rank(reversed(columns), len(columns) - products):
-                nullity += products
+            # the products span the block's kernel iff its columns off their
+            # pivots are independent; taken last-first, most columns pivot on
+            # a row that no column before them has reached
+            rest = [col for c, col in zip(src_ids, columns) if c not in spanned.rows]
+            if all(map(Echelon().insert, reversed(rest))):
+                nullity += len(columns) - len(rest)
             else:
                 found = block_kernel(src_ids, columns)
                 nullity += len(found)

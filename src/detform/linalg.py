@@ -114,18 +114,6 @@ class Echelon:
         return [c for c in range(ncols) if c not in self.rows]
 
 
-def reaches_rank(vectors, target: int) -> bool:
-    """Whether the vectors span at least target dimensions. Insertion stops
-    as soon as they do, so the rest of the vectors are never reduced."""
-    if target <= 0:
-        return True
-    ech = Echelon()
-    for vec in vectors:
-        if ech.insert(vec) and ech.rank == target:
-            return True
-    return False
-
-
 def det_bareiss(matrix: list[list]) -> QQ:
     """Exact determinant of a square matrix of rationals (Bareiss elimination).
 

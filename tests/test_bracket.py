@@ -224,10 +224,18 @@ def _quad(q):
     (_set("poly", "row", 99), r"cell \(99, \d+\) outside the 14 x 14 matrix"),
     (_set("quad", "col", -1), r"cell \(\d+, -1\) outside the 14 x 14 matrix"),
     (_drop_col_label, "14 row labels but 13 column labels"),
+    (_set("poly", "row", 0.0), "index 0.0 is not an integer"),
+    (_set("quad", "col", True), "index True is not an integer"),
+    (_set("poly", "poly", 1.0), "index 1.0 is not an integer"),
+    (_set("poly", "poly", True), "index True is not an integer"),
+    (_set("poly", "point", 2.0), "index 2.0 is not an integer"),
+    (_quad([1, 2, 3, 4.5]), "index 4.5 is not an integer"),
 ], ids=["poly-0", "poly-5", "point-0", "point-8", "quad-0", "quad-8",
-        "quad-order", "quad-short", "row-99", "col-neg", "labels"])
+        "quad-order", "quad-short", "row-99", "col-neg", "labels",
+        "row-float", "col-bool", "poly-float", "poly-bool", "point-float", "quad-float"])
 def test_import_rejects_malformed_cells(octahedron_matrix, mutate, message):
-    # a poly-0 cell used to evaluate silently with the last coefficient row
+    # a poly-0 cell used to evaluate silently with the last coefficient row,
+    # and a float index imported and then failed as a list index in evaluate
     M = octahedron_matrix
     assert M.size == 14 and len(M.support) == 7
     assert import_matrix(export_matrix(M)) == M

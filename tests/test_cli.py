@@ -314,6 +314,29 @@ def test_direction_of_another_dimension_exits_two(octa_file, capsys, coords):
 
 
 @pytest.mark.parametrize("command", ["shell", "build-matrix", "feasibility"])
+@pytest.mark.parametrize("steps", [0, 8])
+def test_direction_step_count_outside_the_facets_exits_two(octa_file, capsys, command, steps):
+    # the octahedron has 8 facets, so a sweep takes 1..7 of them
+    code = run(RunConfig(command=command, support_path=octa_file,
+                         shelling=f"direction=9,5,3:{steps}"))
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ParseError"
+    assert "outside 1..7" in error["message"]
+
+
+@pytest.mark.parametrize("command, field", [("facets", "support_path"),
+                                            ("evaluate", "coeffs_path")])
+def test_undecodable_input_file_exits_two(octa_file, tmp_path, capsys, command, field):
+    path = tmp_path / "undecodable.txt"
+    path.write_bytes(b"\xff\xfe1 0 0\n")
+    paths = {"support_path": octa_file, field: str(path)}
+    code = run(RunConfig(command=command, shelling="indices=0,1,2,4", **paths))
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "UnicodeDecodeError"
+
+
+@pytest.mark.parametrize("command", ["shell", "build-matrix", "feasibility"])
 @pytest.mark.parametrize("spec", ["indices=99", "indices=-1"])
 def test_out_of_range_facet_ids_exit_two(cube_file, capsys, command, spec):
     code = run(RunConfig(command=command, support_path=cube_file, shelling=spec))

@@ -25,7 +25,7 @@ from detform.exterior import (
     times,
     wedge_subsets,
 )
-from detform.linalg import Echelon, primitive_integer_vector, reaches_rank
+from detform.linalg import Echelon, primitive_integer_vector
 from detform.tate import build_phi2, build_window
 
 
@@ -343,8 +343,9 @@ def test_cover_matches_reference_on_cube_phi2(cube):
 
 
 def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
-    # every other block is certified by rank alone, so back-substitution
-    # runs at most once per free column of a block that gains a generator
+    # every other block is certified without a kernel basis, so
+    # back-substitution runs at most once per free column of a block that
+    # gains a generator
     calls = []
     kernel_vector = Echelon.kernel_vector
 
@@ -468,11 +469,70 @@ def test_kernel_vectors_over_free_columns_span_the_kernel():
         assert len(kernel) + ech.rank == ncols
 
 
-def test_reaches_rank_stops_at_the_target():
-    def vectors():
-        yield from ({0: 1}, {0: 2}, {1: 1})
-        raise AssertionError("read past the target rank")
+def products_pivots(phi: FreeModuleMap, into: FreeModuleMap, d: int):
+    """phi's degree-d piece and the pivots P, as its coordinate ids, of the
+    products of into's generators above degree d: the cover's products
+    echelon in degree d. P depends only on the span, not the order."""
+    piece = graded_piece(phi, d)
+    coord_at = {coord: c for c, coord in enumerate(piece.source_coords)}
+    products = Echelon()
+    N = phi.source.algebra.nvars
+    for g, col in zip(into.source.generators, into.columns):
+        if g.degree > d:
+            for S in itertools.combinations(range(N), g.degree - d):
+                products.insert({coord_at[key]: v for key, v in times(col, S).items()})
+    return piece, set(products.rows)
 
-    assert reaches_rank(vectors(), 2)
-    assert not reaches_rank([{0: 1}, {0: -3}], 2)
-    assert reaches_rank([], 0)
+
+def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
+    # the columns off P are independent exactly when rank + |P| = columns,
+    # the products then span the block's kernel, and the block gains no
+    # generator; both outcomes occur, with and without products in the block
+    alg = ExteriorAlgebra(4, ((1, 0), (0, 1), (1, 1), (0, 0)))
+    G = GradedFreeModule(alg, (Generator(1, (0, 0)), Generator(1, (1, 0)), Generator(0, (0, 0))))
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(4):
+        phi = weighted_map(rng, G, (0, 0, 0, -1, -1))
+        into, _ = minimal_free_cover(phi, degree_floor=-4)
+        gained = {(g.degree, g.weight) for g in into.source.generators}
+        for d in range(0, -5, -1):
+            piece, P = products_pivots(phi, into, d)
+            for src_ids, w, columns in piece.blocks:
+                rest = [col for c, col in zip(src_ids, columns) if c not in P]
+                independent = Echelon(rest).rank == len(rest)
+                products = sum(c in P for c in src_ids)
+                assert independent == (Echelon(columns).rank + products == len(columns))
+                assert independent == ((d, w) not in gained)
+                outcomes.add((independent, products > 0))
+    assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_a_dependent_column_off_the_pivots_gains_a_generator():
+    # g0 -> e0 and g1 -> 0 with g1 in degree -2: there the products of the
+    # generator g0 ∧ e0 pivot on (0, {0, 1}) and (0, {0, 2}), and g1's zero
+    # column off them makes the block gain g1 itself
+    alg = algebra(3)
+    phi = FreeModuleMap(module(alg, 0, -2), module(alg, 1), [{(0, (0,)): 1}, {}])
+    into, dims = minimal_free_cover(phi, degree_floor=-2)
+    assert into.source.degrees() == [-1, -2]
+    assert into.columns == [{(0, (0,)): 1}, {(1, ()): 1}]
+    piece, P = products_pivots(phi, into, -2)
+    assert [piece.source_coords[c] for c in sorted(P)] == [(0, (0, 1)), (0, (0, 2))]
+    assert dims[-2] == (4, 3)
+
+
+def test_dependent_columns_on_the_pivots_alone_certify_the_block():
+    # g -> e0: in degree -2 the pivots (0, {0, 1}) and (0, {0, 2}) hold the
+    # block's zero columns, the one column off them is e_012, and the
+    # products span the kernel
+    alg = algebra(3)
+    phi = FreeModuleMap(module(alg, 0), module(alg, 1), [{(0, (0,)): 1}])
+    into, dims = minimal_free_cover(phi, degree_floor=-2)
+    assert into.source.degrees() == [-1]
+    piece, P = products_pivots(phi, into, -2)
+    [(src_ids, _, columns)] = piece.blocks
+    assert [piece.source_coords[c] for c in sorted(P)] == [(0, (0, 1)), (0, (0, 2))]
+    assert [col for c, col in zip(src_ids, columns) if c not in P] == [{0: 1}]
+    assert Echelon(columns).rank == 1
+    assert dims[-2] == (3, 2)

@@ -3,16 +3,31 @@
 No linter ships with the project, so this stands in for one: a name bound by
 an import and never read again is dead code. A name listed in the module's
 ``__all__`` is a re-export and counts as used.
+
+The benchmark's traced run wraps detform functions and methods by name
+(``perfbench/spans.py``), so every name it lists must exist as well.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "detform"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "detform"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+SPANS = load_spans()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +60,13 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module, attr", [entry[:2] for entry in SPANS.FUNCTIONS])
+def test_traced_function_exists(module, attr):
+    assert hasattr(importlib.import_module(f"detform.{module}"), attr)
+
+
+@pytest.mark.parametrize("module, cls, method", [entry[:3] for entry in SPANS.METHODS])
+def test_traced_method_is_defined_on_its_class(module, cls, method):
+    assert method in vars(getattr(importlib.import_module(f"detform.{module}"), cls))
