@@ -115,6 +115,8 @@ def _parse_indices(spec: str, num_facets: int) -> tuple[int, ...]:
         raise ParseError(f"bad facet index list in {spec!r}") from None
     if not all(0 <= i < num_facets for i in ids):
         raise ParseError(f"facet ids in {spec!r} must lie in 0..{num_facets - 1}")
+    if len(set(ids)) != len(ids):
+        raise ParseError(f"facet ids in {spec!r} repeat")
     return ids
 
 

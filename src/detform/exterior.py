@@ -24,9 +24,13 @@ a product lies in one block and its reduction never leaves that block. The
 products lie in the kernel and span a block's kernel exactly when the
 block's columns off their pivots are independent: a kernel vector reduced by
 the products vanishes on the pivots, and a nonzero vector in their span
-leads at one. So a block is certified by inserting only those columns, up to
-the first that reduces to zero. Only blocks where the cover gains a
-generator are transposed to rows, reduced last row first, for a kernel basis.
+leads at one. So a block is certified by testing only those columns for
+independence mod 2, on the bitsets of their odd entries: independent mod 2
+means an odd, hence nonzero, maximal minor, so a certificate is a proof over
+Q. The test is one-sided, and its only fallback is exact: a block it cannot
+certify is transposed to rows, reduced last row first, for a kernel basis,
+and the products echelon discards the kernel vectors it already spans. So
+the cover is the one the exact test gives.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .errors import InvariantViolation
-from .linalg import Echelon, primitive_integer_vector
+from .linalg import Echelon, independent_mod2, primitive_integer_vector
 
 Subset = tuple[int, ...]
 Vector = dict[tuple[int, Subset], int]
@@ -261,10 +265,12 @@ def minimal_free_cover(
     independent of everything the previously chosen generators already span
     after multiplication by the algebra. A weight block whose columns off
     the products' pivots are independent has its kernel spanned by them and
-    yields no kernel vectors; only the other blocks are reduced to a kernel
-    basis. The returned map sends the cover onto the kernel through
-    degree_floor; callers know the floor from theory and audit the generator
-    counts instead of probing below it.
+    yields no kernel vectors. Independence is certified mod 2, a proof over
+    Q; a block the test cannot certify goes to block_kernel, whose exact
+    kernel basis gives its nullity, and the vectors the products already
+    span are discarded. The returned map sends the cover onto the kernel
+    through degree_floor; callers know the floor from theory and audit the
+    generator counts instead of probing below it.
 
     Returns (onto, dims): the cover is onto.source, each generator carrying
     its degree and its block's torus weight; dims[d] = (columns, nullity) of
@@ -294,10 +300,10 @@ def minimal_free_cover(
         kernel: list[tuple[int, tuple[int, ...], dict[int, int]]] = []
         for src_ids, weight, columns in piece.blocks:
             # the products span the block's kernel iff its columns off their
-            # pivots are independent; taken last-first, most columns pivot on
-            # a row that no column before them has reached
+            # pivots are independent; mod 2 can only prove it, so a block it
+            # does not certify gets an exact kernel basis
             rest = [col for c, col in zip(src_ids, columns) if c not in spanned.rows]
-            if all(map(Echelon().insert, reversed(rest))):
+            if independent_mod2(reversed(rest)):
                 nullity += len(columns) - len(rest)
             else:
                 found = block_kernel(src_ids, columns)

@@ -4,7 +4,8 @@ Everything here works with arbitrary-precision integers and exact rationals;
 no floating point. Sparse vectors are dicts mapping column index to a nonzero
 value. Echelon forms hold integer rows, eliminate fraction-free and use the
 canonical pivot rule (first nonzero column) so results are reproducible bit
-for bit.
+for bit. The one modular routine, independent_mod2, only ever proves
+independence over Q; callers fall back to an echelon when it cannot.
 """
 
 from __future__ import annotations
@@ -38,6 +39,33 @@ def primitive_integer_vector(vec: dict) -> dict:
     if vec[min(vec)] < 0:
         g = -g
     return {c: v // g for c, v in vec.items()}
+
+
+def independent_mod2(vectors) -> bool:
+    """One-sided test: True proves integer sparse vectors independent over Q.
+
+    Each vector becomes the bitset of its odd entries and is XOR-reduced, in
+    the given order, against the earlier ones keyed by their lowest set bit,
+    stopping at the first that reduces to zero. Independent mod 2 means some
+    maximal minor is odd, hence nonzero. False proves nothing: vectors
+    dependent mod 2 may still be independent over Q.
+    """
+    basis: dict[int, int] = {}
+    for vec in vectors:
+        bits = 0
+        for c, v in vec.items():
+            if v & 1:
+                bits |= 1 << c
+        while bits:
+            low = bits & -bits
+            pivot = basis.get(low)
+            if pivot is None:
+                basis[low] = bits
+                break
+            bits ^= pivot
+        else:
+            return False
+    return True
 
 
 class Echelon:

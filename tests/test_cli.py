@@ -346,6 +346,15 @@ def test_out_of_range_facet_ids_exit_two(cube_file, capsys, command, spec):
     assert "0..5" in error["message"]
 
 
+@pytest.mark.parametrize("command", ["shell", "build-matrix", "feasibility"])
+def test_repeated_facet_ids_exit_two(octa_file, capsys, command):
+    code = run(RunConfig(command=command, support_path=octa_file, shelling="indices=0,0,1"))
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (error["type"], error["message"]) == (
+        "ParseError", "facet ids in 'indices=0,0,1' repeat")
+
+
 def test_dimension_mismatch_exits_five(octa_file, capsys, monkeypatch):
     def explode(Q, sel):
         raise DimensionMismatch("forced for the error-path test")

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from detform import exterior
 from detform.errors import InvariantViolation
 from detform.exterior import (
     ExteriorAlgebra,
@@ -25,7 +26,7 @@ from detform.exterior import (
     times,
     wedge_subsets,
 )
-from detform.linalg import Echelon, primitive_integer_vector
+from detform.linalg import Echelon, independent_mod2, primitive_integer_vector
 from detform.tate import build_phi2, build_window
 
 
@@ -501,6 +502,9 @@ def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
             for src_ids, w, columns in piece.blocks:
                 rest = [col for c, col in zip(src_ids, columns) if c not in P]
                 independent = Echelon(rest).rank == len(rest)
+                # the mod-2 certificate is one-sided: it never certifies a
+                # block the exact test does not
+                assert not independent_mod2(reversed(rest)) or independent
                 products = sum(c in P for c in src_ids)
                 assert independent == (Echelon(columns).rank + products == len(columns))
                 assert independent == ((d, w) not in gained)
@@ -536,3 +540,60 @@ def test_dependent_columns_on_the_pivots_alone_certify_the_block():
     assert [col for c, col in zip(src_ids, columns) if c not in P] == [{0: 1}]
     assert Echelon(columns).rank == 1
     assert dims[-2] == (3, 2)
+
+
+def doubled(phi: FreeModuleMap) -> FreeModuleMap:
+    return FreeModuleMap(phi.source, phi.target,
+                         [{key: 2 * c for key, c in col.items()} for col in phi.columns])
+
+
+def test_doubling_a_map_changes_no_cover(cube, monkeypatch):
+    # 2·phi has phi's kernel and only even entries, so the mod-2 test
+    # certifies no block with a column off the pivots: every such block takes
+    # the exact block_kernel path, and the cover and dims stay the same
+    certified = []
+    mod2 = exterior.independent_mod2
+
+    def recorded(vectors):
+        vectors = list(vectors)
+        certified.append((bool(vectors), mod2(vectors)))
+        return certified[-1][1]
+
+    monkeypatch.setattr(exterior, "independent_mod2", recorded)
+    phi2 = build_phi2(cube, (0, 1, 4))
+    middle, _ = minimal_free_cover(phi2, degree_floor=-3)
+    alg = ExteriorAlgebra(4, ((1, 0), (0, 1), (1, 1), (0, 0)))
+    G = GradedFreeModule(alg, (Generator(1, (0, 0)), Generator(1, (1, 0)), Generator(0, (0, 0))))
+    rng = random.Random(9)
+    maps = [(phi2, -3), (middle, -4)]
+    maps += [(weighted_map(rng, G, (0, 0, 0, -1, -1)), -4) for _ in range(3)]
+    for phi, floor in maps:
+        into, dims = minimal_free_cover(phi, floor)
+        del certified[:]
+        into2, dims2 = minimal_free_cover(doubled(phi), floor)
+        assert into2.source.generators == into.source.generators
+        assert into2.columns == into.columns
+        assert dims2 == dims
+        assert (True, True) not in certified and (True, False) in certified
+
+
+def test_a_block_dependent_only_mod_2_takes_the_exact_kernel(monkeypatch):
+    # g0 -> t0 + t1 and g1 -> t0 - t1: in every degree the one block has the
+    # columns {0: 1, 1: 1} and {0: 1, 1: -1}, independent over Q and equal
+    # mod 2, so the block falls back to block_kernel, which finds no kernel
+    kernels = []
+    block_kernel = exterior.block_kernel
+
+    def counted(src_ids, columns):
+        kernels.append(columns)
+        return block_kernel(src_ids, columns)
+
+    monkeypatch.setattr(exterior, "block_kernel", counted)
+    alg = algebra(2)
+    phi = FreeModuleMap(module(alg, 0, 0), module(alg, 0, 0),
+                        [{(0, ()): 1, (1, ()): 1}, {(0, ()): 1, (1, ()): -1}])
+    into, dims = minimal_free_cover(phi, degree_floor=-2)
+    assert into.source.rank == 0
+    assert dims == {0: (2, 0), -1: (4, 0), -2: (2, 0)}
+    assert kernels[0] == [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    assert len(kernels) == 3
