@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 from .errors import DegreePatternViolation, DimensionMismatch, ParseError
 from .exterior import FreeModuleMap
-from .linalg import QQ, det_bareiss, qq, rat_str
+from .linalg import QQ, clear_denominators, det_bareiss, qq, rat_str
 from .tate import point_of, support_of
 
 Point = tuple[int, ...]
@@ -28,8 +29,10 @@ class CoefficientSystem:
     """Exact rational coefficients: four rows, one column per support point.
 
     Row k holds the coefficients of the k-th polynomial in the canonical
-    (lexicographic) order of the support.  Indices are 1-based in the
-    accessors, matching the bracket notation.
+    (lexicographic) order of the support.  Every entry is an int or a
+    Fraction; a float, string or other inexact or unparsed value is a
+    ValueError.  Indices are 1-based in the accessors, matching the bracket
+    notation, and an index outside the system is a ValueError.
     """
 
     rows: tuple[tuple[QQ, ...], ...]
@@ -39,20 +42,33 @@ class CoefficientSystem:
             raise ValueError("a coefficient system has exactly four rows")
         if len({len(r) for r in self.rows}) != 1:
             raise ValueError("coefficient rows have unequal lengths")
+        for row in self.rows:
+            for c in row:
+                if not isinstance(c, (int, QQ)):
+                    raise ValueError(
+                        f"coefficient {c!r} is not an int or a Fraction")
 
     @property
     def npoints(self) -> int:
         return len(self.rows[0])
 
+    def _poly(self, poly: int) -> int:
+        if not 1 <= poly <= NUM_POLYS:
+            raise ValueError(f"poly {poly} outside 1..{NUM_POLYS}")
+        return poly - 1
+
     def entry(self, poly: int, point: int) -> QQ:
-        return self.rows[poly - 1][point - 1]
+        row = self.rows[self._poly(poly)]
+        if not 1 <= point <= self.npoints:
+            raise ValueError(f"point {point} outside 1..{self.npoints}")
+        return row[point - 1]
 
     def scale_row(self, poly: int, factor) -> CoefficientSystem:
         f = qq(factor)
-        rows = tuple(
-            tuple(f * c for c in row) if k == poly - 1 else row
-            for k, row in enumerate(self.rows))
-        return CoefficientSystem(rows)
+        k = self._poly(poly)
+        rows = list(self.rows)
+        rows[k] = tuple(f * c for c in rows[k])
+        return CoefficientSystem(tuple(rows))
 
     def permute_rows(self, order: tuple[int, int, int, int]) -> CoefficientSystem:
         if sorted(order) != [1, 2, 3, 4]:
@@ -219,29 +235,57 @@ def apply_U4(phi0: FreeModuleMap) -> BracketMatrix:
 def evaluate(matrix: BracketMatrix, system: CoefficientSystem) -> QQ:
     """Exact determinant after substituting the coefficient system.
 
-    Pure function of its arguments; independent evaluations share nothing.
+    Works in integers.  Row k of the system is cleared once: d_k is the lcm
+    of its denominators and a_k = d_k * row k an integer row.  The 2x2
+    minors p(a, b) of a_1, a_2 and q(a, b) of a_3, a_4 are taken once per
+    column pair, and each bracket, times D = d_1 d_2 d_3 d_4, is their
+    Laplace expansion along the first two rows
+
+        [abcd] = p(a,b) q(c,d) - p(a,c) q(b,d) + p(a,d) q(b,c)
+               + p(b,c) q(a,d) - p(b,d) q(a,c) + p(c,d) q(a,b).
+
+    A bracket cell is then (sum of coeff * [abcd]) / D and a linear cell of
+    polynomial k is (sum of coeff * a_k[i]) / d_k: one division per cell,
+    before det_bareiss.  bracket_value is the independent 4x4 reference the
+    tests compare brackets against.  Pure function of its arguments;
+    independent evaluations share nothing.
     """
     if system.npoints != len(matrix.support):
         raise ValueError(
             f"coefficient system has {system.npoints} columns, "
             f"support has {len(matrix.support)} points")
-    cache: dict[Quad, QQ] = {}
+    denoms, ints = [], []
+    for row in system.rows:
+        d, a = clear_denominators(row)
+        denoms.append(d)
+        ints.append([0] + a)  # 1-based: point i sits at index i
+    a1, a2, a3, a4 = ints
+    p, q = {}, {}
+    for a, b in itertools.combinations(range(1, system.npoints + 1), 2):
+        p[a, b] = a1[a] * a2[b] - a1[b] * a2[a]
+        q[a, b] = a3[a] * a4[b] - a3[b] * a4[a]
+    D = prod(denoms)
+    brackets: dict[Quad, int] = {}
 
-    def bval(quad: Quad) -> QQ:
-        if quad not in cache:
-            cache[quad] = bracket_value(quad, system)
-        return cache[quad]
+    def bracket(quad: Quad) -> int:
+        value = brackets.get(quad)
+        if value is None:
+            a, b, c, d = quad
+            value = brackets[quad] = (
+                p[a, b] * q[c, d] - p[a, c] * q[b, d] + p[a, d] * q[b, c]
+                + p[b, c] * q[a, d] - p[b, d] * q[a, c] + p[c, d] * q[a, b])
+        return value
 
     n = matrix.size
-    dense = [[qq(0)] * n for _ in range(n)]
+    dense = [[0] * n for _ in range(n)]
     for (r, c), cell in matrix.cells.items():
         if isinstance(cell, BracketCell):
-            value = sum((coeff * bval(quad) for quad, coeff in cell.terms), qq(0))
+            total = sum(coeff * bracket(quad) for quad, coeff in cell.terms)
+            dense[r][c] = QQ(total, D)
         else:
-            value = sum(
-                (coeff * system.entry(cell.poly, i) for i, coeff in cell.terms),
-                qq(0))
-        dense[r][c] = value
+            row = ints[cell.poly - 1]
+            total = sum(coeff * row[i] for i, coeff in cell.terms)
+            dense[r][c] = QQ(total, denoms[cell.poly - 1])
     return det_bareiss(dense)
 
 

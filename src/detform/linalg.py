@@ -11,7 +11,7 @@ independence over Q; callers fall back to an echelon when it cannot.
 from __future__ import annotations
 
 from fractions import Fraction as QQ
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvariantViolation
 
@@ -142,26 +142,34 @@ class Echelon:
         return [c for c in range(ncols) if c not in self.rows]
 
 
-def det_bareiss(matrix: list[list]) -> QQ:
-    """Exact determinant of a square matrix of rationals (Bareiss elimination).
+def clear_denominators(row) -> tuple[int, list[int]]:
+    """(d, d * row) for a row of ints and Fractions, d the lcm of the
+    entries' denominators, read from `.numerator` and `.denominator` (an int
+    is its own numerator over 1)."""
+    d = lcm(*(v.denominator for v in row))
+    return d, [v.numerator * (d // v.denominator) for v in row]
 
-    Denominators are cleared row by row; the core recurrence is fraction-free
-    integer arithmetic with exact divisions.
+
+def det_bareiss(matrix: list[list]) -> QQ:
+    """Exact determinant of a square matrix of ints and Fractions (Bareiss
+    elimination).
+
+    Each row is cleared once by clear_denominators; the core recurrence is
+    fraction-free integer arithmetic with exact divisions, and the one
+    Fraction made is the integer determinant over the product of the row
+    multipliers d.
     """
     n = len(matrix)
     if n == 0:
         return QQ(1)
-    scale = QQ(1)
+    scale = 1
     m = []
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix is not square")
-        denom = 1
-        vals = [QQ(v) for v in row]
-        for v in vals:
-            denom = denom * v.denominator // gcd(denom, int(v.denominator))
+        denom, ints = clear_denominators(row)
         scale *= denom
-        m.append([int(v * denom) for v in vals])
+        m.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -185,5 +193,5 @@ def det_bareiss(matrix: list[list]) -> QQ:
                 for j in range(k + 1, n):
                     mi[j] = mi[j] * pivot // prev
         prev = pivot
-    return QQ(sign * m[n - 1][n - 1]) / scale
+    return QQ(sign * m[n - 1][n - 1], scale)
 

@@ -229,7 +229,19 @@ def cohomology_profile(Q: Polytope, selection, k_lo: int, k_hi: int,
 
 
 def polynomial_value(support, coeffs, x0) -> QQ:
-    """Evaluate a Laurent polynomial with the given coefficient row at x0."""
+    """Evaluate a Laurent polynomial with the given coefficient row at x0.
+
+    A root whose length is not the points' dimension, or a coefficient row
+    whose length is not the number of points, is a ValueError.
+    """
+    if len(coeffs) != len(support):
+        raise ValueError(
+            f"{len(coeffs)} coefficients for {len(support)} support points")
+    for point in support:
+        if len(point) != len(x0):
+            raise ValueError(
+                f"point {tuple(point)} has {len(point)} coordinates, "
+                f"the root {len(x0)}")
     total = qq(0)
     for point, c in zip(support, coeffs):
         term = qq(c)
@@ -240,7 +252,10 @@ def polynomial_value(support, coeffs, x0) -> QQ:
 
 
 def common_root_system(support, x0, seed: int = 0) -> CoefficientSystem:
-    """Four random rows, each adjusted in its last entry to vanish at x0."""
+    """Four random rows, each adjusted in its last entry to vanish at x0.
+
+    A root whose length is not the points' dimension is a ValueError.
+    """
     x0 = tuple(qq(c) for c in x0)
     if any(c == 0 for c in x0):
         raise ValueError("the common root must have nonzero coordinates")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -27,7 +28,8 @@ from detform.exterior import (
     GradedFreeModule,
     Generator,
 )
-from detform.linalg import qq
+from detform.lattice import convex_hull_with_facets
+from detform.linalg import det_bareiss, qq
 from detform.shelling import best_selection
 from detform.tate import build_window
 
@@ -101,6 +103,25 @@ def test_coefficient_shape_guard():
         CoefficientSystem(((qq(1),), (qq(1),), (qq(1),)))
     with pytest.raises(ValueError):
         CoefficientSystem(((qq(1),), (qq(1),), (qq(1),), (qq(1), qq(2))))
+    assert CoefficientSystem(((1, qq(2)),) * 4).entry(4, 2) == 2
+    # a float used to be evaluated at its binary value, a string kept as text
+    for bad in (0.1, "1/2", Decimal("0.1")):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            CoefficientSystem(((qq(1), bad),) + ((qq(1), qq(2)),) * 3)
+
+
+def test_coefficient_indices_are_checked():
+    C = random_coefficients(5, random.Random(3))
+    assert C.entry(4, 5) == C.rows[3][4]
+    assert C.scale_row(4, 2).rows[3] == tuple(2 * c for c in C.rows[3])
+    # poly 0 used to read row 4 and point 0 the last point; scale_row(5, ...)
+    # and scale_row(0, ...) returned the system unchanged
+    for poly, point in ((0, 1), (5, 1), (1, 0), (1, 6)):
+        with pytest.raises(ValueError, match="outside"):
+            C.entry(poly, point)
+    for poly in (0, 5):
+        with pytest.raises(ValueError, match=f"poly {poly} outside 1..4"):
+            C.scale_row(poly, 2)
 
 
 def test_strip_matrix_is_all_brackets(cube):
@@ -274,3 +295,79 @@ def test_apply_rejects_degree_pattern_violations():
     not_square = FreeModuleMap(src4, tgt3, [{(0, (2,)): 1}])
     with pytest.raises(DimensionMismatch, match="bracket matrix is 4 x 1"):
         apply_U4(not_square)
+
+
+@pytest.fixture(scope="module")
+def ladder_matrices(cube, octahedron):
+    """The benchmark's ladder, cube, octahedron and twice the standard
+    simplex: name -> (matrix of best_selection(seed=0), matrix of (0,))."""
+    simplex2 = convex_hull_with_facets([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    out = {}
+    for name, Q in (("cube", cube), ("octahedron", octahedron), ("simplex2", simplex2)):
+        best = best_selection(Q, seed=0).selection
+        out[name] = tuple(apply_U4(build_window(Q, sel).maps[0]) for sel in (best, (0,)))
+    return out
+
+
+def _reference_det(M, C):
+    """The determinant with every bracket a 4x4 Bareiss minor and every cell
+    a sum of Fractions."""
+    dense = [[qq(0)] * M.size for _ in range(M.size)]
+    for (r, c), cell in M.cells.items():
+        if isinstance(cell, BracketCell):
+            terms = (coeff * bracket_value(quad, C) for quad, coeff in cell.terms)
+        else:
+            terms = (coeff * C.entry(cell.poly, i) for i, coeff in cell.terms)
+        dense[r][c] = sum(terms, qq(0))
+    return det_bareiss(dense)
+
+
+def _mixed_systems(npoints, rng):
+    """Rows over denominators 1, 2^j, 3^j and 7^j, negative entries included,
+    then the same with each row in turn all zero."""
+    def row(base):
+        return tuple(qq(rng.randint(-40, 40)) / base ** rng.randint(0, 2)
+                     for _ in range(npoints))
+    systems = [CoefficientSystem(tuple(row(b) for b in (1, 2, 3, 7))) for _ in range(2)]
+    for k in range(4):
+        rows = list(systems[0].rows)
+        rows[k] = (qq(0),) * npoints
+        systems.append(CoefficientSystem(tuple(rows)))
+    return systems
+
+
+def test_evaluate_matches_fraction_reference(ladder_matrices):
+    rng = random.Random(59)
+    octahedron = ladder_matrices["octahedron"][0]
+    data = export_matrix(octahedron)
+    fractions = ("3/2", "-5/7", "1/3", "-4")
+    for t, cell in enumerate(data["cells"]):
+        cell["terms"][0]["coeff"] = fractions[t % len(fractions)]
+    rational = import_matrix(data)
+    assert {c for cell in rational.cells.values() for _, c in cell.terms} >= {
+        qq("3/2"), qq("-5/7"), qq("1/3")}
+    matrices = [pair[0] for pair in ladder_matrices.values()] + [rational]
+    for M in matrices:
+        systems = _mixed_systems(len(M.support), rng)
+        systems.append(random_coefficients(len(M.support), rng))
+        values = [evaluate(M, C) for C in systems]
+        assert values == [_reference_det(M, C) for C in systems]
+        assert values[0] != 0 and values[-1] != 0
+
+
+def test_two_selections_differ_by_a_constant(ladder_matrices):
+    # det M = c * Res_A for every selection, so the ratio of two selections'
+    # determinants cannot depend on the coefficients
+    rng = random.Random(61)
+    sizes = {name: (M1.size, M2.size) for name, (M1, M2) in ladder_matrices.items()}
+    assert sizes == {"cube": (6, 18), "octahedron": (14, 23), "simplex2": (14, 20)}
+    for M1, M2 in ladder_matrices.values():
+        n = len(M1.support)
+        systems = [random_coefficients(n, rng) for _ in range(2)]
+        systems += _mixed_systems(n, rng)[:2]
+        ratios = set()
+        for C in systems:
+            denominator = evaluate(M2, C)
+            assert denominator != 0
+            ratios.add(evaluate(M1, C) / denominator)
+        assert len(ratios) == 1 and ratios != {0}

@@ -146,6 +146,14 @@ def test_common_root_rows_vanish(octahedron):
             assert polynomial_value(A, C.rows[k], x0) == 0
     with pytest.raises(ValueError):
         common_root_system(A, (1, 0, 2), seed=0)
+    # zip used to truncate: a 2-coordinate root gave rows with no common root
+    for x0 in ((2, 3), (2, 3, 5, 7)):
+        with pytest.raises(ValueError, match="coordinates"):
+            common_root_system(A, x0, seed=0)
+        with pytest.raises(ValueError, match="coordinates"):
+            polynomial_value(A, C.rows[0], x0)
+    with pytest.raises(ValueError, match="6 coefficients for 7 support points"):
+        polynomial_value(A, C.rows[0][:-1], (1, 1, 1))
 
 
 def test_common_roots_kill_determinants(cube, octahedron):
