@@ -295,13 +295,6 @@ def _encode_label(label) -> dict:
     return {"copy": label[1], "point": list(label[2])}
 
 
-def _decode_label(data: dict) -> tuple:
-    point = tuple(data["point"])
-    if "copy" in data:
-        return ("copy", data["copy"], point)
-    return ("point", point)
-
-
 def export_matrix(matrix: BracketMatrix) -> dict:
     """JSON-ready canonical form; cells in row-major order."""
     cells = []
@@ -328,17 +321,14 @@ def export_matrix(matrix: BracketMatrix) -> dict:
 
 
 def import_matrix(data: dict) -> BracketMatrix:
-    """Inverse of export_matrix; a row, col, poly, point or bracket index that
-    is not an int (a bool or a float is not), a cell outside the square, a
-    poly outside 1..4, a point or bracket index outside the support or a
-    bracket that is not 4 increasing indices is a ParseError."""
+    """Inverse of export_matrix; a row, col, poly, point, bracket or copy index
+    that is not an int (a bool or a float is not), a cell outside the square,
+    a poly or copy outside 1..4, a point or bracket index outside the support,
+    a bracket that is not 4 increasing indices, a coefficient that is not a
+    string or an int, or a label point that is not integers of the support's
+    dimension is a ParseError."""
     try:
         support = tuple(tuple(p) for p in data["support"])
-        row_labels = tuple(_decode_label(lab) for lab in data["row_labels"])
-        col_labels = tuple(_decode_label(lab) for lab in data["col_labels"])
-        n = len(row_labels)
-        if len(col_labels) != n:
-            raise ValueError(f"{n} row labels but {len(col_labels)} column labels")
 
         def integer(value) -> int:
             if type(value) is not int:
@@ -350,6 +340,27 @@ def import_matrix(data: dict) -> BracketMatrix:
                 raise ValueError(f"point index {i} outside 1..{len(support)}")
             return i
 
+        def coefficient(value) -> QQ:
+            if type(value) is not int and not isinstance(value, str):
+                raise ValueError(f"coefficient {value!r} is not a string or an integer")
+            return qq(value)
+
+        def label(lab: dict) -> tuple:
+            point, dim = tuple(lab["point"]), len(support[0])
+            if len(point) != dim or any(type(c) is not int for c in point):
+                raise ValueError(f"label point {lab['point']!r} is not {dim} integers")
+            if "copy" not in lab:
+                return ("point", point)
+            if not 1 <= integer(lab["copy"]) <= NUM_POLYS:
+                raise ValueError(f"copy {lab['copy']} outside 1..{NUM_POLYS}")
+            return ("copy", lab["copy"], point)
+
+        row_labels = tuple(map(label, data["row_labels"]))
+        col_labels = tuple(map(label, data["col_labels"]))
+        n = len(row_labels)
+        if len(col_labels) != n:
+            raise ValueError(f"{n} row labels but {len(col_labels)} column labels")
+
         cells = {}
         for cell in data["cells"]:
             key = (integer(cell["row"]), integer(cell["col"]))
@@ -359,15 +370,15 @@ def import_matrix(data: dict) -> BracketMatrix:
                 if not 1 <= integer(cell["poly"]) <= NUM_POLYS:
                     raise ValueError(f"poly {cell['poly']} outside 1..{NUM_POLYS}")
                 terms = tuple(
-                    (index(t["point"]), qq(t["coeff"])) for t in cell["terms"])
+                    (index(t["point"]), coefficient(t["coeff"])) for t in cell["terms"])
                 cells[key] = LinearCell(cell["poly"], terms)
             else:
                 terms = tuple(
-                    (tuple(map(index, t["quad"])), qq(t["coeff"])) for t in cell["terms"])
+                    (tuple(map(index, t["quad"])), coefficient(t["coeff"])) for t in cell["terms"])
                 if any(len(q) != NUM_POLYS or list(q) != sorted(set(q)) for q, _ in terms):
                     raise ValueError(f"a bracket of cell {key} is not 4 increasing indices")
                 cells[key] = BracketCell(terms)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix description: {exc}") from None
     matrix = BracketMatrix(support, row_labels, col_labels, cells)
     declared = data.get("blocks")

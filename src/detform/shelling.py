@@ -1,8 +1,8 @@
 """Partial shellings of 3-polytope boundaries and disk certification.
 
 A selection of facets is usable downstream only when its union is a
-topological disk. Partial shellings produce disks by construction; the
-four-condition combinatorial test certifies arbitrary selections.
+topological disk. Partial shellings produce disks by construction; counts
+on the boundary sphere certify arbitrary selections.
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ def _selected_edges(Q: Polytope, sel) -> dict[tuple[int, int], list[int]]:
 def is_partial_shelling(Q: Polytope, order) -> tuple[bool, tuple[ShellingStep, ...]]:
     """Check the shelling condition step by step, returning a certificate.
 
-    Each facet after the first must meet the union of its predecessors in a
-    nonempty connected set of whole edges: at least one shared edge, no
-    stray shared vertex outside those edges, and the shared edges connected.
+    Each facet after the first must meet the union of its predecessors in
+    one path of its boundary cycle. The union so far is a disk, so that
+    meeting is a subgraph of the cycle, and a subgraph with an edge is one
+    path exactly when it has one more vertex than edges.
     """
     order = tuple(order)
     if len(set(order)) != len(order):
@@ -75,29 +76,14 @@ def is_partial_shelling(Q: Polytope, order) -> tuple[bool, tuple[ShellingStep, .
             e.vertex_ids for e in Q.edges
             if fid in e.facet_ids and (set(e.facet_ids) - {fid}) & seen_facets
         )
-        covered = {v for e in shared_edges for v in e}
         shared_vertices = set(facet.vertex_ids) & seen_vertices
-        ok = bool(shared_edges) and shared_vertices == covered and _edges_connected(shared_edges)
+        ok = bool(shared_edges) and len(shared_vertices) - len(shared_edges) == 1
         steps.append(ShellingStep(fid, shared_edges, ok))
         if not ok:
             return False, tuple(steps)
         seen_vertices |= set(facet.vertex_ids)
         seen_facets.add(fid)
     return True, tuple(steps)
-
-
-def _edges_connected(edges) -> bool:
-    if not edges:
-        return False
-    todo = [edges[0]]
-    reached = {edges[0]}
-    while todo:
-        a = set(todo.pop())
-        for e in edges:
-            if e not in reached and a & set(e):
-                reached.add(e)
-                todo.append(e)
-    return len(reached) == len(edges)
 
 
 def certify(Q: Polytope, order) -> PartialShelling:
@@ -108,6 +94,7 @@ def certify(Q: Polytope, order) -> PartialShelling:
 
 
 def euler_characteristic(Q: Polytope, sel) -> int:
+    facet_bits(Q, sel)
     edges = _selected_edges(Q, sel)
     verts = {v for i in sel for v in Q.facets[i].vertex_ids}
     return len(verts) - len(edges) + len(set(sel))
@@ -116,16 +103,20 @@ def euler_characteristic(Q: Polytope, sel) -> int:
 def is_disk(Q: Polytope, sel) -> bool:
     """Whether the union of the selected facets is a topological disk.
 
-    Tests, in order: facet adjacency connectivity, every edge in at most two
-    selected facets, Euler characteristic one, and boundary edges forming a
-    single closed cycle. All four together characterize disks here.
+    The boundary is a sphere in which every edge lies in two facets. Split
+    each vertex of a union connected through shared edges into one copy per
+    fan of selected facets around it. The result is a connected surface in
+    the sphere with b >= 1 boundary circles, so its Euler characteristic is
+    2 - b, and the union's is that minus the number of extra copies. So the
+    union is a disk iff it is connected and V - E + F is one.
     """
     sel = tuple(sorted(set(sel)))
     facet_bits(Q, sel)
     if not 1 <= len(sel) < Q.num_facets:
         raise ValueError("selection must be a nonempty proper subset of the facets")
     edges = _selected_edges(Q, sel)
-    if any(len(hits) > 2 for hits in edges.values()):
+    verts = {v for i in sel for v in Q.facets[i].vertex_ids}
+    if len(verts) - len(edges) + len(sel) != 1:
         return False
 
     adj = {i: set() for i in sel}
@@ -140,22 +131,7 @@ def is_disk(Q: Polytope, sel) -> bool:
             if nb not in reached:
                 reached.add(nb)
                 todo.append(nb)
-    if len(reached) != len(sel):
-        return False
-
-    if euler_characteristic(Q, sel) != 1:
-        return False
-
-    bdry = [e for e, hits in edges.items() if len(hits) == 1]
-    if not bdry:
-        return False
-    degree: dict[int, int] = {}
-    for a, b in bdry:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    if any(d != 2 for d in degree.values()):
-        return False
-    return _edges_connected(tuple(bdry))
+    return len(reached) == len(sel)
 
 
 def boundary_lattice_count(Q: Polytope, sel) -> int:

@@ -171,14 +171,14 @@ def divisor_cohomology(Q: Polytope, selection, k: int,
     of the facet union where its divisor coefficients go negative.
 
     Raises NotStabilized when a nonzero contribution touches the enumeration
-    box boundary; call again with a larger box_radius.
+    box boundary; call again with a larger box_radius. A selected id that
+    names no facet is a ValueError.
     """
-    sel = as_selection(selection)
     if Q.dim != 3:
         raise ValueError("divisor cohomology enumeration is for 3-polytopes")
-    chosen = set(sel)
+    chosen = facet_bits(Q, as_selection(selection))
     coeffs = [
-        k * f.offset - (1 if j in chosen else 0)
+        k * f.offset - (chosen >> j & 1)
         for j, f in enumerate(Q.facets)
     ]
     if box_radius is None:

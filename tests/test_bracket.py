@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -233,6 +234,13 @@ def _quad(q):
     return _set("quad", "quad", q)
 
 
+def _label(field, value, copy):
+    """Set `field` of the first row label with (copy) or without a copy."""
+    def mutate(data):
+        next(lab for lab in data["row_labels"] if ("copy" in lab) == copy)[field] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_set("poly", "poly", 0), "poly 0 outside 1..4"),
     (_set("poly", "poly", 5), "poly 5 outside 1..4"),
@@ -251,9 +259,24 @@ def _quad(q):
     (_set("poly", "poly", True), "index True is not an integer"),
     (_set("poly", "point", 2.0), "index 2.0 is not an integer"),
     (_quad([1, 2, 3, 4.5]), "index 4.5 is not an integer"),
+    (_set("poly", "coeff", 0.1), "coefficient 0.1 is not a string or an integer"),
+    (_set("quad", "coeff", 0.5), "coefficient 0.5 is not a string or an integer"),
+    (_set("poly", "coeff", True), "coefficient True is not a string or an integer"),
+    (_set("quad", "coeff", None), "coefficient None is not a string or an integer"),
+    (_label("copy", 9, True), "copy 9 outside 1..4"),
+    (_label("copy", 0, True), "copy 0 outside 1..4"),
+    (_label("copy", 1.0, True), "index 1.0 is not an integer"),
+    (_label("copy", "1", True), "index '1' is not an integer"),
+    (_label("point", [0.5, 0, "x"], False), re.escape("label point [0.5, 0, 'x'] is not 3 integers")),
+    (_label("point", [0, 0], True), re.escape("label point [0, 0] is not 3 integers")),
+    (_label("point", [0, 0, 0, 0], False), re.escape("label point [0, 0, 0, 0] is not 3 integers")),
+    (_label("point", [True, 0, 0], True), re.escape("label point [True, 0, 0] is not 3 integers")),
 ], ids=["poly-0", "poly-5", "point-0", "point-8", "quad-0", "quad-8",
         "quad-order", "quad-short", "row-99", "col-neg", "labels",
-        "row-float", "col-bool", "poly-float", "poly-bool", "point-float", "quad-float"])
+        "row-float", "col-bool", "poly-float", "poly-bool", "point-float", "quad-float",
+        "coeff-float", "quad-coeff-float", "coeff-bool", "quad-coeff-none",
+        "copy-9", "copy-0", "copy-float", "copy-str",
+        "label-float", "label-short", "label-long", "label-bool"])
 def test_import_rejects_malformed_cells(octahedron_matrix, mutate, message):
     # a poly-0 cell used to evaluate silently with the last coefficient row,
     # and a float index imported and then failed as a list index in evaluate

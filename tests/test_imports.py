@@ -1,8 +1,11 @@
-"""Every name a detform module imports is used in that module.
+"""Every name a detform module imports is used in that module, and every
+private module-level name it defines is read somewhere in the package.
 
 No linter ships with the project, so this stands in for one: a name bound by
 an import and never read again is dead code. A name listed in the module's
-``__all__`` is a re-export and counts as used.
+``__all__`` is a re-export and counts as used. A function, class or constant
+whose name has one leading underscore is private to the package, so if no
+module reads it (outside its own definition) it is dead code too.
 
 The benchmark's traced run wraps detform functions and methods by name
 (``perfbench/spans.py``), so every name it lists must exist as well.
@@ -70,3 +73,58 @@ def test_traced_function_exists(module, attr):
 @pytest.mark.parametrize("module, cls, method", [entry[:3] for entry in SPANS.METHODS])
 def test_traced_method_is_defined_on_its_class(module, cls, method):
     assert method in vars(getattr(importlib.import_module(f"detform.{module}"), cls))
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level functions, classes and assigned constants whose name has
+    one leading underscore."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node
+    return out
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names, as 'module: name', read nowhere else: not
+    as a variable, an attribute or an import, in any of the sources."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads: dict[str, set[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, set()).add(node)
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, set()).add(node)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    reads.setdefault(alias.name, set()).add(node)
+    orphans = []
+    for mod, tree in trees.items():
+        for name, node in private_definitions(tree).items():
+            inside = set(ast.walk(node))
+            if not reads.get(name, set()) - inside:
+                orphans.append(f"{mod}: {name}")
+    return orphans
+
+
+def test_orphaned_private_names_are_found():
+    sources = {
+        "a": "_LIMIT = 3\n_used: int = 1\ndef _walk(n):\n    return _walk(n - 1)\n"
+             "class _Node:\n    pass\ndef _kept():\n    return _used\n",
+        "b": "from .a import _kept\nimport a\nprint(_kept(), a._LIMIT)\n",
+    }
+    assert orphaned_private_names(sources) == ["a: _walk", "a: _Node"]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert orphaned_private_names(sources) == []

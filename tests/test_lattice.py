@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from detform.ehrhart import ehrhart_pair
 from detform.errors import DegenerateSpan, EmptyInput, ParseError
 from detform.lattice import (
     affine_rank,
@@ -22,12 +23,13 @@ from detform.lattice import (
 from detform.linalg import QQ
 from detform.shelling import (
     boundary_lattice_count,
+    euler_characteristic,
     is_disk,
     is_partial_shelling,
     shelling_order_for,
 )
 from detform.tate import build_window
-from detform.verify import facet_complex, nerve_reduced_betti
+from detform.verify import divisor_cohomology, facet_complex, nerve_reduced_betti
 
 from conftest import CUBE_POINTS, random_polytope
 
@@ -148,6 +150,9 @@ FACET_ID_QUERIES = {
     "facet_complex": facet_complex,
     "nerve_reduced_betti": nerve_reduced_betti,
     "build_window": build_window,
+    "divisor_cohomology": lambda Q, sel: divisor_cohomology(Q, sel, 1),
+    "euler_characteristic": euler_characteristic,
+    "ehrhart_pair": ehrhart_pair,
 }
 
 

@@ -20,7 +20,7 @@ from detform.shelling import (
     shelling_order_for,
 )
 
-from conftest import random_polytope
+from conftest import CUBE_POINTS, OCTA_POINTS, random_polytope
 
 SIMPLEX_POINTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -165,3 +165,100 @@ def test_boundary_count_is_the_lattice_length_of_the_boundary_cycle():
                     math.gcd(*(b - a for a, b in zip(*(Q.vertices[v] for v in e.vertex_ids))))
                     for e in Q.edges if len(set(e.facet_ids) & set(sel)) == 1)
                 assert boundary_lattice_count(Q, sel) == steps
+
+
+# The graph rules the counts in is_disk and is_partial_shelling replaced,
+# kept here as the reference they must agree with.
+
+def _connected(nodes, linked) -> bool:
+    nodes = list(nodes)
+    if not nodes:
+        return False
+    todo, reached = [nodes[0]], {nodes[0]}
+    while todo:
+        a = todo.pop()
+        for b in nodes:
+            if b not in reached and linked(a, b):
+                reached.add(b)
+                todo.append(b)
+    return len(reached) == len(nodes)
+
+
+def _meet(a, b) -> bool:
+    return bool(set(a) & set(b))
+
+
+def reference_is_disk(Q, sel) -> bool:
+    """Adjacency-connected, no edge in more than two selected facets, Euler
+    characteristic one, and frontier degrees two forming one cycle."""
+    hits = {e.vertex_ids: [f for f in e.facet_ids if f in sel] for e in Q.edges}
+    hits = {e: h for e, h in hits.items() if h}
+    if any(len(h) > 2 for h in hits.values()):
+        return False
+    inner = [set(h) for h in hits.values() if len(h) == 2]
+    if not _connected(sel, lambda a, b: {a, b} in inner):
+        return False
+    verts = {v for i in sel for v in Q.facets[i].vertex_ids}
+    if len(verts) - len(hits) + len(sel) != 1:
+        return False
+    frontier = [e for e, h in hits.items() if len(h) == 1]
+    degree = {v: sum(v in e for e in frontier) for e in frontier for v in e}
+    return all(d == 2 for d in degree.values()) and _connected(frontier, _meet)
+
+
+def reference_shelling(Q, order):
+    """Each step shares a nonempty connected set of whole edges with the
+    union before it, and no shared vertex lies off those edges."""
+    steps = [(order[0], (), True)]
+    for k, fid in enumerate(order[1:], 1):
+        seen = set(order[:k])
+        shared = tuple(e.vertex_ids for e in Q.edges
+                       if fid in e.facet_ids and set(e.facet_ids) & seen)
+        vertices = set(Q.facets[fid].vertex_ids) & {
+            v for f in seen for v in Q.facets[f].vertex_ids}
+        ok = (bool(shared) and vertices == {v for e in shared for v in e}
+              and _connected(shared, _meet))
+        steps.append((fid, shared, ok))
+        if not ok:
+            return False, steps
+    return True, steps
+
+
+def _equivalence_polytopes():
+    yield convex_hull_with_facets(CUBE_POINTS)
+    yield convex_hull_with_facets(OCTA_POINTS)
+    yield convex_hull_with_facets([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])
+    yield convex_hull_with_facets(list(itertools.product((0, 1, 2), (0, 1), (0, 1))))
+    rng = random.Random(2024)
+    for _ in range(12):
+        yield random_polytope(rng)
+
+
+def test_counts_agree_with_the_graph_rules():
+    checks = 0
+    for Q in _equivalence_polytopes():
+        s = Q.num_facets
+        for size in range(1, s):
+            for sel in itertools.combinations(range(s), size):
+                assert is_disk(Q, sel) == reference_is_disk(Q, sel), (Q.vertices, sel)
+                checks += 1
+        # every polytope has at least four facets, so a triple is proper
+        for order in itertools.chain(itertools.permutations(range(s), 2),
+                                     itertools.permutations(range(s), 3)):
+            ok, steps = is_partial_shelling(Q, order)
+            assert (ok, [(st.facet_id, st.shared_edges, st.ok) for st in steps]) == \
+                reference_shelling(Q, order), (Q.vertices, order)
+            checks += 1
+    assert checks > 6000
+
+
+def test_ring_step_meeting_in_two_edges_fails(cube):
+    # the fourth side facet closes the ring: it meets the first and third in
+    # two disjoint edges, four vertices and two edges, so the step fails
+    ring = [cube.facet_index(n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]]
+    ok, steps = is_partial_shelling(cube, ring)
+    assert not ok
+    assert [st.ok for st in steps] == [True, True, True, False]
+    shared = steps[3].shared_edges
+    assert len(shared) == 2 and not set(shared[0]) & set(shared[1])
+    assert reference_shelling(cube, ring)[0] is False
