@@ -19,28 +19,27 @@ T and a coordinate's subset S does not depend on the generator, so each
 piece wedges each (term subset, coordinate subset) pair once and every
 column is read off that table.
 
-The cover keeps one echelon of the earlier generators' products per degree:
-a product lies in one block and its reduction never leaves that block. The
-products lie in the kernel and span a block's kernel exactly when the
-block's columns off their pivots are independent: a kernel vector reduced by
-the products vanishes on the pivots, and a nonzero vector in their span
-leads at one. So a block is certified by testing only those columns for
-independence mod 2, on the bitsets of their odd entries: independent mod 2
-means an odd, hence nonzero, maximal minor, so a certificate is a proof over
-Q. The test is one-sided, and its only fallback is exact: a block it cannot
-certify is transposed to rows, reduced last row first, for a kernel basis,
-and the products echelon discards the kernel vectors it already spans. So
-the cover is the one the exact test gives.
+The cover certifies each (degree, weight) block on its own, mod 2. The
+earlier generators' products are the columns of the piece of the map they
+define, so each lands in its block by weight; XOR-reducing the bitsets of
+their odd entries gives pivots P2 and rank2(products), and the block's
+columns off P2 are built straight as such bitsets. If those are independent
+mod 2, rank2(products) + rank2(columns) = columns; the products lie in the
+kernel, so rank_Q(products) + rank_Q(columns) <= columns, and rank2 <=
+rank_Q: the products span the kernel over Q, of dimension rank2(products).
+Only a block the test cannot certify is reduced exactly: block_kernel gives
+its kernel basis, and the block's own products echelon keeps the vectors it
+does not span; reduction never leaves a block, so the cover is the exact one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add
 
 from .errors import InvariantViolation
-from .linalg import Echelon, independent_mod2, primitive_integer_vector
+from .linalg import Echelon, independent_mod2, insert_mod2, primitive_integer_vector
 
 Subset = tuple[int, ...]
 Vector = dict[tuple[int, Subset], int]
@@ -75,10 +74,12 @@ def times(vec: Vector, S: Subset) -> Vector:
 
 @dataclass(frozen=True)
 class ExteriorAlgebra:
-    """Ambient algebra data: generator count and one torus weight per generator."""
+    """Ambient algebra data: generator count and one torus weight per generator.
+    _subsets caches per size k the subsets, their masks and weight groups."""
 
     nvars: int
     var_weights: tuple[tuple[int, ...], ...]
+    _subsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,19 @@ class GradedPiece:
     """Degree-d component of a map, built as its torus-weight blocks.
 
     source_coords lists the (source generator, subset) coordinates in
-    canonical order. Each block is (column ids into source_coords, weight,
-    columns); column c is a sparse dict over the block's row numbers and is
-    the image of coordinate source_coords[ids[c]].
+    canonical order; keys[c] is coordinate c's generator shifted above its
+    subset's bit mask. Each block is (ascending column ids into
+    source_coords, weight, columns); column c is a sparse dict over the
+    block's row numbers, the image of coordinate source_coords[ids[c]]. A
+    piece only laid out holds None for the columns and builds them on demand.
     """
 
     source_coords: list[tuple[int, Subset]]
-    blocks: list[tuple[list[int], tuple[int, ...], list[dict[int, int]]]]
+    keys: list[int]
+    blocks: list[tuple[list[int], tuple[int, ...], list[dict[int, int]] | None]]
+    first: dict[int, int]  # generator -> its first coordinate
+    terms: dict[int, list[tuple]]  # generator -> (target bits, coefficient, wedges, keys)
+    odd: dict[int, list[tuple]]  # generator -> (target bits, keys) of its odd terms
 
     def rank(self) -> int:
         return sum(Echelon(columns).rank for _, _, columns in self.blocks)
@@ -179,9 +186,35 @@ class GradedPiece:
                  for pair in block_kernel(src_ids, columns)]
         return [vec for _, vec in sorted(found)]  # free columns are distinct
 
+    def block_columns(self, ids, row_at: dict[int, int]) -> list[dict[int, int]]:
+        """Exact columns at the ids of one block; a row is numbered by
+        row_at of its key, handed out as the columns first reach it."""
+        columns = []
+        for c in ids:
+            j = self.source_coords[c][0]
+            s = c - self.first[j]
+            col = {}
+            for base, cf, hits, keys in self.terms[j]:
+                if keys[s] is not None:
+                    col[row_at.setdefault(base | keys[s], len(row_at))] = hits[s][0] * cf
+            columns.append(col)
+        return columns
 
-def block_kernel(src_ids: list[int],
-                 columns: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    def odd_columns(self, ids, row_at: dict[int, int]):
+        """The bitsets of those columns' odd entries, exact ones never built."""
+        first, odd, coords = self.first, self.odd, self.source_coords
+        for c in ids:
+            j = coords[c][0]
+            s = c - first[j]
+            bits = 0
+            for base, keys in odd[j]:
+                u = keys[s]
+                if u is not None:
+                    bits |= 1 << row_at.setdefault(base | u, len(row_at))
+            yield bits
+
+
+def block_kernel(src_ids, columns: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     """(free coordinate, kernel vector) pairs of one block, in source ids.
 
     The block is transposed to its rows and reduced by the canonical row
@@ -198,61 +231,56 @@ def block_kernel(src_ids: list[int],
             for free in ech.free_columns(len(src_ids))]
 
 
-def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
-    """Materialize the degree-d component of phi as exact sparse blocks.
+def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
+    """The degree-d piece of phi, laid out as its blocks without columns.
 
-    The coordinate (j, S) has weight g_j.weight plus the weights of the
-    variables in S; each subset's part is summed once per size k = deg g_j - d.
-    The product e_T ∧ e_S depends only on a term's subset T and the
-    coordinate's subset S, so each (T, S) pair is wedged once per piece: one
-    table row per (T, k) lists the products over the size-k subsets, and a
-    coordinate's column reads its terms' rows at its subset's position.
-    Blocks come in the order of their first coordinate.
+    The coordinate (j, S) has weight g_j.weight plus the weights of S, so a
+    generator's coordinates join blocks a group of equal subset weights at
+    a time; blocks come in the order of their first coordinate. e_T ∧ e_S
+    depends only on a term's subset T and the coordinate's subset S, so
+    each (T, S) pair is wedged once per piece: one table row per (T, k)
+    lists the products, and their keys, over the size-k subsets.
     """
     algebra = phi.source.algebra
     N = algebra.nvars
-    subset_weights: dict[int, list[tuple[Subset, tuple[int, ...]]]] = {}
-    wedges: dict[tuple[Subset, int], list[tuple[int, Subset] | None]] = {}
-    source_coords: list[tuple[int, Subset]] = []
-    # per generator: its first coordinate, after which its coordinates follow
-    # in subset order, and its column as (target, coefficient, table row)
-    first: dict[int, int] = {}
-    terms: dict[int, list[tuple[int, int, list]]] = {}
-    by_weight: dict[tuple[int, ...], list[int]] = {}
+    subsets, wedges, by_weight = algebra._subsets, {}, {}
+    piece = GradedPiece([], [], [], {}, {}, {})
     for j, g in enumerate(phi.source.generators):
         k = g.degree - d
         if not 0 <= k <= N:
             continue
-        if k not in subset_weights:
-            zero = (0,) * len(g.weight)
-            subset_weights[k] = [
-                (S, tuple(map(sum, zip(zero, *(algebra.var_weights[i] for i in S)))))
-                for S in itertools.combinations(range(N), k)]
-        first[j], terms[j] = len(source_coords), []
+        if k not in subsets:
+            subs = list(itertools.combinations(range(N), k))
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for s, S in enumerate(subs):
+                w = map(sum, zip((0,) * len(g.weight), *(algebra.var_weights[i] for i in S)))
+                groups.setdefault(tuple(w), []).append(s)
+            masks = map(sum, itertools.combinations([1 << v for v in range(N)], k))
+            subsets[k] = subs, list(masks), groups
+        subs, masks, groups = subsets[k]
+        f = piece.first[j] = len(piece.source_coords)
+        terms = piece.terms[j] = []
         for (i, T), cf in phi.columns[j].items():
             if (T, k) not in wedges:
-                wedges[T, k] = [wedge_subsets(T, S) for S, _ in subset_weights[k]]
-            terms[j].append((i, cf, wedges[T, k]))
-        for S, w in subset_weights[k]:
-            by_weight.setdefault(tuple(map(add, g.weight, w)), []).append(len(source_coords))
-            source_coords.append((j, S))
+                hits, t = [wedge_subsets(T, S) for S in subs], sum(1 << v for v in T)
+                wedges[T, k] = hits, [hit and t | m for hit, m in zip(hits, masks)]
+            terms.append((i << N, cf, *wedges[T, k]))
+        piece.odd[j] = [(base, keys) for base, cf, _, keys in terms if cf & 1]
+        for w, positions in groups.items():
+            by_weight.setdefault(tuple(map(add, g.weight, w)), []).extend(map(f.__add__, positions))
+        piece.source_coords += [(j, S) for S in subs]
+        piece.keys += [j << N | m for m in masks]
+    piece.blocks = [(ids, weight, None) for weight, ids in by_weight.items()]
+    return piece
 
-    blocks = []
-    for weight, src_ids in by_weight.items():
-        row_at: dict[tuple[int, Subset], int] = {}
-        columns = []
-        for c in src_ids:
-            j = source_coords[c][0]
-            s = c - first[j]
-            col = {}
-            for i, cf, row in terms[j]:
-                hit = row[s]
-                if hit is not None:
-                    sign, U = hit
-                    col[row_at.setdefault((i, U), len(row_at))] = sign * cf
-            columns.append(col)
-        blocks.append((src_ids, weight, columns))
-    return GradedPiece(source_coords, blocks)
+
+def graded_piece(phi: FreeModuleMap, d: int, columns: bool = True) -> GradedPiece:
+    """Materialize the degree-d component of phi as exact sparse blocks, or
+    with columns=False lay it out only (see lay_out)."""
+    piece = lay_out(phi, d)
+    if columns:
+        piece.blocks = [(ids, w, piece.block_columns(ids, {})) for ids, w, _ in piece.blocks]
+    return piece
 
 
 def minimal_free_cover(
@@ -263,14 +291,13 @@ def minimal_free_cover(
 
     In each degree the new generators are canonical kernel vectors that are
     independent of everything the previously chosen generators already span
-    after multiplication by the algebra. A weight block whose columns off
-    the products' pivots are independent has its kernel spanned by them and
-    yields no kernel vectors. Independence is certified mod 2, a proof over
-    Q; a block the test cannot certify goes to block_kernel, whose exact
-    kernel basis gives its nullity, and the vectors the products already
-    span are discarded. The returned map sends the cover onto the kernel
-    through degree_floor; callers know the floor from theory and audit the
-    generator counts instead of probing below it.
+    after multiplication by the algebra. A block whose columns off the
+    pivots P2 of its products mod 2 are independent mod 2 is certified to
+    gain none, with rank2(products) + rank2(columns) = columns; any other
+    block goes to block_kernel, and its own exact products echelon discards
+    the kernel vectors it already spans. The returned map sends the cover
+    onto the kernel through degree_floor; callers know the floor from theory
+    and audit the generator counts instead of probing below it.
 
     Returns (onto, dims): the cover is onto.source, each generator carrying
     its degree and its block's torus weight; dims[d] = (columns, nullity) of
@@ -286,37 +313,33 @@ def minimal_free_cover(
     dims: dict[int, tuple[int, int]] = {}
 
     def add_generators(d: int) -> None:
-        piece = graded_piece(phi, d)
-        coord_at = {coord: c for c, coord in enumerate(piece.source_coords)}
-        # one echelon for every block: reduction never leaves a block
-        spanned = Echelon()
-        for g, gvec in zip(gens, vectors):
-            for S in itertools.combinations(range(algebra.nvars), g.degree - d):
-                shifted = {coord_at[key]: v for key, v in times(gvec, S).items()}
-                if shifted:
-                    spanned.insert(shifted)
-
-        nullity = 0
-        kernel: list[tuple[int, tuple[int, ...], dict[int, int]]] = []
-        for src_ids, weight, columns in piece.blocks:
-            # the products span the block's kernel iff its columns off their
-            # pivots are independent; mod 2 can only prove it, so a block it
-            # does not certify gets an exact kernel basis
-            rest = [col for c, col in zip(src_ids, columns) if c not in spanned.rows]
-            if independent_mod2(reversed(rest)):
-                nullity += len(columns) - len(rest)
-            else:
-                found = block_kernel(src_ids, columns)
-                nullity += len(found)
-                kernel += [(free, weight, vec) for free, vec in found]
+        piece = graded_piece(phi, d, columns=False)
+        shifted = lay_out(FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), d)
+        products = {weight: ids for ids, weight, _ in shifted.blocks}
+        nullity, kernel = 0, []
+        for ids, weight, _ in piece.blocks:
+            # the block's products, over its columns in coordinate order
+            prods = products.get(weight, [])
+            at = {piece.keys[c]: n for n, c in enumerate(ids)} if prods else {}
+            basis: dict[int, int] = {}
+            for bits in shifted.odd_columns(prods, at):
+                insert_mod2(basis, bits)
+            rest = [c for top, c in enumerate(ids, 1) if top not in basis]
+            if independent_mod2(piece.odd_columns(rest, {})):
+                nullity += len(basis)
+                continue
+            spanned = Echelon(shifted.block_columns(prods, at))
+            found = block_kernel(range(len(ids)), piece.block_columns(ids, {}))
+            nullity += len(found)
+            kernel += [(ids[free], weight, {ids[n]: v for n, v in vec.items()})
+                       for free, vec in found if spanned.insert(vec)]
         dims[d] = (len(piece.source_coords), nullity)
         for _, weight, vec in sorted(kernel):  # free columns are distinct
-            if spanned.insert(vec):
-                gens.append(Generator(d, weight))
-                # an integer kernel vector is positive at its free column, not
-                # at its leading one; the cover's signs follow the leading entry
-                vectors.append({piece.source_coords[c]: v
-                                for c, v in primitive_integer_vector(vec).items()})
+            gens.append(Generator(d, weight))
+            # an integer kernel vector is positive at its free column, not
+            # at its leading one; the cover's signs follow the leading entry
+            vectors.append({piece.source_coords[c]: v
+                            for c, v in primitive_integer_vector(vec).items()})
 
     for d in range(top, degree_floor - 1, -1):
         add_generators(d)

@@ -4,8 +4,9 @@ Everything here works with arbitrary-precision integers and exact rationals;
 no floating point. Sparse vectors are dicts mapping column index to a nonzero
 value. Echelon forms hold integer rows, eliminate fraction-free and use the
 canonical pivot rule (first nonzero column) so results are reproducible bit
-for bit. The one modular routine, independent_mod2, only ever proves
-independence over Q; callers fall back to an echelon when it cannot.
+for bit. The modular routines work on the bitsets of odd entries and only
+ever prove independence over Q; callers fall back to an echelon when they
+cannot.
 """
 
 from __future__ import annotations
@@ -41,31 +42,26 @@ def primitive_integer_vector(vec: dict) -> dict:
     return {c: v // g for c, v in vec.items()}
 
 
-def independent_mod2(vectors) -> bool:
-    """One-sided test: True proves integer sparse vectors independent over Q.
+def insert_mod2(basis: dict[int, int], bits: int) -> bool:
+    """XOR-reduce a bitset against basis, rows keyed by bit_length, and
+    keep a nonzero residue. True if kept."""
+    while bits:
+        top = bits.bit_length()
+        pivot = basis.get(top)
+        if pivot is None:
+            basis[top] = bits
+            return True
+        bits ^= pivot
+    return False
 
-    Each vector becomes the bitset of its odd entries and is XOR-reduced, in
-    the given order, against the earlier ones keyed by their lowest set bit,
-    stopping at the first that reduces to zero. Independent mod 2 means some
-    maximal minor is odd, hence nonzero. False proves nothing: vectors
-    dependent mod 2 may still be independent over Q.
-    """
+
+def independent_mod2(bitsets) -> bool:
+    """One-sided test: True proves integer vectors, given as the bitsets of
+    their odd entries, independent over Q: some maximal minor is odd, hence
+    nonzero. False proves nothing: vectors dependent mod 2 may still be
+    independent over Q."""
     basis: dict[int, int] = {}
-    for vec in vectors:
-        bits = 0
-        for c, v in vec.items():
-            if v & 1:
-                bits |= 1 << c
-        while bits:
-            low = bits & -bits
-            pivot = basis.get(low)
-            if pivot is None:
-                basis[low] = bits
-                break
-            bits ^= pivot
-        else:
-            return False
-    return True
+    return all(insert_mod2(basis, bits) for bits in bitsets)
 
 
 class Echelon:

@@ -26,7 +26,7 @@ from detform.exterior import (
     times,
     wedge_subsets,
 )
-from detform.linalg import Echelon, independent_mod2, primitive_integer_vector
+from detform.linalg import Echelon, independent_mod2, insert_mod2, primitive_integer_vector
 from detform.tate import build_phi2, build_window
 
 
@@ -471,24 +471,30 @@ def test_kernel_vectors_over_free_columns_span_the_kernel():
 
 
 def products_pivots(phi: FreeModuleMap, into: FreeModuleMap, d: int):
-    """phi's degree-d piece and the pivots P, as its coordinate ids, of the
-    products of into's generators above degree d: the cover's products
-    echelon in degree d. P depends only on the span, not the order."""
+    """phi's degree-d piece and the pivots, as its coordinate ids, of the
+    products of into's generators above degree d: P over Q, and P2 of their
+    odd entries mod 2, the pivots a cover block reduces its products to.
+    Both depend only on the span, not the order."""
     piece = graded_piece(phi, d)
     coord_at = {coord: c for c, coord in enumerate(piece.source_coords)}
-    products = Echelon()
+    products, mod2 = Echelon(), {}
     N = phi.source.algebra.nvars
     for g, col in zip(into.source.generators, into.columns):
         if g.degree > d:
             for S in itertools.combinations(range(N), g.degree - d):
-                products.insert({coord_at[key]: v for key, v in times(col, S).items()})
-    return piece, set(products.rows)
+                product = {coord_at[key]: v for key, v in times(col, S).items()}
+                products.insert(product)
+                insert_mod2(mod2, sum(1 << c for c, v in product.items() if v & 1))
+    return piece, set(products.rows), {top - 1 for top in mod2}
 
 
 def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
     # the columns off P are independent exactly when rank + |P| = columns,
     # the products then span the block's kernel, and the block gains no
-    # generator; both outcomes occur, with and without products in the block
+    # generator; both outcomes occur, with and without products in the block.
+    # The cover tests the columns off the mod-2 pivots P2, as bitsets of
+    # their odd entries, and when they are independent mod 2, rank2 of the
+    # products plus rank2 of the columns is the column count
     alg = ExteriorAlgebra(4, ((1, 0), (0, 1), (1, 1), (0, 0)))
     G = GradedFreeModule(alg, (Generator(1, (0, 0)), Generator(1, (1, 0)), Generator(0, (0, 0))))
     rng = random.Random(7)
@@ -498,13 +504,18 @@ def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
         into, _ = minimal_free_cover(phi, degree_floor=-4)
         gained = {(g.degree, g.weight) for g in into.source.generators}
         for d in range(0, -5, -1):
-            piece, P = products_pivots(phi, into, d)
+            piece, P, P2 = products_pivots(phi, into, d)
             for src_ids, w, columns in piece.blocks:
                 rest = [col for c, col in zip(src_ids, columns) if c not in P]
                 independent = Echelon(rest).rank == len(rest)
                 # the mod-2 certificate is one-sided: it never certifies a
                 # block the exact test does not
-                assert not independent_mod2(reversed(rest)) or independent
+                certified = independent_mod2(piece.odd_columns(
+                    [c for c in src_ids if c not in P2], {}))
+                assert not certified or independent
+                basis: dict = {}
+                rank2 = sum(insert_mod2(basis, bits) for bits in piece.odd_columns(src_ids, {}))
+                assert certified == (sum(c in P2 for c in src_ids) + rank2 == len(columns))
                 products = sum(c in P for c in src_ids)
                 assert independent == (Echelon(columns).rank + products == len(columns))
                 assert independent == ((d, w) not in gained)
@@ -521,8 +532,9 @@ def test_a_dependent_column_off_the_pivots_gains_a_generator():
     into, dims = minimal_free_cover(phi, degree_floor=-2)
     assert into.source.degrees() == [-1, -2]
     assert into.columns == [{(0, (0,)): 1}, {(1, ()): 1}]
-    piece, P = products_pivots(phi, into, -2)
+    piece, P, P2 = products_pivots(phi, into, -2)
     assert [piece.source_coords[c] for c in sorted(P)] == [(0, (0, 1)), (0, (0, 2))]
+    assert P2 == P
     assert dims[-2] == (4, 3)
 
 
@@ -534,9 +546,10 @@ def test_dependent_columns_on_the_pivots_alone_certify_the_block():
     phi = FreeModuleMap(module(alg, 0), module(alg, 1), [{(0, (0,)): 1}])
     into, dims = minimal_free_cover(phi, degree_floor=-2)
     assert into.source.degrees() == [-1]
-    piece, P = products_pivots(phi, into, -2)
+    piece, P, P2 = products_pivots(phi, into, -2)
     [(src_ids, _, columns)] = piece.blocks
     assert [piece.source_coords[c] for c in sorted(P)] == [(0, (0, 1)), (0, (0, 2))]
+    assert P2 == P
     assert [col for c, col in zip(src_ids, columns) if c not in P] == [{0: 1}]
     assert Echelon(columns).rank == 1
     assert dims[-2] == (3, 2)
@@ -548,15 +561,18 @@ def doubled(phi: FreeModuleMap) -> FreeModuleMap:
 
 
 def test_doubling_a_map_changes_no_cover(cube, monkeypatch):
-    # 2·phi has phi's kernel and only even entries, so the mod-2 test
-    # certifies no block with a column off the pivots: every such block takes
-    # the exact block_kernel path, and the cover and dims stay the same
+    # 2·phi has phi's kernel and only even entries, so every column's odd
+    # bitset is empty and the mod-2 test certifies no block with a column off
+    # the products' pivots: every such block takes the exact block_kernel
+    # path, and the cover and dims stay the same
     certified = []
     mod2 = exterior.independent_mod2
+    doubling = False
 
-    def recorded(vectors):
-        vectors = list(vectors)
-        certified.append((bool(vectors), mod2(vectors)))
+    def recorded(bitsets):
+        bitsets = list(bitsets)
+        assert not (doubling and any(bitsets))
+        certified.append((bool(bitsets), mod2(bitsets)))
         return certified[-1][1]
 
     monkeypatch.setattr(exterior, "independent_mod2", recorded)
@@ -570,7 +586,9 @@ def test_doubling_a_map_changes_no_cover(cube, monkeypatch):
     for phi, floor in maps:
         into, dims = minimal_free_cover(phi, floor)
         del certified[:]
+        doubling = True
         into2, dims2 = minimal_free_cover(doubled(phi), floor)
+        doubling = False
         assert into2.source.generators == into.source.generators
         assert into2.columns == into.columns
         assert dims2 == dims
@@ -597,3 +615,51 @@ def test_a_block_dependent_only_mod_2_takes_the_exact_kernel(monkeypatch):
     assert dims == {0: (2, 0), -1: (4, 0), -2: (2, 0)}
     assert kernels[0] == [{0: 1, 1: 1}, {0: 1, 1: -1}]
     assert len(kernels) == 3
+
+
+def test_products_dependent_only_mod_2_send_their_block_to_the_exact_path(monkeypatch):
+    # phi(f0) = t∧e0 + u∧e1 and phi(f1) = t∧e0 - u∧e1 over two variables:
+    # degree -1 gains g = f0∧e0 + f1∧e0 and h = f0∧e1 - f1∧e1, and in degree
+    # -2 their products g∧e1 = f0∧e01 + f1∧e01 and h∧e0 = -f0∧e01 + f1∧e01
+    # span the whole block over Q but agree mod 2. Only the exact path
+    # shows that the block gains nothing.
+    kernels = []
+    block_kernel = exterior.block_kernel
+
+    def counted(src_ids, columns):
+        kernels.append(columns)
+        return block_kernel(src_ids, columns)
+
+    monkeypatch.setattr(exterior, "block_kernel", counted)
+    alg = algebra(2)
+    phi = FreeModuleMap(module(alg, 0, 0), module(alg, 1, 1),
+                        [{(0, (0,)): 1, (1, (1,)): 1}, {(0, (0,)): 1, (1, (1,)): -1}])
+    into, dims = minimal_free_cover(phi, degree_floor=-2)
+    # degree -2's block, whose two columns are zero, is the last one reduced
+    assert kernels[-1] == [{}, {}]
+    assert dims[-2] == (2, 2)
+    assert into.columns == [{(0, (0,)): 1, (1, (0,)): 1}, {(0, (1,)): 1, (1, (1,)): -1}]
+    assert (list(into.source.generators), into.columns, dims) == reference_cover(phi, -2)
+    piece, P, P2 = products_pivots(phi, into, -2)
+    assert len(P) == len(piece.source_coords) == 2 and len(P2) == 1
+
+
+@pytest.mark.parametrize("name, selection, gained", [("cube", (0, 1, 4), 12),
+                                                     ("octahedron", (0, 1, 2, 4), 22)])
+def test_exact_kernels_run_once_per_gained_generator(name, selection, gained, request,
+                                                     monkeypatch):
+    # every block that gains no generator is certified mod 2, and every block
+    # that gains one gains exactly one, so block_kernel runs once per
+    # generator the two covers gain
+    calls = []
+    block_kernel = exterior.block_kernel
+
+    def counted(src_ids, columns):
+        calls.append(len(src_ids))
+        return block_kernel(src_ids, columns)
+
+    monkeypatch.setattr(exterior, "block_kernel", counted)
+    phi2 = build_phi2(request.getfixturevalue(name), selection)
+    middle, _ = minimal_free_cover(phi2, degree_floor=-3)
+    left, _ = minimal_free_cover(middle, degree_floor=-4)
+    assert len(calls) == middle.source.rank + left.source.rank == gained
