@@ -2,7 +2,9 @@
 
 A selection of facets is usable downstream only when its union is a
 topological disk. Partial shellings produce disks by construction; counts
-on the boundary sphere certify arbitrary selections.
+on the boundary sphere certify arbitrary selections. A disk's shelling
+order comes from one greedy pass that never backtracks, as every partial
+shelling of a disk extends; a selection that is not a disk is refused at once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ Selection = tuple[int, ...]
 
 def as_selection(sel) -> Selection:
     """Sorted distinct facet ids of a selection or of anything carrying one."""
-    return tuple(sorted(set(int(i) for i in getattr(sel, "selection", sel))))
+    return tuple(sorted(set(map(int, getattr(sel, "selection", sel)))))
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,11 @@ def certify(Q: Polytope, order) -> PartialShelling:
 
 
 def euler_characteristic(Q: Polytope, sel) -> int:
+    sel = as_selection(sel)
     facet_bits(Q, sel)
     edges = _selected_edges(Q, sel)
     verts = {v for i in sel for v in Q.facets[i].vertex_ids}
-    return len(verts) - len(edges) + len(set(sel))
+    return len(verts) - len(edges) + len(sel)
 
 
 def is_disk(Q: Polytope, sel) -> bool:
@@ -110,7 +113,7 @@ def is_disk(Q: Polytope, sel) -> bool:
     2 - b, and the union's is that minus the number of extra copies. So the
     union is a disk iff it is connected and V - E + F is one.
     """
-    sel = tuple(sorted(set(sel)))
+    sel = as_selection(sel)
     facet_bits(Q, sel)
     if not 1 <= len(sel) < Q.num_facets:
         raise ValueError("selection must be a nonempty proper subset of the facets")
@@ -140,7 +143,7 @@ def boundary_lattice_count(Q: Polytope, sel) -> int:
     The cycle is the frontier of the disk in the boundary sphere, so its
     points are the points of Q on both a selected and an unselected facet.
     """
-    chosen = facet_bits(Q, sel)
+    chosen = facet_bits(Q, as_selection(sel))
     return sum(1 for b in point_census(Q, 1)[1] if b & chosen and b & ~chosen)
 
 
@@ -149,12 +152,15 @@ def line_shelling(Q: Polytope, direction, k: int) -> PartialShelling:
 
     Facets are ranked by the value of the direction functional on their
     polar dual vertices, largest first. A tie between any two polar
-    vertices means the direction is not generic.
+    vertices means the direction is not generic. Components must be ints
+    (a bool or a float is not), so the ranking and the tie test are exact.
     """
     if not 1 <= k < Q.num_facets:
         raise ValueError("k must satisfy 1 <= k < number of facets")
     if len(direction) != Q.dim:
         raise ValueError(f"direction has {len(direction)} coordinates, expected {Q.dim}")
+    if any(type(c) is not int for c in direction):
+        raise ValueError(f"direction {tuple(direction)} has a component that is not an integer")
     duals = polar_dual_vertices(Q)
     values = [sum(d * c for d, c in zip(direction, v)) for v in duals]
     if len(set(values)) != len(values):
@@ -164,33 +170,26 @@ def line_shelling(Q: Polytope, direction, k: int) -> PartialShelling:
 
 
 def shelling_order_for(Q: Polytope, sel) -> PartialShelling:
-    """Find a shelling order of a disk selection by depth-first search.
+    """Shelling order of a disk selection, found in one greedy pass.
 
-    Facets are tried in ascending index, so the first order found is
-    canonical. Disks in dimension two always admit one.
+    From the smallest selected facet, each step appends the smallest unused
+    facet that keeps the order a partial shelling, and no step is undone:
+    a facet that meets the shelled disk in more than one path encloses a
+    pocket of the selection, and a facet of an innermost pocket that shares
+    an edge with the disk meets it in one path. So the pass sticks only on
+    a selection that is not a disk.
     """
-    sel = tuple(sorted(set(sel)))
-
-    def extend(order: list[int], used: set[int]):
-        if len(order) == len(sel):
-            return list(order)
-        for fid in sel:
-            if fid in used:
-                continue
-            ok, _ = is_partial_shelling(Q, order + [fid])
-            if ok:
-                used.add(fid)
-                found = extend(order + [fid], used)
-                if found:
-                    return found
-                used.remove(fid)
-        return None
-
-    for first in sel:
-        found = extend([first], {first})
-        if found:
-            return certify(Q, found)
-    raise ValueError(f"selection {sel} admits no shelling order")
+    sel = as_selection(sel)
+    order, rest = list(sel[:1]), list(sel[1:])
+    while rest:
+        step = next((f for f in rest if is_partial_shelling(Q, order + [f])[0]), None)
+        if step is None:
+            break
+        order.append(step)
+        rest.remove(step)
+    if rest or not order:
+        raise ValueError(f"selection {sel} admits no shelling order")
+    return certify(Q, order)
 
 
 EXHAUSTIVE_FACET_LIMIT = 12

@@ -11,6 +11,10 @@ from detform.lattice import Polytope, affine_rank, convex_hull_with_facets
 
 CUBE_POINTS = list(itertools.product((0, 1), repeat=3))
 OCTA_POINTS = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+# a 14-facet polytope whose facets other than 0 and 7 form an annulus
+ANNULUS_POINTS = [p for p in itertools.product(range(4), repeat=3)
+                  if 2 <= sum(p) <= 7 and max(p) - min(p) <= 2]
+ANNULUS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ from detform import tate
 from detform.errors import DimensionMismatch, InvariantViolation
 from detform.verify import common_root_system
 
+from conftest import ANNULUS, ANNULUS_POINTS
+
 CUBE = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n1 0 1\n0 1 1\n1 1 1\n"
 OCTA = "1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n"
 
@@ -293,6 +295,18 @@ def test_no_disk_selection_exits_four(cube_file, capsys):
                          shelling="indices=2,3"))
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"]["code"] == 4
+
+
+def test_annulus_selection_exits_four(tmp_path, capsys):
+    # the shelling pass refuses the annulus without searching its orders
+    path = tmp_path / "annulus.txt"
+    path.write_text("".join(f"{x} {y} {z}\n" for x, y, z in ANNULUS_POINTS))
+    ids = ",".join(map(str, ANNULUS))
+    code = run(RunConfig(command="shell", support_path=str(path), shelling=f"indices={ids}"))
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "code": 4, "type": "NoDiskSelection",
+        "message": f"selection {ANNULUS} admits no shelling order"}
 
 
 def test_bad_shelling_spec_exits_two(cube_file, capsys):

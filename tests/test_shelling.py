@@ -8,11 +8,13 @@ import random
 
 import pytest
 
+from detform import shelling
 from detform.errors import NonGenericDirection
 from detform.lattice import convex_hull_with_facets
 from detform.shelling import (
     best_selection,
     boundary_lattice_count,
+    certify,
     euler_characteristic,
     is_disk,
     is_partial_shelling,
@@ -20,7 +22,7 @@ from detform.shelling import (
     shelling_order_for,
 )
 
-from conftest import CUBE_POINTS, OCTA_POINTS, random_polytope
+from conftest import ANNULUS, ANNULUS_POINTS, CUBE_POINTS, OCTA_POINTS, random_polytope
 
 SIMPLEX_POINTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -81,6 +83,14 @@ def test_line_shelling_cube(cube):
         line_shelling(cube, (1, 2, 5), 6)
 
 
+def test_line_shelling_rejects_a_direction_that_is_not_integers(cube):
+    # a float ranks the facets by inexact values and ties them by float
+    # comparison; a bool is an int to Python but not a coordinate
+    for direction in ((0.5, 5, 3), (1, 2.0, 5), (True, 2, 5)):
+        with pytest.raises(ValueError, match="not an integer"):
+            line_shelling(cube, direction, 3)
+
+
 def test_line_shelling_rejects_a_direction_of_another_dimension(octahedron):
     # the direction is zipped against the polar vertices, so a length other
     # than the dimension would drop or pad coordinates silently
@@ -131,6 +141,29 @@ def test_shelling_order_for_recovers_disk(cube):
     assert sh.selection == sel
     ok, _ = is_partial_shelling(cube, sh.order)
     assert ok
+
+
+def test_queries_take_a_partial_shelling_for_its_selection(cube):
+    best = best_selection(cube)
+    for query in (is_disk, shelling_order_for, euler_characteristic, boundary_lattice_count):
+        assert query(cube, best) == query(cube, best.selection), query.__name__
+
+
+def test_annulus_is_refused_without_a_search(monkeypatch):
+    Q = convex_hull_with_facets(ANNULUS_POINTS)
+    assert Q.num_facets == 14
+    assert euler_characteristic(Q, ANNULUS) == 0
+    calls = 0
+
+    def counted(Q, order):
+        nonlocal calls
+        calls += 1
+        assert calls <= len(ANNULUS) ** 2, "the order search backtracks"
+        return is_partial_shelling(Q, order)
+
+    monkeypatch.setattr(shelling, "is_partial_shelling", counted)
+    with pytest.raises(ValueError, match=r"admits no shelling order"):
+        shelling_order_for(Q, ANNULUS)
 
 
 def test_random_line_shellings_are_disks():
@@ -262,3 +295,80 @@ def test_ring_step_meeting_in_two_edges_fails(cube):
     shared = steps[3].shared_edges
     assert len(shared) == 2 and not set(shared[0]) & set(shared[1])
     assert reference_shelling(cube, ring)[0] is False
+
+
+# The depth-first search the greedy pass in shelling_order_for replaced, kept
+# here as the reference it must agree with on orders, steps and errors.
+
+def reference_shelling_order_for(Q, sel):
+    sel = tuple(sorted(set(sel)))
+
+    def extend(order, used):
+        if len(order) == len(sel):
+            return list(order)
+        for fid in sel:
+            if fid in used:
+                continue
+            ok, _ = is_partial_shelling(Q, order + [fid])
+            if ok:
+                used.add(fid)
+                found = extend(order + [fid], used)
+                if found:
+                    return found
+                used.remove(fid)
+        return None
+
+    for first in sel:
+        found = extend([first], {first})
+        if found:
+            return certify(Q, found)
+    raise ValueError(f"selection {sel} admits no shelling order")
+
+
+def _outcome(search, Q, sel):
+    try:
+        return search(Q, sel)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _agrees_with_the_search(Q, sel) -> bool:
+    return _outcome(shelling_order_for, Q, sel) == _outcome(reference_shelling_order_for, Q, sel)
+
+
+def test_greedy_order_matches_the_search_on_every_proper_subset():
+    for Q in itertools.islice(_equivalence_polytopes(), 4):
+        s = Q.num_facets
+        for size in range(1, s):
+            for sel in itertools.combinations(range(s), size):
+                assert _agrees_with_the_search(Q, sel), (Q.vertices, sel)
+        for sel in ((), tuple(range(s)), (0, s), (-1, 1), (s,), (1, 0, 1)):
+            assert _agrees_with_the_search(Q, sel), (Q.vertices, sel)
+
+
+def test_greedy_order_matches_the_search_on_random_hulls():
+    # every sweep prefix is a disk, so each hull gives disks of every size;
+    # the search is factorial on non-disks, so those stop at six facets
+    rng = random.Random(4242)
+    disks = others = 0
+    for _ in range(40):
+        Q = random_polytope(rng, span=4, max_points=12)
+        s = Q.num_facets
+        while True:
+            try:
+                sweep = line_shelling(Q, tuple(rng.randint(-9, 9) for _ in range(3)), s - 1)
+                break
+            except NonGenericDirection:
+                continue
+        for k in range(1, s):
+            assert _agrees_with_the_search(Q, sweep.order[:k]), (Q.vertices, sweep.order[:k])
+            disks += 1
+        for size in range(2, s - 1):
+            for _ in range(6):
+                sel = tuple(sorted(rng.sample(range(s), size)))
+                disk = is_disk(Q, sel)
+                if disk or size <= 6:
+                    assert _agrees_with_the_search(Q, sel), (Q.vertices, sel)
+                    disks += disk
+                    others += not disk
+    assert disks > 600 and others > 500
