@@ -229,10 +229,7 @@ def _cmd_predict_size(config: RunConfig, Q) -> int:
 
 def _build(config: RunConfig, Q):
     shelling = _resolve_shelling(Q, config.shelling, config.seed)
-    sel = shelling.selection
-    if not is_disk(Q, sel):
-        raise NoDiskSelection(f"selection {sel} is not a disk")
-    window = build_window(Q, sel)
+    window = build_window(Q, shelling.selection)
     return shelling, window, apply_U4(window.maps[0])
 
 

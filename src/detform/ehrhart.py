@@ -79,7 +79,7 @@ def ehrhart_pair(Q: Polytope, sel) -> EhrhartPair:
     """
     if Q.dim != 3:
         raise ValueError("counting polynomials are implemented for dimension 3 only")
-    selection = as_selection(sel)
+    selection = as_selection(Q, sel)
     complement = tuple(i for i in range(Q.num_facets) if i not in selection)
 
     counts = [1] + [len(lattice_points_scaled(Q, k)) for k in range(1, 4)]

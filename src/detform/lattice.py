@@ -209,12 +209,19 @@ def lattice_points_scaled(Q: Polytope, k: int) -> list[Point]:
 
 def facet_bits(Q: Polytope, ids) -> int:
     """Bit set of the given facet ids, bit i for facet i, in the census's
-    encoding. Raises ValueError for an id that names no facet of Q."""
-    ids = set(ids)
-    bad = sorted(i for i in ids if not 0 <= i < Q.num_facets)
+    encoding. This is the one check of facet ids: an id that is not an int
+    (a bool or a float is not) or names no facet of Q is a ValueError."""
+    bits, bad = 0, set()
+    for i in ids:
+        if type(i) is not int:
+            raise ValueError(f"facet id {i!r} is not an integer")
+        if 0 <= i < Q.num_facets:
+            bits |= 1 << i
+        else:
+            bad.add(i)
     if bad:
-        raise ValueError(f"facet ids out of range 0..{Q.num_facets - 1}: {bad}")
-    return sum(1 << i for i in ids)
+        raise ValueError(f"facet ids out of range 0..{Q.num_facets - 1}: {sorted(bad)}")
+    return bits
 
 
 def points_off_facets(Q: Polytope, k: int, selection) -> list[Point]:

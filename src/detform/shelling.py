@@ -19,9 +19,12 @@ from .lattice import Polytope, facet_bits, point_census, polar_dual_vertices
 Selection = tuple[int, ...]
 
 
-def as_selection(sel) -> Selection:
-    """Sorted distinct facet ids of a selection or of anything carrying one."""
-    return tuple(sorted(set(map(int, getattr(sel, "selection", sel)))))
+def as_selection(Q: Polytope, sel) -> Selection:
+    """Sorted distinct facet ids of a selection or of anything carrying one
+    (a PartialShelling, a TateWindow). Every id is checked once, by
+    facet_bits: it must be an int naming a facet of Q, else ValueError."""
+    bits = facet_bits(Q, getattr(sel, "selection", sel))
+    return tuple(i for i in range(Q.num_facets) if bits >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,7 @@ def certify(Q: Polytope, order) -> PartialShelling:
 
 
 def euler_characteristic(Q: Polytope, sel) -> int:
-    sel = as_selection(sel)
-    facet_bits(Q, sel)
+    sel = as_selection(Q, sel)
     edges = _selected_edges(Q, sel)
     verts = {v for i in sel for v in Q.facets[i].vertex_ids}
     return len(verts) - len(edges) + len(sel)
@@ -113,8 +115,7 @@ def is_disk(Q: Polytope, sel) -> bool:
     2 - b, and the union's is that minus the number of extra copies. So the
     union is a disk iff it is connected and V - E + F is one.
     """
-    sel = as_selection(sel)
-    facet_bits(Q, sel)
+    sel = as_selection(Q, sel)
     if not 1 <= len(sel) < Q.num_facets:
         raise ValueError("selection must be a nonempty proper subset of the facets")
     edges = _selected_edges(Q, sel)
@@ -143,7 +144,7 @@ def boundary_lattice_count(Q: Polytope, sel) -> int:
     The cycle is the frontier of the disk in the boundary sphere, so its
     points are the points of Q on both a selected and an unselected facet.
     """
-    chosen = facet_bits(Q, as_selection(sel))
+    chosen = facet_bits(Q, as_selection(Q, sel))
     return sum(1 for b in point_census(Q, 1)[1] if b & chosen and b & ~chosen)
 
 
@@ -152,11 +153,12 @@ def line_shelling(Q: Polytope, direction, k: int) -> PartialShelling:
 
     Facets are ranked by the value of the direction functional on their
     polar dual vertices, largest first. A tie between any two polar
-    vertices means the direction is not generic. Components must be ints
-    (a bool or a float is not), so the ranking and the tie test are exact.
+    vertices means the direction is not generic. Components and k must be
+    ints (a bool or a float is not), so the ranking and the tie test are
+    exact and k counts facets.
     """
-    if not 1 <= k < Q.num_facets:
-        raise ValueError("k must satisfy 1 <= k < number of facets")
+    if type(k) is not int or not 1 <= k < Q.num_facets:
+        raise ValueError(f"k must be an int satisfying 1 <= k < number of facets, got {k!r}")
     if len(direction) != Q.dim:
         raise ValueError(f"direction has {len(direction)} coordinates, expected {Q.dim}")
     if any(type(c) is not int for c in direction):
@@ -179,7 +181,7 @@ def shelling_order_for(Q: Polytope, sel) -> PartialShelling:
     an edge with the disk meets it in one path. So the pass sticks only on
     a selection that is not a disk.
     """
-    sel = as_selection(sel)
+    sel = as_selection(Q, sel)
     order, rest = list(sel[:1]), list(sel[1:])
     while rest:
         step = next((f for f in rest if is_partial_shelling(Q, order + [f])[0]), None)
@@ -199,39 +201,36 @@ _SWEEP_SAMPLES = 64  # generic sweep directions drawn above the limit
 def best_selection(Q: Polytope, seed: int = 0) -> PartialShelling:
     """Disk selection maximizing the boundary lattice point count.
 
-    With few facets every proper subset is tested; otherwise random sweep
-    directions are drawn from the seed and every prefix of each induced
-    order is scored. Ties go to the smallest sorted index tuple.
+    With few facets the candidates are every proper subset that is a disk;
+    otherwise they are the sweep prefixes drawn from the seed. The choice
+    is one minimum over them: highest score first, ties to the smallest
+    sorted index tuple.
     """
-    best: tuple[int, Selection] | None = None
-
-    def consider(sel: Selection):
-        nonlocal best
-        score = boundary_lattice_count(Q, sel)
-        key = (-score, tuple(sorted(sel)))
-        if best is None or key < (-best[0], best[1]):
-            best = (score, tuple(sorted(sel)))
-
     s = Q.num_facets
     if s <= EXHAUSTIVE_FACET_LIMIT:
-        for size in range(1, s):
-            for sel in itertools.combinations(range(s), size):
-                if is_disk(Q, sel):
-                    consider(sel)
+        candidates = (sel for size in range(1, s)
+                      for sel in itertools.combinations(range(s), size) if is_disk(Q, sel))
     else:
-        rng = random.Random(seed)
-        drawn = 0
-        while drawn < _SWEEP_SAMPLES:
-            direction = tuple(rng.randint(-9, 9) for _ in range(Q.dim))
-            if not any(direction):
-                continue
-            try:
-                full = line_shelling(Q, direction, s - 1)
-            except NonGenericDirection:
-                continue
-            drawn += 1
-            for k in range(1, s):
-                consider(tuple(sorted(full.order[:k])))
+        candidates = _sweep_prefixes(Q, seed)
+    best = min(candidates, key=lambda sel: (-boundary_lattice_count(Q, sel), sel), default=None)
     if best is None:
         raise ValueError("no disk selection found")
-    return shelling_order_for(Q, best[1])
+    return shelling_order_for(Q, best)
+
+
+def _sweep_prefixes(Q: Polytope, seed: int):
+    """Each proper prefix, sorted, of the facet orders of _SWEEP_SAMPLES
+    generic sweep directions drawn from the seed."""
+    rng = random.Random(seed)
+    drawn = 0
+    while drawn < _SWEEP_SAMPLES:
+        direction = tuple(rng.randint(-9, 9) for _ in range(Q.dim))
+        if not any(direction):
+            continue
+        try:
+            full = line_shelling(Q, direction, Q.num_facets - 1)
+        except NonGenericDirection:
+            continue
+        drawn += 1
+        for k in range(1, Q.num_facets):
+            yield tuple(sorted(full.order[:k]))

@@ -76,7 +76,7 @@ def build_phi2(Q: Polytope, sel) -> FreeModuleMap:
     a source point m is the sum over support points a of (m + a) tensored
     with the exterior generator of a.
     """
-    selection = as_selection(sel)
+    selection = as_selection(Q, sel)
     if not is_disk(Q, selection):
         raise ValueError("facet selection must be a disk")
     support = tuple(lattice_points_scaled(Q, 1))
@@ -121,7 +121,7 @@ def step_left(Q: Polytope, sel, rightmost: FreeModuleMap) -> TateWindow:
     DimensionMismatch here is a hard failure: the predicted counts encode
     the vanishing theorem, so a mismatch means a bug, not an unlucky input.
     """
-    selection = as_selection(sel)
+    selection = as_selection(Q, sel)
     complement = tuple(i for i in range(Q.num_facets) if i not in selection)
 
     middle_map, phi2_dims = minimal_free_cover(rightmost, degree_floor=-3)

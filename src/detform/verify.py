@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bracket import CoefficientSystem
 from .errors import InvariantViolation, NotStabilized
-from .lattice import Polytope, facet_bits, point_census, points_off_facets
+from .lattice import Polytope, facet_bits, point_census
 from .linalg import QQ, Echelon, qq
 from .shelling import as_selection
 
@@ -56,12 +56,11 @@ class FacetComplex:
 
 
 def facet_complex(Q: Polytope, selection) -> FacetComplex:
-    sel = as_selection(selection)
+    sel = as_selection(Q, selection)
     if Q.dim != 3:
         raise ValueError("facet complexes are built from 3-polytopes")
     if not sel:
         raise ValueError("empty facet selection")
-    facet_bits(Q, sel)
     chosen = set(sel)
 
     vertices = sorted({v for j in sel for v in Q.facets[j].vertex_ids})
@@ -102,10 +101,9 @@ def nerve_reduced_betti(Q: Polytope, selection) -> tuple[int, ...]:
     Facets are convex and intersect in faces, so the nerve has the homotopy
     type of the union in any dimension.
     """
-    sel = as_selection(selection)
+    sel = as_selection(Q, selection)
     if not sel:
         raise ValueError("empty facet selection")
-    facet_bits(Q, sel)
     if len(sel) > 16:
         raise ValueError("facet selection too large for nerve enumeration")
     verts = {j: set(Q.facets[j].vertex_ids) for j in sel}
@@ -176,7 +174,7 @@ def divisor_cohomology(Q: Polytope, selection, k: int,
     """
     if Q.dim != 3:
         raise ValueError("divisor cohomology enumeration is for 3-polytopes")
-    chosen = facet_bits(Q, as_selection(selection))
+    chosen = facet_bits(Q, as_selection(Q, selection))
     coeffs = [
         k * f.offset - (chosen >> j & 1)
         for j, f in enumerate(Q.facets)
@@ -271,68 +269,50 @@ def common_root_system(support, x0, seed: int = 0) -> CoefficientSystem:
     return CoefficientSystem(tuple(rows))
 
 
+def _census_feasible(Q: Polytope, chosen: int) -> bool:
+    """The construction's point condition in dimension n >= 4, from census
+    bits: no point of k1*Q is off the chosen facets (a bit set) and none of
+    k2*Q is off the others, k1 = (n+1)//2 - 2, k2 = (n+2)//2 - 2 (if >= 1)."""
+    k1, k2 = (Q.dim + 1) // 2 - 2, (Q.dim + 2) // 2 - 2
+    return ((k1 < 1 or all(t & chosen for t in point_census(Q, k1)[1]))
+            and (k2 < 1 or all(t & ~chosen for t in point_census(Q, k2)[1])))
+
+
 def feasibility_dim4(Q: Polytope) -> tuple[bool, int | None]:
     """A 4-polytope admits the construction iff some facet sees no points of
-    the interior-plus-own-relative-interior set."""
+    the interior-plus-own-relative-interior set: the census condition for
+    that one facet, as in dimension 4 the scales are 0 and 1."""
     if Q.dim != 4:
         raise ValueError("expected a 4-polytope")
-    for i in range(Q.num_facets):
-        others = tuple(j for j in range(Q.num_facets) if j != i)
-        if not points_off_facets(Q, 1, others):
-            return (True, i)
-    return (False, None)
-
-
-def _high_dim_scales(n: int) -> tuple[int, int]:
-    return ((n + 1) // 2 - 2, (n + 2) // 2 - 2)
+    return next(((True, i) for i in range(Q.num_facets) if _census_feasible(Q, 1 << i)),
+                (False, None))
 
 
 def feasibility_high_dim(Q: Polytope, selection) -> bool:
-    """Dimension >= 5 test: two dilation point counts must both be zero.
+    """Dimension >= 5 test: the census condition on the selected facets.
 
     The selection's facet union must carry no reduced rational homology
     (checked through the nerve); being a manifold is the caller's lookout.
     """
-    n = Q.dim
-    if n < 5:
+    if Q.dim < 5:
         raise ValueError("expected dimension at least 5")
-    sel = as_selection(selection)
+    sel = as_selection(Q, selection)
     if not sel or len(sel) >= Q.num_facets:
         raise ValueError("selection must be a nonempty proper facet subset")
     if any(nerve_reduced_betti(Q, sel)):
         raise ValueError("facet union carries reduced homology")
-    k1, k2 = _high_dim_scales(n)
-    comp = tuple(j for j in range(Q.num_facets) if j not in set(sel))
-    if k1 >= 1 and points_off_facets(Q, k1, sel):
-        return False
-    if k2 >= 1 and points_off_facets(Q, k2, comp):
-        return False
-    return True
+    return _census_feasible(Q, facet_bits(Q, sel))
 
 
 def high_dim_feasible_selection(Q: Polytope):
-    """Search all proper facet subsets; return the first feasible one or None.
-
-    Touch sets are the facet bit sets of each dilation's census, so the
-    subset sweep is bit algebra rather than repeated lattice enumeration.
-    """
-    n = Q.dim
-    if n < 5:
+    """First proper facet subset passing the census condition and the nerve
+    test, or None; the census condition is bit algebra, so it goes first."""
+    if Q.dim < 5:
         raise ValueError("expected dimension at least 5")
     if Q.num_facets > 16:
         raise ValueError("facet count too large for exhaustive search")
-    k1, k2 = _high_dim_scales(n)
-    touches1 = point_census(Q, k1)[1] if k1 >= 1 else ()
-    touches2 = point_census(Q, k2)[1] if k2 >= 1 else ()
-    ids = range(Q.num_facets)
     for size in range(1, Q.num_facets):
-        for sel in itertools.combinations(ids, size):
-            chosen = facet_bits(Q, sel)
-            if any(not t & chosen for t in touches1):
-                continue
-            if any(t | chosen == chosen for t in touches2):
-                continue
-            if any(nerve_reduced_betti(Q, sel)):
-                continue
-            return sel
+        for sel in itertools.combinations(range(Q.num_facets), size):
+            if _census_feasible(Q, facet_bits(Q, sel)) and not any(nerve_reduced_betti(Q, sel)):
+                return sel
     return None

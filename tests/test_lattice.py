@@ -157,11 +157,16 @@ FACET_ID_QUERIES = {
 
 
 @pytest.mark.parametrize("query", FACET_ID_QUERIES)
-@pytest.mark.parametrize("bad", [-1, 6])
+@pytest.mark.parametrize("bad", [-1, 6, 0.9, "1", True])
 def test_facet_id_queries_reject_ids_outside_the_facets(cube, query, bad):
     # -1 would wrap to the last facet, or shift by a negative count; 6 would
-    # index past the end or name a bit no census point carries
-    with pytest.raises(ValueError, match=re.escape(f"facet ids out of range 0..5: [{bad}]")):
+    # index past the end or name a bit no census point carries; int() would
+    # read 0.9 as facet 0 and "1" as facet 1, and a bool is an int to Python
+    if type(bad) is int:
+        message = f"facet ids out of range 0..5: [{bad}]"
+    else:
+        message = f"facet id {bad!r} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
         FACET_ID_QUERIES[query](cube, (bad,))
 
 

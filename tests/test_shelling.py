@@ -91,6 +91,13 @@ def test_line_shelling_rejects_a_direction_that_is_not_integers(cube):
             line_shelling(cube, direction, 3)
 
 
+def test_line_shelling_rejects_a_step_count_that_is_not_an_int(octahedron):
+    # a float count would reach a slice; a bool would quietly take one facet
+    for k in (2.0, True):
+        with pytest.raises(ValueError, match=f"k must be an int .*, got {k!r}"):
+            line_shelling(octahedron, (9, 5, 3), k)
+
+
 def test_line_shelling_rejects_a_direction_of_another_dimension(octahedron):
     # the direction is zipped against the polar vertices, so a length other
     # than the dimension would drop or pad coordinates silently
@@ -372,3 +379,59 @@ def test_greedy_order_matches_the_search_on_random_hulls():
                     disks += disk
                     others += not disk
     assert disks > 600 and others > 500
+
+
+# The argmin best_selection took through a closure before it became one min
+# over its candidates, kept here as the reference for the choice it makes.
+
+def reference_best_selection(Q, seed=0):
+    best = None
+
+    def consider(sel):
+        nonlocal best
+        score = boundary_lattice_count(Q, sel)
+        key = (-score, tuple(sorted(sel)))
+        if best is None or key < (-best[0], best[1]):
+            best = (score, tuple(sorted(sel)))
+
+    s = Q.num_facets
+    if s <= shelling.EXHAUSTIVE_FACET_LIMIT:
+        for size in range(1, s):
+            for sel in itertools.combinations(range(s), size):
+                if is_disk(Q, sel):
+                    consider(sel)
+    else:
+        rng = random.Random(seed)
+        drawn = 0
+        while drawn < shelling._SWEEP_SAMPLES:
+            direction = tuple(rng.randint(-9, 9) for _ in range(Q.dim))
+            if not any(direction):
+                continue
+            try:
+                full = line_shelling(Q, direction, s - 1)
+            except NonGenericDirection:
+                continue
+            drawn += 1
+            for k in range(1, s):
+                consider(tuple(sorted(full.order[:k])))
+    if best is None:
+        raise ValueError("no disk selection found")
+    return shelling_order_for(Q, best[1])
+
+
+def test_best_selection_matches_the_closure_argmin():
+    ladder = [convex_hull_with_facets(pts) for pts in (CUBE_POINTS, OCTA_POINTS)]
+    ladder.append(convex_hull_with_facets(
+        [p for p in itertools.product(range(3), repeat=3) if sum(p) <= 2]))
+    cases = [(Q, 0) for Q in ladder]
+    annulus = convex_hull_with_facets(ANNULUS_POINTS)
+    cases += [(annulus, seed) for seed in range(4)]
+    rng = random.Random(1818)
+    hulls = 0
+    while hulls < 6:
+        Q = random_polytope(rng, span=5, max_points=16)
+        if Q.num_facets > shelling.EXHAUSTIVE_FACET_LIMIT:
+            cases.append((Q, rng.randint(0, 10**6)))
+            hulls += 1
+    for Q, seed in cases:
+        assert best_selection(Q, seed) == reference_best_selection(Q, seed), (Q.vertices, seed)

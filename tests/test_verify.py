@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -190,6 +191,66 @@ def test_feasibility_high_dim_simplices():
     sel6 = high_dim_feasible_selection(Q6)
     assert sel6 is not None and feasibility_high_dim(Q6, sel6)
     assert high_dim_feasible_selection(dilated_simplex(6, 2)) is None
+
+
+# The feasibility tests as they read before they shared one predicate over
+# the census bits: lattice point lists off the selected facets, kept here as
+# the reference for results and error messages.
+
+def reference_feasibility_dim4(Q):
+    if Q.dim != 4:
+        raise ValueError("expected a 4-polytope")
+    for i in range(Q.num_facets):
+        others = tuple(j for j in range(Q.num_facets) if j != i)
+        if not points_off_facets(Q, 1, others):
+            return (True, i)
+    return (False, None)
+
+
+def reference_feasibility_high_dim(Q, selection):
+    n = Q.dim
+    if n < 5:
+        raise ValueError("expected dimension at least 5")
+    sel = tuple(sorted(set(selection)))
+    if not sel or len(sel) >= Q.num_facets:
+        raise ValueError("selection must be a nonempty proper facet subset")
+    if any(nerve_reduced_betti(Q, sel)):
+        raise ValueError("facet union carries reduced homology")
+    k1, k2 = (n + 1) // 2 - 2, (n + 2) // 2 - 2
+    comp = tuple(j for j in range(Q.num_facets) if j not in set(sel))
+    if k1 >= 1 and points_off_facets(Q, k1, sel):
+        return False
+    if k2 >= 1 and points_off_facets(Q, k2, comp):
+        return False
+    return True
+
+
+def _feasibility_outcome(test, *args):
+    try:
+        return test(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_feasibility_matches_the_point_list_reference():
+    calls = 0
+    for d in range(1, 6):
+        Q = dilated_simplex(4, d)
+        assert feasibility_dim4(Q) == reference_feasibility_dim4(Q), d
+        calls += 1
+    for n, scales in ((5, (1, 2, 3)), (6, (1, 2))):
+        for d in scales:
+            Q = dilated_simplex(n, d)
+            first = None
+            for size in range(Q.num_facets):
+                for sel in itertools.combinations(range(Q.num_facets), size):
+                    got = _feasibility_outcome(feasibility_high_dim, Q, sel)
+                    assert got == _feasibility_outcome(reference_feasibility_high_dim, Q, sel), (n, d, sel)
+                    calls += 1
+                    if got is True and first is None:
+                        first = sel
+            assert high_dim_feasible_selection(Q) == first, (n, d)
+    assert calls == 448
 
 
 def test_feasibility_high_dim_guards():
