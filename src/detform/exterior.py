@@ -9,27 +9,28 @@ holds kernel vectors, so a cover map's columns are its kernel vectors.
 
 Everything downstream reduces to exact linear algebra on graded pieces of
 such maps. A map of weighted modules preserves the torus weight, so each
-piece is block-diagonal by weight and is built as its blocks directly. A
+piece is block-diagonal by weight and is laid out as its blocks directly. A
 block holds its source columns (ids into the piece's canonical coordinate
-list), its weight, and the columns themselves, each a sparse dict over the
-block's rows, numbered in the order their (target generator, subset) keys
-first appear. The target module's coordinates are never enumerated: a row
-exists only where a column lands. The product e_T ∧ e_S of a term's subset
-T and a coordinate's subset S does not depend on the generator, so each
-piece wedges each (term subset, coordinate subset) pair once and every
-column is read off that table.
+list) and its weight; block_columns builds its exact columns on demand,
+each a sparse dict over the block's rows, numbered in the order their
+(target generator, subset) keys first appear. The target module's
+coordinates are never enumerated: a row exists only where a column lands.
+The product e_T ∧ e_S of a term's subset T and a coordinate's subset S does
+not depend on the generator, so each piece wedges each (term subset,
+coordinate subset) pair once and every column is read off that table.
 
-The cover certifies each (degree, weight) block on its own, mod 2. The
-earlier generators' products are the columns of the piece of the map they
-define, so each lands in its block by weight; XOR-reducing the bitsets of
-their odd entries gives pivots P2 and rank2(products), and the block's
-columns off P2 are built straight as such bitsets. If those are independent
-mod 2, rank2(products) + rank2(columns) = columns; the products lie in the
-kernel, so rank_Q(products) + rank_Q(columns) <= columns, and rank2 <=
-rank_Q: the products span the kernel over Q, of dimension rank2(products).
-Only a block the test cannot certify is reduced exactly: block_kernel gives
-its kernel basis, and the block's own products echelon keeps the vectors it
-does not span; reduction never leaves a block, so the cover is the exact one.
+Every window piece is reduced by one routine, the cover's, which certifies
+each (degree, weight) block on its own, mod 2. The earlier generators'
+products are the columns of the piece of the map they define, so each
+lands in its block by weight; XOR-reducing the bitsets of their odd entries
+gives pivots P2 and rank2(products), and the block's columns off P2 are
+built straight as such bitsets. If those are independent mod 2,
+rank2(products) + rank2(columns) = columns; the products lie in the kernel,
+so rank_Q(products) + rank_Q(columns) <= columns, and rank2 <= rank_Q: the
+products span the kernel over Q, of dimension rank2(products). Only a block
+the test cannot certify is reduced exactly: block_kernel gives its kernel
+basis, and the block's own products echelon keeps the vectors it does not
+span; reduction never leaves a block, so the cover is the exact one.
 """
 
 from __future__ import annotations
@@ -160,30 +161,30 @@ class FreeModuleMap:
 
 @dataclass
 class GradedPiece:
-    """Degree-d component of a map, built as its torus-weight blocks.
+    """Degree-d component of a map, laid out as its torus-weight blocks.
 
     source_coords lists the (source generator, subset) coordinates in
     canonical order; keys[c] is coordinate c's generator shifted above its
     subset's bit mask. Each block is (ascending column ids into
-    source_coords, weight, columns); column c is a sparse dict over the
-    block's row numbers, the image of coordinate source_coords[ids[c]]. A
-    piece only laid out holds None for the columns and builds them on demand.
+    source_coords, weight, None). block_columns builds a block's exact
+    columns on demand: column c is a sparse dict over the block's row
+    numbers, the image of coordinate source_coords[ids[c]].
     """
 
     source_coords: list[tuple[int, Subset]]
     keys: list[int]
-    blocks: list[tuple[list[int], tuple[int, ...], list[dict[int, int]] | None]]
+    blocks: list[tuple[list[int], tuple[int, ...], None]]
     first: dict[int, int]  # generator -> its first coordinate
     terms: dict[int, list[tuple]]  # generator -> (target bits, coefficient, wedges, keys)
     odd: dict[int, list[tuple]]  # generator -> (target bits, keys) of its odd terms
 
     def rank(self) -> int:
-        return sum(Echelon(columns).rank for _, _, columns in self.blocks)
+        return sum(Echelon(self.block_columns(ids, {})).rank for ids, _, _ in self.blocks)
 
     def kernel_vectors(self) -> list[dict[int, int]]:
         """Canonical nullspace basis, globally ordered by free coordinate."""
-        found = [pair for src_ids, _, columns in self.blocks
-                 for pair in block_kernel(src_ids, columns)]
+        found = [pair for ids, _, _ in self.blocks
+                 for pair in block_kernel(ids, self.block_columns(ids, {}))]
         return [vec for _, vec in sorted(found)]  # free columns are distinct
 
     def block_columns(self, ids, row_at: dict[int, int]) -> list[dict[int, int]]:
@@ -274,13 +275,10 @@ def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
     return piece
 
 
-def graded_piece(phi: FreeModuleMap, d: int, columns: bool = True) -> GradedPiece:
-    """Materialize the degree-d component of phi as exact sparse blocks, or
-    with columns=False lay it out only (see lay_out)."""
-    piece = lay_out(phi, d)
-    if columns:
-        piece.blocks = [(ids, w, piece.block_columns(ids, {})) for ids, w, _ in piece.blocks]
-    return piece
+def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
+    """The degree-d component of phi, laid out as its blocks (see lay_out);
+    block_columns builds a block's exact columns on demand."""
+    return lay_out(phi, d)
 
 
 def minimal_free_cover(
@@ -313,7 +311,7 @@ def minimal_free_cover(
     dims: dict[int, tuple[int, int]] = {}
 
     def add_generators(d: int) -> None:
-        piece = graded_piece(phi, d, columns=False)
+        piece = graded_piece(phi, d)
         shifted = lay_out(FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), d)
         products = {weight: ids for ids, weight, _ in shifted.blocks}
         nullity, kernel = 0, []

@@ -163,12 +163,15 @@ def line_shelling(Q: Polytope, direction, k: int) -> PartialShelling:
         raise ValueError(f"direction has {len(direction)} coordinates, expected {Q.dim}")
     if any(type(c) is not int for c in direction):
         raise ValueError(f"direction {tuple(direction)} has a component that is not an integer")
-    duals = polar_dual_vertices(Q)
+    return certify(Q, _sweep_order(polar_dual_vertices(Q), direction)[:k])
+
+
+def _sweep_order(duals, direction) -> list[int]:
+    """Facet ids, largest direction value on their polar vertex first; a tie raises."""
     values = [sum(d * c for d, c in zip(direction, v)) for v in duals]
     if len(set(values)) != len(values):
         raise NonGenericDirection(f"direction {tuple(direction)} ties two polar vertices")
-    ranked = sorted(range(Q.num_facets), key=lambda i: values[i], reverse=True)
-    return certify(Q, ranked[:k])
+    return sorted(range(len(duals)), key=lambda i: values[i], reverse=True)
 
 
 def shelling_order_for(Q: Polytope, sel) -> PartialShelling:
@@ -220,17 +223,18 @@ def best_selection(Q: Polytope, seed: int = 0) -> PartialShelling:
 
 def _sweep_prefixes(Q: Polytope, seed: int):
     """Each proper prefix, sorted, of the facet orders of _SWEEP_SAMPLES
-    generic sweep directions drawn from the seed."""
+    generic sweep directions drawn from the seed: line shellings, hence disks."""
     rng = random.Random(seed)
+    duals = polar_dual_vertices(Q)
     drawn = 0
     while drawn < _SWEEP_SAMPLES:
         direction = tuple(rng.randint(-9, 9) for _ in range(Q.dim))
         if not any(direction):
             continue
         try:
-            full = line_shelling(Q, direction, Q.num_facets - 1)
+            order = _sweep_order(duals, direction)
         except NonGenericDirection:
             continue
         drawn += 1
         for k in range(1, Q.num_facets):
-            yield tuple(sorted(full.order[:k]))
+            yield tuple(sorted(order[:k]))

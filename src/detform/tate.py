@@ -1,9 +1,10 @@
 """Resolution window whose last map is the determinantal matrix, pre-bracket.
 
 The rightmost map is written down directly from lattice points; two minimal
-free covers walk it leftward. Corollary-level lattice counts predict every
-generator multiplicity, and any disagreement aborts the construction: the
-audit doubles as a runtime check of the vanishing theorem behind the method.
+free covers walk it leftward, and exactness reduces the left map by the same
+block routine. Corollary-level lattice counts predict every generator
+multiplicity, and any disagreement aborts the construction: the audit
+doubles as a runtime check of the vanishing theorem behind the method.
 
 Generators store only degree and torus weight; this module alone maps them
 to lattice points (point_of). Dual terms carry negated torus characters, so
@@ -20,7 +21,6 @@ from .exterior import (
     FreeModuleMap,
     GradedFreeModule,
     Generator,
-    graded_piece,
     minimal_free_cover,
 )
 from .lattice import Point, Polytope, _add, lattice_points_scaled, points_off_facets
@@ -47,7 +47,7 @@ class TateWindow:
     its entries are quartic (degree -4) between the principal blocks, linear
     (degree -1) in the two mixed blocks, and structurally zero in the corner.
     piece_dims[k][d] = (columns, nullity) of the degree-d piece of maps[k]
-    for k = 2, 1, as the cover of ker maps[k] found them while building.
+    for k = 2, 1, recorded by the cover of ker maps[k] from its top degree down.
     """
 
     selection: tuple[int, ...]
@@ -150,21 +150,19 @@ def check_exactness(window: TateWindow) -> None:
     """Degreewise, the kernel of each window map must equal the image of the
     map before it (term 1 at degrees 0..-3, term 0 at degrees -1..-4).
 
-    Term 1 compares the nullity of maps[2] against the rank (columns minus
-    nullity) of maps[1]; both come from window.piece_dims, recorded by the
-    middle and the left cover, two reductions of two different matrices.
-    Term 0 compares the nullity of maps[1], again from piece_dims, against
-    the rank of maps[0]'s graded piece, reduced here because no cover
-    reduces it. piece_dims describes maps[2] and maps[1] as step_left built
-    them, so on such a window every number equals what reducing the piece
-    again would give.
+    At term k and degree d the kernel is the nullity of maps[k+1]'s degree-d
+    piece and the image is the columns minus the nullity of maps[k]'s. All
+    come from the covers' one certified block reduction: piece_dims records
+    maps[2] and maps[1] as step_left built them, and maps[0] is covered here,
+    so a replaced left map is reduced again. A degree a cover did not scan
+    lies above its map's top generator: its piece is empty, read as (0, 0).
     """
-    phi2, middle = window.piece_dims[2], window.piece_dims[1]
-    for d in range(0, -4, -1):
-        columns, nullity = middle[d]
-        _require_exact(1, d, phi2[d][1], columns - nullity)
-    for d in range(-1, -5, -1):
-        _require_exact(0, d, middle[d][1], graded_piece(window.maps[0], d).rank())
+    _, left = minimal_free_cover(window.maps[0], degree_floor=-4)
+    dims = {**window.piece_dims, 0: left}
+    for k, top in ((1, 0), (0, -1)):
+        for d in range(top, top - 4, -1):
+            columns, nullity = dims[k].get(d, (0, 0))
+            _require_exact(k, d, dims[k + 1].get(d, (0, 0))[1], columns - nullity)
 
 
 def _require_exact(term: int, d: int, kernel_dim: int, image_dim: int) -> None:

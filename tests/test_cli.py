@@ -162,6 +162,17 @@ def test_verify_all_checks_pass(octa_file, capsys):
     assert all(c["passed"] for c in out["checks"])
 
 
+def test_verify_certifies_a_window_without_degree_0_generators(tmp_path, capsys):
+    # 2Δ has no point off three facets, so the middle term has no degree-0
+    # generator and its cover never scans degrees 0..-2: those pieces are empty
+    path = tmp_path / "simplex.txt"
+    path.write_text("0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out = run_json(capsys, command="verify", support_path=str(path),
+                         shelling="indices=0,1,2", roots=1)
+    assert code == 0
+    assert out["all_passed"] is True
+
+
 def test_verify_failure_exits_six(octa_file, capsys, monkeypatch):
     monkeypatch.setattr("detform.cli.is_disk", lambda Q, sel: False)
     code, out = run_json(capsys, command="verify", support_path=octa_file,

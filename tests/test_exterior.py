@@ -85,8 +85,8 @@ def piece_rows(piece) -> list[dict]:
     """Every row of every block, keyed by source coordinate, read off the
     block's columns in row-number order."""
     rows: dict = {}
-    for b, (src_ids, _, columns) in enumerate(piece.blocks):
-        for c, col in zip(src_ids, columns):
+    for b, (src_ids, _, _) in enumerate(piece.blocks):
+        for c, col in zip(src_ids, piece.block_columns(src_ids, {})):
             for r, v in col.items():
                 rows.setdefault((b, r), {})[piece.source_coords[c]] = v
     return list(rows.values())
@@ -99,7 +99,8 @@ def checked_piece(phi: FreeModuleMap, d: int):
     assert piece.source_coords == coords
     ids = sorted(c for src_ids, _, _ in piece.blocks for c in src_ids)
     assert ids == list(range(len(coords)))
-    for src_ids, _, columns in piece.blocks:
+    for src_ids, _, _ in piece.blocks:
+        columns = piece.block_columns(src_ids, {})
         assert len(columns) == len(src_ids)
         # row numbers are handed out in the order the columns first reach them
         seen = list(dict.fromkeys(r for col in columns for r in col))
@@ -363,7 +364,9 @@ def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
     gaining = 0
     for phi, into in ((phi2, middle), (middle, left)):
         for d, w in {(g.degree, g.weight) for g in into.source.generators}:
-            [columns] = [cols for _, weight, cols in graded_piece(phi, d).blocks if weight == w]
+            piece = graded_piece(phi, d)
+            [columns] = [piece.block_columns(ids, {}) for ids, weight, _ in piece.blocks
+                         if weight == w]
             gaining += len(columns) - Echelon(columns).rank
     scanned = sum(nullity for dims in (phi2_dims, middle_dims) for _, nullity in dims.values())
     assert 0 < len(calls) <= gaining < scanned
@@ -505,7 +508,8 @@ def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
         gained = {(g.degree, g.weight) for g in into.source.generators}
         for d in range(0, -5, -1):
             piece, P, P2 = products_pivots(phi, into, d)
-            for src_ids, w, columns in piece.blocks:
+            for src_ids, w, _ in piece.blocks:
+                columns = piece.block_columns(src_ids, {})
                 rest = [col for c, col in zip(src_ids, columns) if c not in P]
                 independent = Echelon(rest).rank == len(rest)
                 # the mod-2 certificate is one-sided: it never certifies a
@@ -547,7 +551,8 @@ def test_dependent_columns_on_the_pivots_alone_certify_the_block():
     into, dims = minimal_free_cover(phi, degree_floor=-2)
     assert into.source.degrees() == [-1]
     piece, P, P2 = products_pivots(phi, into, -2)
-    [(src_ids, _, columns)] = piece.blocks
+    [(src_ids, _, _)] = piece.blocks
+    columns = piece.block_columns(src_ids, {})
     assert [piece.source_coords[c] for c in sorted(P)] == [(0, (0, 1)), (0, (0, 2))]
     assert P2 == P
     assert [col for c, col in zip(src_ids, columns) if c not in P] == [{0: 1}]

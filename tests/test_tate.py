@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 import re
@@ -25,7 +26,7 @@ from detform.lattice import (
     points_off_facets,
     translate,
 )
-from detform.shelling import best_selection
+from detform.shelling import best_selection, is_disk
 from detform.tate import build_phi2, build_window, check_exactness, point_of, window_dump
 
 from conftest import CUBE_POINTS, OCTA_POINTS, random_polytope
@@ -52,8 +53,9 @@ def test_phi2_cube_shapes(cube):
     piece = graded_piece(rightmost, 1)
     assert len(piece.source_coords) == 24
     assert [w for _, w, _ in piece.blocks] == [g.weight for g in rightmost.source.generators]
-    assert [len(columns) for _, _, columns in piece.blocks] == [1] * 24
-    assert sum(len(col) for _, _, [col] in piece.blocks) == 24 * 8
+    columns = [piece.block_columns(ids, {}) for ids, _, _ in piece.blocks]
+    assert [len(cols) for cols in columns] == [1] * 24
+    assert sum(len(col) for [col] in columns) == 24 * 8
     assert piece.rank() == 24
     rightmost.validate_degrees()
     for col in rightmost.columns:
@@ -123,7 +125,44 @@ def test_piece_dims_match_fresh_pieces(case):
         for d, recorded in dims.items():
             piece = graded_piece(w.maps[k], d)
             assert recorded == (len(piece.source_coords), len(piece.kernel_vectors()))
+    # check_exactness covers maps[0] the same way; each piece's exact rank is
+    # the reference for the image those dims give
+    _, left = minimal_free_cover(w.maps[0], degree_floor=-4)
+    for d in range(-1, -5, -1):
+        piece = graded_piece(w.maps[0], d)
+        recorded = left.get(d, (0, 0))
+        assert d in left or not piece.source_coords
+        assert recorded == (len(piece.source_coords), len(piece.kernel_vectors()))
+        assert recorded[0] - recorded[1] == piece.rank()
     check_exactness(w)
+
+
+# Solids with their disk selection counts and the number of those windows
+# whose middle term has no degree-0 generator.
+SMALL_SOLIDS = {
+    "simplex": ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 14, 4),
+    "prism": ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)], 28, 2),
+    "pyramid": ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], 26, 4),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_SOLIDS)
+def test_every_disk_window_is_exact(name):
+    # a cover scans from its map's top generator down, so without degree-0
+    # generators the middle cover records no degree above -3; those pieces
+    # are empty and count as (0, 0)
+    points, disks, short = SMALL_SOLIDS[name]
+    Q = convex_hull_with_facets(points)
+    selections = [sel for size in range(1, Q.num_facets)
+                  for sel in itertools.combinations(range(Q.num_facets), size)
+                  if is_disk(Q, sel)]
+    assert len(selections) == disks
+    unscanned = 0
+    for sel in selections:
+        w = build_window(Q, sel)
+        unscanned += 0 not in w.piece_dims[1]
+        check_exactness(w)
+    assert unscanned == short
 
 
 @pytest.mark.parametrize("column, message", [
