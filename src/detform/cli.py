@@ -429,7 +429,7 @@ def run(config: RunConfig) -> int:
         for classes, code in _ERROR_CODES:
             if isinstance(exc, classes):
                 return _diagnose(code, exc)
-        return _diagnose(EXIT_VERIFY, exc)
+        return _diagnose(EXIT_INTERNAL, exc)
     except ValueError as exc:
         return _diagnose(EXIT_GEOMETRY, exc)
     except Exception as exc:  # a bug: diagnosed with its type and origin, not a traceback

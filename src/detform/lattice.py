@@ -10,6 +10,7 @@ set of its facets; every point query is a filter over that census.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -59,8 +60,7 @@ class Polytope:
     """Full-dimensional lattice polytope with its facet and face data.
 
     Facets are sorted by (normal, offset); vertices lexicographically. In
-    dimension 3 the edge list and per-facet boundary cycles are populated so
-    the boundary surface can be treated as a polygonal cell complex.
+    dimension 3 the edge list is populated, each edge with its two facets.
     """
 
     dim: int
@@ -68,7 +68,6 @@ class Polytope:
     vertices: tuple[Point, ...]
     facets: tuple[Facet, ...]
     edges: tuple[Edge, ...] = field(default=())
-    facet_cycles: tuple[tuple[int, ...], ...] = field(default=())
     _census: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -148,16 +147,13 @@ def convex_hull_with_facets(points) -> Polytope:
         for normal, offset in facet_keys
     )
 
-    edges: tuple[Edge, ...] = ()
-    cycles: tuple[tuple[int, ...], ...] = ()
-    if n == 3:
-        edges, cycles = _build_face_complex(facets)
-
-    return Polytope(n, tuple(pts), vertices, facets, edges, cycles)
+    edges = _build_face_complex(facets) if n == 3 else ()
+    return Polytope(n, tuple(pts), vertices, facets, edges)
 
 
-def _build_face_complex(facets: tuple[Facet, ...]):
-    """Edges (ridges) and per-facet boundary cycles of a 3-polytope."""
+def _build_face_complex(facets: tuple[Facet, ...]) -> tuple[Edge, ...]:
+    """Edges (ridges) of a 3-polytope, each with its two facets. Every facet
+    must be a simple polygon: each of its vertices on exactly two of its edges."""
     pair_to_facets: dict[tuple[int, int], list[int]] = {}
     for fi, fj in itertools.combinations(range(len(facets)), 2):
         common = sorted(set(facets[fi].vertex_ids) & set(facets[fj].vertex_ids))
@@ -171,25 +167,12 @@ def _build_face_complex(facets: tuple[Facet, ...]):
             raise DegenerateSpan(f"ridge {pair} lies in {len(incident)} facets")
         edges.append(Edge(pair, (incident[0], incident[1])))
 
-    cycles = []
+    on_edges = Counter((fi, v) for e in edges for fi in e.facet_ids for v in e.vertex_ids)
     for fi, facet in enumerate(facets):
-        nbrs: dict[int, list[int]] = {v: [] for v in facet.vertex_ids}
-        for e in edges:
-            if fi in e.facet_ids:
-                a, b = e.vertex_ids
-                nbrs[a].append(b)
-                nbrs[b].append(a)
-        for v, ns in nbrs.items():
-            if len(ns) != 2:
+        for v in facet.vertex_ids:
+            if on_edges[fi, v] != 2:
                 raise DegenerateSpan(f"facet {fi} is not a simple polygon at vertex {v}")
-        start = min(nbrs)
-        cycle = [start, min(nbrs[start])]
-        while len(cycle) < len(nbrs):
-            prev, cur = cycle[-2], cycle[-1]
-            nxt = nbrs[cur][0] if nbrs[cur][0] != prev else nbrs[cur][1]
-            cycle.append(nxt)
-        cycles.append(tuple(cycle))
-    return tuple(edges), tuple(cycles)
+    return tuple(edges)
 
 
 def point_census(Q: Polytope, k: int) -> tuple[tuple[Point, ...], tuple[int, ...]]:

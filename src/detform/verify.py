@@ -1,6 +1,6 @@
-"""Independent oracles: cohomology of facet unions, divisor cohomology by
-graded decomposition, common-root coefficient systems, and feasibility tests
-in dimension four and higher.
+"""Independent oracles: reduced cohomology of facet unions from their nerve,
+divisor cohomology by graded decomposition, common-root coefficient systems,
+and feasibility tests in dimension four and higher.
 
 Everything here is deliberately separate from the resolution machinery so the
 two sides can check each other.
@@ -13,143 +13,50 @@ import random
 from dataclasses import dataclass
 
 from .bracket import CoefficientSystem
-from .errors import InvariantViolation, NotStabilized
+from .errors import NotStabilized
 from .lattice import Polytope, facet_bits, point_census
 from .linalg import QQ, Echelon, qq
 from .shelling import as_selection
 
 
-@dataclass(frozen=True)
-class FacetComplex:
-    """Cells of a union of facets of a 3-polytope, with oriented boundaries.
-
-    Edges are oriented from the smaller vertex id to the larger; facets by
-    their stored boundary cycle.  d1[e] and d2[f] map cell positions to
-    incidence signs.
-    """
-
-    vertex_ids: tuple[int, ...]
-    edge_pairs: tuple[tuple[int, int], ...]
-    facet_ids: tuple[int, ...]
-    d1: tuple[dict, ...]
-    d2: tuple[dict, ...]
-
-    def cell_counts(self) -> tuple[int, int, int]:
-        return (len(self.vertex_ids), len(self.edge_pairs), len(self.facet_ids))
-
-    def boundary_squared_entries(self) -> int:
-        """Largest |entry| of the composite boundary map; zero means d.d = 0."""
-        worst = 0
-        for signs2 in self.d2:
-            acc: dict[int, int] = {}
-            for epos, s2 in signs2.items():
-                for vpos, s1 in self.d1[epos].items():
-                    acc[vpos] = acc.get(vpos, 0) + s2 * s1
-            worst = max([worst] + [abs(v) for v in acc.values()])
-        return worst
-
-    def reduced_betti(self) -> tuple[int, int, int]:
-        r1 = Echelon(self.d1).rank
-        r2 = Echelon(self.d2).rank
-        nv, ne, nf = self.cell_counts()
-        return (nv - 1 - r1, ne - r1 - r2, nf - r2)
-
-
-def facet_complex(Q: Polytope, selection) -> FacetComplex:
-    sel = as_selection(Q, selection)
-    if Q.dim != 3:
-        raise ValueError("facet complexes are built from 3-polytopes")
-    if not sel:
-        raise ValueError("empty facet selection")
-    chosen = set(sel)
-
-    vertices = sorted({v for j in sel for v in Q.facets[j].vertex_ids})
-    vpos = {v: p for p, v in enumerate(vertices)}
-    edge_ids = [
-        ei for ei, e in enumerate(Q.edges)
-        if chosen.intersection(e.facet_ids)
-    ]
-    epos = {ei: p for p, ei in enumerate(edge_ids)}
-
-    d1 = []
-    pairs = []
-    for ei in edge_ids:
-        a, b = Q.edges[ei].vertex_ids
-        pairs.append((a, b))
-        d1.append({vpos[b]: 1, vpos[a]: -1})
-
-    pair_to_eid = {Q.edges[ei].vertex_ids: ei for ei in edge_ids}
-    d2 = []
-    for j in sel:
-        cycle = Q.facet_cycles[j]
-        signs: dict[int, int] = {}
-        for t in range(len(cycle)):
-            v, w = cycle[t], cycle[(t + 1) % len(cycle)]
-            key = (v, w) if v < w else (w, v)
-            signs[epos[pair_to_eid[key]]] = 1 if v < w else -1
-        d2.append(signs)
-
-    complex_ = FacetComplex(tuple(vertices), tuple(pairs), sel, tuple(d1), tuple(d2))
-    if complex_.boundary_squared_entries() != 0:
-        raise InvariantViolation("facet complex boundaries do not square to zero")
-    return complex_
-
-
-def nerve_reduced_betti(Q: Polytope, selection) -> tuple[int, ...]:
-    """Reduced Betti numbers of a facet union via the nerve, indices 0..dim-1.
-
-    Facets are convex and intersect in faces, so the nerve has the homotopy
-    type of the union in any dimension.
-    """
-    sel = as_selection(Q, selection)
-    if not sel:
-        raise ValueError("empty facet selection")
-    if len(sel) > 16:
-        raise ValueError("facet selection too large for nerve enumeration")
-    verts = {j: set(Q.facets[j].vertex_ids) for j in sel}
-
-    simplices: list[list[tuple[int, ...]]] = []
-    live: list[tuple[tuple[int, ...], set]] = [((j,), verts[j]) for j in sel]
-    while live:
-        simplices.append([s for s, _ in live])
-        nxt = []
-        for s, common in live:
-            for j in sel:
-                if j <= s[-1]:
-                    continue
-                shared = common & verts[j]
-                if shared:
-                    nxt.append((s + (j,), shared))
-        live = nxt
-
-    betti = [0] * Q.dim
-    pos = [{s: p for p, s in enumerate(level)} for level in simplices]
-    ranks = []
-    for d in range(1, len(simplices)):
-        rows = []
-        for s in simplices[d]:
-            row = {}
-            for drop in range(len(s)):
-                face = s[:drop] + s[drop + 1:]
-                row[pos[d - 1][face]] = (-1) ** drop
-            rows.append(row)
-        ranks.append(Echelon(rows).rank)
-    ranks.append(0)
-    for d in range(len(simplices)):
-        below = ranks[d - 1] if d >= 1 else 0
-        b = len(simplices[d]) - below - ranks[d]
-        if d == 0:
-            b -= 1
-        if d < Q.dim:
-            betti[d] = b
-    return tuple(betti)
-
-
 def reduced_cohomology(Q: Polytope, selection) -> tuple[int, ...]:
-    """Rational reduced Betti numbers of a facet union, indices 0..dim-1."""
-    if Q.dim == 3:
-        return facet_complex(Q, selection).reduced_betti()
-    return nerve_reduced_betti(Q, selection)
+    """Rational reduced Betti numbers of a facet union from its nerve, 0..dim-1.
+
+    Facets are convex and meet in faces, so the nerve has the homotopy type
+    of the union in any dimension, and a set of facets spans a simplex exactly
+    when the facets share a vertex: the simplices are the nonempty subsets of
+    the selected facets through each vertex. A vertex on k of them brings 2^k
+    subsets, so k is capped at 16.
+    """
+    sel = as_selection(Q, selection)
+    if not sel:
+        raise ValueError("empty facet selection")
+    through: dict[int, list[int]] = {}
+    for j in sel:
+        for v in Q.facets[j].vertex_ids:
+            through.setdefault(v, []).append(j)
+    top = max(map(len, through.values()))
+    if top > 16:
+        raise ValueError("facet selection too large for nerve enumeration")
+    levels: list[set[tuple[int, ...]]] = [set() for _ in range(top)]
+    for facets in through.values():
+        for size in range(1, len(facets) + 1):
+            levels[size - 1].update(itertools.combinations(facets, size))
+
+    # ranks[d]: rank of the boundary map from level d to level d - 1
+    ranks = [0]
+    for faces, level in zip(levels, levels[1:]):
+        pos = {s: p for p, s in enumerate(faces)}
+        ranks.append(Echelon(
+            {pos[s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
+            for s in level).rank)
+    ranks.append(0)
+    betti = [len(level) - ranks[d] - ranks[d + 1] for d, level in enumerate(levels)]
+    betti[0] -= 1
+    return tuple((betti + [0] * Q.dim)[:Q.dim])
+
+
+nerve_reduced_betti = reduced_cohomology
 
 
 @dataclass(frozen=True)
@@ -299,7 +206,7 @@ def feasibility_high_dim(Q: Polytope, selection) -> bool:
     sel = as_selection(Q, selection)
     if not sel or len(sel) >= Q.num_facets:
         raise ValueError("selection must be a nonempty proper facet subset")
-    if any(nerve_reduced_betti(Q, sel)):
+    if any(reduced_cohomology(Q, sel)):
         raise ValueError("facet union carries reduced homology")
     return _census_feasible(Q, facet_bits(Q, sel))
 
@@ -313,6 +220,6 @@ def high_dim_feasible_selection(Q: Polytope):
         raise ValueError("facet count too large for exhaustive search")
     for size in range(1, Q.num_facets):
         for sel in itertools.combinations(range(Q.num_facets), size):
-            if _census_feasible(Q, facet_bits(Q, sel)) and not any(nerve_reduced_betti(Q, sel)):
+            if _census_feasible(Q, facet_bits(Q, sel)) and not any(reduced_cohomology(Q, sel)):
                 return sel
     return None

@@ -7,9 +7,9 @@ import json
 import pytest
 
 from detform.bracket import format_coefficients, import_matrix
-from detform.cli import RunConfig, build_parser, config_from_args, main, run
-from detform import tate
-from detform.errors import DimensionMismatch, InvariantViolation
+from detform.cli import _ERROR_CODES, RunConfig, build_parser, config_from_args, main, run
+from detform import errors, tate
+from detform.errors import DetformError, DimensionMismatch, InvariantViolation
 from detform.verify import common_root_system
 
 from conftest import ANNULUS, ANNULUS_POINTS
@@ -418,6 +418,27 @@ def test_unexpected_exception_exits_seven(octa_file, capsys, monkeypatch):
     assert (err["code"], err["type"]) == (7, "KeyError")
     assert err["where"].endswith(" in explode")
     assert "Traceback" not in captured.err
+
+
+def test_untyped_detform_error_exits_seven(octa_file, capsys, monkeypatch):
+    # an error of the package with no row in the table is a bug, not a
+    # failed verification
+    def explode(Q, sel):
+        raise DetformError("forced for the error-path test")
+
+    monkeypatch.setattr("detform.cli.build_window", explode)
+    code = run(RunConfig(command="build-matrix", support_path=octa_file,
+                         shelling="indices=0,1,2,4"))
+    assert code == 7
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert (err["code"], err["type"]) == (7, "DetformError")
+
+
+def test_every_detform_error_has_an_exit_code():
+    tabled = {cls for classes, _ in _ERROR_CODES for cls in classes}
+    subclasses = {cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, DetformError)}
+    assert subclasses - {DetformError} <= tabled
 
 
 def test_inhomogeneous_left_map_exits_seven(octa_file, capsys, monkeypatch):

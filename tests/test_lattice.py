@@ -29,7 +29,7 @@ from detform.shelling import (
     shelling_order_for,
 )
 from detform.tate import build_window
-from detform.verify import divisor_cohomology, facet_complex, nerve_reduced_betti
+from detform.verify import divisor_cohomology, nerve_reduced_betti
 
 from conftest import CUBE_POINTS, random_polytope
 
@@ -112,9 +112,7 @@ def test_polar_dual_octahedron(octahedron):
 
 def test_face_complex(cube, octahedron):
     assert len(cube.edges) == 12
-    assert all(len(cyc) == 4 for cyc in cube.facet_cycles)
     assert len(octahedron.edges) == 12
-    assert all(len(cyc) == 3 for cyc in octahedron.facet_cycles)
 
 
 def test_interior_points(cube, octahedron):
@@ -147,7 +145,6 @@ FACET_ID_QUERIES = {
     "is_partial_shelling": is_partial_shelling,
     "is_disk": is_disk,
     "shelling_order_for": shelling_order_for,
-    "facet_complex": facet_complex,
     "nerve_reduced_betti": nerve_reduced_betti,
     "build_window": build_window,
     "divisor_cohomology": lambda Q, sel: divisor_cohomology(Q, sel, 1),

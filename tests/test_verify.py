@@ -14,13 +14,13 @@ from detform.lattice import (
     lattice_points_scaled,
     points_off_facets,
 )
+from detform.linalg import Echelon
 from detform.shelling import best_selection, is_disk, line_shelling
 from detform.tate import build_window
 from detform.verify import (
     cohomology_profile,
     common_root_system,
     divisor_cohomology,
-    facet_complex,
     feasibility_dim4,
     feasibility_high_dim,
     high_dim_feasible_selection,
@@ -39,30 +39,6 @@ def dilated_simplex(n, d):
     return convex_hull_with_facets(verts)
 
 
-def test_facet_complex_cells_and_boundaries(cube):
-    fc = facet_complex(cube, (0, 4, 5))
-    assert fc.cell_counts() == (8, 10, 3)
-    assert fc.boundary_squared_entries() == 0
-    with pytest.raises(ValueError):
-        facet_complex(cube, ())
-    with pytest.raises(ValueError):
-        facet_complex(cube, (0, 9))
-
-
-def test_boundaries_square_to_zero_randomly():
-    rng = random.Random(41)
-    for _ in range(12):
-        Q = random_polytope(rng)
-        size = rng.randint(1, Q.num_facets)
-        sel = tuple(sorted(rng.sample(range(Q.num_facets), size)))
-        fc = facet_complex(Q, sel)
-        assert fc.boundary_squared_entries() == 0
-        # Euler characteristic agrees with the Betti alternating sum
-        nv, ne, nf = fc.cell_counts()
-        b = fc.reduced_betti()
-        assert b[0] - b[1] + b[2] == (nv - ne + nf) - 1
-
-
 def test_reduced_cohomology_reference_shapes(cube, octahedron):
     assert reduced_cohomology(cube, (0, 4, 5)) == (0, 0, 0)
     assert reduced_cohomology(cube, (2, 3)) == (1, 0, 0)
@@ -75,13 +51,103 @@ def test_reduced_cohomology_reference_shapes(cube, octahedron):
     assert reduced_cohomology(cube, (0, 1, 4, 5)) == (0, 1, 0)
 
 
-def test_nerve_matches_direct_complex():
-    rng = random.Random(97)
-    for _ in range(10):
+# The cellular chain complex that computed the cohomology of dimension-3
+# facet unions before the nerve did in every dimension: the union's vertices,
+# edges and facets, each facet bounded by its cycle of edges, kept here as
+# the reference the nerve must match.
+
+def facet_cycle(Q, j):
+    """Vertex ids around facet j, walked along Q.edges from its least vertex."""
+    nbrs = {v: [] for v in Q.facets[j].vertex_ids}
+    for e in Q.edges:
+        if j in e.facet_ids:
+            a, b = e.vertex_ids
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    start = min(nbrs)
+    cycle = [start, min(nbrs[start])]
+    while len(cycle) < len(nbrs):
+        prev, cur = cycle[-2], cycle[-1]
+        cycle.append(nbrs[cur][0] if nbrs[cur][0] != prev else nbrs[cur][1])
+    return cycle
+
+
+def cellular_reduced_betti(Q, sel):
+    """Reduced Betti numbers of a union of facets of a 3-polytope, edges
+    oriented from the smaller vertex id to the larger."""
+    chosen = set(sel)
+    vertices = sorted({v for j in sel for v in Q.facets[j].vertex_ids})
+    vpos = {v: p for p, v in enumerate(vertices)}
+    pairs = [e.vertex_ids for e in Q.edges if chosen.intersection(e.facet_ids)]
+    epos = {pair: p for p, pair in enumerate(pairs)}
+    d1 = [{vpos[b]: 1, vpos[a]: -1} for a, b in pairs]
+    d2 = []
+    for j in sel:
+        cycle = facet_cycle(Q, j)
+        d2.append({epos[min(v, w), max(v, w)]: 1 if v < w else -1
+                   for v, w in zip(cycle, cycle[1:] + cycle[:1])})
+    for signs2 in d2:
+        acc = {}
+        for e, s2 in signs2.items():
+            for v, s1 in d1[e].items():
+                acc[v] = acc.get(v, 0) + s2 * s1
+        assert not any(acc.values()), "facet complex boundaries do not square to zero"
+    r1, r2 = Echelon(d1).rank, Echelon(d2).rank
+    return (len(vertices) - 1 - r1, len(pairs) - r1 - r2, len(sel) - r2)
+
+
+def test_boundaries_square_to_zero_randomly():
+    rng = random.Random(41)
+    for _ in range(12):
         Q = random_polytope(rng)
         size = rng.randint(1, Q.num_facets)
         sel = tuple(sorted(rng.sample(range(Q.num_facets), size)))
-        assert nerve_reduced_betti(Q, sel) == reduced_cohomology(Q, sel)
+        # the cellular reference asserts d∘d = 0 while it computes the Betti numbers
+        b = cellular_reduced_betti(Q, sel)
+        # Euler characteristic agrees with the Betti alternating sum
+        nv = len({v for j in sel for v in Q.facets[j].vertex_ids})
+        ne = sum(1 for e in Q.edges if set(sel).intersection(e.facet_ids))
+        assert b[0] - b[1] + b[2] == (nv - ne + size) - 1
+        assert reduced_cohomology(Q, sel) == b
+
+
+def test_nerve_matches_direct_complex_on_every_selection(cube, octahedron):
+    for Q in (cube, octahedron, dilated_simplex(3, 2)):
+        for size in range(1, Q.num_facets + 1):
+            for sel in itertools.combinations(range(Q.num_facets), size):
+                assert reduced_cohomology(Q, sel) == cellular_reduced_betti(Q, sel), sel
+    with pytest.raises(ValueError, match="empty facet selection"):
+        reduced_cohomology(cube, ())
+
+
+def test_nerve_matches_direct_complex():
+    # hulls of 13 to 18 facets, with selections of up to all of them: a
+    # selection of more than 16 facets was refused while the nerve's cost
+    # was counted in selected facets rather than facets through one vertex
+    rng = random.Random(97)
+    large = 0
+    for _ in range(20):
+        Q = random_polytope(rng, span=5, max_points=16)
+        while not 13 <= Q.num_facets <= 18:
+            Q = random_polytope(rng, span=5, max_points=16)
+        n = Q.num_facets
+        for _ in range(15):
+            size = rng.choice((rng.randint(1, n), rng.randint(n - 2, n)))
+            sel = tuple(sorted(rng.sample(range(n), size)))
+            assert reduced_cohomology(Q, sel) == cellular_reduced_betti(Q, sel), sel
+            large += size > 16
+    assert large >= 10
+    assert nerve_reduced_betti is reduced_cohomology
+
+
+def test_nerve_refuses_a_vertex_on_more_than_16_selected_facets():
+    # every vertex of the 6-dimensional cross-polytope lies on 32 facets
+    cross = convex_hull_with_facets(
+        [tuple(s if j == i else 0 for j in range(6)) for i in range(6) for s in (1, -1)])
+    assert cross.num_facets == 64
+    with pytest.raises(ValueError, match="facet selection too large for nerve enumeration"):
+        reduced_cohomology(cross, range(64))
+    assert reduced_cohomology(cross, (0,)) == (0,) * 6
 
 
 def test_divisor_cohomology_disk_twists(octahedron):
