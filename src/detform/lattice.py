@@ -69,6 +69,7 @@ class Polytope:
     facets: tuple[Facet, ...]
     edges: tuple[Edge, ...] = field(default=())
     _census: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _faces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_facets(self) -> int:

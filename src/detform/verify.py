@@ -1,4 +1,4 @@
-"""Independent oracles: reduced cohomology of facet unions from their nerve,
+"""Independent oracles: reduced cohomology of facet unions from their cells,
 divisor cohomology by graded decomposition, common-root coefficient systems,
 and feasibility tests in dimension four and higher.
 
@@ -19,44 +19,63 @@ from .linalg import QQ, Echelon, qq
 from .shelling import as_selection
 
 
-def reduced_cohomology(Q: Polytope, selection) -> tuple[int, ...]:
-    """Rational reduced Betti numbers of a facet union from its nerve, 0..dim-1.
+def _signed_faces(Q: Polytope) -> dict:
+    """{face's vertex ids: (dim, {facet of the face: sign})} for every face of
+    Q, the empty one included, built once per polytope. A face's facets are
+    its largest proper intersections with Q's facets; a codimension-two face
+    lies on exactly two of them, so one sign fixes the rest and d∘d = 0."""
+    if not Q._faces:
+        faces: dict[frozenset, tuple[int, dict]] = {}
+        walls = [frozenset(f.vertex_ids) for f in Q.facets]
+        inc: dict[frozenset, dict] = {}
+        todo = list(walls)
+        while todo:
+            x = todo.pop()
+            if x not in inc:
+                meets = {x & w for w in walls} - {x}
+                inc[x] = {y: 0 for y in meets if not any(y < z for z in meets)}
+                todo += inc[x]
+        for x in sorted(inc, key=len):  # a face's facets come first
+            sides, dim = inc[x], -1
+            if sides:
+                first = next(iter(sides))
+                sides[first], queue, dim = 1, [first], faces[first][0] + 1
+                for y in queue:
+                    for z, s in inc[y].items():
+                        other = next(w for w in sides if w != y and z in inc[w])
+                        if not sides[other]:
+                            sides[other] = -sides[y] * s * inc[other][z]
+                            queue.append(other)
+            faces[x] = (dim, sides)
+        Q._faces.update(faces)
+    return Q._faces
 
-    Facets are convex and meet in faces, so the nerve has the homotopy type
-    of the union in any dimension, and a set of facets spans a simplex exactly
-    when the facets share a vertex: the simplices are the nonempty subsets of
-    the selected facets through each vertex. A vertex on k of them brings 2^k
-    subsets, so k is capped at 16.
-    """
+
+def reduced_cohomology(Q: Polytope, selection) -> tuple[int, ...]:
+    """Rational reduced Betti numbers of a facet union, 0..dim-1, from its
+    cellular chain complex: the faces of Q inside a selected facet, and the
+    empty face in dimension -1. Its cost grows with the number of faces."""
     sel = as_selection(Q, selection)
     if not sel:
         raise ValueError("empty facet selection")
-    through: dict[int, list[int]] = {}
-    for j in sel:
-        for v in Q.facets[j].vertex_ids:
-            through.setdefault(v, []).append(j)
-    top = max(map(len, through.values()))
-    if top > 16:
-        raise ValueError("facet selection too large for nerve enumeration")
-    levels: list[set[tuple[int, ...]]] = [set() for _ in range(top)]
-    for facets in through.values():
-        for size in range(1, len(facets) + 1):
-            levels[size - 1].update(itertools.combinations(facets, size))
-
-    # ranks[d]: rank of the boundary map from level d to level d - 1
-    ranks = [0]
-    for faces, level in zip(levels, levels[1:]):
-        pos = {s: p for p, s in enumerate(faces)}
-        ranks.append(Echelon(
-            {pos[s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
-            for s in level).rank)
-    ranks.append(0)
-    betti = [len(level) - ranks[d] - ranks[d + 1] for d, level in enumerate(levels)]
-    betti[0] -= 1
-    return tuple((betti + [0] * Q.dim)[:Q.dim])
+    faces = _signed_faces(Q)
+    cells, todo = set(), [frozenset(Q.facets[j].vertex_ids) for j in sel]
+    while todo:
+        x = todo.pop()
+        if x not in cells:
+            cells.add(x)
+            todo += faces[x][1]
+    levels: list[list[frozenset]] = [[] for _ in range(Q.dim + 1)]
+    for x in cells:
+        levels[faces[x][0] + 1].append(x)
+    pos = {x: p for level in levels for p, x in enumerate(level)}
+    # ranks[i]: rank of the boundary out of levels[i], the cells of dim i - 1
+    ranks = [Echelon({pos[y]: s for y, s in faces[x][1].items()} for x in level).rank
+             for level in levels] + [0]
+    return tuple(len(levels[d + 1]) - ranks[d + 1] - ranks[d + 2] for d in range(Q.dim))
 
 
-nerve_reduced_betti = reduced_cohomology
+nerve_reduced_betti = reduced_cohomology  # an exported name, kept
 
 
 @dataclass(frozen=True)
@@ -199,7 +218,7 @@ def feasibility_high_dim(Q: Polytope, selection) -> bool:
     """Dimension >= 5 test: the census condition on the selected facets.
 
     The selection's facet union must carry no reduced rational homology
-    (checked through the nerve); being a manifold is the caller's lookout.
+    (checked through its cells); being a manifold is the caller's lookout.
     """
     if Q.dim < 5:
         raise ValueError("expected dimension at least 5")
@@ -212,7 +231,7 @@ def feasibility_high_dim(Q: Polytope, selection) -> bool:
 
 
 def high_dim_feasible_selection(Q: Polytope):
-    """First proper facet subset passing the census condition and the nerve
+    """First proper facet subset passing the census condition and the homology
     test, or None; the census condition is bit algebra, so it goes first."""
     if Q.dim < 5:
         raise ValueError("expected dimension at least 5")

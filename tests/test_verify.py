@@ -27,6 +27,7 @@ from detform.verify import (
     nerve_reduced_betti,
     polynomial_value,
     reduced_cohomology,
+    _signed_faces,
 )
 
 from conftest import random_polytope
@@ -52,9 +53,9 @@ def test_reduced_cohomology_reference_shapes(cube, octahedron):
 
 
 # The cellular chain complex that computed the cohomology of dimension-3
-# facet unions before the nerve did in every dimension: the union's vertices,
-# edges and facets, each facet bounded by its cycle of edges, kept here as
-# the reference the nerve must match.
+# facet unions from stored facet cycles: the union's vertices, edges and
+# facets, each facet bounded by its cycle of edges, kept here as the
+# reference that reduced_cohomology must match.
 
 def facet_cycle(Q, j):
     """Vertex ids around facet j, walked along Q.edges from its least vertex."""
@@ -111,7 +112,7 @@ def test_boundaries_square_to_zero_randomly():
         assert reduced_cohomology(Q, sel) == b
 
 
-def test_nerve_matches_direct_complex_on_every_selection(cube, octahedron):
+def test_cells_match_the_cycle_complex_on_every_selection(cube, octahedron):
     for Q in (cube, octahedron, dilated_simplex(3, 2)):
         for size in range(1, Q.num_facets + 1):
             for sel in itertools.combinations(range(Q.num_facets), size):
@@ -121,9 +122,7 @@ def test_nerve_matches_direct_complex_on_every_selection(cube, octahedron):
 
 
 def test_nerve_matches_direct_complex():
-    # hulls of 13 to 18 facets, with selections of up to all of them: a
-    # selection of more than 16 facets was refused while the nerve's cost
-    # was counted in selected facets rather than facets through one vertex
+    # hulls of 13 to 18 facets, with selections of up to all of them
     rng = random.Random(97)
     large = 0
     for _ in range(20):
@@ -140,14 +139,90 @@ def test_nerve_matches_direct_complex():
     assert nerve_reduced_betti is reduced_cohomology
 
 
-def test_nerve_refuses_a_vertex_on_more_than_16_selected_facets():
-    # every vertex of the 6-dimensional cross-polytope lies on 32 facets
-    cross = convex_hull_with_facets(
-        [tuple(s if j == i else 0 for j in range(6)) for i in range(6) for s in (1, -1)])
+# a lattice 17-gon in [0, 12]^2, its vertices in counterclockwise order
+HEPTADECAGON = [(6, 12), (3, 11), (2, 10), (0, 7), (0, 6), (1, 3), (2, 2), (5, 0), (6, 0),
+                (9, 1), (10, 2), (11, 4), (12, 7), (12, 8), (11, 10), (10, 11), (7, 12)]
+
+
+def test_a_vertex_on_17_selected_facets_is_answered():
+    # the apex of a pyramid over a 17-gon lies on its 17 lateral facets,
+    # where the nerve has 2^17 simplices
+    Q = convex_hull_with_facets([(x, y, 0) for x, y in HEPTADECAGON] + [(6, 6, 1)])
+    apex = Q.vertices.index((6, 6, 1))
+    lateral = tuple(j for j, f in enumerate(Q.facets) if apex in f.vertex_ids)
+    base = next(j for j in range(18) if j not in lateral)
+    assert len(lateral) == 17
+    rng = random.Random(17)
+    picks = [lateral, lateral[:9], lateral[::2], (base,) + lateral[::3], range(18)]
+    picks += [rng.sample(range(18), rng.randint(1, 18)) for _ in range(40)]
+    for sel in picks:
+        assert reduced_cohomology(Q, sel) == cellular_reduced_betti(Q, sorted(sel)), sel
+    assert reduced_cohomology(Q, lateral) == (0, 0, 0)
+    assert reduced_cohomology(Q, range(18)) == (0, 0, 1)
+
+
+def nerve_reference(Q, sel):
+    """Reduced Betti numbers of the nerve: the nonempty sets of selected
+    facets through one vertex, the reference in dimension 4 and up. Facets
+    meet in faces, so the nerve has the homotopy type of their union."""
+    through = {}
+    for j in sel:
+        for v in Q.facets[j].vertex_ids:
+            through.setdefault(v, []).append(j)
+    levels = [set() for _ in range(max(map(len, through.values())))]
+    for facets in through.values():
+        for size in range(1, len(facets) + 1):
+            levels[size - 1].update(itertools.combinations(facets, size))
+    ranks = [0]
+    for faces, level in zip(levels, levels[1:]):
+        pos = {s: p for p, s in enumerate(faces)}
+        ranks.append(Echelon({pos[s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
+                             for s in level).rank)
+    ranks.append(0)
+    betti = [len(level) - ranks[d] - ranks[d + 1] for d, level in enumerate(levels)]
+    betti[0] -= 1
+    return tuple((betti + [0] * Q.dim)[:Q.dim])
+
+
+def cross_polytope(n):
+    return convex_hull_with_facets(
+        [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)])
+
+
+def test_cells_match_the_nerve_in_higher_dimensions():
+    rng = random.Random(6)
+    cube4 = convex_hull_with_facets(list(itertools.product((0, 1), repeat=4)))
+    for Q in (dilated_simplex(4, 1), dilated_simplex(5, 1), dilated_simplex(5, 2),
+              dilated_simplex(6, 1), cube4, cross_polytope(4)):
+        n = Q.num_facets
+        sels = [c for size in range(1, n + 1) for c in itertools.combinations(range(n), size)]
+        for sel in sels if len(sels) < 300 else rng.sample(sels, 300):
+            assert reduced_cohomology(Q, sel) == nerve_reference(Q, sel), (Q.dim, sel)
+
+
+def test_cell_boundaries_square_to_zero_in_every_dimension(cube, octahedron):
+    for Q in (cube, octahedron, dilated_simplex(5, 1), cross_polytope(5)):
+        faces = _signed_faces(Q)
+        assert sum(dim == Q.dim - 1 for dim, _ in faces.values()) == Q.num_facets
+        for dim, sides in faces.values():
+            acc = {}
+            for y, s in sides.items():
+                assert faces[y][0] == dim - 1 and s in (1, -1)
+                for z, t in faces[y][1].items():
+                    acc[z] = acc.get(z, 0) + s * t
+            assert not any(acc.values())
+
+
+def test_cost_does_not_grow_with_facets_through_a_vertex():
+    # every vertex of the 6-dimensional cross-polytope lies on 32 facets, but
+    # its boundary, a 5-sphere, has only 728 faces
+    cross = cross_polytope(6)
     assert cross.num_facets == 64
-    with pytest.raises(ValueError, match="facet selection too large for nerve enumeration"):
-        reduced_cohomology(cross, range(64))
+    assert reduced_cohomology(cross, range(64)) == (0, 0, 0, 0, 0, 1)
     assert reduced_cohomology(cross, (0,)) == (0,) * 6
+    # the facets with a positive first normal coordinate: a closed hemisphere
+    half = [j for j, f in enumerate(cross.facets) if f.normal[0] > 0]
+    assert reduced_cohomology(cross, half) == (0,) * 6
 
 
 def test_divisor_cohomology_disk_twists(octahedron):
