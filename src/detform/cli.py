@@ -82,6 +82,10 @@ _ERROR_CODES = (
     ((InvariantViolation,), EXIT_INTERNAL),
 )
 
+# what a failing verify check raises; a broken invariant or any other error reaches run()
+_CHECK_FAILURES = tuple(cls for classes, code in _ERROR_CODES if code != EXIT_INTERNAL
+                        for cls in classes) + (ValueError, AssertionError)
+
 
 class NoDiskSelection(Exception):
     pass
@@ -271,11 +275,7 @@ def _cmd_verify(config: RunConfig, Q) -> int:
         try:
             detail = fn()
             checks.append({"name": name, "passed": True, "detail": detail})
-        except InvariantViolation:
-            raise  # a bug, not a failed check: run() reports it as exit 7
-        except (DetformError, ValueError, AssertionError) as exc:
-            # what a check can raise when it fails: a typed error, bad
-            # geometry or _fail; anything else is a bug and reaches run()
+        except _CHECK_FAILURES as exc:
             checks.append({"name": name, "passed": False,
                            "detail": f"{type(exc).__name__}: {exc}"})
 

@@ -2,20 +2,23 @@
 
 All arithmetic is integer or exact rational; nothing here touches floats.
 Points are plain integer tuples, ordered lexicographically ascending wherever
-an order matters (this fixes every index used downstream). The points of kQ
-are walked once per polytope and k into a census of each point with the bit
-set of its facets; every point query is a filter over that census.
+an order matters (this fixes every index used downstream). Facet normals are
+integer cofactors, and incidences are bit sets. column_runs cuts each column
+of a box into runs that violate the same facet half-spaces; the points of kQ
+are the runs that violate none, walked once per polytope and k into a census
+of each point with the bit set of its facets, and every point query is a
+filter over that census.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import DegenerateSpan, EmptyInput, NoInteriorPoint, ParseError
-from .linalg import QQ, Echelon, primitive_integer_vector
+from .linalg import QQ, Echelon, det_bareiss
 
 Point = tuple[int, ...]
 
@@ -70,6 +73,7 @@ class Polytope:
     edges: tuple[Edge, ...] = field(default=())
     _census: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _faces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_facets(self) -> int:
@@ -86,9 +90,13 @@ class Polytope:
 def convex_hull_with_facets(points) -> Polytope:
     """Exact convex hull of integer points, with facet inequalities and faces.
 
-    Facet normals are found by enumerating hyperplanes spanned by point
-    subsets and keeping the supporting ones; this is exact and adequate for
-    the point-set sizes in scope, in any ambient dimension.
+    Every n-subset of the points spans a hyperplane, or none; its normal is
+    the vector of signed maximal minors of the differences (integer
+    cofactors, the cross product in dimension 3) divided by their gcd. The
+    supporting ones are the facets. A point's facets form a bit set, and a
+    point is a vertex iff no other point's set contains its own: a point
+    inside a face G has exactly G's facets, which every vertex of G lies on,
+    while the facets through a vertex meet in that vertex alone.
     """
     pts = sorted(set(tuple(int(c) for c in p) for p in points))
     if not pts:
@@ -100,80 +108,50 @@ def convex_hull_with_facets(points) -> Polytope:
     if affine_rank(pts) < n:
         raise DegenerateSpan(f"points span a flat of dimension {affine_rank(pts)} < {n}")
 
-    seen: dict[tuple[Point, int], None] = {}
-    for subset in itertools.combinations(range(len(pts)), n):
-        base = pts[subset[0]]
-        ech = Echelon(dict(enumerate(_sub(pts[i], base))) for i in subset[1:])
-        free = ech.free_columns(n)
-        if len(free) != 1:
+    columns, planes, found = list(zip(*pts)), set(), {}
+    for subset in itertools.combinations(pts, n):
+        normal = _cofactors([_sub(p, subset[0]) for p in subset[1:]])
+        g = math.gcd(*normal) * (1 if normal > (0,) * n else -1)  # first entry > 0
+        plane = g and (tuple(c // g for c in normal), _dot(subset[0], normal) // g)
+        if not plane or plane in planes:
             continue
-        kernel = primitive_integer_vector(ech.kernel_vector(free[0]))
-        normal = tuple(kernel.get(j, 0) for j in range(n))
-        level = _dot(base, normal)
-        lo = hi = False
-        for p in pts:
-            d = _dot(p, normal)
-            if d < level:
-                lo = True
-            elif d > level:
-                hi = True
-            if lo and hi:
-                break
-        if lo and hi:
-            continue
-        if lo:
-            normal = tuple(-c for c in normal)
-            level = -level
-        seen.setdefault((normal, -level), None)
-
-    verts_on: dict[tuple[Point, int], list[int]] = {}
-    facet_keys = sorted(seen)
-    point_facets: list[list[int]] = [[] for _ in pts]
-    for fi, (normal, offset) in enumerate(facet_keys):
-        on = [i for i, p in enumerate(pts) if _dot(p, normal) == -offset]
-        verts_on[(normal, offset)] = on
-        for i in on:
-            point_facets[i].append(fi)
-
-    vertex_ids = [
-        i for i, fids in enumerate(point_facets)
-        if len(fids) >= n and Echelon(dict(enumerate(facet_keys[f][0])) for f in fids).rank == n
-    ]
+        planes.add(plane)
+        normal, level = plane
+        values = [0] * len(pts)
+        for c, xs in zip(normal, columns):
+            values = [v + c * x for v, x in zip(values, xs)]
+        # supporting iff every point lies on one side; the inner normal faces them
+        sign = 1 if min(values) == level else -1 if max(values) == level else 0
+        if sign:
+            found[tuple(sign * c for c in normal), -sign * level] = sum(
+                1 << i for i, v in enumerate(values) if v == level)
+    facet_keys = sorted(found)
+    on = [sum(1 << f for f, key in enumerate(facet_keys) if found[key] >> i & 1)
+          for i in range(len(pts))]
+    vertex_ids = [i for i, b in enumerate(on)
+                  if not any(c & b == b for j, c in enumerate(on) if j != i)]
     vertices = tuple(pts[i] for i in vertex_ids)
-    vid_of = {pts[i]: k for k, i in enumerate(vertex_ids)}
-
     facets = tuple(
-        Facet(normal, offset,
-              tuple(sorted(vid_of[pts[i]] for i in verts_on[(normal, offset)] if pts[i] in vid_of)))
-        for normal, offset in facet_keys
+        Facet(normal, offset, tuple(v for v, i in enumerate(vertex_ids) if on[i] >> fi & 1))
+        for fi, (normal, offset) in enumerate(facet_keys)
     )
+    # two facets of a 3-polytope meet in an edge, a vertex or nothing
+    masks = [sum(1 << v for v in f.vertex_ids) for f in facets]
+    edges = sorted(
+        (tuple(v for v in range(len(vertices)) if (a & b) >> v & 1), (i, j))
+        for (i, a), (j, b) in itertools.combinations(enumerate(masks), 2)
+        if (a & b).bit_count() == 2
+    ) if n == 3 else ()
+    return Polytope(n, tuple(pts), vertices, facets, tuple(Edge(*e) for e in edges))
 
-    edges = _build_face_complex(facets) if n == 3 else ()
-    return Polytope(n, tuple(pts), vertices, facets, edges)
 
-
-def _build_face_complex(facets: tuple[Facet, ...]) -> tuple[Edge, ...]:
-    """Edges (ridges) of a 3-polytope, each with its two facets. Every facet
-    must be a simple polygon: each of its vertices on exactly two of its edges."""
-    pair_to_facets: dict[tuple[int, int], list[int]] = {}
-    for fi, fj in itertools.combinations(range(len(facets)), 2):
-        common = sorted(set(facets[fi].vertex_ids) & set(facets[fj].vertex_ids))
-        if len(common) == 2:
-            pair_to_facets.setdefault((common[0], common[1]), []).append(fi)
-            pair_to_facets[(common[0], common[1])].append(fj)
-    edges = []
-    for pair in sorted(pair_to_facets):
-        incident = sorted(set(pair_to_facets[pair]))
-        if len(incident) != 2:
-            raise DegenerateSpan(f"ridge {pair} lies in {len(incident)} facets")
-        edges.append(Edge(pair, (incident[0], incident[1])))
-
-    on_edges = Counter((fi, v) for e in edges for fi in e.facet_ids for v in e.vertex_ids)
-    for fi, facet in enumerate(facets):
-        for v in facet.vertex_ids:
-            if on_edges[fi, v] != 2:
-                raise DegenerateSpan(f"facet {fi} is not a simple polygon at vertex {v}")
-    return tuple(edges)
+def _cofactors(rows: list[Point]) -> Point:
+    """Signed maximal minors of n - 1 vectors in Z^n: orthogonal to them, 0 iff dependent."""
+    if len(rows) == 2:
+        (a, b, c), (d, e, f) = rows
+        return (b * f - c * e, c * d - a * f, a * e - b * d)
+    return tuple((-1) ** j * int(det_bareiss([r[:j] + r[j + 1:] for r in rows]))
+                 for j in range(len(rows) + 1))
 
 
 def point_census(Q: Polytope, k: int) -> tuple[tuple[Point, ...], tuple[int, ...]]:
@@ -208,6 +186,11 @@ def facet_bits(Q: Polytope, ids) -> int:
     return bits
 
 
+def facet_ids(bits: int) -> tuple[int, ...]:
+    """The ids in a bit set of facets, ascending: the inverse of facet_bits."""
+    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
 def points_off_facets(Q: Polytope, k: int, selection) -> list[Point]:
     """Integer points of k*Q lying on none of the selected facets."""
     mask = facet_bits(Q, selection)
@@ -222,39 +205,57 @@ def interior_points(Q: Polytope, k: int) -> list[Point]:
 
 
 def _column_walk(Q: Polytope, k: int) -> tuple[tuple[Point, ...], tuple[int, ...]]:
-    # Over each prefix of the other coordinates, facet i reads a*t >= r in the
-    # last one: a lower (a > 0) or upper (a < 0) bound on t, tight only at r/a;
-    # for a = 0 it keeps the whole column (tight on it if r = 0) or none of it.
     box = [range(k * min(c), k * max(c) + 1) for c in zip(*Q.vertices)]
-    cuts = [(f.normal[:-1], f.normal[-1], -k * f.offset, 1 << i) for i, f in enumerate(Q.facets)]
     points, bits = [], []
-    for prefix in itertools.product(*box[:-1]):
-        lo, hi, whole, tight = box[-1][0], box[-1][-1], 0, {}
-        for head, a, bound, bit in cuts:
-            r = bound - _dot(prefix, head)
-            if a == 0:
-                if r > 0:
-                    break
-                whole |= bit if r == 0 else 0
-                continue
-            q, rem = divmod(r, a)
-            if rem == 0:
-                tight[q] = tight.get(q, 0) | bit
-            if a > 0:
-                lo = max(lo, q + (rem != 0))
-            else:
-                hi = min(hi, q)
-        else:
-            for t in range(lo, hi + 1):
-                points.append(prefix + (t,))
-                bits.append(whole | tight.get(t, 0))
+    for prefix, runs, whole, tight in column_runs(box, [(f.normal, -k * f.offset) for f in Q.facets]):
+        for start, stop, violated in runs:
+            if not violated:
+                points += [prefix + (t,) for t in range(start, stop + 1)]
+                bits += [whole | tight.get(t, 0) for t in range(start, stop + 1)]
     return tuple(points), tuple(bits)
 
 
-def interior_rational_point(Q: Polytope) -> tuple:
-    """Canonical strictly interior point: the vertex centroid."""
-    n = len(Q.vertices)
-    return tuple(QQ(sum(v[j] for v in Q.vertices), n) for j in range(Q.dim))
+def column_runs(box, halfspaces):
+    """Cut every column of a box into runs by half-spaces <m, normal> >= bound.
+
+    The box is one range per coordinate; a column fixes all but the last.
+    Yields (prefix, runs, whole, tight) per column in lexicographic order:
+    the runs (start, stop, violated) cover the last range in order, violated
+    being the bit set (bit i for half-space i) with <m, normal> < bound on
+    the run; whole and tight[t] are those with equality on the whole column
+    and at height t alone.
+    """
+    columns = [((), [bound for _, bound in halfspaces])]
+    for i, coords in enumerate(box[:-1]):
+        columns = [(prefix + (x,), [r - normal[i] * x for r, (normal, _) in zip(rest, halfspaces)])
+                   for prefix, rest in columns for x in coords]
+    lo, hi = box[-1][0], box[-1][-1]
+    cuts = [(normal[-1], 1 << i) for i, (normal, _) in enumerate(halfspaces)]
+    rising = sum(bit for a, bit in cuts if a > 0)
+    for prefix, rest in columns:
+        # half-space i reads a*t >= r along the column: for a > 0 it holds
+        # from ceil(r/a) on, for a < 0 up to floor(r/a), and is tight at r/a
+        violated, whole, tight, flips = rising, 0, {}, []
+        for (a, bit), r in zip(cuts, rest):
+            if a:
+                q, rem = divmod(r, a)
+                if not rem:
+                    tight[q] = tight.get(q, 0) | bit
+                flips.append((q + 1 if a < 0 or rem else q, bit))
+            elif r > 0:
+                violated |= bit
+            elif not r:
+                whole |= bit
+        runs, start = [], lo
+        for t, bit in sorted(flips):
+            if t > hi:
+                break
+            if t > start:
+                runs.append((start, t - 1, violated))
+                start = t
+            violated ^= bit
+        runs.append((start, hi, violated))
+        yield prefix, runs, whole, tight
 
 
 def polar_dual_vertices(Q: Polytope) -> list[tuple]:
@@ -263,7 +264,7 @@ def polar_dual_vertices(Q: Polytope) -> list[tuple]:
     Q is translated by its vertex centroid so the origin is interior; the
     vertex dual to facet i is normal_i / (offset_i + <centroid, normal_i>).
     """
-    t = interior_rational_point(Q)
+    t = [QQ(sum(c), len(Q.vertices)) for c in zip(*Q.vertices)]
     out = []
     for f in Q.facets:
         shifted = QQ(f.offset) + sum(QQ(tc) * nc for tc, nc in zip(t, f.normal))

@@ -2,19 +2,19 @@
 
 A selection of facets is usable downstream only when its union is a
 topological disk. Partial shellings produce disks by construction; counts
-on the boundary sphere certify arbitrary selections. A disk's shelling
-order comes from one greedy pass that never backtracks, as every partial
-shelling of a disk extends; a selection that is not a disk is refused at once.
+on the boundary sphere, popcounts of per-facet vertex, edge and neighbour
+masks, certify arbitrary selections. A disk's shelling order comes from
+one greedy pass that never backtracks, as every partial shelling of a disk
+extends; a selection that is not a disk is refused at once.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
 from .errors import NonGenericDirection
-from .lattice import Polytope, facet_bits, point_census, polar_dual_vertices
+from .lattice import Polytope, facet_bits, facet_ids, point_census, polar_dual_vertices
 
 Selection = tuple[int, ...]
 
@@ -23,8 +23,25 @@ def as_selection(Q: Polytope, sel) -> Selection:
     """Sorted distinct facet ids of a selection or of anything carrying one
     (a PartialShelling, a TateWindow). Every id is checked once, by
     facet_bits: it must be an int naming a facet of Q, else ValueError."""
-    bits = facet_bits(Q, getattr(sel, "selection", sel))
-    return tuple(i for i in range(Q.num_facets) if bits >> i & 1)
+    return facet_ids(_bits(Q, sel))
+
+
+def _bits(Q: Polytope, sel) -> int:
+    return facet_bits(Q, getattr(sel, "selection", sel))
+
+
+def _masks(Q: Polytope) -> tuple[list[int], list[int], list[int]]:
+    """Per facet the bit sets of its vertices, its edges (bit j: Q.edges[j]) and
+    the facets across them, once per polytope; from dimension 4 on, no edges."""
+    if not Q._masks:
+        edges, adjacent = [0] * Q.num_facets, [0] * Q.num_facets
+        for j, e in enumerate(Q.edges):
+            for a, b in (e.facet_ids, e.facet_ids[::-1]):
+                edges[a] |= 1 << j
+                adjacent[a] |= 1 << b
+        Q._masks.update(vertices=[sum(1 << v for v in f.vertex_ids) for f in Q.facets],
+                        edges=edges, adjacent=adjacent)
+    return Q._masks["vertices"], Q._masks["edges"], Q._masks["adjacent"]
 
 
 @dataclass(frozen=True)
@@ -46,17 +63,6 @@ class PartialShelling:
         return tuple(sorted(self.order))
 
 
-def _selected_edges(Q: Polytope, sel) -> dict[tuple[int, int], list[int]]:
-    """Edges of the subcomplex, each with the selected facets containing it."""
-    chosen = set(sel)
-    out: dict[tuple[int, int], list[int]] = {}
-    for e in Q.edges:
-        hits = [f for f in e.facet_ids if f in chosen]
-        if hits:
-            out[e.vertex_ids] = hits
-    return out
-
-
 def is_partial_shelling(Q: Polytope, order) -> tuple[bool, tuple[ShellingStep, ...]]:
     """Check the shelling condition step by step, returning a certificate.
 
@@ -72,22 +78,18 @@ def is_partial_shelling(Q: Polytope, order) -> tuple[bool, tuple[ShellingStep, .
     if not 1 <= len(order) < Q.num_facets:
         raise ValueError("order must be a nonempty proper subset of the facets")
 
+    vertices, edges, _ = _masks(Q)
     steps = [ShellingStep(order[0], (), True)]
-    seen_vertices = set(Q.facets[order[0]].vertex_ids)
-    seen_facets = {order[0]}
+    seen_vertices, seen_edges = vertices[order[0]], edges[order[0]]
     for fid in order[1:]:
-        facet = Q.facets[fid]
-        shared_edges = tuple(
-            e.vertex_ids for e in Q.edges
-            if fid in e.facet_ids and (set(e.facet_ids) - {fid}) & seen_facets
-        )
-        shared_vertices = set(facet.vertex_ids) & seen_vertices
-        ok = bool(shared_edges) and len(shared_vertices) - len(shared_edges) == 1
-        steps.append(ShellingStep(fid, shared_edges, ok))
+        # an edge of fid lies in one more facet, so it is shared iff seen
+        shared = edges[fid] & seen_edges
+        ok = bool(shared) and (vertices[fid] & seen_vertices).bit_count() - shared.bit_count() == 1
+        steps.append(ShellingStep(fid, tuple(Q.edges[j].vertex_ids for j in facet_ids(shared)), ok))
         if not ok:
             return False, tuple(steps)
-        seen_vertices |= set(facet.vertex_ids)
-        seen_facets.add(fid)
+        seen_vertices |= vertices[fid]
+        seen_edges |= edges[fid]
     return True, tuple(steps)
 
 
@@ -99,10 +101,17 @@ def certify(Q: Polytope, order) -> PartialShelling:
 
 
 def euler_characteristic(Q: Polytope, sel) -> int:
-    sel = as_selection(Q, sel)
-    edges = _selected_edges(Q, sel)
-    verts = {v for i in sel for v in Q.facets[i].vertex_ids}
-    return len(verts) - len(edges) + len(sel)
+    return _euler(Q, _bits(Q, sel))
+
+
+def _euler(Q: Polytope, chosen: int) -> int:
+    """V - E + F of the union of the facets in the bit set chosen."""
+    vertices, edges, _ = _masks(Q)
+    v = e = 0
+    for i in facet_ids(chosen):
+        v |= vertices[i]
+        e |= edges[i]
+    return v.bit_count() - e.bit_count() + chosen.bit_count()
 
 
 def is_disk(Q: Polytope, sel) -> bool:
@@ -113,29 +122,28 @@ def is_disk(Q: Polytope, sel) -> bool:
     fan of selected facets around it. The result is a connected surface in
     the sphere with b >= 1 boundary circles, so its Euler characteristic is
     2 - b, and the union's is that minus the number of extra copies. So the
-    union is a disk iff it is connected and V - E + F is one.
+    union is a disk iff it is connected and V - E + F is one: popcounts of
+    the facet masks, and connectivity a flood fill over neighbour masks.
     """
-    sel = as_selection(Q, sel)
-    if not 1 <= len(sel) < Q.num_facets:
+    chosen = _bits(Q, sel)
+    if not 1 <= chosen.bit_count() < Q.num_facets:
         raise ValueError("selection must be a nonempty proper subset of the facets")
-    edges = _selected_edges(Q, sel)
-    verts = {v for i in sel for v in Q.facets[i].vertex_ids}
-    if len(verts) - len(edges) + len(sel) != 1:
-        return False
+    return _is_disk(Q, chosen)
 
-    adj = {i: set() for i in sel}
-    for hits in edges.values():
-        if len(hits) == 2:
-            a, b = hits
-            adj[a].add(b)
-            adj[b].add(a)
-    todo, reached = [sel[0]], {sel[0]}
+
+def _is_disk(Q: Polytope, chosen: int) -> bool:
+    """is_disk on a bit set: the Euler count, then a flood fill across edges."""
+    if _euler(Q, chosen) != 1:
+        return False
+    adjacent = _masks(Q)[2]
+    reached, todo = 0, chosen & -chosen
     while todo:
-        for nb in adj[todo.pop()]:
-            if nb not in reached:
-                reached.add(nb)
-                todo.append(nb)
-    return len(reached) == len(sel)
+        reached |= todo
+        grown = 0
+        for i in facet_ids(todo):
+            grown |= adjacent[i]
+        todo = grown & chosen & ~reached
+    return reached == chosen
 
 
 def boundary_lattice_count(Q: Polytope, sel) -> int:
@@ -144,7 +152,10 @@ def boundary_lattice_count(Q: Polytope, sel) -> int:
     The cycle is the frontier of the disk in the boundary sphere, so its
     points are the points of Q on both a selected and an unselected facet.
     """
-    chosen = facet_bits(Q, as_selection(Q, sel))
+    return _frontier(Q, _bits(Q, sel))
+
+
+def _frontier(Q: Polytope, chosen: int) -> int:
     return sum(1 for b in point_census(Q, 1)[1] if b & chosen and b & ~chosen)
 
 
@@ -204,25 +215,24 @@ _SWEEP_SAMPLES = 64  # generic sweep directions drawn above the limit
 def best_selection(Q: Polytope, seed: int = 0) -> PartialShelling:
     """Disk selection maximizing the boundary lattice point count.
 
-    With few facets the candidates are every proper subset that is a disk;
-    otherwise they are the sweep prefixes drawn from the seed. The choice
-    is one minimum over them: highest score first, ties to the smallest
-    sorted index tuple.
+    With few facets the candidates are every proper subset that is a disk,
+    enumerated as bit sets; otherwise they are the sweep prefixes drawn from
+    the seed. The choice is one minimum over them: highest score first, ties
+    to the smallest sorted index tuple.
     """
     s = Q.num_facets
     if s <= EXHAUSTIVE_FACET_LIMIT:
-        candidates = (sel for size in range(1, s)
-                      for sel in itertools.combinations(range(s), size) if is_disk(Q, sel))
+        candidates = (m for m in range(1, (1 << s) - 1) if _is_disk(Q, m))
     else:
         candidates = _sweep_prefixes(Q, seed)
-    best = min(candidates, key=lambda sel: (-boundary_lattice_count(Q, sel), sel), default=None)
+    best = min(candidates, key=lambda m: (-_frontier(Q, m), facet_ids(m)), default=None)
     if best is None:
         raise ValueError("no disk selection found")
-    return shelling_order_for(Q, best)
+    return shelling_order_for(Q, facet_ids(best))
 
 
 def _sweep_prefixes(Q: Polytope, seed: int):
-    """Each proper prefix, sorted, of the facet orders of _SWEEP_SAMPLES
+    """Each proper prefix, as a bit set, of the facet orders of _SWEEP_SAMPLES
     generic sweep directions drawn from the seed: line shellings, hence disks."""
     rng = random.Random(seed)
     duals = polar_dual_vertices(Q)
@@ -236,5 +246,7 @@ def _sweep_prefixes(Q: Polytope, seed: int):
         except NonGenericDirection:
             continue
         drawn += 1
-        for k in range(1, Q.num_facets):
-            yield tuple(sorted(order[:k]))
+        chosen = 0
+        for i in order[:-1]:
+            chosen |= 1 << i
+            yield chosen

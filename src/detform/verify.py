@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bracket import CoefficientSystem
 from .errors import NotStabilized
-from .lattice import Polytope, facet_bits, point_census
+from .lattice import Polytope, column_runs, facet_bits, facet_ids, point_census
 from .linalg import QQ, Echelon, qq
 from .shelling import as_selection
 
@@ -91,53 +91,40 @@ class CohomologyEntry:
 def divisor_cohomology(Q: Polytope, selection, k: int,
                        box_radius: int | None = None,
                        _memo: dict | None = None) -> CohomologyEntry:
-    """Graded decomposition: each character contributes the reduced cohomology
-    of the facet union where its divisor coefficients go negative.
+    """Graded decomposition: each character u contributes the reduced
+    cohomology of the facet union where its divisor coefficients go negative.
 
-    Raises NotStabilized when a nonzero contribution touches the enumeration
-    box boundary; call again with a larger box_radius. A selected id that
-    names no facet is a ValueError.
+    That set changes only across facet hyperplanes, so lattice.column_runs
+    cuts each column of the character box into at most F + 1 runs with one
+    negative set, and a run adds its Betti numbers times its length.
+    Raises NotStabilized at the first character, in lexicographic order,
+    where a nonzero contribution touches the box boundary; call again with
+    a larger box_radius. A selected id that names no facet is a ValueError.
     """
     if Q.dim != 3:
         raise ValueError("divisor cohomology enumeration is for 3-polytopes")
     chosen = facet_bits(Q, as_selection(Q, selection))
-    coeffs = [
-        k * f.offset - (chosen >> j & 1)
-        for j, f in enumerate(Q.facets)
-    ]
     if box_radius is None:
-        scale = max(
-            [abs(f.offset) for f in Q.facets]
-            + [abs(c) for v in Q.vertices for c in v])
+        scale = max([abs(f.offset) for f in Q.facets] + [abs(c) for v in Q.vertices for c in v])
         box_radius = abs(k) * scale + 2
     if box_radius < 1:
         raise ValueError("box radius must be at least 1")
 
-    memo = _memo if _memo is not None else {}
-    dims = [0] * (Q.dim + 1)
-    rng = range(-box_radius, box_radius + 1)
-    normals = [f.normal for f in Q.facets]
-    for u in itertools.product(rng, rng, rng):
-        neg = frozenset(
-            j for j, (c, eta) in enumerate(zip(coeffs, normals))
-            if c + u[0] * eta[0] + u[1] * eta[1] + u[2] * eta[2] < 0)
-        if neg:
-            if neg not in memo:
-                memo[neg] = reduced_cohomology(Q, neg)
+    memo, dims, R = {} if _memo is None else _memo, [0] * (Q.dim + 1), box_radius
+    # u is negative on facet j where <u, normal_j> < (chosen_j) - k * offset_j
+    halfspaces = [(f.normal, (chosen >> j & 1) - k * f.offset) for j, f in enumerate(Q.facets)]
+    for prefix, runs, _, _ in column_runs([range(-R, R + 1)] * 3, halfspaces):
+        rim = max(map(abs, prefix)) == R
+        for start, stop, neg in runs:
+            if neg not in memo:  # no negative facet: a character of H^0
+                memo[neg] = (0,) + reduced_cohomology(Q, facet_ids(neg)) if neg else (1, 0, 0, 0)
             betti = memo[neg]
-            hit = any(betti)
-        else:
-            betti = None
-            hit = True
-        if hit and max(abs(c) for c in u) == box_radius:
-            raise NotStabilized(
-                f"twist {k}: contribution at {u} on the box boundary "
-                f"(radius {box_radius})")
-        if betti is None:
-            dims[0] += 1
-        else:
-            for i, b in enumerate(betti):
-                dims[i + 1] += b
+            if any(betti):
+                if rim or start == -R or stop == R:
+                    u = prefix + (start if rim or start == -R else R,)
+                    raise NotStabilized(f"twist {k}: contribution at {u} on the box "
+                                        f"boundary (radius {R})")
+                dims = [d + b * (stop + 1 - start) for d, b in zip(dims, betti)]
     return CohomologyEntry(k, tuple(dims), box_radius, True)
 
 

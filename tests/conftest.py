@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
 import pytest
 
-from detform.lattice import Polytope, affine_rank, convex_hull_with_facets
+from detform.errors import DetformError
+from detform.lattice import (
+    Polytope,
+    affine_rank,
+    convex_hull_with_facets,
+    lattice_points_scaled,
+    points_off_facets,
+)
+from detform.shelling import best_selection
 
 CUBE_POINTS = list(itertools.product((0, 1), repeat=3))
 OCTA_POINTS = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -34,3 +43,27 @@ def random_polytope(rng: random.Random, span: int = 3, max_points: int = 10) -> 
                for _ in range(rng.randint(4, max_points))]
         if affine_rank(sorted(set(pts))) == 3:
             return convex_hull_with_facets(pts)
+
+
+@functools.lru_cache(maxsize=None)
+def acceptance_corpus() -> tuple:
+    """(points, Q, selection) of the acceptance gate's 25 polytopes: the draw
+    and filter of tests/test_acceptance.py (seed 1729), without the windows."""
+    rng = random.Random(1729)
+    out = []
+    while len(out) < 25:
+        npts = rng.randint(4, 8)
+        pts = sorted({tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(npts)})
+        try:
+            Q = convex_hull_with_facets(pts)
+        except DetformError:
+            continue
+        if Q.dim != 3 or len(lattice_points_scaled(Q, 1)) > 10:
+            continue
+        try:
+            selection = best_selection(Q, seed=rng.randint(0, 10 ** 6)).selection
+        except ValueError:
+            continue
+        if len(points_off_facets(Q, 4, selection)) <= 90:
+            out.append((pts, Q, selection))
+    return tuple(out)

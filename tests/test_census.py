@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,13 +20,16 @@ from detform.lattice import (
     convex_hull_with_facets,
     interior_points,
     lattice_points_scaled,
+    parse_support,
     point_census,
     points_off_facets,
     translate,
 )
 from detform.tate import build_window
 
-from conftest import CUBE_POINTS
+from conftest import CUBE_POINTS, acceptance_corpus
+
+SUPPORTS = Path(__file__).resolve().parents[1] / "supports"
 
 STRIP = (0, 1, 4)
 
@@ -62,6 +66,19 @@ def test_census_matches_box_reference(points, data):
         assert lattice_points_scaled(Q, k) == [m for m, _ in ref]
         assert interior_points(Q, k) == [m for m, on in ref if not on]
         assert points_off_facets(Q, k, selection) == [m for m, on in ref if not on & selection]
+
+
+def test_census_matches_box_reference_on_the_supports_and_the_corpus():
+    # fresh hulls, so each dilation is walked here, in dimensions 3 and 4
+    supports = [parse_support(path.read_text()) for path in sorted(SUPPORTS.glob("*.txt"))]
+    for points in supports + [points for points, _, _ in acceptance_corpus()]:
+        Q = convex_hull_with_facets(points)
+        for k in range(1, 5):
+            ref = reference_census(Q, k)
+            found, bits = point_census(Q, k)
+            assert list(found) == [m for m, _ in ref]
+            assert [{i for i in range(Q.num_facets) if b >> i & 1} for b in bits] == \
+                [on for _, on in ref]
 
 
 def test_census_lifecycle(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from detform.verify import common_root_system
 
 from conftest import ANNULUS, ANNULUS_POINTS
 
+ROOT = Path(__file__).resolve().parents[1]
 CUBE = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n1 0 1\n0 1 1\n1 1 1\n"
 OCTA = "1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n"
 
@@ -60,6 +62,18 @@ def test_shell_reports_disk_and_boundary(cube_file, capsys):
     assert out["boundary_lattice_count"] == 8
     assert len(out["steps"]) == 3
     assert out["steps"][0]["shared_edges"] == []
+
+
+def test_shell_on_a_4_polytope_is_not_a_disk(capsys):
+    # V - E + F = 1 marks a disk on a 3-polytope boundary only; a 4-polytope
+    # has no edge list, so its one-facet shelling prints is_disk false
+    with pytest.raises(SystemExit) as exc:
+        main(["shell", str(ROOT / "supports" / "simplex4.txt"), "--shelling", "indices=0", "--json"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (
+        '{\n  "seed": 0,\n  "selection": [\n    0\n  ],\n  "order": [\n    0\n  ],\n'
+        '  "steps": [\n    {\n      "facet": 0,\n      "shared_edges": []\n    }\n  ],\n'
+        '  "is_disk": false,\n  "boundary_lattice_count": null\n}\n')
 
 
 def test_predict_size_text_line(octa_file, capsys):
@@ -477,6 +491,21 @@ def test_invariant_violation_in_verify_exits_seven(octa_file, capsys, monkeypatc
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["code"] == 7
+
+
+def test_untyped_detform_error_in_verify_exits_seven(octa_file, capsys, monkeypatch):
+    # an error of the package with no row in the table is a bug in verify
+    # too: reported as in build-matrix, not as a failed check and exit 6
+    def explode(Q, sel):
+        raise DetformError("forced")
+
+    monkeypatch.setattr("detform.cli.build_window", explode)
+    code = run(RunConfig(command="verify", support_path=octa_file, roots=1))
+    assert code == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["code"], err["type"], err["message"]) == (7, "DetformError", "forced")
 
 
 def test_unexpected_exception_in_verify_exits_seven(octa_file, capsys, monkeypatch):

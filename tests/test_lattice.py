@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from detform.ehrhart import ehrhart_pair
-from detform.errors import DegenerateSpan, EmptyInput, ParseError
+from detform.errors import DegenerateSpan, DetformError, EmptyInput, ParseError
 from detform.lattice import (
+    Edge,
+    Facet,
+    Polytope,
     affine_rank,
     convex_hull_with_facets,
     facet_bits,
@@ -20,7 +25,7 @@ from detform.lattice import (
     polar_dual_vertices,
     translate,
 )
-from detform.linalg import QQ
+from detform.linalg import QQ, Echelon, primitive_integer_vector
 from detform.shelling import (
     boundary_lattice_count,
     euler_characteristic,
@@ -31,7 +36,9 @@ from detform.shelling import (
 from detform.tate import build_window
 from detform.verify import divisor_cohomology, nerve_reduced_betti
 
-from conftest import CUBE_POINTS, random_polytope
+from conftest import CUBE_POINTS, acceptance_corpus, random_polytope
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cube_facets(cube):
@@ -220,3 +227,93 @@ def test_translation_equivariance_random():
         shifted = [tuple(c + k * w for c, w in zip(m, v))
                    for m in points_off_facets(Q, k, sel)]
         assert shifted == points_off_facets(QT, k, sel)
+
+
+# The hull before facet normals came from integer cofactors and vertices from
+# facet bit sets: one Echelon per point subset, a rank test per vertex and a
+# pairwise face walk. Kept here as the reference the hull must agree with.
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def reference_hull(points):
+    pts = sorted(set(tuple(int(c) for c in p) for p in points))
+    if not pts:
+        raise EmptyInput("no points given")
+    dims = {len(p) for p in pts}
+    if len(dims) != 1:
+        raise ParseError(f"mixed point dimensions {sorted(dims)}")
+    n = dims.pop()
+    if affine_rank(pts) < n:
+        raise DegenerateSpan(f"points span a flat of dimension {affine_rank(pts)} < {n}")
+    seen = {}
+    for subset in itertools.combinations(range(len(pts)), n):
+        base = pts[subset[0]]
+        ech = Echelon(dict(enumerate(c - b for c, b in zip(pts[i], base))) for i in subset[1:])
+        free = ech.free_columns(n)
+        if len(free) != 1:
+            continue
+        kernel = primitive_integer_vector(ech.kernel_vector(free[0]))
+        normal = tuple(kernel.get(j, 0) for j in range(n))
+        level = dot(base, normal)
+        lo = any(dot(p, normal) < level for p in pts)
+        hi = any(dot(p, normal) > level for p in pts)
+        if lo and hi:
+            continue
+        if lo:
+            normal, level = tuple(-c for c in normal), -level
+        seen.setdefault((normal, -level), None)
+    keys = sorted(seen)
+    on = {key: [i for i, p in enumerate(pts) if dot(p, key[0]) == -key[1]] for key in keys}
+    vertex_ids = [i for i in range(len(pts))
+                  if Echelon(dict(enumerate(key[0])) for key in keys if i in on[key]).rank == n]
+    vid_of = {pts[i]: k for k, i in enumerate(vertex_ids)}
+    facets = tuple(Facet(normal, offset, tuple(sorted(vid_of[pts[i]] for i in on[normal, offset]
+                                                      if pts[i] in vid_of)))
+                   for normal, offset in keys)
+    edges = ()
+    if n == 3:
+        pairs = {}
+        for (i, a), (j, b) in itertools.combinations(enumerate(facets), 2):
+            common = tuple(sorted(set(a.vertex_ids) & set(b.vertex_ids)))
+            if len(common) == 2:
+                pairs.setdefault(common, set()).update((i, j))
+        for pair, incident in pairs.items():
+            if len(incident) != 2:
+                raise DegenerateSpan(f"ridge {pair} lies in {len(incident)} facets")
+        edges = tuple(Edge(pair, tuple(sorted(pairs[pair]))) for pair in sorted(pairs))
+    return Polytope(n, tuple(pts), tuple(pts[i] for i in vertex_ids), facets, edges)
+
+
+def _hull_outcome(hull, points):
+    try:
+        return hull(points)
+    except DetformError as exc:
+        return type(exc), str(exc)
+
+
+def _symmetries(points):
+    """The 48 symmetries of the box [0,3]^3 applied to the points."""
+    for axes in itertools.permutations(range(3)):
+        for flips in itertools.product((False, True), repeat=3):
+            yield [tuple(3 - p[a] if f else p[a] for a, f in zip(axes, flips)) for p in points]
+
+
+def test_hull_matches_the_echelon_reference():
+    # the supports (the 4-simplex among them), the corpus in every position
+    # in its box, random draws, flat and malformed inputs, a 6-polytope
+    cases = [parse_support(path.read_text()) for path in sorted((ROOT / "supports").glob("*.txt"))]
+    cases += [CUBE_POINTS] + [moved for points, _, _ in acceptance_corpus() for moved in _symmetries(points)]
+    rng = random.Random(300)
+    cases += [[tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(1, 9))]
+              for _ in range(300)]
+    cases += [[(0, 0, 0), (0, 0, 0)], [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 3, 0)], [],
+              [(0, 0, 0), (1, 1)], [(0,), (3,)], [(0, 0), (2, 1), (1, 3), (1, 1)]]
+    cases.append([tuple(s * (i == j) for j in range(6)) for i in range(6) for s in (1, -1)])
+    degenerate = 0
+    for points in cases:
+        got = _hull_outcome(convex_hull_with_facets, points)
+        assert got == _hull_outcome(reference_hull, points), points
+        degenerate += type(got) is tuple and got[0] is DegenerateSpan
+    assert degenerate > 10

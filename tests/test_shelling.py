@@ -435,3 +435,58 @@ def test_best_selection_matches_the_closure_argmin():
             hulls += 1
     for Q, seed in cases:
         assert best_selection(Q, seed) == reference_best_selection(Q, seed), (Q.vertices, seed)
+
+
+# The edge walk is_disk made before selections became bit sets, and the
+# exhaustive search best_selection ran over it, kept here as the references
+# the masks must agree with.
+
+def edge_walk_is_disk(Q, sel) -> bool:
+    chosen = set(sel)
+    edges = {e.vertex_ids: [f for f in e.facet_ids if f in chosen] for e in Q.edges}
+    edges = {pair: hits for pair, hits in edges.items() if hits}
+    verts = {v for i in sel for v in Q.facets[i].vertex_ids}
+    if len(verts) - len(edges) + len(sel) != 1:
+        return False
+    adj = {i: set() for i in sel}
+    for hits in edges.values():
+        if len(hits) == 2:
+            adj[hits[0]].add(hits[1])
+            adj[hits[1]].add(hits[0])
+    todo, reached = [sel[0]], {sel[0]}
+    while todo:
+        for nb in adj[todo.pop()]:
+            if nb not in reached:
+                reached.add(nb)
+                todo.append(nb)
+    return len(reached) == len(sel)
+
+
+def edge_walk_best_selection(Q):
+    s = Q.num_facets
+    disks = [sel for size in range(1, s) for sel in itertools.combinations(range(s), size)
+             if edge_walk_is_disk(Q, sel)]
+    best = min(disks, key=lambda sel: (-boundary_lattice_count(Q, sel), sel))
+    return shelling_order_for(Q, best)
+
+
+def test_masks_match_the_edge_walk_on_every_subset():
+    twelve = convex_hull_with_facets([(0, 1, 2), (2, 0, 2), (2, 4, 4), (3, 3, 0),
+                                      (3, 3, 4), (3, 4, 0), (4, 1, 0), (4, 3, 4)])
+    assert twelve.num_facets == shelling.EXHAUSTIVE_FACET_LIMIT
+    disks = 0
+    for points in (SIMPLEX_POINTS, CUBE_POINTS, OCTA_POINTS):
+        Q = convex_hull_with_facets(points)
+        for size in range(1, Q.num_facets):
+            for sel in itertools.combinations(range(Q.num_facets), size):
+                disk = is_disk(Q, sel)
+                assert disk == edge_walk_is_disk(Q, sel), (points, sel)
+                disks += disk
+        assert best_selection(Q) == edge_walk_best_selection(Q)
+    for mask in range(1, (1 << 12) - 1):
+        sel = tuple(i for i in range(12) if mask >> i & 1)
+        disk = is_disk(twelve, sel)
+        assert disk == edge_walk_is_disk(twelve, sel), sel
+        disks += disk
+    assert best_selection(twelve) == edge_walk_best_selection(twelve)
+    assert disks > 800

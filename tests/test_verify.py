@@ -30,7 +30,7 @@ from detform.verify import (
     _signed_faces,
 )
 
-from conftest import random_polytope
+from conftest import acceptance_corpus, random_polytope
 
 
 def dilated_simplex(n, d):
@@ -402,3 +402,59 @@ def test_feasibility_high_dim_guards():
         feasibility_high_dim(Q5, ())
     with pytest.raises(ValueError):
         feasibility_high_dim(Q5, range(Q5.num_facets))
+
+
+# divisor_cohomology before it cut the box into column runs: every character
+# tests every facet. Kept here as the reference the runs must agree with.
+
+def per_character_cohomology(Q, selection, k, box_radius=None):
+    if Q.dim != 3:
+        raise ValueError("divisor cohomology enumeration is for 3-polytopes")
+    chosen = set(selection)
+    coeffs = [k * f.offset - (j in chosen) for j, f in enumerate(Q.facets)]
+    if box_radius is None:
+        scale = max([abs(f.offset) for f in Q.facets] + [abs(c) for v in Q.vertices for c in v])
+        box_radius = abs(k) * scale + 2
+    dims, memo = [0] * 4, {}
+    rng = range(-box_radius, box_radius + 1)
+    for u in itertools.product(rng, rng, rng):
+        neg = tuple(j for j, (c, f) in enumerate(zip(coeffs, Q.facets))
+                    if c + sum(a * b for a, b in zip(u, f.normal)) < 0)
+        if neg not in memo:
+            memo[neg] = (0,) + reduced_cohomology(Q, neg) if neg else (1, 0, 0, 0)
+        betti = memo[neg]
+        if any(betti) and max(map(abs, u)) == box_radius:
+            raise NotStabilized(f"twist {k}: contribution at {u} on the box boundary "
+                                f"(radius {box_radius})")
+        dims = [d + b for d, b in zip(dims, betti)]
+    return tuple(dims), box_radius
+
+
+def _cohomology_outcome(divisor, Q, selection, k, box_radius=None):
+    try:
+        entry = divisor(Q, selection, k, box_radius)
+    except (NotStabilized, ValueError) as exc:
+        return type(exc), str(exc)
+    return (entry.dims, entry.box_radius) if hasattr(entry, "dims") else entry
+
+
+def test_column_runs_match_the_per_character_cohomology(octahedron):
+    cases = [(octahedron, sel, k, None) for k in range(-2, 3)
+             for sel in (best_selection(octahedron).selection, (0, 6), (3,), tuple(range(7)))]
+    cases += [(octahedron, (0, 1, 2, 4), 3, 2), (dilated_simplex(4, 1), (0,), 1, None)]
+    # the whole corpus at twist 0 and, in a radius-4 box, at twist 2; the
+    # per-character walk is slow, so only every eighth at twists -1 and 1
+    corpus = acceptance_corpus()
+    cases += [(Q, sel, k, None) for i, (_, Q, sel) in enumerate(corpus)
+              for k in ((-1, 0, 1) if i % 8 == 0 else (0,))]
+    cases += [(Q, sel, 2, 4) for _, Q, sel in corpus]
+    for n in range(10, 18):
+        Q = convex_hull_with_facets([(x, y, 0) for x, y in HEPTADECAGON[:n]] + [(6, 6, 1)])
+        cases += [(Q, sel, k, 3) for k in (-1, 0, 1) for sel in ((0,), tuple(range(1, n, 2)))]
+    outcomes = set()
+    for Q, sel, k, radius in cases:
+        got = _cohomology_outcome(divisor_cohomology, Q, sel, k, radius)
+        assert got == _cohomology_outcome(per_character_cohomology, Q, sel, k, radius), \
+            (Q.vertices, sel, k, radius)
+        outcomes.add(got[0] if got[0] in (NotStabilized, ValueError) else "dims")
+    assert outcomes == {NotStabilized, ValueError, "dims"}
