@@ -8,34 +8,32 @@ c * t_i ∧ e_S, and the map sends g_j ∧ w to column j ∧ w. The same format
 holds kernel vectors, so a cover map's columns are its kernel vectors.
 
 Everything downstream reduces to exact linear algebra on graded pieces of
-such maps. A map of weighted modules preserves the torus weight, so each
-piece is block-diagonal by weight and is laid out as its blocks directly. A
-block holds its source columns (ids into the piece's canonical coordinate
-list) and its weight; block_columns builds its exact columns on demand,
-each a sparse dict over the block's rows, numbered in the order their
-(target generator, subset) keys first appear. The target module's
-coordinates are never enumerated: a row exists only where a column lands.
-The product e_T ∧ e_S of a term's subset T and a coordinate's subset S does
-not depend on the generator, so each piece wedges each (term subset,
-coordinate subset) pair once and every column is read off that table.
+such maps. A weight-preserving map's piece is block-diagonal by weight and
+is laid out as its blocks: column ids into the piece's canonical source
+coordinates, and a weight. A module's degree-d coordinate (i, U) sits at one
+position in every block, offset(|U|) + the index of U among its size, and
+i * height + position is its key. Each algebra wedges each term subset T
+with the k-subsets once, into a (T, k) table of signs and indices, and
+block_columns reads a block's exact columns off those tables on demand.
 
-Every window piece is reduced by one routine, the cover's, which certifies
-each (degree, weight) block on its own, mod 2. The earlier generators'
-products are the columns of the piece of the map they define, so each
-lands in its block by weight; XOR-reducing the bitsets of their odd entries
-gives pivots P2 and rank2(products), and the block's columns off P2 are
-built straight as such bitsets. If those are independent mod 2,
-rank2(products) + rank2(columns) = columns; the products lie in the kernel,
-so rank_Q(products) + rank_Q(columns) <= columns, and rank2 <= rank_Q: the
-products span the kernel over Q, of dimension rank2(products). Only a block
-the test cannot certify is reduced exactly: block_kernel gives its kernel
-basis, and the block's own products echelon keeps the vectors it does not
-span; reduction never leaves a block, so the cover is the exact one.
+The cover certifies each (degree, weight) block of a piece mod 2, on
+bitsets that XOR the positions of a column's odd entries: rows of targets
+of one degree and weight add up, a linear image, so rank mod 2 only drops.
+The earlier generators' products are the columns of the piece of the map
+they define, so each lands in its block by weight; XOR-reducing their
+bitsets gives pivots P2, and rank2(products) >= |P2|. If the columns off P2,
+rest, are independent mod 2 and |rest| + |P2| = columns, the kernel has
+dimension at most |P2|, and the products span it over Q; the count fails
+only where sources of one degree and weight share a pivot's position. Any
+other block takes block_kernel, and its own exact products echelon keeps
+the kernel vectors they do not span.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import add
 
@@ -48,10 +46,6 @@ Vector = dict[tuple[int, Subset], int]
 
 def wedge_subsets(T: Subset, S: Subset) -> tuple[int, Subset] | None:
     """Sign and index set of e_T ∧ e_S, or None when they overlap."""
-    if not T:
-        return 1, S
-    if not S:
-        return 1, T
     inversions = 0
     for t in T:
         for s in S:
@@ -59,8 +53,7 @@ def wedge_subsets(T: Subset, S: Subset) -> tuple[int, Subset] | None:
                 return None
             if t > s:
                 inversions += 1
-    merged = tuple(sorted(T + S))
-    return (-1 if inversions % 2 else 1), merged
+    return (-1 if inversions % 2 else 1), tuple(sorted(T + S))
 
 
 def times(vec: Vector, S: Subset) -> Vector:
@@ -76,11 +69,33 @@ def times(vec: Vector, S: Subset) -> Vector:
 @dataclass(frozen=True)
 class ExteriorAlgebra:
     """Ambient algebra data: generator count and one torus weight per generator.
-    _subsets caches per size k the subsets, their masks and weight groups."""
+    _subsets caches the tables of subsets and wedge_table, built once each."""
 
     nvars: int
     var_weights: tuple[tuple[int, ...], ...]
     _subsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def subsets(algebra: ExteriorAlgebra, k: int):
+    """The k-subsets in combinations order, their index, their weight groups."""
+    if k not in algebra._subsets:
+        subs, groups = list(itertools.combinations(range(algebra.nvars), k)), {}
+        for s, S in enumerate(subs):
+            w = map(sum, zip(*(algebra.var_weights[i] for i in S)))
+            groups.setdefault(tuple(w), []).append(s)
+        algebra._subsets[k] = subs, dict(zip(subs, range(len(subs)))), groups
+    return algebra._subsets[k]
+
+
+def wedge_table(algebra: ExteriorAlgebra, T: Subset, k: int):
+    """(signs, idx): e_T ∧ e_S = signs[s] * e_U for the s-th k-subset S and
+    U the idx[s]-th subset of its size; both are None where T meets S."""
+    if (T, k) not in algebra._subsets:
+        index = subsets(algebra, len(T) + k)[1]
+        hits = [wedge_subsets(T, S) for S in subsets(algebra, k)[0]]
+        algebra._subsets[T, k] = ([hit and hit[0] for hit in hits],
+                                  [hit and index[hit[1]] for hit in hits])
+    return algebra._subsets[T, k]
 
 
 @dataclass(frozen=True)
@@ -94,6 +109,12 @@ class GradedFreeModule:
     algebra: ExteriorAlgebra
     generators: tuple[Generator, ...]
 
+    def __post_init__(self):
+        lengths = {len(w) for w in self.algebra.var_weights}
+        lengths.update(len(g.weight) for g in self.generators)
+        if len(lengths) > 1:
+            raise InvariantViolation(f"torus weights of lengths {sorted(lengths)} in one module")
+
     @property
     def rank(self) -> int:
         return len(self.generators)
@@ -102,10 +123,7 @@ class GradedFreeModule:
         return [g.degree for g in self.generators]
 
     def counts_by_degree(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for g in self.generators:
-            out[g.degree] = out.get(g.degree, 0) + 1
-        return dict(sorted(out.items(), reverse=True))
+        return dict(sorted(Counter(self.degrees()).items(), reverse=True))
 
 
 @dataclass
@@ -122,8 +140,7 @@ class FreeModuleMap:
         if self.source.algebra != self.target.algebra:
             raise InvariantViolation("source and target live over different algebras")
         if len(self.columns) != self.source.rank:
-            raise InvariantViolation(
-                f"{len(self.columns)} columns for {self.source.rank} generators")
+            raise InvariantViolation(f"{len(self.columns)} columns for {self.source.rank} generators")
 
     def cells(self) -> dict[tuple[int, int], dict[Subset, int]]:
         """Matrix entries: (target, source) -> {subset: coefficient}, nonzero only."""
@@ -159,24 +176,28 @@ class FreeModuleMap:
         return not any(self.columns)
 
 
+def positions(module: GradedFreeModule, d: int) -> tuple[dict[int, int], int]:
+    """Offsets by size of the module's degree-d subsets, and their height."""
+    offset, height = {}, 0
+    for k in sorted({g.degree - d for g in module.generators}):
+        if 0 <= k <= module.algebra.nvars:
+            offset[k], height = height, height + math.comb(module.algebra.nvars, k)
+    return offset, height
+
+
 @dataclass
 class GradedPiece:
-    """Degree-d component of a map, laid out as its torus-weight blocks.
-
-    source_coords lists the (source generator, subset) coordinates in
-    canonical order; keys[c] is coordinate c's generator shifted above its
-    subset's bit mask. Each block is (ascending column ids into
-    source_coords, weight, None). block_columns builds a block's exact
-    columns on demand: column c is a sparse dict over the block's row
-    numbers, the image of coordinate source_coords[ids[c]].
-    """
+    """Degree-d component of a map, laid out as its torus-weight blocks
+    (ascending column ids into source_coords, weight, None). Coordinate c,
+    of generator j, holds j's subset number c - first[j]."""
 
     source_coords: list[tuple[int, Subset]]
-    keys: list[int]
     blocks: list[tuple[list[int], tuple[int, ...], None]]
+    height: int  # source positions; a coordinate's key is j * height + position
     first: dict[int, int]  # generator -> its first coordinate
-    terms: dict[int, list[tuple]]  # generator -> (target bits, coefficient, wedges, keys)
-    odd: dict[int, list[tuple]]  # generator -> (target bits, keys) of its odd terms
+    shift: dict[int, int]  # generator -> position less coordinate id
+    terms: dict[int, list[tuple]]  # generator -> (row key at idx 0, coefficient, signs, idx)
+    odd: dict[int, list[tuple]]  # generator -> (row position at idx 0, idx) of odd terms
 
     def rank(self) -> int:
         return sum(Echelon(self.block_columns(ids, {})).rank for ids, _, _ in self.blocks)
@@ -195,34 +216,30 @@ class GradedPiece:
             j = self.source_coords[c][0]
             s = c - self.first[j]
             col = {}
-            for base, cf, hits, keys in self.terms[j]:
-                if keys[s] is not None:
-                    col[row_at.setdefault(base | keys[s], len(row_at))] = hits[s][0] * cf
+            for base, cf, signs, idx in self.terms[j]:
+                if idx[s] is not None:
+                    col[row_at.setdefault(base + idx[s], len(row_at))] = signs[s] * cf
             columns.append(col)
         return columns
 
-    def odd_columns(self, ids, row_at: dict[int, int]):
-        """The bitsets of those columns' odd entries, exact ones never built."""
+    def odd_columns(self, ids):
+        """Those columns' odd entries as bitsets over positions, XOR-ed."""
         first, odd, coords = self.first, self.odd, self.source_coords
         for c in ids:
             j = coords[c][0]
             s = c - first[j]
             bits = 0
-            for base, keys in odd[j]:
-                u = keys[s]
+            for at, idx in odd[j]:
+                u = idx[s]
                 if u is not None:
-                    bits |= 1 << row_at.setdefault(base | u, len(row_at))
+                    bits ^= 1 << at + u
             yield bits
 
 
 def block_kernel(src_ids, columns: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """(free coordinate, kernel vector) pairs of one block, in source ids.
-
-    The block is transposed to its rows and reduced by the canonical row
-    echelon, last row first: on tall blocks that fills in far less than
-    number order. Pivot columns and kernel depend only on the row space, so
-    each free column gives one vector, the same up to a positive scale.
-    """
+    """(free coordinate, kernel vector) pairs of one block, in source ids. The
+    block is transposed to rows and reduced last row first, which fills in far
+    less on tall blocks; pivots and kernel depend only on the row space."""
     rows: dict[int, dict[int, int]] = {}
     for c, col in enumerate(columns):
         for r, v in col.items():
@@ -234,50 +251,38 @@ def block_kernel(src_ids, columns: list[dict[int, int]]) -> list[tuple[int, dict
 
 def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
     """The degree-d piece of phi, laid out as its blocks without columns.
-
-    The coordinate (j, S) has weight g_j.weight plus the weights of S, so a
-    generator's coordinates join blocks a group of equal subset weights at
-    a time; blocks come in the order of their first coordinate. e_T ∧ e_S
-    depends only on a term's subset T and the coordinate's subset S, so
-    each (T, S) pair is wedged once per piece: one table row per (T, k)
-    lists the products, and their keys, over the size-k subsets.
-    """
+    The coordinate (j, S) weighs g_j.weight plus the weights of S, so j's
+    coordinates join blocks a subset weight group at a time; blocks come in
+    the order of their first coordinate."""
     algebra = phi.source.algebra
-    N = algebra.nvars
-    subsets, wedges, by_weight = algebra._subsets, {}, {}
-    piece = GradedPiece([], [], [], {}, {}, {})
+    offset, height = positions(phi.source, d)
+    row_offset, row_height = positions(phi.target, d)
+    by_weight: dict[tuple[int, ...], list[int]] = {}
+    piece = GradedPiece([], [], height, {}, {}, {}, {})
     for j, g in enumerate(phi.source.generators):
         k = g.degree - d
-        if not 0 <= k <= N:
+        if k not in offset:
             continue
-        if k not in subsets:
-            subs = list(itertools.combinations(range(N), k))
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for s, S in enumerate(subs):
-                w = map(sum, zip((0,) * len(g.weight), *(algebra.var_weights[i] for i in S)))
-                groups.setdefault(tuple(w), []).append(s)
-            masks = map(sum, itertools.combinations([1 << v for v in range(N)], k))
-            subsets[k] = subs, list(masks), groups
-        subs, masks, groups = subsets[k]
+        subs, _, groups = subsets(algebra, k)
         f = piece.first[j] = len(piece.source_coords)
-        terms = piece.terms[j] = []
+        piece.shift[j] = offset[k] - f
+        terms, odd = piece.terms[j], piece.odd[j] = [], []
         for (i, T), cf in phi.columns[j].items():
-            if (T, k) not in wedges:
-                hits, t = [wedge_subsets(T, S) for S in subs], sum(1 << v for v in T)
-                wedges[T, k] = hits, [hit and t | m for hit, m in zip(hits, masks)]
-            terms.append((i << N, cf, *wedges[T, k]))
-        piece.odd[j] = [(base, keys) for base, cf, _, keys in terms if cf & 1]
-        for w, positions in groups.items():
-            by_weight.setdefault(tuple(map(add, g.weight, w)), []).extend(map(f.__add__, positions))
+            if len(T) + k <= algebra.nvars:  # else e_T ∧ e_S = 0 for every S
+                at, (signs, idx) = row_offset[len(T) + k], wedge_table(algebra, T, k)
+                terms.append((i * row_height + at, cf, signs, idx))
+                if cf & 1:
+                    odd.append((at, idx))
+        for w, ids in groups.items():
+            weight = tuple(map(add, g.weight, w)) if k else g.weight
+            by_weight.setdefault(weight, []).extend(map(f.__add__, ids))
         piece.source_coords += [(j, S) for S in subs]
-        piece.keys += [j << N | m for m in masks]
     piece.blocks = [(ids, weight, None) for weight, ids in by_weight.items()]
     return piece
 
 
 def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
-    """The degree-d component of phi, laid out as its blocks (see lay_out);
-    block_columns builds a block's exact columns on demand."""
+    """The degree-d component of phi, laid out as its blocks (see lay_out)."""
     return lay_out(phi, d)
 
 
@@ -289,23 +294,17 @@ def minimal_free_cover(
 
     In each degree the new generators are canonical kernel vectors that are
     independent of everything the previously chosen generators already span
-    after multiplication by the algebra. A block whose columns off the
-    pivots P2 of its products mod 2 are independent mod 2 is certified to
-    gain none, with rank2(products) + rank2(columns) = columns; any other
-    block goes to block_kernel, and its own exact products echelon discards
-    the kernel vectors it already spans. The returned map sends the cover
-    onto the kernel through degree_floor; callers know the floor from theory
-    and audit the generator counts instead of probing below it.
+    after multiplication by the algebra; a block certified mod 2 gains none
+    (see the module notes). The returned map sends the cover onto the kernel
+    through degree_floor; callers know the floor from theory and audit the
+    generator counts instead of probing below it.
 
-    Returns (onto, dims): the cover is onto.source, each generator carrying
-    its degree and its block's torus weight; dims[d] = (columns, nullity) of
-    phi's degree-d piece for every degree scanned, so that callers need not
-    reduce the piece again.
+    Returns (onto, dims): the cover onto.source, each generator carrying its
+    degree and block weight, and dims[d] = (columns, nullity) of phi's
+    degree-d piece for every degree scanned.
     """
     F = phi.source
     algebra = F.algebra
-    top = max(F.degrees(), default=degree_floor - 1)
-
     gens: list[Generator] = []
     vectors: list[Vector] = []
     dims: dict[int, tuple[int, int]] = {}
@@ -314,18 +313,20 @@ def minimal_free_cover(
         piece = graded_piece(phi, d)
         shifted = lay_out(FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), d)
         products = {weight: ids for ids, weight, _ in shifted.blocks}
+        coords, shift, height = piece.source_coords, piece.shift, piece.height
         nullity, kernel = 0, []
         for ids, weight, _ in piece.blocks:
-            # the block's products, over its columns in coordinate order
+            # the block's products, as bitsets over the same positions
             prods = products.get(weight, [])
-            at = {piece.keys[c]: n for n, c in enumerate(ids)} if prods else {}
             basis: dict[int, int] = {}
-            for bits in shifted.odd_columns(prods, at):
+            for bits in shifted.odd_columns(prods):
                 insert_mod2(basis, bits)
-            rest = [c for top, c in enumerate(ids, 1) if top not in basis]
-            if independent_mod2(piece.odd_columns(rest, {})):
+            # a pivot at a position two columns share fails the count
+            rest = [c for c in ids if c + shift[coords[c][0]] + 1 not in basis] if basis else ids
+            if len(rest) + len(basis) == len(ids) and independent_mod2(piece.odd_columns(rest)):
                 nullity += len(basis)
                 continue
+            at = {coords[c][0] * height + c + shift[coords[c][0]]: n for n, c in enumerate(ids)}
             spanned = Echelon(shifted.block_columns(prods, at))
             found = block_kernel(range(len(ids)), piece.block_columns(ids, {}))
             nullity += len(found)
@@ -339,7 +340,6 @@ def minimal_free_cover(
             vectors.append({piece.source_coords[c]: v
                             for c, v in primitive_integer_vector(vec).items()})
 
-    for d in range(top, degree_floor - 1, -1):
-        add_generators(d)
-
+    for d in range(max(F.degrees(), default=degree_floor - 1), degree_floor - 1, -1):
+        add_generators(d)  # its layouts are freed before the next degree's are built
     return FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), dims

@@ -27,7 +27,7 @@ from detform.exterior import (
     wedge_subsets,
 )
 from detform.linalg import Echelon, independent_mod2, insert_mod2, primitive_integer_vector
-from detform.tate import build_phi2, build_window
+from detform.tate import build_phi2, build_window, check_exactness
 
 
 def algebra(nvars: int) -> ExteriorAlgebra:
@@ -372,30 +372,39 @@ def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
     assert 0 < len(calls) <= gaining < scanned
 
 
-def test_graded_piece_wedges_each_pair_once(cube, monkeypatch):
+def test_the_algebra_wedges_each_pair_once(cube, monkeypatch):
     # e_T ∧ e_S depends only on a term's subset T and a coordinate's subset
-    # S, so a piece wedges each (T, S) pair once, not once per coordinate
+    # S, so the algebra keeps one table per (T, k): over a whole window build
+    # and its exactness check, every (T, S) pair is wedged once, though the
+    # covers, their products and the check read each table in many pieces
+    asked, wedged, building = [], [], []
+    wedge_table, wedge_subsets = exterior.wedge_table, exterior.wedge_subsets
+
+    def table(algebra, T, k):
+        asked.append((T, k))
+        building.append(True)
+        try:
+            return wedge_table(algebra, T, k)
+        finally:
+            building.pop()
+
+    def counted(T, S):
+        if building:
+            wedged.append((T, S))
+        return wedge_subsets(T, S)
+
+    monkeypatch.setattr(exterior, "wedge_table", table)
+    monkeypatch.setattr(exterior, "wedge_subsets", counted)
     window = build_window(cube, (0, 1, 4))
-    phi2 = window.maps[2]
-    N = phi2.source.algebra.nvars
-    for d in window.piece_dims[2]:
-        calls = []
+    check_exactness(window)
+    monkeypatch.undo()
 
-        def counted(T, S):
-            calls.append((T, S))
-            return wedge_subsets(T, S)
-
-        monkeypatch.setattr("detform.exterior.wedge_subsets", counted)
-        graded_piece(phi2, d)
-        monkeypatch.undo()
-
-        pairs, per_coordinate = set(), 0
-        for j, g in enumerate(phi2.source.generators):
-            for S in itertools.combinations(range(N), g.degree - d):
-                pairs.update((T, S) for _, T in phi2.columns[j])
-                per_coordinate += len(phi2.columns[j])
-        assert sorted(calls) == sorted(pairs)
-        assert len(calls) < per_coordinate
+    N = window.maps[2].source.algebra.nvars
+    tables = set(asked)
+    assert sorted(wedged) == sorted((T, S) for T, k in tables
+                                    for S in itertools.combinations(range(N), k))
+    assert {len(T) for T, _ in tables} == {1, 4}
+    assert len(asked) > 2 * len(tables)
 
 
 @pytest.mark.parametrize("name, selection, sizes", [("cube", (0, 1, 4), {4}),
@@ -496,8 +505,9 @@ def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
     # the products then span the block's kernel, and the block gains no
     # generator; both outcomes occur, with and without products in the block.
     # The cover tests the columns off the mod-2 pivots P2, as bitsets of
-    # their odd entries, and when they are independent mod 2, rank2 of the
-    # products plus rank2 of the columns is the column count
+    # their odd entries over positions, where the rows of target generators
+    # of one degree and weight add up; when they are independent mod 2, rank2
+    # of the products plus rank2 of the columns is the column count
     alg = ExteriorAlgebra(4, ((1, 0), (0, 1), (1, 1), (0, 0)))
     G = GradedFreeModule(alg, (Generator(1, (0, 0)), Generator(1, (1, 0)), Generator(0, (0, 0))))
     rng = random.Random(7)
@@ -515,10 +525,10 @@ def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
                 # the mod-2 certificate is one-sided: it never certifies a
                 # block the exact test does not
                 certified = independent_mod2(piece.odd_columns(
-                    [c for c in src_ids if c not in P2], {}))
+                    [c for c in src_ids if c not in P2]))
                 assert not certified or independent
                 basis: dict = {}
-                rank2 = sum(insert_mod2(basis, bits) for bits in piece.odd_columns(src_ids, {}))
+                rank2 = sum(insert_mod2(basis, bits) for bits in piece.odd_columns(src_ids))
                 assert certified == (sum(c in P2 for c in src_ids) + rank2 == len(columns))
                 products = sum(c in P for c in src_ids)
                 assert independent == (Echelon(columns).rank + products == len(columns))
@@ -668,3 +678,108 @@ def test_exact_kernels_run_once_per_gained_generator(name, selection, gained, re
     middle, _ = minimal_free_cover(phi2, degree_floor=-3)
     left, _ = minimal_free_cover(middle, degree_floor=-4)
     assert len(calls) == middle.source.rank + left.source.rank == gained
+
+
+def exact_per_block_cover(phi: FreeModuleMap, degree_floor: int, monkeypatch):
+    """The cover with the mod-2 certificate refused, so that every block
+    takes block_kernel and its own exact products echelon."""
+    with monkeypatch.context() as m:
+        m.setattr(exterior, "independent_mod2", lambda bitsets: False)
+        return minimal_free_cover(phi, degree_floor)
+
+
+def test_targets_sharing_positions_add_their_rows_mod_2(monkeypatch):
+    # t0 and t1 have one degree and weight, so (t0, U) and (t1, U) sit at one
+    # position and a column's odd entries there cancel in its bitset: the
+    # bitsets are the odd columns with those rows added, a linear image, and
+    # a block they certify is certified exactly
+    alg = ExteriorAlgebra(4, ((1, 0), (0, 1), (1, 1), (0, 0)))
+    G = GradedFreeModule(alg, (Generator(1, (0, 0)), Generator(1, (0, 0)), Generator(0, (1, 0))))
+    certified, shared = [], []
+    mod2 = exterior.independent_mod2
+
+    def recorded(bitsets):
+        certified.append(mod2(bitsets))
+        return certified[-1]
+
+    rng = random.Random(21)
+    for _ in range(6):
+        phi = weighted_map(rng, G, (0, 0, 0, -1, -1))
+        shared += [S for col in phi.columns for (i, S), c in col.items()
+                   if i == 0 and c & 1 and col.get((1, S), 0) & 1]
+        exact = exact_per_block_cover(phi, -4, monkeypatch)
+        monkeypatch.setattr(exterior, "independent_mod2", recorded)
+        into, dims = minimal_free_cover(phi, degree_floor=-4)
+        monkeypatch.undo()
+        assert (into.source.generators, into.columns, dims) == (
+            exact[0].source.generators, exact[0].columns, exact[1])
+        assert (list(into.source.generators), into.columns, dims) == reference_cover(phi, -4)
+    assert shared and True in certified and False in certified
+
+    # a = t0 + t1 + u∧e0, b = t0 + v∧e1 and c = t1 - v∧e1 + u∧e0, so a = b + c;
+    # only a reaches both t0 and t1, whose entries must cancel in its bitset,
+    # or the three bitsets would be independent and certify a dependent block
+    alg = algebra(2)
+    phi = FreeModuleMap(module(alg, 0, 0, 0), module(alg, 0, 0, 1, 1), [
+        {(0, ()): 1, (1, ()): 1, (2, (0,)): 1},
+        {(0, ()): 1, (3, (1,)): 1},
+        {(1, ()): 1, (3, (1,)): -1, (2, (0,)): 1}])
+    into, dims = minimal_free_cover(phi, degree_floor=-2)
+    assert dims[0] == (3, 1)
+    assert into.columns[0] == {(0, ()): 1, (1, ()): -1, (2, ()): -1}
+    exact = exact_per_block_cover(phi, -2, monkeypatch)
+    assert (into.source.generators, into.columns, dims) == (
+        exact[0].source.generators, exact[0].columns, exact[1])
+    assert (list(into.source.generators), into.columns, dims) == reference_cover(phi, -2)
+
+
+def test_sources_sharing_a_pivot_position_fail_the_count(monkeypatch):
+    # twin source generators, of one degree and weight, share column
+    # positions; random maps from twins match the exact covers, certified or
+    # not block by block
+    alg = ExteriorAlgebra(4, ((1, 0), (0, 1), (1, 1), (0, 0)))
+    G = GradedFreeModule(alg, (Generator(1, (0, 0)), Generator(1, (1, 0)), Generator(0, (0, 0))))
+    rng = random.Random(23)
+    for _ in range(4):
+        phi = weighted_map(rng, G, (0, 0, 0, -1, -1))
+        phi = FreeModuleMap(GradedFreeModule(alg, phi.source.generators * 2), G, phi.columns * 2)
+        exact = exact_per_block_cover(phi, -4, monkeypatch)
+        into, dims = minimal_free_cover(phi, degree_floor=-4)
+        assert (into.source.generators, into.columns, dims) == (
+            exact[0].source.generators, exact[0].columns, exact[1])
+        assert (list(into.source.generators), into.columns, dims) == reference_cover(phi, -4)
+
+    # phi = 0 on twins f0 and f1: the cover gains both in degree 0, and below
+    # it their products f0∧e_S and f1∧e_S cancel in every bitset, so the
+    # pivots P2 number half the columns and take all of them off. The empty
+    # rest is independent, but |rest| + |P2| = columns fails, so every block
+    # of degree -1 and -2 goes to block_kernel, which finds the products span
+    # the whole piece
+    kernels = []
+    block_kernel = exterior.block_kernel
+
+    def counted(src_ids, columns):
+        kernels.append(len(columns))
+        return block_kernel(src_ids, columns)
+
+    alg = algebra(2)
+    phi = FreeModuleMap(module(alg, 0, 0), module(alg, 1), [{}, {}])
+    exact = exact_per_block_cover(phi, -2, monkeypatch)
+    monkeypatch.setattr(exterior, "block_kernel", counted)
+    into, dims = minimal_free_cover(phi, degree_floor=-2)
+    assert kernels == [2, 4, 2]
+    assert dims == {0: (2, 2), -1: (4, 4), -2: (2, 2)}
+    assert into.columns == [{(0, ()): 1}, {(1, ()): 1}]
+    assert (into.source.generators, into.columns, dims) == (
+        exact[0].source.generators, exact[0].columns, exact[1])
+
+
+def test_modules_refuse_torus_weights_of_another_length():
+    # a 2-dimensional generator weight over 3-dimensional variable weights
+    # would make 2-dimensional block weights, and a cover of the wrong map
+    alg = ExteriorAlgebra(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    GradedFreeModule(alg, (Generator(0, (0, 0, 0)),))
+    with pytest.raises(InvariantViolation, match=r"lengths \[2, 3\]"):
+        GradedFreeModule(alg, (Generator(0, (0, 0)),))
+    with pytest.raises(InvariantViolation, match=r"lengths \[2, 3\]"):
+        GradedFreeModule(ExteriorAlgebra(2, ((1, 0), (0, 1, 0))), ())
