@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InterpolationMismatch
+from .errors import InterpolationMismatch, InvariantViolation
 from .lattice import Polytope, interior_points, lattice_points_scaled, points_off_facets
 from .linalg import QQ
 from .shelling import as_selection, euler_characteristic
@@ -27,7 +27,7 @@ def interpolate_cubic(values) -> tuple:
     """Cubic with the given exact values at x = 0, 1, 2, 3 (coefficients ascending)."""
     v = [QQ(x) for x in values]
     if len(v) != 4:
-        raise ValueError("need values at exactly x = 0, 1, 2, 3")
+        raise InvariantViolation("need values at exactly x = 0, 1, 2, 3")
     diffs = [v[0],
              v[1] - v[0],
              v[2] - 2 * v[1] + v[0],

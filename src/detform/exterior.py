@@ -14,7 +14,11 @@ coordinates, and a weight. A module's degree-d coordinate (i, U) sits at one
 position in every block, offset(|U|) + the index of U among its size, and
 i * height + position is its key. Each algebra wedges each term subset T
 with the k-subsets once, into a (T, k) table of signs and indices, and
-block_columns reads a block's exact columns off those tables on demand.
+block_columns reads a block's exact columns off those tables on demand; a
+generator's exact terms are built only when a block that falls back to
+block_kernel first asks for them. Blocks are found by an integer, the
+weight packed linearly (pack), so a coordinate's is its generator's plus
+its subset's.
 
 The cover certifies each (degree, weight) block of a piece mod 2, on
 bitsets that XOR the positions of a column's odd entries: rows of targets
@@ -26,7 +30,12 @@ rest, are independent mod 2 and |rest| + |P2| = columns, the kernel has
 dimension at most |P2|, and the products span it over Q; the count fails
 only where sources of one degree and weight share a pivot's position. Any
 other block takes block_kernel, and its own exact products echelon keeps
-the kernel vectors they do not span.
+the kernel vectors they do not span. A coordinate's bitset depends only on
+its subset and on its generator's pattern: the size k and the subsets of
+the odd terms (odd_terms), not their targets. So the generators of a
+pattern share one table, and each (pattern, subset) bitset is built once a
+piece; the rightmost map's columns, one term per support point each, all
+share one.
 """
 
 from __future__ import annotations
@@ -66,6 +75,19 @@ def times(vec: Vector, S: Subset) -> Vector:
     return out
 
 
+RADIX = 1 << 64
+
+
+def pack(weight) -> int:
+    """A weight as one integer, sum of w_t * RADIX**t. It is linear, so the
+    key of g + w(S) is key(g) + key(w(S)), and GradedFreeModule bounds the
+    weights so that coordinates of distinct weight get distinct keys."""
+    key = 0
+    for w in reversed(weight):
+        key = key * RADIX + w
+    return key
+
+
 @dataclass(frozen=True)
 class ExteriorAlgebra:
     """Ambient algebra data: generator count and one torus weight per generator.
@@ -74,16 +96,23 @@ class ExteriorAlgebra:
     nvars: int
     var_weights: tuple[tuple[int, ...], ...]
     _subsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    reach: int = field(init=False, repr=False, compare=False)  # bounds |w(S)| entrywise
+
+    def __post_init__(self):
+        reach = sum(max(map(abs, w), default=0) for w in self.var_weights)
+        object.__setattr__(self, "reach", reach)
 
 
 def subsets(algebra: ExteriorAlgebra, k: int):
-    """The k-subsets in combinations order, their index, their weight groups."""
+    """The k-subsets in combinations order, their index, and their weight
+    groups as (packed weight, weight, subset numbers)."""
     if k not in algebra._subsets:
         subs, groups = list(itertools.combinations(range(algebra.nvars), k)), {}
         for s, S in enumerate(subs):
             w = map(sum, zip(*(algebra.var_weights[i] for i in S)))
             groups.setdefault(tuple(w), []).append(s)
-        algebra._subsets[k] = subs, dict(zip(subs, range(len(subs)))), groups
+        algebra._subsets[k] = (subs, dict(zip(subs, range(len(subs)))),
+                               [(pack(w), w, ids) for w, ids in groups.items()])
     return algebra._subsets[k]
 
 
@@ -102,6 +131,10 @@ def wedge_table(algebra: ExteriorAlgebra, T: Subset, k: int):
 class Generator:
     degree: int
     weight: tuple[int, ...]
+    key: int = field(init=False, repr=False, compare=False)  # pack(weight)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", pack(self.weight))
 
 
 @dataclass(frozen=True)
@@ -110,10 +143,16 @@ class GradedFreeModule:
     generators: tuple[Generator, ...]
 
     def __post_init__(self):
+        weights = [g.weight for g in self.generators]
         lengths = {len(w) for w in self.algebra.var_weights}
-        lengths.update(len(g.weight) for g in self.generators)
+        lengths.update(map(len, weights))
         if len(lengths) > 1:
             raise InvariantViolation(f"torus weights of lengths {sorted(lengths)} in one module")
+        # a coordinate weighs g + w(S), at most reach in size in every entry;
+        # two such weights then differ by less than RADIX and pack apart
+        reach = self.algebra.reach + max(map(abs, itertools.chain(*weights)), default=0)
+        if 2 * reach >= RADIX:
+            raise InvariantViolation(f"torus weights reach {reach}, too far to pack")
 
     @property
     def rank(self) -> int:
@@ -185,19 +224,32 @@ def positions(module: GradedFreeModule, d: int) -> tuple[dict[int, int], int]:
     return offset, height
 
 
+def odd_terms(col: Vector) -> frozenset:
+    """The subsets T of col's odd terms, less those that cancel mod 2: terms
+    of one subset sit at the same position whatever their target."""
+    odd = [key[1] for key, c in col.items() if c & 1]
+    once = frozenset(odd)
+    if len(once) < len(odd):
+        once = frozenset(T for T, n in Counter(odd).items() if n & 1)
+    return once
+
+
 @dataclass
 class GradedPiece:
-    """Degree-d component of a map, laid out as its torus-weight blocks
-    (ascending column ids into source_coords, weight, None). Coordinate c,
-    of generator j, holds j's subset number c - first[j]."""
+    """Degree-d component of phi, laid out as its torus-weight blocks
+    (ascending column ids into source_coords, weight, packed weight).
+    Coordinate c, of generator j, holds j's subset number c - first[j]."""
 
+    phi: FreeModuleMap
+    d: int
+    rows: tuple[dict[int, int], int]  # positions(phi.target, d)
     source_coords: list[tuple[int, Subset]]
-    blocks: list[tuple[list[int], tuple[int, ...], None]]
+    blocks: list[tuple[list[int], tuple[int, ...], int]]
     height: int  # source positions; a coordinate's key is j * height + position
     first: dict[int, int]  # generator -> its first coordinate
     shift: dict[int, int]  # generator -> position less coordinate id
-    terms: dict[int, list[tuple]]  # generator -> (row key at idx 0, coefficient, signs, idx)
-    odd: dict[int, list[tuple]]  # generator -> (row position at idx 0, idx) of odd terms
+    odd: dict[int, tuple]  # generator -> its pattern: [(row position at idx 0, idx)], bitset memo
+    terms: dict[int, list[tuple]] = field(default_factory=dict)  # built by exact_terms
 
     def rank(self) -> int:
         return sum(Echelon(self.block_columns(ids, {})).rank for ids, _, _ in self.blocks)
@@ -208,6 +260,18 @@ class GradedPiece:
                  for pair in block_kernel(ids, self.block_columns(ids, {}))]
         return [vec for _, vec in sorted(found)]  # free columns are distinct
 
+    def exact_terms(self, j: int) -> list[tuple]:
+        """j's terms as (row key at idx 0, coefficient, signs, idx), built
+        the first time an exact column of j is asked for."""
+        if j not in self.terms:
+            algebra, k = self.phi.source.algebra, self.phi.source.generators[j].degree - self.d
+            row_offset, row_height = self.rows
+            self.terms[j] = [(i * row_height + row_offset[len(T) + k], cf,
+                              *wedge_table(algebra, T, k))
+                             for (i, T), cf in self.phi.columns[j].items()
+                             if len(T) + k <= algebra.nvars]  # else e_T ∧ e_S = 0 for every S
+        return self.terms[j]
+
     def block_columns(self, ids, row_at: dict[int, int]) -> list[dict[int, int]]:
         """Exact columns at the ids of one block; a row is numbered by
         row_at of its key, handed out as the columns first reach it."""
@@ -216,23 +280,29 @@ class GradedPiece:
             j = self.source_coords[c][0]
             s = c - self.first[j]
             col = {}
-            for base, cf, signs, idx in self.terms[j]:
+            for base, cf, signs, idx in self.exact_terms(j):
                 if idx[s] is not None:
                     col[row_at.setdefault(base + idx[s], len(row_at))] = signs[s] * cf
             columns.append(col)
         return columns
 
     def odd_columns(self, ids):
-        """Those columns' odd entries as bitsets over positions, XOR-ed."""
+        """Those columns' odd entries as bitsets over positions, XOR-ed; each
+        (pattern, subset) bitset is built once and shared by the pattern's
+        generators."""
         first, odd, coords = self.first, self.odd, self.source_coords
         for c in ids:
             j = coords[c][0]
             s = c - first[j]
-            bits = 0
-            for at, idx in odd[j]:
-                u = idx[s]
-                if u is not None:
-                    bits ^= 1 << at + u
+            table, memo = odd[j]
+            bits = memo.get(s)
+            if bits is None:
+                bits = 0
+                for at, idx in table:
+                    u = idx[s]
+                    if u is not None:
+                        bits ^= 1 << at + u
+                memo[s] = bits
             yield bits
 
 
@@ -249,16 +319,19 @@ def block_kernel(src_ids, columns: list[dict[int, int]]) -> list[tuple[int, dict
             for free in ech.free_columns(len(src_ids))]
 
 
-def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
+def lay_out(phi: FreeModuleMap, d: int, odd_sets: list[frozenset] | None = None) -> GradedPiece:
     """The degree-d piece of phi, laid out as its blocks without columns.
     The coordinate (j, S) weighs g_j.weight plus the weights of S, so j's
     coordinates join blocks a subset weight group at a time; blocks come in
-    the order of their first coordinate."""
+    the order of their first coordinate. odd_sets holds odd_terms of each
+    column when the caller has them; generators of one size k and one
+    odd-term set share a pattern."""
     algebra = phi.source.algebra
     offset, height = positions(phi.source, d)
     row_offset, row_height = positions(phi.target, d)
-    by_weight: dict[tuple[int, ...], list[int]] = {}
-    piece = GradedPiece([], [], height, {}, {}, {}, {})
+    by_key: dict[int, tuple[list[int], tuple[int, ...], int]] = {}
+    patterns: dict[tuple[int, frozenset], tuple] = {}
+    piece = GradedPiece(phi, d, (row_offset, row_height), [], [], height, {}, {}, {})
     for j, g in enumerate(phi.source.generators):
         k = g.degree - d
         if k not in offset:
@@ -266,24 +339,25 @@ def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
         subs, _, groups = subsets(algebra, k)
         f = piece.first[j] = len(piece.source_coords)
         piece.shift[j] = offset[k] - f
-        terms, odd = piece.terms[j], piece.odd[j] = [], []
-        for (i, T), cf in phi.columns[j].items():
-            if len(T) + k <= algebra.nvars:  # else e_T ∧ e_S = 0 for every S
-                at, (signs, idx) = row_offset[len(T) + k], wedge_table(algebra, T, k)
-                terms.append((i * row_height + at, cf, signs, idx))
-                if cf & 1:
-                    odd.append((at, idx))
-        for w, ids in groups.items():
-            weight = tuple(map(add, g.weight, w)) if k else g.weight
-            by_weight.setdefault(weight, []).extend(map(f.__add__, ids))
+        Ts = odd_sets[j] if odd_sets is not None else odd_terms(phi.columns[j])
+        if (k, Ts) not in patterns:
+            patterns[k, Ts] = ([(row_offset[len(T) + k], wedge_table(algebra, T, k)[1])
+                                for T in Ts if len(T) + k <= algebra.nvars], {})
+        piece.odd[j] = patterns[k, Ts]
+        for w_key, w, ids in groups:
+            b = g.key + w_key
+            if b not in by_key:
+                by_key[b] = ([], tuple(map(add, g.weight, w)) if k else g.weight, b)
+            by_key[b][0].extend(map(f.__add__, ids))
         piece.source_coords += [(j, S) for S in subs]
-    piece.blocks = [(ids, weight, None) for weight, ids in by_weight.items()]
+    piece.blocks = list(by_key.values())
     return piece
 
 
-def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
+def graded_piece(phi: FreeModuleMap, d: int,
+                 odd_sets: list[frozenset] | None = None) -> GradedPiece:
     """The degree-d component of phi, laid out as its blocks (see lay_out)."""
-    return lay_out(phi, d)
+    return lay_out(phi, d, odd_sets)
 
 
 def minimal_free_cover(
@@ -308,16 +382,19 @@ def minimal_free_cover(
     gens: list[Generator] = []
     vectors: list[Vector] = []
     dims: dict[int, tuple[int, int]] = {}
+    # odd-term sets are computed once per column and shared by every degree
+    phi_odd, prods_odd = [odd_terms(col) for col in phi.columns], []
 
     def add_generators(d: int) -> None:
-        piece = graded_piece(phi, d)
-        shifted = lay_out(FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), d)
-        products = {weight: ids for ids, weight, _ in shifted.blocks}
+        piece = graded_piece(phi, d, phi_odd)
+        shifted = lay_out(FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), d,
+                          prods_odd)
+        products = {key: ids for ids, _, key in shifted.blocks}
         coords, shift, height = piece.source_coords, piece.shift, piece.height
         nullity, kernel = 0, []
-        for ids, weight, _ in piece.blocks:
+        for ids, weight, key in piece.blocks:
             # the block's products, as bitsets over the same positions
-            prods = products.get(weight, [])
+            prods = products.get(key, [])
             basis: dict[int, int] = {}
             for bits in shifted.odd_columns(prods):
                 insert_mod2(basis, bits)
@@ -339,6 +416,7 @@ def minimal_free_cover(
             # at its leading one; the cover's signs follow the leading entry
             vectors.append({piece.source_coords[c]: v
                             for c, v in primitive_integer_vector(vec).items()})
+            prods_odd.append(odd_terms(vectors[-1]))
 
     for d in range(max(F.degrees(), default=degree_floor - 1), degree_floor - 1, -1):
         add_generators(d)  # its layouts are freed before the next degree's are built

@@ -162,7 +162,7 @@ def det_bareiss(matrix: list[list]) -> QQ:
     m = []
     for row in matrix:
         if len(row) != n:
-            raise ValueError("matrix is not square")
+            raise InvariantViolation("matrix is not square")
         denom, ints = clear_denominators(row)
         scale *= denom
         m.append(ints)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
 
@@ -522,6 +523,34 @@ def test_unexpected_exception_in_verify_exits_seven(octa_file, capsys, monkeypat
     err = json.loads(captured.err)["error"]
     assert (err["code"], err["type"]) == (7, "KeyError")
     assert err["where"].endswith(" in explode")
+
+
+@pytest.mark.parametrize("site, command", [
+    ("detform.bracket.det_bareiss", "evaluate"),
+    ("detform.bracket.det_bareiss", "verify"),
+    ("detform.ehrhart.interpolate_cubic", "predict-size"),
+    ("detform.ehrhart.interpolate_cubic", "verify"),
+])
+def test_a_malformed_internal_call_exits_seven(octa_file, tmp_path, capsys, monkeypatch,
+                                                site, command):
+    # only the package's own code calls det_bareiss and interpolate_cubic, so
+    # a matrix or value list of the wrong shape there is a bug: not bad
+    # geometry (exit 3) and, inside verify, not a failed check (exit 6)
+    code, built = run_json(capsys, command="build-matrix", support_path=octa_file,
+                           shelling="indices=0,1,2,4")
+    coeffs = tmp_path / "root.coeffs"
+    coeffs.write_text(format_coefficients(
+        common_root_system([tuple(p) for p in built["support_order"]], (1, 2, -1), seed=5)))
+    module, name = site.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(site, lambda arg: real(arg[:-1]))
+    code = run(RunConfig(command=command, support_path=octa_file, shelling="indices=0,1,2,4",
+                         coeffs_path=str(coeffs), roots=1))
+    assert code == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["code"], err["type"]) == (7, "InvariantViolation")
 
 
 def test_fixed_seed_is_bit_identical(octa_file, capsys):

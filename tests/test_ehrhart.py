@@ -18,7 +18,7 @@ from detform.ehrhart import (
 from detform.lattice import convex_hull_with_facets, points_off_facets
 from detform.linalg import QQ
 from detform.shelling import best_selection, boundary_lattice_count, is_disk
-from detform.errors import InterpolationMismatch
+from detform.errors import InterpolationMismatch, InvariantViolation
 
 from conftest import random_polytope
 
@@ -33,6 +33,12 @@ def test_interpolate_cubic_exact():
     assert interpolate_cubic([1, 8, 27, 64]) == (QQ(1), QQ(3), QQ(3), QQ(1))
     assert interpolate_cubic([0, 0, 6, 24]) == (QQ(0), QQ(-1), QQ(0), QQ(1))
     assert poly_eval((QQ(1), QQ(3), QQ(3), QQ(1)), -1) == 0
+
+
+def test_interpolate_cubic_needs_four_values():
+    # ehrhart_pair always passes four counts, so another length is a bug
+    with pytest.raises(InvariantViolation, match="exactly"):
+        interpolate_cubic([1, 8, 27])
 
 
 def test_cube_pair(cube):

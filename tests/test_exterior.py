@@ -26,7 +26,9 @@ from detform.exterior import (
     times,
     wedge_subsets,
 )
+from detform.lattice import convex_hull_with_facets
 from detform.linalg import Echelon, independent_mod2, insert_mod2, primitive_integer_vector
+from detform.shelling import best_selection
 from detform.tate import build_phi2, build_window, check_exactness
 
 
@@ -315,8 +317,18 @@ def cover_like_reference(phi: FreeModuleMap, degree_floor: int) -> FreeModuleMap
 def test_blocks_split_pieces_by_weight():
     # repeated subset weights ({0, 1} and {2}, {2, 3} and {0, 1}) make
     # blocks of several columns next to blocks of one
-    alg = ExteriorAlgebra(4, ((1, 0), (0, 1), (1, 1), (0, 0)))
-    G = GradedFreeModule(alg, (Generator(1, (0, 0)), Generator(1, (1, 0)), Generator(0, (0, 0))))
+    check_blocks_split_by_weight(1, 1)
+
+
+def test_blocks_of_large_weights_of_both_signs_stay_apart():
+    # block keys pack the weight linearly, so weights of large magnitude and
+    # both signs must still make one block per weight
+    check_blocks_split_by_weight(10 ** 9, -10 ** 9 + 1)
+
+
+def check_blocks_split_by_weight(a: int, b: int) -> None:
+    alg = ExteriorAlgebra(4, ((a, 0), (0, b), (a, b), (0, 0)))
+    G = GradedFreeModule(alg, (Generator(1, (0, 0)), Generator(1, (a, 0)), Generator(0, (0, 0))))
     rng = random.Random(5)
     for _ in range(4):
         phi = weighted_map(rng, G, (0, 0, 0, -1, -1))
@@ -326,6 +338,7 @@ def test_blocks_split_pieces_by_weight():
             piece = checked_piece(phi, d)
             weights = [w for _, w, _ in piece.blocks]
             assert len(set(weights)) == len(weights)
+            assert [key for _, _, key in piece.blocks] == list(map(exterior.pack, weights))
             for src_ids, w, _ in piece.blocks:
                 assert {coord_weight(F, piece.source_coords[c]) for c in src_ids} == {w}
         into = cover_like_reference(phi, degree_floor=-4)
@@ -774,6 +787,16 @@ def test_sources_sharing_a_pivot_position_fail_the_count(monkeypatch):
         exact[0].source.generators, exact[0].columns, exact[1])
 
 
+def test_modules_refuse_torus_weights_too_far_to_pack():
+    # a coordinate weighs its generator's weight plus at most every
+    # variable's; past RADIX / 2 two coordinate weights could pack alike
+    alg = ExteriorAlgebra(2, ((-3, 1), (2, -1)))
+    limit = exterior.RADIX // 2 - 5  # the variables add up to 3 + 2 = 5 more
+    GradedFreeModule(alg, (Generator(0, (limit - 1, 0)), Generator(0, (0, 1 - limit))))
+    with pytest.raises(InvariantViolation, match="too far to pack"):
+        GradedFreeModule(alg, (Generator(0, (0, -limit)),))
+
+
 def test_modules_refuse_torus_weights_of_another_length():
     # a 2-dimensional generator weight over 3-dimensional variable weights
     # would make 2-dimensional block weights, and a cover of the wrong map
@@ -783,3 +806,101 @@ def test_modules_refuse_torus_weights_of_another_length():
         GradedFreeModule(alg, (Generator(0, (0, 0)),))
     with pytest.raises(InvariantViolation, match=r"lengths \[2, 3\]"):
         GradedFreeModule(ExteriorAlgebra(2, ((1, 0), (0, 1, 0))), ())
+
+
+def laid_out_pieces(build, monkeypatch) -> list:
+    """Every piece lay_out makes while build() runs: cover pieces and their
+    products alike, kept alive with their memos."""
+    pieces = []
+    lay_out = exterior.lay_out
+
+    def kept(*args):
+        pieces.append(lay_out(*args))
+        return pieces[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(exterior, "lay_out", kept)
+        build()
+    return pieces
+
+
+def odd_bits_of(piece, c: int) -> int:
+    """Coordinate c's odd entries, read off its exact column, as a bitset
+    over target positions."""
+    row_at: dict = {}
+    [col] = piece.block_columns([c], row_at)
+    key_of = {n: key for key, n in row_at.items()}
+    _, row_height = piece.rows
+    bits = 0
+    for n, v in col.items():
+        if v & 1:
+            bits ^= 1 << key_of[n] % row_height
+    return bits
+
+
+SIMPLEX2 = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+
+
+@pytest.mark.parametrize("name", ["cube", "octahedron", "simplex2"])
+def test_memoized_bitsets_are_every_sharing_generators_odd_entries(name, request,
+                                                                   monkeypatch):
+    # a (pattern, subset) bitset is built for one generator and read for
+    # every generator of its pattern: it must be each one's odd entries
+    Q = (convex_hull_with_facets(SIMPLEX2) if name == "simplex2"
+         else request.getfixturevalue(name))
+    sel = best_selection(Q).selection
+    pieces = laid_out_pieces(lambda: build_window(Q, sel), monkeypatch)
+    checked, shared = 0, 0
+    for piece in pieces:
+        for j, (_, memo) in piece.odd.items():
+            for s, bits in memo.items():
+                assert bits == odd_bits_of(piece, piece.first[j] + s)
+            checked += len(memo)
+        shared += len(piece.odd) - len({id(pattern) for pattern in piece.odd.values()})
+    assert checked > 0 and shared > 0
+
+
+def test_generators_of_two_sizes_keep_their_own_bitset_memos():
+    # targets of degrees 2 and 1 let a degree-1 and a degree-0 generator
+    # carry the same odd-term subset {0}; in degree -1 they wedge it with
+    # 2- and 1-subsets into rows of two sizes, so they share no memo. The
+    # empty pattern, of a column whose two odd terms at one subset cancel and
+    # of an all-even column, is again kept once per size
+    alg = algebra(4)
+    phi = FreeModuleMap(module(alg, 1, 0, 1, 1, 0, 1), module(alg, 2, 1, 2), [
+        {(0, (0,)): 1},
+        {(1, (0,)): 3},
+        {(0, (0,)): -1, (0, (1,)): 2},
+        {(0, (1,)): 1, (2, (1,)): 3},
+        {(1, (2,)): -2},
+        {(0, (3,)): 1, (1, ()): 1}])
+    phi.validate_degrees()
+    piece = checked_piece(phi, -1)
+    odd = piece.odd
+    assert odd[0] is odd[2] and odd[1] is not odd[0]
+    assert odd[3] is not odd[4] and odd[3][0] == odd[4][0] == []
+    assert len({id(pattern) for pattern in odd.values()}) == 5
+    ids = range(len(piece.source_coords))
+    assert list(piece.odd_columns(ids)) == [odd_bits_of(piece, c) for c in ids]
+    assert {j: len(memo) for j, (_, memo) in odd.items()} == {
+        0: 6, 1: 4, 2: 6, 3: 6, 4: 4, 5: 6}
+    cover_like_reference(phi, degree_floor=-4)
+
+
+def test_exact_terms_are_built_only_for_the_blocks_asked_for(cube, monkeypatch):
+    # a piece builds a generator's exact terms only when a fallback block
+    # asks for one of its columns, so a piece whose blocks all certify mod 2
+    # builds none
+    asked: dict = {}
+    block_columns = exterior.GradedPiece.block_columns
+
+    def recorded(self, ids, row_at):
+        asked.setdefault(id(self), set()).update(self.source_coords[c][0] for c in ids)
+        return block_columns(self, ids, row_at)
+
+    monkeypatch.setattr(exterior.GradedPiece, "block_columns", recorded)
+    pieces = laid_out_pieces(lambda: build_window(cube, (0, 1, 4)), monkeypatch)
+    for piece in pieces:
+        assert set(piece.terms) == asked.get(id(piece), set())
+    assert any(piece.blocks and not piece.terms for piece in pieces)
+    assert any(piece.terms for piece in pieces)

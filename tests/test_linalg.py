@@ -1,11 +1,15 @@
-"""The one-sided mod-2 independence test against exact elimination."""
+"""The one-sided mod-2 independence test against exact elimination, and
+the determinant's shape check."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
-from detform.linalg import Echelon, independent_mod2
+import pytest
+
+from detform.errors import InvariantViolation
+from detform.linalg import Echelon, det_bareiss, independent_mod2
 
 
 def odd_bits(vec: dict) -> int:
@@ -41,3 +45,9 @@ def test_independent_mod2_proves_independence_over_q():
     # False proves nothing: some draws are dependent mod 2 only
     assert outcomes == {(True, True), (False, True), (False, False)}
 
+
+def test_a_non_square_determinant_is_an_invariant_violation():
+    # every caller builds its matrix square, so another shape is a bug
+    assert det_bareiss([[1, 2], [3, 4]]) == -2
+    with pytest.raises(InvariantViolation, match="not square"):
+        det_bareiss([[1, 2], [3, 4], [5, 6]])
