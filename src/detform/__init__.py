@@ -40,6 +40,7 @@ from .errors import (
     NonGenericDirection,
     NotStabilized,
     ParseError,
+    UnsupportedDimension,
 )
 from .lattice import (
     Polytope,
@@ -91,6 +92,7 @@ __all__ = [
     "PartialShelling",
     "Polytope",
     "TateWindow",
+    "UnsupportedDimension",
     "apply_U4",
     "best_selection",
     "boundary_lattice_count",

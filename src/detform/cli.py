@@ -5,7 +5,8 @@ facet selection, and writes one JSON object, its first key the --seed value,
 to stdout or to --output; predict-size and evaluate print one line of text
 instead unless --json or --output is given.  All randomness flows from --seed.
 
-Exit codes: 0 success, 2 parse failure, 3 degenerate geometry, 4 no disk
+Exit codes: 0 success, 2 parse failure, 3 degenerate geometry or a support
+of a dimension other than 3 where the window is needed, 4 no disk
 selection found, 5 dimension mismatch against the predicted counts, 6
 verification failure, 7 broken internal invariant or any other unexpected
 exception (a bug, not bad input).
@@ -46,6 +47,7 @@ from .errors import (
     NonGenericDirection,
     NotStabilized,
     ParseError,
+    UnsupportedDimension,
 )
 from .lattice import convex_hull_with_facets, lattice_points_scaled, parse_support
 from .linalg import rat_str
@@ -75,7 +77,8 @@ EXIT_INTERNAL = 7
 
 _ERROR_CODES = (
     ((ParseError, EmptyInput), EXIT_PARSE),
-    ((DegenerateSpan, NoInteriorPoint, NonGenericDirection), EXIT_GEOMETRY),
+    ((DegenerateSpan, NoInteriorPoint, NonGenericDirection, UnsupportedDimension),
+     EXIT_GEOMETRY),
     ((DimensionMismatch, DegreePatternViolation,
       InterpolationMismatch), EXIT_DIMENSION),
     ((NotStabilized,), EXIT_VERIFY),
@@ -150,6 +153,15 @@ def _resolve_shelling(Q, spec: str, seed: int):
         raise NoDiskSelection(str(exc)) from None
 
 
+def _resolve_for_window(config: RunConfig, Q):
+    """The shelling of a command that builds on the window or counts its
+    size, which need a 3-polytope: any other dimension is refused first."""
+    if Q.dim != 3:
+        raise UnsupportedDimension(
+            f"{config.command} needs a 3-polytope; the support spans dimension {Q.dim}")
+    return _resolve_shelling(Q, config.shelling, config.seed)
+
+
 def _require_positive(flag: str, value: int | None) -> None:
     if value is not None and value < 1:
         raise ParseError(f"{flag} must be at least 1, got {value}")
@@ -211,7 +223,7 @@ def _cmd_shell(config: RunConfig, Q) -> int:
 
 
 def _cmd_predict_size(config: RunConfig, Q) -> int:
-    shelling = _resolve_shelling(Q, config.shelling, config.seed)
+    shelling = _resolve_for_window(config, Q)
     pair = ehrhart_pair(Q, shelling)
     size = predicted_size(pair)
     per_poly, total = resultant_degree(pair)
@@ -232,7 +244,7 @@ def _cmd_predict_size(config: RunConfig, Q) -> int:
 
 
 def _build(config: RunConfig, Q):
-    shelling = _resolve_shelling(Q, config.shelling, config.seed)
+    shelling = _resolve_for_window(config, Q)
     window = build_window(Q, shelling.selection)
     return shelling, window, apply_U4(window.maps[0])
 
@@ -279,7 +291,7 @@ def _cmd_verify(config: RunConfig, Q) -> int:
             checks.append({"name": name, "passed": False,
                            "detail": f"{type(exc).__name__}: {exc}"})
 
-    shelling = _resolve_shelling(Q, config.shelling, config.seed)
+    shelling = _resolve_for_window(config, Q)
     sel = shelling.selection
     record("selection_is_disk", lambda: is_disk(Q, sel) or _fail("not a disk"))
     record("facet_union_contractible",
@@ -358,7 +370,7 @@ def _cmd_cohomology(config: RunConfig, Q) -> int:
         raise ParseError(f"bad twist range {config.k_range!r}") from None
     if lo > hi:
         raise ParseError(f"empty twist range {config.k_range!r}")
-    shelling = _resolve_shelling(Q, config.shelling, config.seed)
+    shelling = _resolve_for_window(config, Q)
     entries = cohomology_profile(Q, shelling.selection, lo, hi,
                                  box_radius=config.box_radius)
     _emit(config, {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InterpolationMismatch, InvariantViolation
+from .errors import InterpolationMismatch, InvariantViolation, UnsupportedDimension
 from .lattice import Polytope, interior_points, lattice_points_scaled, points_off_facets
 from .linalg import QQ
 from .shelling import as_selection, euler_characteristic
@@ -78,7 +78,8 @@ def ehrhart_pair(Q: Polytope, sel) -> EhrhartPair:
     or hull bug upstream, never bad luck.
     """
     if Q.dim != 3:
-        raise ValueError("counting polynomials are implemented for dimension 3 only")
+        raise UnsupportedDimension(
+            f"counting polynomials need a 3-polytope, not dimension {Q.dim}")
     selection = as_selection(Q, sel)
     complement = tuple(i for i in range(Q.num_facets) if i not in selection)
 

@@ -21,6 +21,10 @@ class NoInteriorPoint(DetformError):
     """A construction needed a point strictly inside the polytope."""
 
 
+class UnsupportedDimension(DetformError):
+    """The construction needs a 3-polytope, and the input spans another dimension."""
+
+
 class DimensionMismatch(DetformError):
     """Computed generator counts disagree with the predicted lattice counts."""
 

@@ -30,7 +30,11 @@ rest, are independent mod 2 and |rest| + |P2| = columns, the kernel has
 dimension at most |P2|, and the products span it over Q; the count fails
 only where sources of one degree and weight share a pivot's position. Any
 other block takes block_kernel, and its own exact products echelon keeps
-the kernel vectors they do not span. A coordinate's bitset depends only on
+the kernel vectors they do not span. block_kernel reduces exactly only the
+block's rows that are independent mod 2, hence over Q, and proves the
+kernel of those rows is the block's by checking each of its basis vectors
+against the block's exact columns over Z; a block whose rank drops mod 2
+fails a check and reduces all its rows. A coordinate's bitset depends only on
 its subset and on its generator's pattern: the size k and the subsets of
 the odd terms (odd_terms), not their targets. So the generators of a
 pattern share one table, and each (pattern, subset) bitset is built once a
@@ -47,7 +51,8 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .errors import InvariantViolation
-from .linalg import Echelon, independent_mod2, insert_mod2, primitive_integer_vector
+from .linalg import (Echelon, independent_mod2, insert_mod2, primitive_integer_vector,
+                     sieve_mod2)
 
 Subset = tuple[int, ...]
 Vector = dict[tuple[int, Subset], int]
@@ -309,14 +314,34 @@ class GradedPiece:
 def block_kernel(src_ids, columns: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     """(free coordinate, kernel vector) pairs of one block, in source ids. The
     block is transposed to rows and reduced last row first, which fills in far
-    less on tall blocks; pivots and kernel depend only on the row space."""
+    less on tall blocks; pivots and kernel depend only on the row space.
+
+    Only the rows independent mod 2, sieved in that order by their odd
+    bitsets, are reduced: they are independent over Q, so their kernel K
+    has dimension columns - rank mod 2 and holds the block's. If every
+    vector of K's basis is a kernel vector of the block's own columns,
+    checked over Z, K is the block's kernel and the sieved rows span the row
+    space, so the pivots and vectors are those of all rows. Otherwise, when
+    rank mod 2 falls short of the rank, all rows are reduced."""
     rows: dict[int, dict[int, int]] = {}
     for c, col in enumerate(columns):
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
-    ech = Echelon(reversed(rows.values()))
-    return [(src_ids[free], {src_ids[c]: v for c, v in ech.kernel_vector(free).items()})
-            for free in ech.free_columns(len(src_ids))]
+    ech = Echelon(sieve_mod2(reversed(rows.values()), len(columns)))
+    found = [(free, ech.kernel_vector(free)) for free in ech.free_columns(len(columns))]
+    if not all(annihilates(columns, vec) for _, vec in found):
+        ech = Echelon(reversed(rows.values()))
+        found = [(free, ech.kernel_vector(free)) for free in ech.free_columns(len(columns))]
+    return [(src_ids[free], {src_ids[c]: v for c, v in vec.items()}) for free, vec in found]
+
+
+def annihilates(columns: list[dict[int, int]], vec: dict[int, int]) -> bool:
+    """True if the columns weighted by vec add up to zero over Z."""
+    total: dict[int, int] = {}
+    for c, x in vec.items():
+        for r, v in columns[c].items():
+            total[r] = total.get(r, 0) + x * v
+    return not any(total.values())
 
 
 def lay_out(phi: FreeModuleMap, d: int, odd_sets: list[frozenset] | None = None) -> GradedPiece:

@@ -4,14 +4,18 @@ Everything here works with arbitrary-precision integers and exact rationals;
 no floating point. Sparse vectors are dicts mapping column index to a nonzero
 value. Echelon forms hold integer rows, eliminate fraction-free and use the
 canonical pivot rule (first nonzero column) so results are reproducible bit
-for bit. The modular routines work on the bitsets of odd entries and only
-ever prove independence over Q; callers fall back to an echelon when they
-cannot.
+for bit. The modular routines work on the bitsets of odd entries, and
+vectors independent mod 2 are independent over Q: independent_mod2 proves
+independence, and sieve_mod2 keeps the rows independent mod 2 of the
+earlier ones, so that an echelon reduces only those. That they span the
+whole row space is for the caller to prove over Z (exterior.block_kernel
+does), and to reduce every row when the proof fails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as QQ
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import InvariantViolation
@@ -55,6 +59,18 @@ def insert_mod2(basis: dict[int, int], bits: int) -> bool:
     return False
 
 
+def sieve_mod2(rows, ncols: int):
+    """Yield the sparse integer rows over columns 0..ncols-1 whose odd
+    entries are independent mod 2 of the earlier rows'; the rows yielded
+    are independent over Q. Column c is bit ncols - c, so a row's pivot is
+    its smallest odd column, as in Echelon; on a block's rows that fills in
+    far less than pivoting on the largest."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        if insert_mod2(basis, sum(1 << ncols - c for c, v in row.items() if v & 1)):
+            yield row
+
+
 def independent_mod2(bitsets) -> bool:
     """One-sided test: True proves integer vectors, given as the bitsets of
     their odd entries, independent over Q: some maximal minor is odd, hence
@@ -76,6 +92,7 @@ class Echelon:
 
     def __init__(self, rows=()) -> None:
         self.rows: dict[int, dict] = {}
+        self._meets: dict[int, list[int]] | None = None  # built by kernel_vector
         for row in rows:
             self.insert(row)
 
@@ -110,18 +127,34 @@ class Echelon:
             return False
         row = primitive_integer_vector(row)
         self.rows[min(row)] = row
+        self._meets = None
         return True
 
     def kernel_vector(self, free_col: int) -> dict:
         """Integer kernel vector, positive at free_col and 0 at other free columns.
 
         A positive multiple of the vector the reduced echelon form assigns
-        to free_col.
+        to free_col. Back-substitution visits, in decreasing order, only the
+        pivot rows that meet the vector's support; every other row adds 0.
         """
+        if free_col in self.rows:
+            raise InvariantViolation("free_col is a pivot column")
+        if self._meets is None:
+            # column -> the pivots of the rows holding it off their pivot,
+            # negated for the max-heap below
+            self._meets = {}
+            for c, row in self.rows.items():
+                for col in row:
+                    if col != c:
+                        self._meets.setdefault(col, []).append(-c)
+        meets = self._meets
         x = {free_col: 1}
-        for c in sorted(self.rows, reverse=True):
-            if c == free_col:
-                raise InvariantViolation("free_col is a pivot column")
+        due = list(meets.get(free_col, ()))
+        heapify(due)
+        while due:
+            c = -heappop(due)
+            while due and due[0] == -c:
+                heappop(due)
             row = self.rows[c]
             s = 0
             for col in row.keys() & x.keys():
@@ -132,6 +165,8 @@ class Echelon:
                 if scale != 1:
                     x = {col: scale * v for col, v in x.items()}
                 x[c] = -s // g
+                for p in meets.get(c, ()):
+                    heappush(due, p)
         return x
 
     def free_columns(self, ncols: int) -> list[int]:

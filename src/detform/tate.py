@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import DimensionMismatch, InvariantViolation, UnsupportedDimension
 from .exterior import (
     ExteriorAlgebra,
     FreeModuleMap,
@@ -76,6 +76,8 @@ def build_phi2(Q: Polytope, sel) -> FreeModuleMap:
     a source point m is the sum over support points a of (m + a) tensored
     with the exterior generator of a.
     """
+    if Q.dim != 3:
+        raise UnsupportedDimension(f"the window needs a 3-polytope, not dimension {Q.dim}")
     selection = as_selection(Q, sel)
     if not is_disk(Q, selection):
         raise ValueError("facet selection must be a disk")

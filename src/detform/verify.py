@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .bracket import CoefficientSystem
-from .errors import NotStabilized
+from .errors import NotStabilized, UnsupportedDimension
 from .lattice import Polytope, column_runs, facet_bits, facet_ids, point_census
 from .linalg import QQ, Echelon, qq
 from .shelling import as_selection
@@ -102,7 +102,8 @@ def divisor_cohomology(Q: Polytope, selection, k: int,
     a larger box_radius. A selected id that names no facet is a ValueError.
     """
     if Q.dim != 3:
-        raise ValueError("divisor cohomology enumeration is for 3-polytopes")
+        raise UnsupportedDimension(
+            f"divisor cohomology enumeration needs a 3-polytope, not dimension {Q.dim}")
     chosen = facet_bits(Q, as_selection(Q, selection))
     if box_radius is None:
         scale = max([abs(f.offset) for f in Q.facets] + [abs(c) for v in Q.vertices for c in v])

@@ -11,8 +11,11 @@ import pytest
 from detform.bracket import format_coefficients, import_matrix
 from detform.cli import _ERROR_CODES, RunConfig, build_parser, config_from_args, main, run
 from detform import errors, tate
-from detform.errors import DetformError, DimensionMismatch, InvariantViolation
-from detform.verify import common_root_system
+from detform.ehrhart import ehrhart_pair
+from detform.errors import DetformError, DimensionMismatch, InvariantViolation, UnsupportedDimension
+from detform.lattice import convex_hull_with_facets, parse_support
+from detform.tate import build_window
+from detform.verify import common_root_system, divisor_cohomology
 
 from conftest import ANNULUS, ANNULUS_POINTS
 
@@ -75,6 +78,31 @@ def test_shell_on_a_4_polytope_is_not_a_disk(capsys):
         '{\n  "seed": 0,\n  "selection": [\n    0\n  ],\n  "order": [\n    0\n  ],\n'
         '  "steps": [\n    {\n      "facet": 0,\n      "shared_edges": []\n    }\n  ],\n'
         '  "is_disk": false,\n  "boundary_lattice_count": null\n}\n')
+
+
+@pytest.mark.parametrize("command", ["build-matrix", "evaluate", "predict-size", "verify",
+                                     "cohomology"])
+@pytest.mark.parametrize("spec", ["indices=0", "auto"])
+def test_a_4_polytope_is_refused_up_front_by_its_dimension(tmp_path, capsys, command, spec):
+    # the window and its counts need a 3-polytope: the 4-simplex is refused
+    # before any selection is searched or built, whatever the shelling
+    coeffs = tmp_path / "coeffs.txt"
+    coeffs.write_text("1 1 1 1 1\n" * 4)
+    code = run(RunConfig(command=command, shelling=spec, coeffs_path=str(coeffs),
+                         support_path=str(ROOT / "supports" / "simplex4.txt")))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert json.loads(captured.err)["error"] == {
+        "code": 3, "type": "UnsupportedDimension",
+        "message": f"{command} needs a 3-polytope; the support spans dimension 4"}
+
+
+def test_the_library_refuses_a_4_polytope_by_its_dimension():
+    Q = convex_hull_with_facets(parse_support((ROOT / "supports" / "simplex4.txt").read_text()))
+    for call in (lambda: build_window(Q, (0,)), lambda: ehrhart_pair(Q, (0,)),
+                 lambda: divisor_cohomology(Q, (0,), 1)):
+        with pytest.raises(UnsupportedDimension, match="not dimension 4"):
+            call()
 
 
 def test_predict_size_text_line(octa_file, capsys):

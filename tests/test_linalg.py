@@ -1,15 +1,19 @@
-"""The one-sided mod-2 independence test against exact elimination, and
-the determinant's shape check."""
+"""The one-sided mod-2 independence test and row sieve against exact
+elimination, back-substitution against a walk over every pivot, and the
+determinant's shape check."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detform.errors import InvariantViolation
-from detform.linalg import Echelon, det_bareiss, independent_mod2
+from detform.linalg import Echelon, det_bareiss, independent_mod2, sieve_mod2
 
 
 def odd_bits(vec: dict) -> int:
@@ -51,3 +55,55 @@ def test_a_non_square_determinant_is_an_invariant_violation():
     assert det_bareiss([[1, 2], [3, 4]]) == -2
     with pytest.raises(InvariantViolation, match="not square"):
         det_bareiss([[1, 2], [3, 4], [5, 6]])
+
+
+def plain_kernel_vector(ech: Echelon, free_col: int) -> dict:
+    """Echelon.kernel_vector as a walk over every pivot row, largest first."""
+    x = {free_col: 1}
+    for c in sorted(ech.rows, reverse=True):
+        if c == free_col:
+            raise InvariantViolation("free_col is a pivot column")
+        row = ech.rows[c]
+        s = sum(row[col] * x[col] for col in row.keys() & x.keys())
+        if s:
+            g = gcd(s, row[c])
+            x = {col: row[c] // g * v for col, v in x.items()}
+            x[c] = -s // g
+    return x
+
+
+sparse_rows = st.lists(st.dictionaries(st.integers(0, 9), st.integers(-3, 3), max_size=5),
+                       max_size=8)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(sparse_rows, sparse_rows)
+def test_kernel_vector_walks_only_the_rows_it_meets(first, later):
+    # the column index is built by the first kernel_vector call and must be
+    # dropped by an insert after it
+    ech = Echelon(first)
+    for rows in ((), later):
+        for row in rows:
+            ech.insert(row)
+        for free in ech.free_columns(10):
+            assert ech.kernel_vector(free) == plain_kernel_vector(ech, free)
+        for pivot in ech.rows:
+            with pytest.raises(InvariantViolation, match="pivot column"):
+                ech.kernel_vector(pivot)
+
+
+def test_the_mod_2_sieve_keeps_a_basis_of_the_rows_mod_2():
+    # the rows it keeps are the first independent ones mod 2, in order,
+    # whatever bit it pivots on, so they are independent over Q too
+    rng = random.Random(24)
+    for _ in range(200):
+        ncols = rng.randint(1, 6)
+        rows = [{c: rng.randint(-3, 3) for c in rng.sample(range(ncols), rng.randint(0, ncols))}
+                for _ in range(rng.randint(0, 6))]
+        kept = list(sieve_mod2(rows, ncols))
+        greedy = []
+        for row in rows:
+            if not dependent_mod2(greedy + [row]):
+                greedy.append(row)
+        assert kept == greedy
+        assert Echelon(kept).rank == len(kept)

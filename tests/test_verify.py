@@ -8,7 +8,7 @@ import random
 import pytest
 
 from detform.bracket import apply_U4, evaluate
-from detform.errors import NotStabilized
+from detform.errors import NotStabilized, UnsupportedDimension
 from detform.lattice import (
     convex_hull_with_facets,
     lattice_points_scaled,
@@ -409,7 +409,8 @@ def test_feasibility_high_dim_guards():
 
 def per_character_cohomology(Q, selection, k, box_radius=None):
     if Q.dim != 3:
-        raise ValueError("divisor cohomology enumeration is for 3-polytopes")
+        raise UnsupportedDimension(
+            f"divisor cohomology enumeration needs a 3-polytope, not dimension {Q.dim}")
     chosen = set(selection)
     coeffs = [k * f.offset - (j in chosen) for j, f in enumerate(Q.facets)]
     if box_radius is None:
@@ -433,7 +434,7 @@ def per_character_cohomology(Q, selection, k, box_radius=None):
 def _cohomology_outcome(divisor, Q, selection, k, box_radius=None):
     try:
         entry = divisor(Q, selection, k, box_radius)
-    except (NotStabilized, ValueError) as exc:
+    except (NotStabilized, UnsupportedDimension, ValueError) as exc:
         return type(exc), str(exc)
     return (entry.dims, entry.box_radius) if hasattr(entry, "dims") else entry
 
@@ -456,5 +457,6 @@ def test_column_runs_match_the_per_character_cohomology(octahedron):
         got = _cohomology_outcome(divisor_cohomology, Q, sel, k, radius)
         assert got == _cohomology_outcome(per_character_cohomology, Q, sel, k, radius), \
             (Q.vertices, sel, k, radius)
-        outcomes.add(got[0] if got[0] in (NotStabilized, ValueError) else "dims")
-    assert outcomes == {NotStabilized, ValueError, "dims"}
+        outcomes.add(got[0] if got[0] in (NotStabilized, UnsupportedDimension, ValueError)
+                     else "dims")
+    assert outcomes == {NotStabilized, UnsupportedDimension, "dims"}
