@@ -8,17 +8,18 @@ c * t_i ∧ e_S, and the map sends g_j ∧ w to column j ∧ w. The same format
 holds kernel vectors, so a cover map's columns are its kernel vectors.
 
 Everything downstream reduces to exact linear algebra on graded pieces of
-such maps. A weight-preserving map's piece is block-diagonal by weight and
-is laid out as its blocks: column ids into the piece's canonical source
-coordinates, and a weight. A module's degree-d coordinate (i, U) sits at one
-position in every block, offset(|U|) + the index of U among its size, and
-i * height + position is its key. Each algebra wedges each term subset T
-with the k-subsets once, into a (T, k) table of signs and indices, and
-block_columns reads a block's exact columns off those tables on demand; a
-generator's exact terms are built only when a block that falls back to
-block_kernel first asks for them. Blocks are found by an integer, the
-weight packed linearly (pack), so a coordinate's is its generator's plus
-its subset's.
+such maps. In degree d a module's coordinate (i, U) has one number, its key
+i * height + position; its position, offset(|U|) + the index of U among its
+size (positions), is the same in every weight block. A weight-preserving
+map's piece is block-diagonal by weight and is laid out as its blocks: the
+ascending keys of its source coordinates, and a weight. Exact columns are
+sparse over target keys, and (i, U) is read back from a key only where a
+new generator's column leaves the piece. Each algebra wedges each term
+subset T with the k-subsets once, into a (T, k) table of signs and indices
+that block_columns reads on demand; a generator's exact terms are built only
+when a block that falls back to block_kernel first asks for them. Blocks
+are found by an integer, the weight packed linearly (pack), so a
+coordinate's is its generator's plus its subset's.
 
 The cover certifies each (degree, weight) block of a piece mod 2, on
 bitsets that XOR the positions of a column's odd entries: rows of targets
@@ -242,28 +243,34 @@ def odd_terms(col: Vector) -> frozenset:
 @dataclass
 class GradedPiece:
     """Degree-d component of phi, laid out as its torus-weight blocks
-    (ascending column ids into source_coords, weight, packed weight).
-    Coordinate c, of generator j, holds j's subset number c - first[j]."""
+    (ascending source keys, weight, packed weight)."""
 
     phi: FreeModuleMap
     d: int
     rows: tuple[dict[int, int], int]  # positions(phi.target, d)
-    source_coords: list[tuple[int, Subset]]
     blocks: list[tuple[list[int], tuple[int, ...], int]]
     height: int  # source positions; a coordinate's key is j * height + position
-    first: dict[int, int]  # generator -> its first coordinate
-    shift: dict[int, int]  # generator -> position less coordinate id
-    odd: dict[int, tuple]  # generator -> its pattern: [(row position at idx 0, idx)], bitset memo
+    odd: dict[int, tuple]  # generator -> pattern: first position, [(row at idx 0, idx)], memo
     terms: dict[int, list[tuple]] = field(default_factory=dict)  # built by exact_terms
 
-    def rank(self) -> int:
-        return sum(Echelon(self.block_columns(ids, {})).rank for ids, _, _ in self.blocks)
+    @property
+    def source_coords(self) -> list[tuple[int, Subset]]:
+        """Every source coordinate (j, S) in key order, built on demand."""
+        gens, algebra = self.phi.source.generators, self.phi.source.algebra
+        return [(j, S) for j in self.odd for S in subsets(algebra, gens[j].degree - self.d)[0]]
 
-    def kernel_vectors(self) -> list[dict[int, int]]:
-        """Canonical nullspace basis, globally ordered by free coordinate."""
-        found = [pair for ids, _, _ in self.blocks
-                 for pair in block_kernel(ids, self.block_columns(ids, {}))]
-        return [vec for _, vec in sorted(found)]  # free columns are distinct
+    def coord(self, key: int) -> tuple[int, Subset]:
+        """The source coordinate (j, S) at a key, S of j's size k = deg g_j - d."""
+        j, position = divmod(key, self.height)
+        k = self.phi.source.generators[j].degree - self.d
+        return j, subsets(self.phi.source.algebra, k)[0][position - self.odd[j][0]]
+
+    def rank(self) -> int:
+        return sum(Echelon(self.block_columns(ids)).rank for ids, _, _ in self.blocks)
+
+    def kernel_vectors(self, ids) -> list[tuple[int, dict[int, int]]]:
+        """(free key, kernel vector) pairs of the block at these keys."""
+        return block_kernel(ids, self.block_columns(ids))
 
     def exact_terms(self, j: int) -> list[tuple]:
         """j's terms as (row key at idx 0, coefficient, signs, idx), built
@@ -277,29 +284,25 @@ class GradedPiece:
                              if len(T) + k <= algebra.nvars]  # else e_T ∧ e_S = 0 for every S
         return self.terms[j]
 
-    def block_columns(self, ids, row_at: dict[int, int]) -> list[dict[int, int]]:
-        """Exact columns at the ids of one block; a row is numbered by
-        row_at of its key, handed out as the columns first reach it."""
+    def block_columns(self, ids) -> list[dict[int, int]]:
+        """Exact columns at the keys of one block, over target keys."""
         columns = []
         for c in ids:
-            j = self.source_coords[c][0]
-            s = c - self.first[j]
-            col = {}
-            for base, cf, signs, idx in self.exact_terms(j):
-                if idx[s] is not None:
-                    col[row_at.setdefault(base + idx[s], len(row_at))] = signs[s] * cf
-            columns.append(col)
+            j, position = divmod(c, self.height)
+            s = position - self.odd[j][0]
+            columns.append({base + idx[s]: signs[s] * cf for base, cf, signs, idx
+                            in self.exact_terms(j) if idx[s] is not None})
         return columns
 
     def odd_columns(self, ids):
         """Those columns' odd entries as bitsets over positions, XOR-ed; each
         (pattern, subset) bitset is built once and shared by the pattern's
         generators."""
-        first, odd, coords = self.first, self.odd, self.source_coords
+        odd, height = self.odd, self.height
         for c in ids:
-            j = coords[c][0]
-            s = c - first[j]
-            table, memo = odd[j]
+            j, position = divmod(c, height)
+            first, table, memo = odd[j]
+            s = position - first
             bits = memo.get(s)
             if bits is None:
                 bits = 0
@@ -312,7 +315,7 @@ class GradedPiece:
 
 
 def block_kernel(src_ids, columns: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """(free coordinate, kernel vector) pairs of one block, in source ids. The
+    """(free coordinate, kernel vector) pairs of one block, in src_ids. The
     block is transposed to rows and reduced last row first, which fills in far
     less on tall blocks; pivots and kernel depend only on the row space.
 
@@ -347,34 +350,31 @@ def annihilates(columns: list[dict[int, int]], vec: dict[int, int]) -> bool:
 def lay_out(phi: FreeModuleMap, d: int, odd_sets: list[frozenset] | None = None) -> GradedPiece:
     """The degree-d piece of phi, laid out as its blocks without columns.
     The coordinate (j, S) weighs g_j.weight plus the weights of S, so j's
-    coordinates join blocks a subset weight group at a time; blocks come in
-    the order of their first coordinate. odd_sets holds odd_terms of each
-    column when the caller has them; generators of one size k and one
-    odd-term set share a pattern."""
+    keys, from j * height + offset(k) on, join blocks a subset weight group
+    at a time; blocks come in the order of their first coordinate. odd_sets
+    holds odd_terms of each column when the caller has them; generators of
+    one size k and one odd-term set share a pattern."""
     algebra = phi.source.algebra
     offset, height = positions(phi.source, d)
     row_offset, row_height = positions(phi.target, d)
     by_key: dict[int, tuple[list[int], tuple[int, ...], int]] = {}
     patterns: dict[tuple[int, frozenset], tuple] = {}
-    piece = GradedPiece(phi, d, (row_offset, row_height), [], [], height, {}, {}, {})
+    piece = GradedPiece(phi, d, (row_offset, row_height), [], height, {})
     for j, g in enumerate(phi.source.generators):
         k = g.degree - d
         if k not in offset:
             continue
-        subs, _, groups = subsets(algebra, k)
-        f = piece.first[j] = len(piece.source_coords)
-        piece.shift[j] = offset[k] - f
+        start = j * height + offset[k]
         Ts = odd_sets[j] if odd_sets is not None else odd_terms(phi.columns[j])
         if (k, Ts) not in patterns:
-            patterns[k, Ts] = ([(row_offset[len(T) + k], wedge_table(algebra, T, k)[1])
-                                for T in Ts if len(T) + k <= algebra.nvars], {})
+            patterns[k, Ts] = (offset[k], [(row_offset[len(T) + k], wedge_table(algebra, T, k)[1])
+                                           for T in Ts if len(T) + k <= algebra.nvars], {})
         piece.odd[j] = patterns[k, Ts]
-        for w_key, w, ids in groups:
+        for w_key, w, ids in subsets(algebra, k)[2]:
             b = g.key + w_key
             if b not in by_key:
                 by_key[b] = ([], tuple(map(add, g.weight, w)) if k else g.weight, b)
-            by_key[b][0].extend(map(f.__add__, ids))
-        piece.source_coords += [(j, S) for S in subs]
+            by_key[b][0].extend(map(start.__add__, ids))
     piece.blocks = list(by_key.values())
     return piece
 
@@ -415,32 +415,30 @@ def minimal_free_cover(
         shifted = lay_out(FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), d,
                           prods_odd)
         products = {key: ids for ids, _, key in shifted.blocks}
-        coords, shift, height = piece.source_coords, piece.shift, piece.height
-        nullity, kernel = 0, []
+        height, columns, nullity, kernel = piece.height, 0, 0, []
         for ids, weight, key in piece.blocks:
-            # the block's products, as bitsets over the same positions
+            columns += len(ids)
+            # the block's products, as bitsets over the same positions; their
+            # exact columns are over the same keys
             prods = products.get(key, [])
             basis: dict[int, int] = {}
             for bits in shifted.odd_columns(prods):
                 insert_mod2(basis, bits)
             # a pivot at a position two columns share fails the count
-            rest = [c for c in ids if c + shift[coords[c][0]] + 1 not in basis] if basis else ids
+            rest = [c for c in ids if c % height + 1 not in basis] if basis else ids
             if len(rest) + len(basis) == len(ids) and independent_mod2(piece.odd_columns(rest)):
                 nullity += len(basis)
                 continue
-            at = {coords[c][0] * height + c + shift[coords[c][0]]: n for n, c in enumerate(ids)}
-            spanned = Echelon(shifted.block_columns(prods, at))
-            found = block_kernel(range(len(ids)), piece.block_columns(ids, {}))
+            spanned = Echelon(shifted.block_columns(prods))
+            found = piece.kernel_vectors(ids)
             nullity += len(found)
-            kernel += [(ids[free], weight, {ids[n]: v for n, v in vec.items()})
-                       for free, vec in found if spanned.insert(vec)]
-        dims[d] = (len(piece.source_coords), nullity)
+            kernel += [(free, weight, vec) for free, vec in found if spanned.insert(vec)]
+        dims[d] = (columns, nullity)
         for _, weight, vec in sorted(kernel):  # free columns are distinct
             gens.append(Generator(d, weight))
             # an integer kernel vector is positive at its free column, not
             # at its leading one; the cover's signs follow the leading entry
-            vectors.append({piece.source_coords[c]: v
-                            for c, v in primitive_integer_vector(vec).items()})
+            vectors.append({piece.coord(c): v for c, v in primitive_integer_vector(vec).items()})
             prods_odd.append(odd_terms(vectors[-1]))
 
     for d in range(max(F.degrees(), default=degree_floor - 1), degree_floor - 1, -1):

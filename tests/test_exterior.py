@@ -1,15 +1,18 @@
 """Wedge products, image columns, graded pieces, kernels, minimal covers.
 
 Graded pieces are checked against a reference built here from `times`
-alone: the piece's rows, read off its columns through each block's column
-ids, must be the reference's nonzero rows. Covers are checked against a
+alone: each block id must be its coordinate's key, computed here from the
+definition, and the piece's rows, read off its columns over target keys,
+must be the reference's nonzero rows. Covers are checked against a
 reference cover built here from the reference pieces: a full kernel basis
 in every degree, every vector inserted against the shifted products.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -83,14 +86,30 @@ def reference_piece(phi: FreeModuleMap, d: int) -> tuple[list, dict]:
     return coords, rows
 
 
+def reference_key(module: GradedFreeModule, d: int, coord) -> int:
+    """A degree-d coordinate (i, U)'s key from its definition: i times the
+    count of subsets of every size in use, plus the count of those smaller
+    than |U|, plus the index of U among its size."""
+    N = module.algebra.nvars
+    sizes = {g.degree - d for g in module.generators if 0 <= g.degree - d <= N}
+    i, U = coord
+    below = sum(math.comb(N, k) for k in sizes if k < len(U))
+    return i * sum(math.comb(N, k) for k in sizes) + below + subset_index(N, len(U))[U]
+
+
+@functools.cache
+def subset_index(N: int, k: int) -> dict:
+    return {U: n for n, U in enumerate(itertools.combinations(range(N), k))}
+
+
 def piece_rows(piece) -> list[dict]:
     """Every row of every block, keyed by source coordinate, read off the
-    block's columns in row-number order."""
+    block's columns in the order the columns first reach them."""
     rows: dict = {}
-    for b, (src_ids, _, _) in enumerate(piece.blocks):
-        for c, col in zip(src_ids, piece.block_columns(src_ids, {})):
+    for src_ids, _, _ in piece.blocks:
+        for c, col in zip(src_ids, piece.block_columns(src_ids)):
             for r, v in col.items():
-                rows.setdefault((b, r), {})[piece.source_coords[c]] = v
+                rows.setdefault(r, {})[piece.coord(c)] = v
     return list(rows.values())
 
 
@@ -99,17 +118,30 @@ def checked_piece(phi: FreeModuleMap, d: int):
     piece = graded_piece(phi, d)
     coords, rows = reference_piece(phi, d)
     assert piece.source_coords == coords
+    # the block ids are the coordinates' keys, each once, ascending in a block
     ids = sorted(c for src_ids, _, _ in piece.blocks for c in src_ids)
-    assert ids == list(range(len(coords)))
+    assert ids == [reference_key(phi.source, d, coord) for coord in coords]
+    assert [piece.coord(c) for c in ids] == coords
+    keyed: dict = {}
     for src_ids, _, _ in piece.blocks:
-        columns = piece.block_columns(src_ids, {})
+        assert src_ids == sorted(src_ids)
+        columns = piece.block_columns(src_ids)
         assert len(columns) == len(src_ids)
-        # row numbers are handed out in the order the columns first reach them
-        seen = list(dict.fromkeys(r for col in columns for r in col))
-        assert seen == list(range(len(seen)))
-    canonical = lambda rs: sorted(sorted(r.items()) for r in rs)
-    assert canonical(piece_rows(piece)) == canonical(rows.values())
+        for c, col in zip(src_ids, columns):
+            for r, v in col.items():
+                keyed.setdefault(r, {})[c] = v
+    # the exact columns are sparse over the target coordinates' keys
+    assert keyed == {reference_key(phi.target, d, key): {
+        reference_key(phi.source, d, coord): v for coord, v in row.items()}
+        for key, row in rows.items()}
     return piece
+
+
+def kernel_basis(piece) -> list[dict]:
+    """The piece's canonical kernel basis, block by block, ordered by free
+    key and keyed by source coordinate."""
+    found = [pair for ids, _, _ in piece.blocks for pair in piece.kernel_vectors(ids)]
+    return [{piece.coord(c): v for c, v in vec.items()} for _, vec in sorted(found)]
 
 
 def coord_weight(module: GradedFreeModule, coord) -> tuple[int, ...]:
@@ -173,7 +205,7 @@ def test_graded_piece_identity():
     piece = checked_piece(FreeModuleMap(M, M, [{(0, ()): 1}]), -1)
     assert piece_rows(piece) == [{(0, (i,)): 1} for i in range(4)]
     assert piece.rank() == 4
-    assert piece.kernel_vectors() == []
+    assert kernel_basis(piece) == []
 
 
 def test_graded_piece_zero_map():
@@ -182,8 +214,7 @@ def test_graded_piece_zero_map():
     piece = checked_piece(FreeModuleMap(M, module(alg), [{}, {}]), -1)
     assert len(piece.source_coords) == 6
     assert piece_rows(piece) == []
-    kers = [{piece.source_coords[c]: v for c, v in vec.items()}
-            for vec in piece.kernel_vectors()]
+    kers = kernel_basis(piece)
     assert len(kers) == 6
     assert kers[0] == {(0, (0,)): 1}
 
@@ -245,7 +276,7 @@ def test_cover_image_matches_kernel_dimensions():
     assert sorted(dims, reverse=True) == [0, -1, -2, -3]
     for d in range(0, -4, -1):
         piece = graded_piece(phi, d)
-        nullity = len(piece.kernel_vectors())
+        nullity = len(kernel_basis(piece))
         assert dims[d] == (len(piece.source_coords), nullity)
         assert nullity == len(piece.source_coords) - piece.rank()
         assert graded_piece(into, d).rank() == nullity
@@ -340,7 +371,7 @@ def check_blocks_split_by_weight(a: int, b: int) -> None:
             assert len(set(weights)) == len(weights)
             assert [key for _, _, key in piece.blocks] == list(map(exterior.pack, weights))
             for src_ids, w, _ in piece.blocks:
-                assert {coord_weight(F, piece.source_coords[c]) for c in src_ids} == {w}
+                assert {coord_weight(F, piece.coord(c)) for c in src_ids} == {w}
         into = cover_like_reference(phi, degree_floor=-4)
         cover_like_reference(into, degree_floor=-5)
         assert phi.compose(into).is_zero()
@@ -348,7 +379,7 @@ def check_blocks_split_by_weight(a: int, b: int) -> None:
             assert {coord_weight(F, coord) for coord in vec} == {g.weight}
             piece = graded_piece(phi, g.degree)
             blocks = {w for src_ids, w, _ in piece.blocks
-                      if any(piece.source_coords[c] in vec for c in src_ids)}
+                      if any(piece.coord(c) in vec for c in src_ids)}
             assert blocks == {g.weight}
 
 
@@ -378,7 +409,7 @@ def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
     for phi, into in ((phi2, middle), (middle, left)):
         for d, w in {(g.degree, g.weight) for g in into.source.generators}:
             piece = graded_piece(phi, d)
-            [columns] = [piece.block_columns(ids, {}) for ids, weight, _ in piece.blocks
+            [columns] = [piece.block_columns(ids) for ids, weight, _ in piece.blocks
                          if weight == w]
             gaining += len(columns) - Echelon(columns).rank
     scanned = sum(nullity for dims in (phi2_dims, middle_dims) for _, nullity in dims.values())
@@ -496,12 +527,12 @@ def test_kernel_vectors_over_free_columns_span_the_kernel():
 
 
 def products_pivots(phi: FreeModuleMap, into: FreeModuleMap, d: int):
-    """phi's degree-d piece and the pivots, as its coordinate ids, of the
+    """phi's degree-d piece and the pivots, as its coordinate keys, of the
     products of into's generators above degree d: P over Q, and P2 of their
     odd entries mod 2, the pivots a cover block reduces its products to.
     Both depend only on the span, not the order."""
     piece = graded_piece(phi, d)
-    coord_at = {coord: c for c, coord in enumerate(piece.source_coords)}
+    coord_at = {piece.coord(c): c for ids, _, _ in piece.blocks for c in ids}
     products, mod2 = Echelon(), {}
     N = phi.source.algebra.nvars
     for g, col in zip(into.source.generators, into.columns):
@@ -532,7 +563,7 @@ def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
         for d in range(0, -5, -1):
             piece, P, P2 = products_pivots(phi, into, d)
             for src_ids, w, _ in piece.blocks:
-                columns = piece.block_columns(src_ids, {})
+                columns = piece.block_columns(src_ids)
                 rest = [col for c, col in zip(src_ids, columns) if c not in P]
                 independent = Echelon(rest).rank == len(rest)
                 # the mod-2 certificate is one-sided: it never certifies a
@@ -560,7 +591,7 @@ def test_a_dependent_column_off_the_pivots_gains_a_generator():
     assert into.source.degrees() == [-1, -2]
     assert into.columns == [{(0, (0,)): 1}, {(1, ()): 1}]
     piece, P, P2 = products_pivots(phi, into, -2)
-    assert [piece.source_coords[c] for c in sorted(P)] == [(0, (0, 1)), (0, (0, 2))]
+    assert [piece.coord(c) for c in sorted(P)] == [(0, (0, 1)), (0, (0, 2))]
     assert P2 == P
     assert dims[-2] == (4, 3)
 
@@ -575,8 +606,8 @@ def test_dependent_columns_on_the_pivots_alone_certify_the_block():
     assert into.source.degrees() == [-1]
     piece, P, P2 = products_pivots(phi, into, -2)
     [(src_ids, _, _)] = piece.blocks
-    columns = piece.block_columns(src_ids, {})
-    assert [piece.source_coords[c] for c in sorted(P)] == [(0, (0, 1)), (0, (0, 2))]
+    columns = piece.block_columns(src_ids)
+    assert [piece.coord(c) for c in sorted(P)] == [(0, (0, 1)), (0, (0, 2))]
     assert P2 == P
     assert [col for c, col in zip(src_ids, columns) if c not in P] == [{0: 1}]
     assert Echelon(columns).rank == 1
@@ -825,16 +856,14 @@ def laid_out_pieces(build, monkeypatch) -> list:
 
 
 def odd_bits_of(piece, c: int) -> int:
-    """Coordinate c's odd entries, read off its exact column, as a bitset
-    over target positions."""
-    row_at: dict = {}
-    [col] = piece.block_columns([c], row_at)
-    key_of = {n: key for key, n in row_at.items()}
+    """The odd entries of the coordinate at key c, read off its exact
+    column, as a bitset over target positions."""
+    [col] = piece.block_columns([c])
     _, row_height = piece.rows
     bits = 0
-    for n, v in col.items():
+    for r, v in col.items():
         if v & 1:
-            bits ^= 1 << key_of[n] % row_height
+            bits ^= 1 << r % row_height
     return bits
 
 
@@ -852,12 +881,34 @@ def test_memoized_bitsets_are_every_sharing_generators_odd_entries(name, request
     pieces = laid_out_pieces(lambda: build_window(Q, sel), monkeypatch)
     checked, shared = 0, 0
     for piece in pieces:
-        for j, (_, memo) in piece.odd.items():
+        for j, (first, _, memo) in piece.odd.items():
             for s, bits in memo.items():
-                assert bits == odd_bits_of(piece, piece.first[j] + s)
+                assert bits == odd_bits_of(piece, j * piece.height + first + s)
             checked += len(memo)
         shared += len(piece.odd) - len({id(pattern) for pattern in piece.odd.values()})
     assert checked > 0 and shared > 0
+
+
+@pytest.mark.parametrize("name", ["cube", "octahedron", "simplex2"])
+def test_block_ids_of_the_ladders_pieces_are_coordinate_keys(name, request, monkeypatch):
+    # in every piece the covers and the exactness check lay out, products'
+    # included, a block id is the key of its coordinate (j, S), computed
+    # here from the definition, and the piece reads (j, S) back from it
+    Q = (convex_hull_with_facets(SIMPLEX2) if name == "simplex2"
+         else request.getfixturevalue(name))
+    sel = best_selection(Q, seed=0).selection
+    pieces = laid_out_pieces(lambda: check_exactness(build_window(Q, sel)), monkeypatch)
+    laid = 0
+    for piece in pieces:
+        source, d = piece.phi.source, piece.d
+        N = source.algebra.nvars
+        coords = [(j, S) for j, g in enumerate(source.generators) if 0 <= g.degree - d <= N
+                  for S in itertools.combinations(range(N), g.degree - d)]
+        ids = sorted(c for src_ids, _, _ in piece.blocks for c in src_ids)
+        assert ids == [reference_key(source, d, coord) for coord in coords]
+        assert [piece.coord(c) for c in ids] == coords
+        laid += len(ids)
+    assert laid > 0
 
 
 def test_generators_of_two_sizes_keep_their_own_bitset_memos():
@@ -878,11 +929,12 @@ def test_generators_of_two_sizes_keep_their_own_bitset_memos():
     piece = checked_piece(phi, -1)
     odd = piece.odd
     assert odd[0] is odd[2] and odd[1] is not odd[0]
-    assert odd[3] is not odd[4] and odd[3][0] == odd[4][0] == []
+    assert odd[3] is not odd[4] and odd[3][1] == odd[4][1] == []
     assert len({id(pattern) for pattern in odd.values()}) == 5
-    ids = range(len(piece.source_coords))
+    ids = [c for src_ids, _, _ in piece.blocks for c in src_ids]
+    assert len(ids) == len(piece.source_coords)
     assert list(piece.odd_columns(ids)) == [odd_bits_of(piece, c) for c in ids]
-    assert {j: len(memo) for j, (_, memo) in odd.items()} == {
+    assert {j: len(memo) for j, (_, _, memo) in odd.items()} == {
         0: 6, 1: 4, 2: 6, 3: 6, 4: 4, 5: 6}
     cover_like_reference(phi, degree_floor=-4)
 
@@ -894,9 +946,9 @@ def test_exact_terms_are_built_only_for_the_blocks_asked_for(cube, monkeypatch):
     asked: dict = {}
     block_columns = exterior.GradedPiece.block_columns
 
-    def recorded(self, ids, row_at):
-        asked.setdefault(id(self), set()).update(self.source_coords[c][0] for c in ids)
-        return block_columns(self, ids, row_at)
+    def recorded(self, ids):
+        asked.setdefault(id(self), set()).update(self.coord(c)[0] for c in ids)
+        return block_columns(self, ids)
 
     monkeypatch.setattr(exterior.GradedPiece, "block_columns", recorded)
     pieces = laid_out_pieces(lambda: build_window(cube, (0, 1, 4)), monkeypatch)
