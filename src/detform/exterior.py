@@ -30,17 +30,17 @@ bitsets gives pivots P2, and rank2(products) >= |P2|. If the columns off P2,
 rest, are independent mod 2 and |rest| + |P2| = columns, the kernel has
 dimension at most |P2|, and the products span it over Q; the count fails
 only where sources of one degree and weight share a pivot's position. Any
-other block takes block_kernel, and its own exact products echelon keeps
+other block takes block_kernel with its products' exact columns, and gains
 the kernel vectors they do not span. block_kernel reduces exactly only the
-block's rows that are independent mod 2, hence over Q, and proves the
-kernel of those rows is the block's by checking each of its basis vectors
-against the block's exact columns over Z; a block whose rank drops mod 2
-fails a check and reduces all its rows. A coordinate's bitset depends only on
-its subset and on its generator's pattern: the size k and the subsets of
-the odd terms (odd_terms), not their targets. So the generators of a
-pattern share one table, and each (pattern, subset) bitset is built once a
-piece; the rightmost map's columns, one term per support point each, all
-share one.
+pivot rows of the columns' mod-2 echelon, independent mod 2, hence over Q,
+and builds only the vectors it keeps; each is checked over Z against the
+block's columns, and a count proves that they and the products span the
+block's kernel. A block whose rank drops mod 2 fails a check and reduces
+all its rows. A coordinate's bitset depends only on its subset and on its
+generator's pattern: the size k and the subsets of the odd terms
+(odd_terms), not their targets. So the generators of a pattern share one
+table, and each (pattern, subset) bitset is built once a piece; the
+rightmost map's columns, one term per support point each, all share one.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from dataclasses import dataclass, field
 from operator import add
 
 from .errors import InvariantViolation
-from .linalg import (Echelon, independent_mod2, insert_mod2, primitive_integer_vector,
-                     sieve_mod2)
+from .linalg import Echelon, echelon_mod2, independent_mod2, primitive_integer_vector
 
 Subset = tuple[int, ...]
 Vector = dict[tuple[int, Subset], int]
@@ -268,9 +267,10 @@ class GradedPiece:
     def rank(self) -> int:
         return sum(Echelon(self.block_columns(ids)).rank for ids, _, _ in self.blocks)
 
-    def kernel_vectors(self, ids) -> list[tuple[int, dict[int, int]]]:
-        """(free key, kernel vector) pairs of the block at these keys."""
-        return block_kernel(ids, self.block_columns(ids))
+    def kernel_vectors(self, ids, products=()) -> tuple[int, list[tuple[int, dict[int, int]]]]:
+        """The nullity and kept kernel vectors of the block at these keys,
+        given its products over the same keys (see block_kernel)."""
+        return block_kernel(ids, self.block_columns(ids), products)
 
     def exact_terms(self, j: int) -> list[tuple]:
         """j's terms as (row key at idx 0, coefficient, signs, idx), built
@@ -297,12 +297,15 @@ class GradedPiece:
     def odd_columns(self, ids):
         """Those columns' odd entries as bitsets over positions, XOR-ed; each
         (pattern, subset) bitset is built once and shared by the pattern's
-        generators."""
-        odd, height = self.odd, self.height
+        generators. A generator's keys are looked up once per run of them."""
+        odd, height, base, end = self.odd, self.height, 0, -1
         for c in ids:
-            j, position = divmod(c, height)
-            first, table, memo = odd[j]
-            s = position - first
+            s = c - base
+            if not 0 <= s < end:
+                j = c // height
+                first, table, memo = odd[j]
+                base, end = j * height + first, height - first
+                s = c - base
             bits = memo.get(s)
             if bits is None:
                 bits = 0
@@ -314,28 +317,46 @@ class GradedPiece:
             yield bits
 
 
-def block_kernel(src_ids, columns: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """(free coordinate, kernel vector) pairs of one block, in src_ids. The
-    block is transposed to rows and reduced last row first, which fills in far
-    less on tall blocks; pivots and kernel depend only on the row space.
+def block_kernel(src_ids, columns: list[dict[int, int]],
+                 products=()) -> tuple[int, list[tuple[int, dict[int, int]]]]:
+    """(nullity, kept) of one block: the (free coordinate, kernel vector)
+    pairs, in src_ids, that a greedy echelon of the products, exact columns
+    over the block's keys in its kernel, would keep. The block is transposed
+    to rows and reduced last row first, which fills in far less on tall
+    blocks; pivots and kernel depend only on the row space.
 
-    Only the rows independent mod 2, sieved in that order by their odd
-    bitsets, are reduced: they are independent over Q, so their kernel K
-    has dimension columns - rank mod 2 and holds the block's. If every
-    vector of K's basis is a kernel vector of the block's own columns,
-    checked over Z, K is the block's kernel and the sieved rows span the row
-    space, so the pivots and vectors are those of all rows. Otherwise, when
-    rank mod 2 falls short of the rank, all rows are reduced."""
-    rows: dict[int, dict[int, int]] = {}
+    Only the pivot rows of the columns' mod-2 echelon, each column a bitset
+    over the rows with its top bit as pivot, are reduced: they are
+    independent mod 2, hence over Q, so their kernel K, with free columns F,
+    holds the block's, and restriction to F is injective on K. Reducing the
+    products' restrictions with the largest column as pivot leaves the kept
+    f, the free columns that are no pivot. Only their vectors are built,
+    each checked over Z against the columns; if all pass, they and the
+    products span |F| = dim K dimensions of the block's kernel, so K is it.
+    Otherwise, when rank mod 2 falls short of the rank, all rows are
+    reduced."""
+    n, rows = len(columns), {}
     for c, col in enumerate(columns):
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
-    ech = Echelon(sieve_mod2(reversed(rows.values()), len(columns)))
-    found = [(free, ech.kernel_vector(free)) for free in ech.free_columns(len(columns))]
-    if not all(annihilates(columns, vec) for _, vec in found):
-        ech = Echelon(reversed(rows.values()))
-        found = [(free, ech.kernel_vector(free)) for free in ech.free_columns(len(columns))]
-    return [(src_ids[free], {src_ids[c]: v for c, v in vec.items()}) for free, vec in found]
+    index, at = dict(zip(src_ids, range(n))), dict(zip(rows, range(len(rows))))
+    try:
+        # column n-1-c of a restriction is c, so Echelon's pivot is the largest
+        products = [{n - 1 - index[key]: v for key, v in col.items()} for col in products]
+    except KeyError as err:
+        raise InvariantViolation(f"a product reaches key {err}, outside its block") from None
+    rows = list(rows.values())
+    sieve = echelon_mod2(sum(1 << at[r] for r, v in col.items() if v & 1) for col in columns)
+    sieved = [rows[top - 1] for top in sorted(sieve, reverse=True)]  # last row first
+    for full in (False, True):
+        ech = Echelon(reversed(rows) if full else sieved)
+        free = ech.free_columns(n)
+        spanned = Echelon({c: v for c, v in col.items() if n - 1 - c not in ech.rows}
+                          for col in products)
+        found = [(f, ech.kernel_vector(f)) for f in free if n - 1 - f not in spanned.rows]
+        if full or all(annihilates(columns, vec) for _, vec in found):
+            break
+    return len(free), [(src_ids[f], {src_ids[c]: v for c, v in vec.items()}) for f, vec in found]
 
 
 def annihilates(columns: list[dict[int, int]], vec: dict[int, int]) -> bool:
@@ -421,18 +442,15 @@ def minimal_free_cover(
             # the block's products, as bitsets over the same positions; their
             # exact columns are over the same keys
             prods = products.get(key, [])
-            basis: dict[int, int] = {}
-            for bits in shifted.odd_columns(prods):
-                insert_mod2(basis, bits)
+            basis = echelon_mod2(shifted.odd_columns(prods)) if prods else {}
             # a pivot at a position two columns share fails the count
             rest = [c for c in ids if c % height + 1 not in basis] if basis else ids
             if len(rest) + len(basis) == len(ids) and independent_mod2(piece.odd_columns(rest)):
                 nullity += len(basis)
                 continue
-            spanned = Echelon(shifted.block_columns(prods))
-            found = piece.kernel_vectors(ids)
-            nullity += len(found)
-            kernel += [(free, weight, vec) for free, vec in found if spanned.insert(vec)]
+            block_nullity, kept = piece.kernel_vectors(ids, shifted.block_columns(prods))
+            nullity += block_nullity
+            kernel += [(free, weight, vec) for free, vec in kept]
         dims[d] = (columns, nullity)
         for _, weight, vec in sorted(kernel):  # free columns are distinct
             gens.append(Generator(d, weight))

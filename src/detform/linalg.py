@@ -6,10 +6,11 @@ value. Echelon forms hold integer rows, eliminate fraction-free and use the
 canonical pivot rule (first nonzero column) so results are reproducible bit
 for bit. The modular routines work on the bitsets of odd entries, and
 vectors independent mod 2 are independent over Q: independent_mod2 proves
-independence, and sieve_mod2 keeps the rows independent mod 2 of the
-earlier ones, so that an echelon reduces only those. That they span the
-whole row space is for the caller to prove over Z (exterior.block_kernel
-does), and to reduce every row when the proof fails.
+independence and echelon_mod2 builds a mod-2 echelon, each in one XOR loop.
+Given a block's columns as bitsets over its rows, its pivots pick rows
+independent mod 2 that an echelon can reduce alone; that they span the row
+space is for the caller to prove over Z (exterior.block_kernel does), and
+to reduce every row when the proof fails.
 """
 
 from __future__ import annotations
@@ -46,38 +47,32 @@ def primitive_integer_vector(vec: dict) -> dict:
     return {c: v // g for c, v in vec.items()}
 
 
-def insert_mod2(basis: dict[int, int], bits: int) -> bool:
-    """XOR-reduce a bitset against basis, rows keyed by bit_length, and
-    keep a nonzero residue. True if kept."""
-    while bits:
-        top = bits.bit_length()
-        pivot = basis.get(top)
-        if pivot is None:
-            basis[top] = bits
-            return True
-        bits ^= pivot
-    return False
-
-
-def sieve_mod2(rows, ncols: int):
-    """Yield the sparse integer rows over columns 0..ncols-1 whose odd
-    entries are independent mod 2 of the earlier rows'; the rows yielded
-    are independent over Q. Column c is bit ncols - c, so a row's pivot is
-    its smallest odd column, as in Echelon; on a block's rows that fills in
-    far less than pivoting on the largest."""
+def echelon_mod2(bitsets) -> dict[int, int]:
+    """XOR-reduce each bitset against the rows so far, keyed by bit_length,
+    and keep every nonzero residue: a mod-2 echelon whose pivots are the
+    rows' top bits, and whose size is the rank mod 2."""
     basis: dict[int, int] = {}
-    for row in rows:
-        if insert_mod2(basis, sum(1 << ncols - c for c, v in row.items() if v & 1)):
-            yield row
+    for bits in bitsets:
+        while (top := bits.bit_length()) in basis:  # 0 is no key: a zero residue stops
+            bits ^= basis[top]
+        if bits:
+            basis[top] = bits
+    return basis
 
 
 def independent_mod2(bitsets) -> bool:
     """One-sided test: True proves integer vectors, given as the bitsets of
     their odd entries, independent over Q: some maximal minor is odd, hence
     nonzero. False proves nothing: vectors dependent mod 2 may still be
-    independent over Q."""
+    independent over Q. Stops at the first bitset that reduces to 0."""
     basis: dict[int, int] = {}
-    return all(insert_mod2(basis, bits) for bits in bitsets)
+    for bits in bitsets:
+        while (top := bits.bit_length()) in basis:
+            bits ^= basis[top]
+        if not bits:
+            return False
+        basis[top] = bits
+    return True
 
 
 class Echelon:

@@ -30,7 +30,7 @@ from detform.exterior import (
     wedge_subsets,
 )
 from detform.lattice import convex_hull_with_facets
-from detform.linalg import Echelon, independent_mod2, insert_mod2, primitive_integer_vector
+from detform.linalg import Echelon, echelon_mod2, independent_mod2, primitive_integer_vector
 from detform.shelling import best_selection
 from detform.tate import build_phi2, build_window, check_exactness
 
@@ -140,7 +140,7 @@ def checked_piece(phi: FreeModuleMap, d: int):
 def kernel_basis(piece) -> list[dict]:
     """The piece's canonical kernel basis, block by block, ordered by free
     key and keyed by source coordinate."""
-    found = [pair for ids, _, _ in piece.blocks for pair in piece.kernel_vectors(ids)]
+    found = [pair for ids, _, _ in piece.blocks for pair in piece.kernel_vectors(ids)[1]]
     return [{piece.coord(c): v for c, v in vec.items()} for _, vec in sorted(found)]
 
 
@@ -389,9 +389,9 @@ def test_cover_matches_reference_on_cube_phi2(cube):
 
 
 def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
-    # every other block is certified without a kernel basis, so
-    # back-substitution runs at most once per free column of a block that
-    # gains a generator
+    # every other block is certified without a kernel basis, and a block that
+    # gains a generator builds only the vectors it keeps, so back-substitution
+    # runs once per generator, at most once per free column of such a block
     calls = []
     kernel_vector = Echelon.kernel_vector
 
@@ -413,7 +413,7 @@ def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
                          if weight == w]
             gaining += len(columns) - Echelon(columns).rank
     scanned = sum(nullity for dims in (phi2_dims, middle_dims) for _, nullity in dims.values())
-    assert 0 < len(calls) <= gaining < scanned
+    assert 0 < len(calls) == middle.source.rank + left.source.rank <= gaining < scanned
 
 
 def test_the_algebra_wedges_each_pair_once(cube, monkeypatch):
@@ -533,15 +533,15 @@ def products_pivots(phi: FreeModuleMap, into: FreeModuleMap, d: int):
     Both depend only on the span, not the order."""
     piece = graded_piece(phi, d)
     coord_at = {piece.coord(c): c for ids, _, _ in piece.blocks for c in ids}
-    products, mod2 = Echelon(), {}
+    products, odd = Echelon(), []
     N = phi.source.algebra.nvars
     for g, col in zip(into.source.generators, into.columns):
         if g.degree > d:
             for S in itertools.combinations(range(N), g.degree - d):
                 product = {coord_at[key]: v for key, v in times(col, S).items()}
                 products.insert(product)
-                insert_mod2(mod2, sum(1 << c for c, v in product.items() if v & 1))
-    return piece, set(products.rows), {top - 1 for top in mod2}
+                odd.append(sum(1 << c for c, v in product.items() if v & 1))
+    return piece, set(products.rows), {top - 1 for top in echelon_mod2(odd)}
 
 
 def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
@@ -571,8 +571,7 @@ def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
                 certified = independent_mod2(piece.odd_columns(
                     [c for c in src_ids if c not in P2]))
                 assert not certified or independent
-                basis: dict = {}
-                rank2 = sum(insert_mod2(basis, bits) for bits in piece.odd_columns(src_ids))
+                rank2 = len(echelon_mod2(piece.odd_columns(src_ids)))
                 assert certified == (sum(c in P2 for c in src_ids) + rank2 == len(columns))
                 products = sum(c in P for c in src_ids)
                 assert independent == (Echelon(columns).rank + products == len(columns))
@@ -661,9 +660,9 @@ def test_a_block_dependent_only_mod_2_takes_the_exact_kernel(monkeypatch):
     kernels = []
     block_kernel = exterior.block_kernel
 
-    def counted(src_ids, columns):
+    def counted(src_ids, columns, products):
         kernels.append(columns)
-        return block_kernel(src_ids, columns)
+        return block_kernel(src_ids, columns, products)
 
     monkeypatch.setattr(exterior, "block_kernel", counted)
     alg = algebra(2)
@@ -685,9 +684,9 @@ def test_products_dependent_only_mod_2_send_their_block_to_the_exact_path(monkey
     kernels = []
     block_kernel = exterior.block_kernel
 
-    def counted(src_ids, columns):
+    def counted(src_ids, columns, products):
         kernels.append(columns)
-        return block_kernel(src_ids, columns)
+        return block_kernel(src_ids, columns, products)
 
     monkeypatch.setattr(exterior, "block_kernel", counted)
     alg = algebra(2)
@@ -713,9 +712,9 @@ def test_exact_kernels_run_once_per_gained_generator(name, selection, gained, re
     calls = []
     block_kernel = exterior.block_kernel
 
-    def counted(src_ids, columns):
+    def counted(src_ids, columns, products):
         calls.append(len(src_ids))
-        return block_kernel(src_ids, columns)
+        return block_kernel(src_ids, columns, products)
 
     monkeypatch.setattr(exterior, "block_kernel", counted)
     phi2 = build_phi2(request.getfixturevalue(name), selection)
@@ -802,9 +801,9 @@ def test_sources_sharing_a_pivot_position_fail_the_count(monkeypatch):
     kernels = []
     block_kernel = exterior.block_kernel
 
-    def counted(src_ids, columns):
+    def counted(src_ids, columns, products):
         kernels.append(len(columns))
-        return block_kernel(src_ids, columns)
+        return block_kernel(src_ids, columns, products)
 
     alg = algebra(2)
     phi = FreeModuleMap(module(alg, 0, 0), module(alg, 1), [{}, {}])

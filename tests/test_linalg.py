@@ -1,4 +1,4 @@
-"""The one-sided mod-2 independence test and row sieve against exact
+"""The one-sided mod-2 independence test and column sieve against exact
 elimination, back-substitution against a walk over every pivot, and the
 determinant's shape check."""
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detform.errors import InvariantViolation
-from detform.linalg import Echelon, det_bareiss, independent_mod2, sieve_mod2
+from detform.linalg import Echelon, det_bareiss, echelon_mod2, independent_mod2
 
 
 def odd_bits(vec: dict) -> int:
@@ -93,17 +93,33 @@ def test_kernel_vector_walks_only_the_rows_it_meets(first, later):
 
 
 def test_the_mod_2_sieve_keeps_a_basis_of_the_rows_mod_2():
-    # the rows it keeps are the first independent ones mod 2, in order,
-    # whatever bit it pivots on, so they are independent over Q too
+    # each column as a bitset over the rows, echelon-ed mod 2 with its top
+    # bit as pivot: the pivot rows are independent mod 2, so over Q too, and
+    # they number the rank mod 2, the size of a greedy basis of the rows
     rng = random.Random(24)
     for _ in range(200):
-        ncols = rng.randint(1, 6)
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
         rows = [{c: rng.randint(-3, 3) for c in rng.sample(range(ncols), rng.randint(0, ncols))}
-                for _ in range(rng.randint(0, 6))]
-        kept = list(sieve_mod2(rows, ncols))
+                for _ in range(nrows)]
+        columns = [sum(1 << r for r, row in enumerate(rows) if row.get(c, 0) & 1)
+                   for c in range(ncols)]
+        kept = [rows[top - 1] for top in echelon_mod2(columns)]
         greedy = []
         for row in rows:
             if not dependent_mod2(greedy + [row]):
                 greedy.append(row)
-        assert kept == greedy
+        assert not dependent_mod2(kept)
+        assert len(kept) == len(greedy)
         assert Echelon(kept).rank == len(kept)
+
+
+def test_echelon_mod2_drops_dependent_bitsets_and_independent_mod2_stops_there():
+    # 0b101 = 0b110 ^ 0b011 leaves no residue, so the echelon drops it, and
+    # the independence test gives up there without reading the bitsets after it
+    assert echelon_mod2([0b110, 0b011, 0b101, 0b001]) == {3: 0b110, 2: 0b011, 1: 0b001}
+    rest = iter([0b110, 0b011, 0b101, 0b001])
+    assert not independent_mod2(rest)
+    assert list(rest) == [0b001]
+    assert independent_mod2([0b110, 0b011, 0b001])
+    assert echelon_mod2([0, 0b1]) == {1: 1}
+    assert not independent_mod2([0, 0b1])
