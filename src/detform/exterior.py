@@ -368,13 +368,13 @@ def annihilates(columns: list[dict[int, int]], vec: dict[int, int]) -> bool:
     return not any(total.values())
 
 
-def lay_out(phi: FreeModuleMap, d: int, odd_sets: list[frozenset] | None = None) -> GradedPiece:
+def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
     """The degree-d piece of phi, laid out as its blocks without columns.
     The coordinate (j, S) weighs g_j.weight plus the weights of S, so j's
     keys, from j * height + offset(k) on, join blocks a subset weight group
-    at a time; blocks come in the order of their first coordinate. odd_sets
-    holds odd_terms of each column when the caller has them; generators of
-    one size k and one odd-term set share a pattern."""
+    at a time; blocks come in the order of their first coordinate.
+    Generators of one size k and one odd-term set (odd_terms of their
+    columns) share a pattern."""
     algebra = phi.source.algebra
     offset, height = positions(phi.source, d)
     row_offset, row_height = positions(phi.target, d)
@@ -386,7 +386,7 @@ def lay_out(phi: FreeModuleMap, d: int, odd_sets: list[frozenset] | None = None)
         if k not in offset:
             continue
         start = j * height + offset[k]
-        Ts = odd_sets[j] if odd_sets is not None else odd_terms(phi.columns[j])
+        Ts = odd_terms(phi.columns[j])
         if (k, Ts) not in patterns:
             patterns[k, Ts] = (offset[k], [(row_offset[len(T) + k], wedge_table(algebra, T, k)[1])
                                            for T in Ts if len(T) + k <= algebra.nvars], {})
@@ -400,10 +400,9 @@ def lay_out(phi: FreeModuleMap, d: int, odd_sets: list[frozenset] | None = None)
     return piece
 
 
-def graded_piece(phi: FreeModuleMap, d: int,
-                 odd_sets: list[frozenset] | None = None) -> GradedPiece:
+def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
     """The degree-d component of phi, laid out as its blocks (see lay_out)."""
-    return lay_out(phi, d, odd_sets)
+    return lay_out(phi, d)
 
 
 def minimal_free_cover(
@@ -428,13 +427,10 @@ def minimal_free_cover(
     gens: list[Generator] = []
     vectors: list[Vector] = []
     dims: dict[int, tuple[int, int]] = {}
-    # odd-term sets are computed once per column and shared by every degree
-    phi_odd, prods_odd = [odd_terms(col) for col in phi.columns], []
 
     def add_generators(d: int) -> None:
-        piece = graded_piece(phi, d, phi_odd)
-        shifted = lay_out(FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), d,
-                          prods_odd)
+        piece = graded_piece(phi, d)
+        shifted = lay_out(FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), d)
         products = {key: ids for ids, _, key in shifted.blocks}
         height, columns, nullity, kernel = piece.height, 0, 0, []
         for ids, weight, key in piece.blocks:
@@ -457,7 +453,6 @@ def minimal_free_cover(
             # an integer kernel vector is positive at its free column, not
             # at its leading one; the cover's signs follow the leading entry
             vectors.append({piece.coord(c): v for c, v in primitive_integer_vector(vec).items()})
-            prods_odd.append(odd_terms(vectors[-1]))
 
     for d in range(max(F.degrees(), default=degree_floor - 1), degree_floor - 1, -1):
         add_generators(d)  # its layouts are freed before the next degree's are built

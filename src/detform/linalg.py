@@ -16,7 +16,6 @@ to reduce every row when the proof fails.
 from __future__ import annotations
 
 from fractions import Fraction as QQ
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import InvariantViolation
@@ -87,7 +86,6 @@ class Echelon:
 
     def __init__(self, rows=()) -> None:
         self.rows: dict[int, dict] = {}
-        self._meets: dict[int, list[int]] | None = None  # built by kernel_vector
         for row in rows:
             self.insert(row)
 
@@ -122,34 +120,19 @@ class Echelon:
             return False
         row = primitive_integer_vector(row)
         self.rows[min(row)] = row
-        self._meets = None
         return True
 
     def kernel_vector(self, free_col: int) -> dict:
         """Integer kernel vector, positive at free_col and 0 at other free columns.
 
         A positive multiple of the vector the reduced echelon form assigns
-        to free_col. Back-substitution visits, in decreasing order, only the
-        pivot rows that meet the vector's support; every other row adds 0.
+        to free_col, back-substituted through the pivot rows, largest pivot
+        first.
         """
         if free_col in self.rows:
             raise InvariantViolation("free_col is a pivot column")
-        if self._meets is None:
-            # column -> the pivots of the rows holding it off their pivot,
-            # negated for the max-heap below
-            self._meets = {}
-            for c, row in self.rows.items():
-                for col in row:
-                    if col != c:
-                        self._meets.setdefault(col, []).append(-c)
-        meets = self._meets
         x = {free_col: 1}
-        due = list(meets.get(free_col, ()))
-        heapify(due)
-        while due:
-            c = -heappop(due)
-            while due and due[0] == -c:
-                heappop(due)
+        for c in sorted(self.rows, reverse=True):
             row = self.rows[c]
             s = 0
             for col in row.keys() & x.keys():
@@ -160,8 +143,6 @@ class Echelon:
                 if scale != 1:
                     x = {col: scale * v for col, v in x.items()}
                 x[c] = -s // g
-                for p in meets.get(c, ()):
-                    heappush(due, p)
         return x
 
     def free_columns(self, ncols: int) -> list[int]:

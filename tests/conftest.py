@@ -20,6 +20,7 @@ from detform.shelling import best_selection
 
 CUBE_POINTS = list(itertools.product((0, 1), repeat=3))
 OCTA_POINTS = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+SIMPLEX2_POINTS = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
 # a 14-facet polytope whose facets other than 0 and 7 form an annulus
 ANNULUS_POINTS = [p for p in itertools.product(range(4), repeat=3)
                   if 2 <= sum(p) <= 7 and max(p) - min(p) <= 2]

@@ -4,9 +4,8 @@ block_kernel reduces the rows its mod-2 column sieve keeps, and builds a
 kernel vector only for each free column the block's products do not span.
 Two references check it:
 
-- reference_block_kernel is block_kernel as it was before the sieve: every
-  transposed row of the block reduced, last row first, and every kernel
-  vector back-substituted over every pivot;
+- reference_block_kernel reduces every transposed row of the block, over Q
+  to its reduced row echelon form, and takes every kernel vector from it;
 - reference_kept builds all of those vectors and keeps, greedily, those a
   products echelon over the block's keys does not yet span, as the cover
   once did.
@@ -17,6 +16,8 @@ that depends on the echelon's rows.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -30,22 +31,24 @@ from detform.linalg import Echelon, primitive_integer_vector
 from detform.shelling import best_selection
 from detform.tate import build_phi2, build_window, check_exactness
 
-from conftest import CUBE_POINTS, OCTA_POINTS, acceptance_corpus
-from test_linalg import plain_kernel_vector
-
-SIMPLEX2_POINTS = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+from conftest import CUBE_POINTS, OCTA_POINTS, SIMPLEX2_POINTS, acceptance_corpus
+from test_linalg import rref, rref_kernel_vector
 
 
 def reference_block_kernel(src_ids, columns):
-    """Every transposed row reduced last row first; kernel vectors by a walk
-    over every pivot."""
+    """Every transposed row reduced over Q; each free column's kernel vector
+    from the reduced row echelon form, its denominators cleared."""
     rows: dict[int, dict[int, int]] = {}
     for c, col in enumerate(columns):
         for r, v in col.items():
             rows.setdefault(r, {})[c] = v
-    ech = Echelon(reversed(rows.values()))
-    return [(src_ids[free], {src_ids[c]: v for c, v in plain_kernel_vector(ech, free).items()})
-            for free in ech.free_columns(len(src_ids))]
+    basis, found = rref(rows.values()), []
+    for free in range(len(src_ids)):
+        if free not in basis:
+            vec = rref_kernel_vector(basis, free)
+            d = lcm(*(v.denominator for v in vec.values()))
+            found.append((src_ids[free], {src_ids[c]: int(v * d) for c, v in vec.items()}))
+    return found
 
 
 def reference_kept(src_ids, columns, products):

@@ -1,12 +1,12 @@
 """The one-sided mod-2 independence test and column sieve against exact
-elimination, back-substitution against a walk over every pivot, and the
-determinant's shape check."""
+elimination, back-substitution against the reduced row echelon form over
+Q, and the determinant's shape check."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from math import gcd
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -57,18 +57,41 @@ def test_a_non_square_determinant_is_an_invariant_violation():
         det_bareiss([[1, 2], [3, 4], [5, 6]])
 
 
-def plain_kernel_vector(ech: Echelon, free_col: int) -> dict:
-    """Echelon.kernel_vector as a walk over every pivot row, largest first."""
-    x = {free_col: 1}
-    for c in sorted(ech.rows, reverse=True):
-        if c == free_col:
-            raise InvariantViolation("free_col is a pivot column")
-        row = ech.rows[c]
-        s = sum(row[col] * x[col] for col in row.keys() & x.keys())
-        if s:
-            g = gcd(s, row[c])
-            x = {col: row[c] // g * v for col, v in x.items()}
-            x[c] = -s // g
+def rref(rows) -> dict[int, dict[int, Fraction]]:
+    """Gauss-Jordan over Q: pivot column -> its row of the reduced row
+    echelon form, 1 at the pivot and 0 at every other pivot column."""
+    basis: dict[int, dict[int, Fraction]] = {}
+
+    def subtract(row, factor, other):
+        for c, v in other.items():
+            acc = row.get(c, 0) - factor * v
+            if acc:
+                row[c] = acc
+            else:
+                row.pop(c, None)
+
+    for vec in rows:
+        row = {c: Fraction(v) for c, v in vec.items() if v}
+        for p, other in basis.items():
+            if p in row:
+                subtract(row, row[p], other)
+        if row:
+            p = min(row)
+            row = {c: v / row[p] for c, v in row.items()}
+            for other in basis.values():
+                if p in other:
+                    subtract(other, other[p], row)
+            basis[p] = row
+    return basis
+
+
+def rref_kernel_vector(basis: dict[int, dict[int, Fraction]], free_col: int) -> dict:
+    """The kernel vector the reduced row echelon form assigns to free_col:
+    1 there, 0 at the other free columns, -R[p][free_col] at each pivot p."""
+    x = {free_col: Fraction(1)}
+    for p, row in basis.items():
+        if free_col in row:
+            x[p] = -row[free_col]
     return x
 
 
@@ -78,15 +101,24 @@ sparse_rows = st.lists(st.dictionaries(st.integers(0, 9), st.integers(-3, 3), ma
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(sparse_rows, sparse_rows)
-def test_kernel_vector_walks_only_the_rows_it_meets(first, later):
-    # the column index is built by the first kernel_vector call and must be
-    # dropped by an insert after it
-    ech = Echelon(first)
+def test_kernel_vector_is_a_positive_multiple_of_the_rref_vector(first, later):
+    # checked again after later inserts, which add pivots under the vectors
+    ech, inserted = Echelon(first), list(first)
     for rows in ((), later):
         for row in rows:
             ech.insert(row)
-        for free in ech.free_columns(10):
-            assert ech.kernel_vector(free) == plain_kernel_vector(ech, free)
+        inserted += rows
+        basis = rref(ech.rows.values())
+        assert basis.keys() == ech.rows.keys()
+        free = ech.free_columns(10)
+        for f in free:
+            vec, ref = ech.kernel_vector(f), rref_kernel_vector(basis, f)
+            assert vec[f] > 0
+            assert all(vec.get(c, 0) == vec[f] * ref.get(c, 0) for c in vec.keys() | ref.keys())
+            assert not any(vec.get(g, 0) for g in free if g != f)
+            assert all(type(v) is int for v in vec.values())
+            for row in itertools.chain(ech.rows.values(), inserted):
+                assert sum(v * vec.get(c, 0) for c, v in row.items()) == 0
         for pivot in ech.rows:
             with pytest.raises(InvariantViolation, match="pivot column"):
                 ech.kernel_vector(pivot)
