@@ -14,9 +14,10 @@ size (positions), is the same in every weight block. A weight-preserving
 map's piece is block-diagonal by weight and is laid out as its blocks: the
 ascending keys of its source coordinates, and a weight. Exact columns are
 sparse over target keys, and (i, U) is read back from a key only where a
-new generator's column leaves the piece. Each algebra wedges each term
-subset T with the k-subsets once, into a (T, k) table of signs and indices
-that block_columns reads on demand; a generator's exact terms are built only
+new generator's column leaves the piece. The process wedges each term
+subset T with the k-subsets once per generator count N, into an (N, T, k)
+table of signs and indices that every algebra on N generators shares and
+block_columns reads on demand; a generator's exact terms are built only
 when a block that falls back to block_kernel first asks for them. Blocks
 are found by an integer, the weight packed linearly (pack), so a
 coordinate's is its generator's plus its subset's.
@@ -96,7 +97,7 @@ def pack(weight) -> int:
 @dataclass(frozen=True)
 class ExteriorAlgebra:
     """Ambient algebra data: generator count and one torus weight per generator.
-    _subsets caches the tables of subsets and wedge_table, built once each."""
+    _subsets caches the weight groups of the subsets, built once a size."""
 
     nvars: int
     var_weights: tuple[tuple[int, ...], ...]
@@ -108,28 +109,42 @@ class ExteriorAlgebra:
         object.__setattr__(self, "reach", reach)
 
 
+# tables that depend only on the generator count, shared by every algebra:
+# (nvars, k) -> the k-subsets and their index, (nvars, T, k) -> wedge_table;
+# each is a pure function of its key, never changed once stored
+_TABLES: dict = {}
+
+
+def _combinations(nvars: int, k: int):
+    """The k-subsets of range(nvars) in combinations order, and their index."""
+    if (nvars, k) not in _TABLES:
+        subs = list(itertools.combinations(range(nvars), k))
+        _TABLES[nvars, k] = subs, dict(zip(subs, range(len(subs))))
+    return _TABLES[nvars, k]
+
+
 def subsets(algebra: ExteriorAlgebra, k: int):
     """The k-subsets in combinations order, their index, and their weight
     groups as (packed weight, weight, subset numbers)."""
     if k not in algebra._subsets:
-        subs, groups = list(itertools.combinations(range(algebra.nvars), k)), {}
+        (subs, index), groups = _combinations(algebra.nvars, k), {}
         for s, S in enumerate(subs):
             w = map(sum, zip(*(algebra.var_weights[i] for i in S)))
             groups.setdefault(tuple(w), []).append(s)
-        algebra._subsets[k] = (subs, dict(zip(subs, range(len(subs)))),
-                               [(pack(w), w, ids) for w, ids in groups.items()])
+        algebra._subsets[k] = (subs, index, [(pack(w), w, ids) for w, ids in groups.items()])
     return algebra._subsets[k]
 
 
 def wedge_table(algebra: ExteriorAlgebra, T: Subset, k: int):
     """(signs, idx): e_T ∧ e_S = signs[s] * e_U for the s-th k-subset S and
-    U the idx[s]-th subset of its size; both are None where T meets S."""
-    if (T, k) not in algebra._subsets:
-        index = subsets(algebra, len(T) + k)[1]
-        hits = [wedge_subsets(T, S) for S in subsets(algebra, k)[0]]
-        algebra._subsets[T, k] = ([hit and hit[0] for hit in hits],
-                                  [hit and index[hit[1]] for hit in hits])
-    return algebra._subsets[T, k]
+    U the idx[s]-th subset of its size; both are None where T meets S. Built
+    once per (nvars, T, k) in the process."""
+    key = algebra.nvars, T, k
+    if key not in _TABLES:
+        index = _combinations(algebra.nvars, len(T) + k)[1]
+        hits = [wedge_subsets(T, S) for S in _combinations(algebra.nvars, k)[0]]
+        _TABLES[key] = ([hit and hit[0] for hit in hits], [hit and index[hit[1]] for hit in hits])
+    return _TABLES[key]
 
 
 @dataclass(frozen=True)

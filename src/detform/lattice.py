@@ -150,8 +150,11 @@ def _cofactors(rows: list[Point]) -> Point:
     if len(rows) == 2:
         (a, b, c), (d, e, f) = rows
         return (b * f - c * e, c * d - a * f, a * e - b * d)
-    return tuple((-1) ** j * int(det_bareiss([r[:j] + r[j + 1:] for r in rows]))
-                 for j in range(len(rows) + 1))
+    minors = ([r[:j] + r[j + 1:] for r in rows] for j in range(len(rows) + 1))
+    if len(rows) == 3:  # a 3 x 3 minor is its first row against the others' cross product
+        return tuple((-1) ** j * sum(map(mul, m[0], _cofactors(m[1:])))
+                     for j, m in enumerate(minors))
+    return tuple((-1) ** j * int(det_bareiss(m)) for j, m in enumerate(minors))
 
 
 def point_census(Q: Polytope, k: int) -> tuple[tuple[Point, ...], tuple[int, ...]]:

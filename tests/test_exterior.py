@@ -18,6 +18,7 @@ import random
 import pytest
 
 from detform import exterior
+from detform.bracket import apply_U4, export_matrix
 from detform.errors import InvariantViolation
 from detform.exterior import (
     ExteriorAlgebra,
@@ -32,7 +33,9 @@ from detform.exterior import (
 from detform.lattice import convex_hull_with_facets
 from detform.linalg import Echelon, echelon_mod2, independent_mod2, primitive_integer_vector
 from detform.shelling import best_selection
-from detform.tate import build_phi2, build_window, check_exactness
+from detform.tate import build_phi2, build_window, check_exactness, window_dump
+
+from test_golden import DIGESTS, digest
 
 
 def algebra(nvars: int) -> ExteriorAlgebra:
@@ -416,11 +419,10 @@ def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
     assert 0 < len(calls) == middle.source.rank + left.source.rank <= gaining < scanned
 
 
-def test_the_algebra_wedges_each_pair_once(cube, monkeypatch):
-    # e_T ∧ e_S depends only on a term's subset T and a coordinate's subset
-    # S, so the algebra keeps one table per (T, k): over a whole window build
-    # and its exactness check, every (T, S) pair is wedged once, though the
-    # covers, their products and the check read each table in many pieces
+@pytest.fixture
+def wedges(monkeypatch):
+    """From an empty table cache, the (T, k) of every wedge_table call and
+    the (T, S) pairs wedged while building tables (not by compose or times)."""
     asked, wedged, building = [], [], []
     wedge_table, wedge_subsets = exterior.wedge_table, exterior.wedge_subsets
 
@@ -437,11 +439,21 @@ def test_the_algebra_wedges_each_pair_once(cube, monkeypatch):
             wedged.append((T, S))
         return wedge_subsets(T, S)
 
+    monkeypatch.setattr(exterior, "_TABLES", {})
     monkeypatch.setattr(exterior, "wedge_table", table)
     monkeypatch.setattr(exterior, "wedge_subsets", counted)
+    return asked, wedged
+
+
+def test_the_algebra_wedges_each_pair_once(cube, wedges):
+    # e_T ∧ e_S depends only on N, a term's subset T and a coordinate's
+    # subset S, so the process keeps one table per (N, T, k): from an empty
+    # cache, over a whole window build and its exactness check, every (T, S)
+    # pair is wedged once, though the covers, their products and the check
+    # read each table in many pieces
+    asked, wedged = wedges
     window = build_window(cube, (0, 1, 4))
     check_exactness(window)
-    monkeypatch.undo()
 
     N = window.maps[2].source.algebra.nvars
     tables = set(asked)
@@ -449,6 +461,55 @@ def test_the_algebra_wedges_each_pair_once(cube, monkeypatch):
                                     for S in itertools.combinations(range(N), k))
     assert {len(T) for T, _ in tables} == {1, 4}
     assert len(asked) > 2 * len(tables)
+
+
+def test_windows_of_one_size_share_the_tables(cube, octahedron, wedges):
+    # the tables depend only on N: a second cube window (N=8), built after
+    # an octahedron one (N=7), reads the first one's tables and wedges no
+    # pair, and all three windows keep their golden digests
+    golden = {name: [window_digest, matrix_digest]
+              for name, window_digest, matrix_digest in DIGESTS}
+    wedged = wedges[1]
+    counts = []
+    for name, Q, selection in [("cube", cube, (0, 1, 4)), ("octahedron", octahedron, (0, 1, 2, 4)),
+                               ("cube", cube, (0, 1, 4))]:
+        before = len(wedged)
+        window = build_window(Q, selection)
+        assert [digest(window_dump(window)),
+                digest(export_matrix(apply_U4(window.maps[0])))] == golden[name]
+        counts.append(len(wedged) - before)
+    assert counts[0] > 0 and counts[1] > 0 and counts[2] == 0
+
+
+def test_cached_tables_match_the_wedge():
+    # tables of every N <= 6, T and k, built largest N first: a table of one
+    # N served to another has the wrong length or indices. Every cached
+    # entry of those sizes is checked, those earlier tests built too
+    for n in range(6, 0, -1):
+        alg = algebra(n)
+        for t in range(n + 1):
+            for T in itertools.combinations(range(n), t):
+                for k in range(n - t + 1):
+                    exterior.wedge_table(alg, T, k)
+    checked = set()
+    for key, table in list(exterior._TABLES.items()):
+        if key[0] > 6:
+            continue
+        if len(key) == 2:
+            n, k = key
+            subs = list(itertools.combinations(range(n), k))
+            assert table == (subs, {S: s for s, S in enumerate(subs)})
+            continue
+        n, T, k = key
+        signs, idx = table
+        index = {U: u for u, U in enumerate(itertools.combinations(range(n), len(T) + k))}
+        assert len(signs) == len(idx) == math.comb(n, k)
+        for S, sign, u in zip(itertools.combinations(range(n), k), signs, idx):
+            hit = wedge_subsets(T, S)
+            assert (sign, u) == ((None, None) if hit is None else (hit[0], index[hit[1]]))
+        checked.add(key)
+    assert len(checked) == sum(math.comb(n, t) * (n - t + 1)
+                               for n in range(1, 7) for t in range(n + 1))
 
 
 @pytest.mark.parametrize("name, selection, sizes", [("cube", (0, 1, 4), {4}),

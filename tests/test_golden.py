@@ -20,10 +20,13 @@ def digest(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name, window_digest, matrix_digest", [
+DIGESTS = [
     ("cube", "f0710d057a4fb249", "392586e8fd7e4ea4"),
     ("octahedron", "22b805c2197eae7e", "a3ff0bed791d37e6"),
-])
+]
+
+
+@pytest.mark.parametrize("name, window_digest, matrix_digest", DIGESTS)
 def test_golden_digests(name, window_digest, matrix_digest, request):
     Q = request.getfixturevalue(name)
     sel = (0, 1, 4) if name == "cube" else best_selection(Q, seed=0).selection

@@ -8,6 +8,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detform.ehrhart import ehrhart_pair
 from detform.errors import DegenerateSpan, DetformError, EmptyInput, ParseError
@@ -15,6 +17,7 @@ from detform.lattice import (
     Edge,
     Facet,
     Polytope,
+    _cofactors,
     affine_rank,
     convex_hull_with_facets,
     facet_bits,
@@ -25,7 +28,7 @@ from detform.lattice import (
     polar_dual_vertices,
     translate,
 )
-from detform.linalg import QQ, Echelon, primitive_integer_vector
+from detform.linalg import QQ, Echelon, det_bareiss, primitive_integer_vector
 from detform.shelling import (
     boundary_lattice_count,
     euler_characteristic,
@@ -317,3 +320,18 @@ def test_hull_matches_the_echelon_reference():
         assert got == _hull_outcome(reference_hull, points), points
         degenerate += type(got) is tuple and got[0] is DegenerateSpan
     assert degenerate > 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 5).flatmap(lambda n: st.lists(
+    st.tuples(*[st.one_of(st.integers(-2, 2), st.integers(-60, 60))] * n),
+    min_size=n - 1, max_size=n - 1)))
+def test_cofactors_are_the_signed_maximal_minors(rows):
+    # the normals of hulls in Z^4 (initial forms lift 3-polytopes into Z^4)
+    # and Z^5: integer cofactors against minors through det_bareiss, small
+    # entries making dependent rows, hence zero normals, likely
+    n = len(rows) + 1
+    minors = [int(det_bareiss([r[:j] + r[j + 1:] for r in rows])) for j in range(n)]
+    normal = _cofactors(rows)
+    assert normal == tuple((-1) ** j * m for j, m in enumerate(minors))
+    assert all(dot(r, normal) == 0 for r in rows)
