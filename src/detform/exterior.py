@@ -124,14 +124,14 @@ def _combinations(nvars: int, k: int):
 
 
 def subsets(algebra: ExteriorAlgebra, k: int):
-    """The k-subsets in combinations order, their index, and their weight
-    groups as (packed weight, weight, subset numbers)."""
+    """The k-subsets in combinations order, and their weight groups as
+    (packed weight, weight, subset numbers)."""
     if k not in algebra._subsets:
-        (subs, index), groups = _combinations(algebra.nvars, k), {}
+        subs, groups = _combinations(algebra.nvars, k)[0], {}
         for s, S in enumerate(subs):
             w = map(sum, zip(*(algebra.var_weights[i] for i in S)))
             groups.setdefault(tuple(w), []).append(s)
-        algebra._subsets[k] = (subs, index, [(pack(w), w, ids) for w, ids in groups.items()])
+        algebra._subsets[k] = (subs, [(pack(w), w, ids) for w, ids in groups.items()])
     return algebra._subsets[k]
 
 
@@ -406,7 +406,7 @@ def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
             patterns[k, Ts] = (offset[k], [(row_offset[len(T) + k], wedge_table(algebra, T, k)[1])
                                            for T in Ts if len(T) + k <= algebra.nvars], {})
         piece.odd[j] = patterns[k, Ts]
-        for w_key, w, ids in subsets(algebra, k)[2]:
+        for w_key, w, ids in subsets(algebra, k)[1]:
             b = g.key + w_key
             if b not in by_key:
                 by_key[b] = ([], tuple(map(add, g.weight, w)) if k else g.weight, b)

@@ -1,0 +1,111 @@
+"""The pinned instances, one row each, and the one check every row takes.
+
+check(name) hulls the row's support, asserts the selection that
+best_selection(Q, seed=0) gives, builds the window twice in one process
+(the second build reads the tables the first one left) and checks the
+window and matrix digests after each, and certifies exactness once. It
+prints one line of times and peak RSS, and fails naming the row and the
+check. Tier-1 runs the rows without a peak-RSS ceiling (test_golden.py);
+CI runs each other row in its own process, with pytest not imported:
+
+    PYTHONPATH=src:tests python tests/rungs.py box24
+
+box18 also checks initial forms (test_initial_forms.py) on the first
+build's matrix, after the peak RSS is read.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import resource
+import sys
+import time
+from dataclasses import dataclass
+
+from detform.bracket import apply_U4, export_matrix
+from detform.lattice import convex_hull_with_facets
+from detform.shelling import best_selection
+from detform.tate import build_window, check_exactness, window_dump
+
+
+def digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def box(*sides: int) -> tuple:
+    return tuple(itertools.product(*map(range, sides)))
+
+
+@dataclass(frozen=True)
+class Rung:
+    points: tuple
+    selection: tuple[int, ...]
+    window: str  # digest of window_dump
+    matrix: str  # digest of the exported U4 matrix
+    ceiling: int | None = None  # peak RSS in MB; a row with one runs in CI
+    initial_forms: bool = False
+
+
+RUNGS = {
+    "cube": Rung(box(2, 2, 2), (0, 1, 4), "f0710d057a4fb249", "392586e8fd7e4ea4"),
+    "octahedron": Rung(((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                        (0, 0, -1)), (0, 1, 2, 4), "22b805c2197eae7e", "a3ff0bed791d37e6"),
+    # the 3x2x2 box (N=12): the largest weight blocks tier-1 can afford
+    "box12": Rung(box(3, 2, 2), (0, 1, 4), "5ec2edb4a2141b51", "6db4d8901b747966"),
+    # 3x3x2 (N=18): degree -3 positions up to C(18, 5) = 8,568; a build takes
+    # 1-2 s on a 2-core machine, initial forms 24-29 s (bracket.evaluate)
+    "box18": Rung(box(3, 3, 2), (0, 1, 4), "9438d59e126dd587", "012267aa9cc99edf",
+                  ceiling=60, initial_forms=True),
+    # 3Δ (N=20): 78 blocks the mod-2 certificate cannot clear; 2-5 s a build
+    "simplex3": Rung(tuple(p for p in box(4, 4, 4) if sum(p) <= 3), (0, 1),
+                     "4db2b26e7c6f4a20", "87263e5a18a48a72", ceiling=90),
+    # 4x3x2 (N=24): the middle map's degree -4 piece sends 30 blocks of
+    # 106,108 columns to block_kernel; 8-13 s a build
+    "box24": Rung(box(4, 3, 2), (0, 1, 4), "666ca55d4ada41df", "54d01976fa6478a2",
+                  ceiling=180),
+}
+
+
+def check(name: str) -> None:
+    row, what = RUNGS[name], "selection"
+    try:
+        Q = convex_hull_with_facets(row.points)
+        selection = best_selection(Q, seed=0).selection
+        assert selection == row.selection, f"{selection}, not {row.selection}"
+        built = []
+        for repeat in range(2):
+            what = f"build {repeat + 1}"
+            start = time.perf_counter()
+            w = build_window(Q, row.selection)
+            built.append(time.perf_counter() - start)
+            what = f"window digest after build {repeat + 1}"
+            assert digest(window_dump(w)) == row.window, digest(window_dump(w))
+            what = f"matrix digest after build {repeat + 1}"
+            matrix = apply_U4(w.maps[0])
+            assert digest(export_matrix(matrix)) == row.matrix, digest(export_matrix(matrix))
+            if not repeat:
+                what, first, start = "exactness", matrix, time.perf_counter()
+                check_exactness(w)
+                exact = time.perf_counter() - start
+            del w  # the second build must not hold the first window: peak RSS is per build
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{name}: build {built[0]:.2f} s, again {built[1]:.2f} s,"
+              f" exactness {exact:.2f} s, peak RSS {rss:.0f} MB")
+        what = "peak RSS"
+        assert row.ceiling is None or rss <= row.ceiling, \
+            f"{rss:.0f} MB above the {row.ceiling} MB ceiling"
+        if row.initial_forms:
+            what = "initial forms"
+            from test_initial_forms import check_initial_forms
+            start = time.perf_counter()
+            top = check_initial_forms(first, seed=0)
+            print(f"{name}: initial forms in {time.perf_counter() - start:.2f} s, highest term"
+                  f" {'checked' if top else 'skipped: upper hull no triangulation'}")
+    except Exception as err:
+        raise AssertionError(f"rung {name}: {what}: {err}") from err
+
+
+if __name__ == "__main__":
+    check(sys.argv[1])

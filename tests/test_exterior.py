@@ -35,7 +35,7 @@ from detform.linalg import Echelon, echelon_mod2, independent_mod2, primitive_in
 from detform.shelling import best_selection
 from detform.tate import build_phi2, build_window, check_exactness, window_dump
 
-from test_golden import DIGESTS, digest
+from rungs import RUNGS, digest
 
 
 def algebra(nvars: int) -> ExteriorAlgebra:
@@ -467,16 +467,13 @@ def test_windows_of_one_size_share_the_tables(cube, octahedron, wedges):
     # the tables depend only on N: a second cube window (N=8), built after
     # an octahedron one (N=7), reads the first one's tables and wedges no
     # pair, and all three windows keep their golden digests
-    golden = {name: [window_digest, matrix_digest]
-              for name, window_digest, matrix_digest in DIGESTS}
     wedged = wedges[1]
     counts = []
-    for name, Q, selection in [("cube", cube, (0, 1, 4)), ("octahedron", octahedron, (0, 1, 2, 4)),
-                               ("cube", cube, (0, 1, 4))]:
+    for name, Q in [("cube", cube), ("octahedron", octahedron), ("cube", cube)]:
         before = len(wedged)
-        window = build_window(Q, selection)
-        assert [digest(window_dump(window)),
-                digest(export_matrix(apply_U4(window.maps[0])))] == golden[name]
+        window = build_window(Q, RUNGS[name].selection)
+        assert [digest(window_dump(window)), digest(export_matrix(apply_U4(window.maps[0])))] \
+            == [RUNGS[name].window, RUNGS[name].matrix]
         counts.append(len(wedged) - before)
     assert counts[0] > 0 and counts[1] > 0 and counts[2] == 0
 

@@ -1,50 +1,41 @@
-"""Output pins: golden digests of the window and the matrix, and a
-cross-selection oracle on the determinant."""
+"""Output pins: the tier-1 rows of tests/rungs.py, the check that pins
+them, and a cross-selection oracle on the determinant."""
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import json
+import dataclasses
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from detform.bracket import apply_U4, evaluate, export_matrix, random_coefficients
-from detform.lattice import convex_hull_with_facets
-from detform.shelling import best_selection
-from detform.tate import build_window, window_dump
+from detform.bracket import apply_U4, evaluate, random_coefficients
+from detform.tate import build_window
+from rungs import RUNGS, check
 
 
-def digest(data) -> str:
-    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()[:16]
+@pytest.mark.parametrize("name", [name for name, row in RUNGS.items() if row.ceiling is None])
+def test_rung(name):
+    check(name)
 
 
-DIGESTS = [
-    ("cube", "f0710d057a4fb249", "392586e8fd7e4ea4"),
-    ("octahedron", "22b805c2197eae7e", "a3ff0bed791d37e6"),
-]
+@pytest.mark.parametrize("field", ["window", "matrix", "selection"])
+def test_the_check_fails_on_a_changed_row(field, monkeypatch):
+    value = (0, 1, 5) if field == "selection" else "0" * 16
+    monkeypatch.setitem(RUNGS, "cube", dataclasses.replace(RUNGS["cube"], **{field: value}))
+    with pytest.raises(AssertionError, match=f"rung cube: {field}"):
+        check("cube")
 
 
-@pytest.mark.parametrize("name, window_digest, matrix_digest", DIGESTS)
-def test_golden_digests(name, window_digest, matrix_digest, request):
-    Q = request.getfixturevalue(name)
-    sel = (0, 1, 4) if name == "cube" else best_selection(Q, seed=0).selection
-    assert sel == ((0, 1, 4) if name == "cube" else (0, 1, 2, 4))
-    w = build_window(Q, sel)
-    assert digest(window_dump(w)) == window_digest
-    assert digest(export_matrix(apply_U4(w.maps[0]))) == matrix_digest
-
-
-def test_golden_digests_box():
-    # the 3x2x2 box (N=12): the largest weight blocks tier-1 can afford, most
-    # of them certified by rank, pinned to the digests of the kernel-basis cover
-    Q = convex_hull_with_facets(list(itertools.product(range(3), range(2), range(2))))
-    sel = best_selection(Q, seed=0).selection
-    assert sel == (0, 1, 4)
-    w = build_window(Q, sel)
-    assert digest(window_dump(w)) == "5ec2edb4a2141b51"
-    assert digest(export_matrix(apply_U4(w.maps[0]))) == "6db4d8901b747966"
+def test_every_rung_runs_in_tier1_or_ci():
+    # no row drops out of both: tier-1 runs the rows without a ceiling, and
+    # CI one `rungs.py NAME` command per row with one
+    workflow = Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml"
+    assert set(test_rung.pytestmark[0].args[1]) == {
+        name for name, row in RUNGS.items() if row.ceiling is None}
+    assert set(re.findall(r"tests/rungs\.py (\w+)$", workflow.read_text("utf-8"), re.M)) == {
+        name for name, row in RUNGS.items() if row.ceiling is not None}
 
 
 def test_two_selections_give_the_same_determinant(cube):
