@@ -281,42 +281,23 @@ def _cmd_verify(config: RunConfig, Q) -> int:
     _require_positive("--roots", config.roots)
     _require_positive("--box-radius", config.box_radius)
     rng = random.Random(config.seed)
-    checks = []
+    sel = _resolve_for_window(config, Q).selection
+    matrix = None  # set by window_counts once the window is built
 
-    def record(name: str, fn):
-        try:
-            detail = fn()
-            checks.append({"name": name, "passed": True, "detail": detail})
-        except _CHECK_FAILURES as exc:
-            checks.append({"name": name, "passed": False,
-                           "detail": f"{type(exc).__name__}: {exc}"})
+    def built():
+        return matrix if matrix is not None else _fail("matrix unavailable")
 
-    shelling = _resolve_for_window(config, Q)
-    sel = shelling.selection
-    record("selection_is_disk", lambda: is_disk(Q, sel) or _fail("not a disk"))
-    record("facet_union_contractible",
-           lambda: reduced_cohomology(Q, sel) == (0,) * Q.dim
-           or _fail("facet union has reduced homology"))
-
-    state = {}
-
-    def build_and_audit():
+    def window_counts():
+        nonlocal matrix
         window = build_window(Q, sel)
         check_exactness(window)
-        state["matrix"] = apply_U4(window.maps[0])
+        matrix = apply_U4(window.maps[0])
         return {str(k): dict(v) for k, v in window.generator_counts().items()}
 
-    record("window_counts_and_exactness", build_and_audit)
-
     def size_agreement():
-        pair = ehrhart_pair(Q, sel)
-        want = predicted_size(pair)
-        got = state["matrix"].size if "matrix" in state else None
-        if got != want:
-            _fail(f"matrix size {got}, predicted {want}")
-        return {"size": want}
-
-    record("matrix_size_matches_prediction", size_agreement)
+        want = predicted_size(ehrhart_pair(Q, sel))
+        got = getattr(matrix, "size", None)
+        return {"size": want} if got == want else _fail(f"matrix size {got}, predicted {want}")
 
     def middle_cohomology():
         for entry in cohomology_profile(Q, sel, -2, 2, box_radius=config.box_radius):
@@ -324,36 +305,39 @@ def _cmd_verify(config: RunConfig, Q) -> int:
                 _fail(f"twist {entry.k} has middle cohomology {entry.dims}")
         return "zero for k in -2..2"
 
-    record("middle_cohomology_vanishes", middle_cohomology)
-
     def root_vanishing():
-        if "matrix" not in state:
-            _fail("matrix unavailable")
-        A = state["matrix"].support
+        M = built()
         for _ in range(config.roots):
             x0 = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(Q.dim))
-            system = common_root_system(A, x0, seed=rng.randint(0, 2 ** 31))
-            det = evaluate(state["matrix"], system)
+            det = evaluate(M, common_root_system(M.support, x0, seed=rng.randint(0, 2 ** 31)))
             if det != 0:
                 _fail(f"determinant {det} at common root {x0}")
         return f"{config.roots} common-root systems vanish"
 
-    record("common_root_determinants_vanish", root_vanishing)
-
     def generic_nonzero():
-        if "matrix" not in state:
-            _fail("matrix unavailable")
-        for _ in range(3):
-            system = random_coefficients(len(state["matrix"].support), rng)
-            if evaluate(state["matrix"], system) != 0:
-                return "nonzero on a generic system"
+        M = built()
+        if any(evaluate(M, random_coefficients(len(M.support), rng)) != 0 for _ in range(3)):
+            return "nonzero on a generic system"
         _fail("determinant vanished on 3 random systems")
 
-    record("generic_determinant_nonzero", generic_nonzero)
-
+    checks = []
+    for name, check in (
+        ("selection_is_disk", lambda: is_disk(Q, sel) or _fail("not a disk")),
+        ("facet_union_contractible", lambda: reduced_cohomology(Q, sel) == (0,) * Q.dim
+         or _fail("facet union has reduced homology")),
+        ("window_counts_and_exactness", window_counts),
+        ("matrix_size_matches_prediction", size_agreement),
+        ("middle_cohomology_vanishes", middle_cohomology),
+        ("common_root_determinants_vanish", root_vanishing),
+        ("generic_determinant_nonzero", generic_nonzero),
+    ):
+        try:
+            checks.append({"name": name, "passed": True, "detail": check()})
+        except _CHECK_FAILURES as exc:
+            checks.append({"name": name, "passed": False,
+                           "detail": f"{type(exc).__name__}: {exc}"})
     all_passed = all(c["passed"] for c in checks)
-    _emit(config, {"selection": list(sel), "checks": checks,
-                   "all_passed": all_passed})
+    _emit(config, {"selection": list(sel), "checks": checks, "all_passed": all_passed})
     return 0 if all_passed else EXIT_VERIFY
 
 
@@ -385,35 +369,27 @@ def _cmd_cohomology(config: RunConfig, Q) -> int:
 
 
 def _cmd_feasibility(config: RunConfig, Q) -> int:
-    out = {"dimension": Q.dim}
     if Q.dim == 3:
         try:
             shelling = _resolve_shelling(Q, config.shelling, config.seed)
-            out["feasible"] = True
-            out["selection"] = list(shelling.selection)
+            out = {"feasible": True, "selection": list(shelling.selection)}
         except NoDiskSelection as exc:
-            out["feasible"] = False
-            out["detail"] = str(exc)
+            out = {"feasible": False, "detail": str(exc)}
     elif Q.dim == 4:
         feasible, witness = feasibility_dim4(Q)
-        out["feasible"] = feasible
-        out["witness_facet"] = witness
+        out = {"feasible": feasible, "witness_facet": witness}
+    elif Q.dim >= 5 and config.shelling.startswith("indices="):
+        ids = _parse_indices(config.shelling, Q.num_facets)
+        try:
+            out = {"feasible": feasibility_high_dim(Q, ids), "selection": list(ids)}
+        except ValueError as exc:
+            out = {"feasible": False, "detail": str(exc), "selection": list(ids)}
     elif Q.dim >= 5:
-        if config.shelling.startswith("indices="):
-            ids = _parse_indices(config.shelling, Q.num_facets)
-            try:
-                out["feasible"] = feasibility_high_dim(Q, ids)
-            except ValueError as exc:
-                out["feasible"] = False
-                out["detail"] = str(exc)
-            out["selection"] = list(ids)
-        else:
-            sel = high_dim_feasible_selection(Q)
-            out["feasible"] = sel is not None
-            out["selection"] = list(sel) if sel else None
+        sel = high_dim_feasible_selection(Q)
+        out = {"feasible": sel is not None, "selection": list(sel) if sel else None}
     else:
         raise DegenerateSpan(f"feasibility undefined in dimension {Q.dim}")
-    _emit(config, out)
+    _emit(config, {"dimension": Q.dim, **out})
     return 0
 
 

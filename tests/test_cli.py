@@ -15,7 +15,7 @@ from detform.ehrhart import ehrhart_pair
 from detform.errors import DetformError, DimensionMismatch, InvariantViolation, UnsupportedDimension
 from detform.lattice import convex_hull_with_facets, parse_support
 from detform.tate import build_window
-from detform.verify import common_root_system, divisor_cohomology
+from detform.verify import CohomologyEntry, common_root_system, divisor_cohomology
 
 from conftest import ANNULUS, ANNULUS_POINTS
 
@@ -216,14 +216,55 @@ def test_verify_certifies_a_window_without_degree_0_generators(tmp_path, capsys)
     assert out["all_passed"] is True
 
 
-def test_verify_failure_exits_six(octa_file, capsys, monkeypatch):
-    monkeypatch.setattr("detform.cli.is_disk", lambda Q, sel: False)
-    code, out = run_json(capsys, command="verify", support_path=octa_file,
-                         shelling="indices=0,1,2,4", roots=1)
+# verify's checks in table order, each with its detail on supports/octa.txt,
+# --shelling indices=0,1,2,4 --roots 1 --seed 0
+OCTA_CHECKS = (
+    ("selection_is_disk", True),
+    ("facet_union_contractible", True),
+    ("window_counts_and_exactness",
+     {"-1": {"-1": 1, "-4": 10}, "0": {"0": 10, "-3": 1}, "1": {"1": 35}, "2": {"2": 84}}),
+    ("matrix_size_matches_prediction", {"size": 14}),
+    ("middle_cohomology_vanishes", "zero for k in -2..2"),
+    ("common_root_determinants_vanish", "1 common-root systems vanish"),
+    ("generic_determinant_nonzero", "nonzero on a generic system"),
+)
+
+
+def _raise_boom(Q, sel):
+    raise DimensionMismatch("boom")
+
+
+@pytest.mark.parametrize("name, stand_in, failures", [
+    ("is_disk", lambda Q, sel: False,
+     {"selection_is_disk": "AssertionError: not a disk"}),
+    ("reduced_cohomology", lambda Q, sel: (0, 1, 0),
+     {"facet_union_contractible": "AssertionError: facet union has reduced homology"}),
+    ("build_window", _raise_boom,
+     {"window_counts_and_exactness": "DimensionMismatch: boom",
+      "matrix_size_matches_prediction": "AssertionError: matrix size None, predicted 14",
+      "common_root_determinants_vanish": "AssertionError: matrix unavailable",
+      "generic_determinant_nonzero": "AssertionError: matrix unavailable"}),
+    ("cohomology_profile", lambda *args, **kw: [CohomologyEntry(-2, (0, 1, 0, 0), 3, True)],
+     {"middle_cohomology_vanishes": "AssertionError: twist -2 has middle cohomology (0, 1, 0, 0)"}),
+    ("evaluate", lambda matrix, system: 1,
+     {"common_root_determinants_vanish":
+      "AssertionError: determinant 1 at common root (1, 1, -3)"}),
+    ("evaluate", lambda matrix, system: 0,
+     {"generic_determinant_nonzero": "AssertionError: determinant vanished on 3 random systems"}),
+], ids=["not-a-disk", "homology", "no-window", "middle-cohomology", "root-nonzero",
+        "generic-zero"])
+def test_verify_failure_output(capsys, monkeypatch, name, stand_in, failures):
+    # every check runs whatever failed before it; the failed ones carry
+    # "Type: message", and the common-root points are the seed's first draws
+    monkeypatch.setattr(f"detform.cli.{name}", stand_in)
+    code, out = run_json(capsys, command="verify", shelling="indices=0,1,2,4", roots=1,
+                         support_path=str(ROOT / "supports" / "octa.txt"))
     assert code == 6
     assert out["all_passed"] is False
-    failed = {c["name"] for c in out["checks"] if not c["passed"]}
-    assert "selection_is_disk" in failed
+    assert out["checks"] == [
+        {"name": check, "passed": False, "detail": failures[check]} if check in failures
+        else {"name": check, "passed": True, "detail": detail}
+        for check, detail in OCTA_CHECKS]
 
 
 def test_cohomology_profile(octa_file, capsys):
@@ -277,6 +318,14 @@ def test_feasibility_dim3(cube_file, capsys):
     assert out["feasible"] is True
     assert len(out["selection"]) >= 1
 
+    # a selection with no shelling order is an answer here, not exit 4
+    code, out = run_json(capsys, command="feasibility", support_path=cube_file,
+                         shelling="indices=2,3")
+    assert code == 0
+    assert out == {"seed": 0, "dimension": 3, "feasible": False,
+                   "detail": "selection (2, 3) admits no shelling order"}
+    assert list(out) == ["seed", "dimension", "feasible", "detail"]
+
 
 def test_feasibility_dim4(tmp_path, capsys):
     def simplex_file(d):
@@ -313,6 +362,26 @@ def test_feasibility_high_dim(tmp_path, capsys):
                          shelling="indices=0")
     assert code == 0
     assert out["feasible"] is False
+
+    code, out = run_json(capsys, command="feasibility", support_path=str(path),
+                         shelling="indices=0,1,2,3,4,5")
+    assert code == 0
+    assert out == {"seed": 0, "dimension": 5, "feasible": False,
+                   "detail": "selection must be a nonempty proper facet subset",
+                   "selection": [0, 1, 2, 3, 4, 5]}
+    assert list(out) == ["seed", "dimension", "feasible", "detail", "selection"]
+
+
+def test_feasibility_in_dimension_two_exits_three(tmp_path, capsys):
+    path = tmp_path / "triangle.txt"
+    path.write_text("0 0\n1 0\n0 1\n")
+    code = run(RunConfig(command="feasibility", support_path=str(path)))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["type"], err["message"]) == ("DegenerateSpan",
+                                             "feasibility undefined in dimension 2")
 
 
 def test_missing_file_exits_two(capsys):
