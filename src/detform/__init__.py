@@ -67,7 +67,6 @@ from .verify import (
     feasibility_dim4,
     feasibility_high_dim,
     high_dim_feasible_selection,
-    nerve_reduced_betti,
     reduced_cohomology,
 )
 
@@ -115,7 +114,6 @@ __all__ = [
     "is_disk",
     "lattice_points_scaled",
     "line_shelling",
-    "nerve_reduced_betti",
     "parse_coefficients",
     "parse_support",
     "points_off_facets",

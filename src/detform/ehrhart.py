@@ -60,15 +60,8 @@ class EhrhartPair:
     boundary: int
     boundary_selected: int
 
-    def p_at(self, x):
-        return poly_eval(self.p, QQ(x))
-
     def p_off_at(self, x):
         return poly_eval(self.p_off, QQ(x))
-
-    def union_count_at(self, x):
-        """Value of q = p - p_off, the points on the selected facet union."""
-        return self.p_at(x) - self.p_off_at(x)
 
 
 def ehrhart_pair(Q: Polytope, sel) -> EhrhartPair:

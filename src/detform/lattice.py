@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import DegenerateSpan, EmptyInput, NoInteriorPoint, ParseError
-from .linalg import QQ, Echelon, det_bareiss
+from .linalg import QQ, Echelon
 
 Point = tuple[int, ...]
 
@@ -78,13 +78,6 @@ class Polytope:
     @property
     def num_facets(self) -> int:
         return len(self.facets)
-
-    def facet_index(self, normal: Point) -> int:
-        """Index of the facet with the given primitive inner normal."""
-        for i, f in enumerate(self.facets):
-            if f.normal == tuple(normal):
-                return i
-        raise KeyError(f"no facet with normal {normal}")
 
 
 def convex_hull_with_facets(points) -> Polytope:
@@ -146,15 +139,18 @@ def convex_hull_with_facets(points) -> Polytope:
 
 
 def _cofactors(rows: list[Point]) -> Point:
-    """Signed maximal minors of n - 1 vectors in Z^n: orthogonal to them, 0 iff dependent."""
+    """Signed maximal minors of n - 1 vectors in Z^n: orthogonal to them, 0 iff dependent.
+
+    Each minor is its first row against the other rows' cofactors (Laplace),
+    down to the cross product in Z^3, or the empty row set's (1,) in Z^1.
+    """
     if len(rows) == 2:
         (a, b, c), (d, e, f) = rows
         return (b * f - c * e, c * d - a * f, a * e - b * d)
+    if not rows:
+        return (1,)
     minors = ([r[:j] + r[j + 1:] for r in rows] for j in range(len(rows) + 1))
-    if len(rows) == 3:  # a 3 x 3 minor is its first row against the others' cross product
-        return tuple((-1) ** j * sum(map(mul, m[0], _cofactors(m[1:])))
-                     for j, m in enumerate(minors))
-    return tuple((-1) ** j * int(det_bareiss(m)) for j, m in enumerate(minors))
+    return tuple((-1) ** j * sum(map(mul, m[0], _cofactors(m[1:]))) for j, m in enumerate(minors))
 
 
 def point_census(Q: Polytope, k: int) -> tuple[tuple[Point, ...], tuple[int, ...]]:
@@ -275,11 +271,6 @@ def polar_dual_vertices(Q: Polytope) -> list[tuple]:
             raise NoInteriorPoint("centroid is not strictly interior")
         out.append(tuple(QQ(c) / shifted for c in f.normal))
     return out
-
-
-def translate(Q: Polytope, v) -> Polytope:
-    """Hull of the translated point set."""
-    return convex_hull_with_facets([_add(p, tuple(v)) for p in Q.points])
 
 
 def parse_support(text: str) -> list[Point]:

@@ -11,11 +11,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import prod
 
 from .bracket import CoefficientSystem
 from .errors import NotStabilized, UnsupportedDimension
 from .lattice import Polytope, column_runs, facet_bits, facet_ids, point_census
-from .linalg import QQ, Echelon, qq
+from .linalg import Echelon, qq
 from .shelling import as_selection
 
 
@@ -73,9 +74,6 @@ def reduced_cohomology(Q: Polytope, selection) -> tuple[int, ...]:
     ranks = [Echelon({pos[y]: s for y, s in faces[x][1].items()} for x in level).rank
              for level in levels] + [0]
     return tuple(len(levels[d + 1]) - ranks[d + 1] - ranks[d + 2] for d in range(Q.dim))
-
-
-nerve_reduced_betti = reduced_cohomology  # an exported name, kept
 
 
 @dataclass(frozen=True)
@@ -140,29 +138,6 @@ def cohomology_profile(Q: Polytope, selection, k_lo: int, k_hi: int,
     ]
 
 
-def polynomial_value(support, coeffs, x0) -> QQ:
-    """Evaluate a Laurent polynomial with the given coefficient row at x0.
-
-    A root whose length is not the points' dimension, or a coefficient row
-    whose length is not the number of points, is a ValueError.
-    """
-    if len(coeffs) != len(support):
-        raise ValueError(
-            f"{len(coeffs)} coefficients for {len(support)} support points")
-    for point in support:
-        if len(point) != len(x0):
-            raise ValueError(
-                f"point {tuple(point)} has {len(point)} coordinates, "
-                f"the root {len(x0)}")
-    total = qq(0)
-    for point, c in zip(support, coeffs):
-        term = qq(c)
-        for base, e in zip(x0, point):
-            term *= qq(base) ** e
-        total += term
-    return total
-
-
 def common_root_system(support, x0, seed: int = 0) -> CoefficientSystem:
     """Four random rows, each adjusted in its last entry to vanish at x0.
 
@@ -173,8 +148,11 @@ def common_root_system(support, x0, seed: int = 0) -> CoefficientSystem:
         raise ValueError("the common root must have nonzero coordinates")
     if len(support) < 2:
         raise ValueError("need at least two support points")
+    bad = next((p for p in support if len(p) != len(x0)), None)
+    if bad is not None:
+        raise ValueError(f"point {tuple(bad)} has {len(bad)} coordinates, the root {len(x0)}")
+    monos = [prod((c ** e for c, e in zip(x0, p)), start=qq(1)) for p in support]
     rng = random.Random(seed)
-    monos = [polynomial_value([p], [1], x0) for p in support]
     rows = []
     for _ in range(4):
         head = [qq(rng.randint(-9, 9)) for _ in range(len(support) - 1)]

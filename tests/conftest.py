@@ -1,4 +1,5 @@
-"""Shared fixtures: reference polytopes and a seeded random polytope source."""
+"""Shared fixtures: reference polytopes, a seeded random polytope source, and
+the test-only helpers that look facets up and move hulls."""
 
 from __future__ import annotations
 
@@ -25,6 +26,16 @@ SIMPLEX2_POINTS = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
 ANNULUS_POINTS = [p for p in itertools.product(range(4), repeat=3)
                   if 2 <= sum(p) <= 7 and max(p) - min(p) <= 2]
 ANNULUS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13)
+
+
+def facet_index(Q: Polytope, normal) -> int:
+    """Index of Q's facet with the given primitive inner normal."""
+    return [f.normal for f in Q.facets].index(tuple(normal))
+
+
+def translate(Q: Polytope, v) -> Polytope:
+    """Hull of Q's points moved by v."""
+    return convex_hull_with_facets([tuple(a + b for a, b in zip(p, v)) for p in Q.points])
 
 
 @pytest.fixture(scope="session")

@@ -23,11 +23,10 @@ from detform.lattice import (
     parse_support,
     point_census,
     points_off_facets,
-    translate,
 )
 from detform.tate import build_window
 
-from conftest import CUBE_POINTS, acceptance_corpus
+from conftest import CUBE_POINTS, acceptance_corpus, translate
 
 SUPPORTS = Path(__file__).resolve().parents[1] / "supports"
 

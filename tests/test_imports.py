@@ -1,11 +1,15 @@
 """Every name a detform module imports is used in that module, and every
-private module-level name it defines is read somewhere in the package.
+private module-level name and every public function, method and property it
+defines is read somewhere in the package.
 
 No linter ships with the project, so this stands in for one: a name bound by
 an import and never read again is dead code. A name listed in the module's
 ``__all__`` is a re-export and counts as used. A function, class or constant
 whose name has one leading underscore is private to the package, so if no
-module reads it (outside its own definition) it is dead code too.
+module reads it (outside its own definition) it is dead code too. A public
+function or method that the package neither reads nor re-exports is kept for
+tests alone, unless a named reader outside ``src/`` needs it; a module-level
+``alias = function`` is a second name for one thing.
 
 The benchmark's traced run wraps detform functions and methods by name
 (``perfbench/spans.py``), so every name it lists must exist as well.
@@ -93,12 +97,10 @@ def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
     return out
 
 
-def orphaned_private_names(sources: dict[str, str]) -> list[str]:
-    """Private module-level names, as 'module: name', read nowhere else: not
-    as a variable, an attribute or an import, in any of the sources."""
-    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+def name_reads(trees) -> dict[str, set[ast.AST]]:
+    """The nodes that read each name: as a variable, an attribute or an import."""
     reads: dict[str, set[ast.AST]] = {}
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.setdefault(node.id, set()).add(node)
@@ -107,6 +109,14 @@ def orphaned_private_names(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.ImportFrom):
                 for alias in node.names:
                     reads.setdefault(alias.name, set()).add(node)
+    return reads
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names, as 'module: name', read nowhere else: not
+    as a variable, an attribute or an import, in any of the sources."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = name_reads(trees.values())
     orphans = []
     for mod, tree in trees.items():
         for name, node in private_definitions(tree).items():
@@ -128,3 +138,61 @@ def test_orphaned_private_names_are_found():
 def test_every_private_name_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert orphaned_private_names(sources) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# public names that only a reader outside src/ calls, each with that reader
+KEPT_FOR_OUTSIDE_READERS = {
+    "bracket: CoefficientSystem.scale_row": "tests/test_acceptance.py, the gate",
+    "bracket: CoefficientSystem.permute_rows": "tests/test_acceptance.py, the gate",
+    "exterior: GradedPiece.source_coords": "perfbench/spans.py, the tracer",
+}
+
+
+def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level functions, and methods and properties of module-level
+    classes, whose name has no leading underscore, as 'f' or 'Class.f'."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update({f"{node.name}.{item.name}": item
+                        for item in node.body if isinstance(item, FUNCTIONS)})
+    return {name: node for name, node in out.items() if not node.name.startswith("_")}
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Module-level aliases of a function, as 'module: alias = function', and
+    public definitions, as 'module: name', read nowhere but in their own
+    definition. The package's __init__ imports exactly what its __all__
+    lists, so a re-exported name counts as read."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = name_reads(trees.values())
+    unread = []
+    for mod, tree in trees.items():
+        functions = {node.name for node in tree.body if isinstance(node, FUNCTIONS)}
+        unread += [f"{mod}: {target.id} = {node.value.id}" for node in tree.body
+                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+                   and node.value.id in functions
+                   for target in node.targets if isinstance(target, ast.Name)]
+        unread += [f"{mod}: {name}" for name, node in public_definitions(tree).items()
+                   if not reads.get(node.name, set()) - set(ast.walk(node))]
+    return unread
+
+
+def test_unread_public_names_are_found():
+    sources = {
+        "a": "def used():\n    return 1\ndef alone(n):\n    return alone(n - 1)\n"
+             "second = used\nclass Box:\n    def size(self):\n        return 1\n"
+             "    @property\n    def area(self):\n        return self.size()\n"
+             "    def _hidden(self):\n        pass\n",
+        "b": "from .a import used\nimport a\nprint(used(), a.Box)\n",
+    }
+    assert unread_public_names(sources) == ["a: second = used", "a: alone", "a: Box.area"]
+
+
+def test_every_public_name_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert sorted(unread_public_names(sources)) == sorted(KEPT_FOR_OUTSIDE_READERS)

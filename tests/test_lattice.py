@@ -26,7 +26,6 @@ from detform.lattice import (
     parse_support,
     points_off_facets,
     polar_dual_vertices,
-    translate,
 )
 from detform.linalg import QQ, Echelon, det_bareiss, primitive_integer_vector
 from detform.shelling import (
@@ -37,9 +36,9 @@ from detform.shelling import (
     shelling_order_for,
 )
 from detform.tate import build_window
-from detform.verify import divisor_cohomology, nerve_reduced_betti
+from detform.verify import divisor_cohomology, reduced_cohomology
 
-from conftest import CUBE_POINTS, acceptance_corpus, random_polytope
+from conftest import CUBE_POINTS, acceptance_corpus, facet_index, random_polytope, translate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,8 +90,8 @@ def test_point_order_is_lex(cube):
 
 
 def test_points_off_facets_cube(cube):
-    sel = [cube.facet_index((1, 0, 0)), cube.facet_index((-1, 0, 0)),
-           cube.facet_index((0, 1, 0))]
+    sel = [facet_index(cube, (1, 0, 0)), facet_index(cube, (-1, 0, 0)),
+           facet_index(cube, (0, 1, 0))]
     assert points_off_facets(cube, 2, sel) == [
         (1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 2, 0), (1, 2, 1), (1, 2, 2),
     ]
@@ -102,7 +101,7 @@ def test_points_off_facets_cube(cube):
 def test_points_off_facets_octahedron(octahedron):
     # The four facets whose normals have first coordinate +1 form a disk
     # around the vertex (1, 0, 0) together with one opposite facet.
-    sel = [octahedron.facet_index(n)
+    sel = [facet_index(octahedron, n)
            for n in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]]
     assert points_off_facets(octahedron, 1, sel) == [(0, 0, 0)]
 
@@ -155,7 +154,7 @@ FACET_ID_QUERIES = {
     "is_partial_shelling": is_partial_shelling,
     "is_disk": is_disk,
     "shelling_order_for": shelling_order_for,
-    "nerve_reduced_betti": nerve_reduced_betti,
+    "nerve_reduced_betti": reduced_cohomology,
     "build_window": build_window,
     "divisor_cohomology": lambda Q, sel: divisor_cohomology(Q, sel, 1),
     "euler_characteristic": euler_characteristic,
@@ -323,13 +322,13 @@ def test_hull_matches_the_echelon_reference():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(4, 5).flatmap(lambda n: st.lists(
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
     st.tuples(*[st.one_of(st.integers(-2, 2), st.integers(-60, 60))] * n),
     min_size=n - 1, max_size=n - 1)))
 def test_cofactors_are_the_signed_maximal_minors(rows):
-    # the normals of hulls in Z^4 (initial forms lift 3-polytopes into Z^4)
-    # and Z^5: integer cofactors against minors through det_bareiss, small
-    # entries making dependent rows, hence zero normals, likely
+    # the normals of hulls in Z^1 up to Z^7 (initial forms lift 3-polytopes
+    # into Z^4): both base cases and the Laplace rule against minors through
+    # det_bareiss, small entries making dependent rows, hence zero normals, likely
     n = len(rows) + 1
     minors = [int(det_bareiss([r[:j] + r[j + 1:] for r in rows])) for j in range(n)]
     normal = _cofactors(rows)

@@ -22,13 +22,20 @@ from detform.shelling import (
     shelling_order_for,
 )
 
-from conftest import ANNULUS, ANNULUS_POINTS, CUBE_POINTS, OCTA_POINTS, random_polytope
+from conftest import (
+    ANNULUS,
+    ANNULUS_POINTS,
+    CUBE_POINTS,
+    OCTA_POINTS,
+    facet_index,
+    random_polytope,
+)
 
 SIMPLEX_POINTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_cube_strip_is_shelling(cube):
-    x0, y0, x1 = cube.facet_index((1, 0, 0)), cube.facet_index((0, 1, 0)), cube.facet_index((-1, 0, 0))
+    x0, y0, x1 = (facet_index(cube, n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0)])
     ok, steps = is_partial_shelling(cube, (x0, y0, x1))
     assert ok
     assert steps[0].shared_edges == ()
@@ -37,7 +44,7 @@ def test_cube_strip_is_shelling(cube):
 
 
 def test_cube_opposite_pair_fails(cube):
-    z0, z1 = cube.facet_index((0, 0, 1)), cube.facet_index((0, 0, -1))
+    z0, z1 = facet_index(cube, (0, 0, 1)), facet_index(cube, (0, 0, -1))
     ok, steps = is_partial_shelling(cube, (z0, z1))
     assert not ok
     assert steps[-1].shared_edges == ()
@@ -57,18 +64,18 @@ def test_shelling_preconditions(cube):
 
 
 def test_is_disk_cube(cube):
-    strip = [cube.facet_index(n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0)]]
+    strip = [facet_index(cube, n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0)]]
     assert is_disk(cube, strip)
-    assert not is_disk(cube, [cube.facet_index((0, 0, 1)), cube.facet_index((0, 0, -1))])
+    assert not is_disk(cube, [facet_index(cube, (0, 0, 1)), facet_index(cube, (0, 0, -1))])
     # four facets wrapping around the cube form an annulus
-    ring = [cube.facet_index(n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]]
+    ring = [facet_index(cube, n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]]
     assert not is_disk(cube, ring)
     assert euler_characteristic(cube, ring) == 0
 
 
 def test_is_disk_vertex_contact(octahedron):
     # facets with inner normals (1,1,1) and (-1,-1,1) meet only at a vertex
-    pair = [octahedron.facet_index((1, 1, 1)), octahedron.facet_index((-1, -1, 1))]
+    pair = [facet_index(octahedron, (1, 1, 1)), facet_index(octahedron, (-1, -1, 1))]
     assert not is_disk(octahedron, pair)
     assert euler_characteristic(octahedron, pair) == 1
 
@@ -115,8 +122,8 @@ def test_line_shelling_octahedron(octahedron):
 
 
 def test_boundary_counts(cube):
-    strip = [cube.facet_index(n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0)]]
-    corner = [cube.facet_index(n) for n in [(1, 0, 0), (0, 1, 0), (0, 0, -1)]]
+    strip = [facet_index(cube, n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0)]]
+    corner = [facet_index(cube, n) for n in [(1, 0, 0), (0, 1, 0), (0, 0, -1)]]
     assert boundary_lattice_count(cube, strip) == 8
     assert boundary_lattice_count(cube, corner) == 6
 
@@ -295,7 +302,7 @@ def test_counts_agree_with_the_graph_rules():
 def test_ring_step_meeting_in_two_edges_fails(cube):
     # the fourth side facet closes the ring: it meets the first and third in
     # two disjoint edges, four vertices and two edges, so the step fails
-    ring = [cube.facet_index(n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]]
+    ring = [facet_index(cube, n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]]
     ok, steps = is_partial_shelling(cube, ring)
     assert not ok
     assert [st.ok for st in steps] == [True, True, True, False]

@@ -24,12 +24,11 @@ from detform.lattice import (
     convex_hull_with_facets,
     lattice_points_scaled,
     points_off_facets,
-    translate,
 )
 from detform.shelling import best_selection, is_disk
 from detform.tate import build_phi2, build_window, check_exactness, point_of, window_dump
 
-from conftest import CUBE_POINTS, OCTA_POINTS, random_polytope
+from conftest import CUBE_POINTS, OCTA_POINTS, random_polytope, translate
 
 STRIP = (0, 1, 4)
 CORNER = (2, 4, 5)

@@ -16,6 +16,8 @@ from detform.lattice import affine_rank, convex_hull_with_facets, lattice_points
 from detform.shelling import best_selection
 from detform.tate import build_window, point_of
 
+from conftest import facet_index
+
 # Dilation k of the points each window degree stands for: term 2 is 4Q,
 # term 1 is 3Q, term 0 is 2Q and dual Q, term -1 is Q and dual 2Q.
 DILATION = {2: 4, 1: 3, 0: 2, -1: 1, -3: 1, -4: 2}
@@ -48,7 +50,7 @@ def test_window_moves_with_lattice_automorphisms(points, signed_perm, t):
 
     Q2 = convex_hull_with_facets([tuple(c + s for c, s in zip(P(x), t)) for x in points])
     sel = best_selection(Q).selection
-    sel2 = tuple(sorted(Q2.facet_index(P(Q.facets[i].normal)) for i in sel))
+    sel2 = tuple(sorted(facet_index(Q2, P(Q.facets[i].normal)) for i in sel))
 
     w, w2 = build_window(Q, sel), build_window(Q2, sel2)
     counts = w.generator_counts()
