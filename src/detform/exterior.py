@@ -30,14 +30,17 @@ they define, so each lands in its block by weight; XOR-reducing their
 bitsets gives pivots P2, and rank2(products) >= |P2|. If the columns off P2,
 rest, are independent mod 2 and |rest| + |P2| = columns, the kernel has
 dimension at most |P2|, and the products span it over Q; the count fails
-only where sources of one degree and weight share a pivot's position. Any
-other block takes block_kernel with its products' exact columns, and gains
-the kernel vectors they do not span. block_kernel reduces exactly only the
-pivot rows of the columns' mod-2 echelon, independent mod 2, hence over Q,
-and builds only the vectors it keeps; each is checked over Z against the
-block's columns, and a count proves that they and the products span the
-block's kernel. A block whose rank drops mod 2 fails a check and reduces
-all its rows. A coordinate's bitset depends only on its subset and on its
+only where sources of one degree and weight share a pivot's position. A
+block no product reaches has no P2, so its columns are tested as they are.
+Any other block takes block_kernel with its products' exact columns, if
+any, and gains the kernel vectors they do not span. block_kernel numbers
+the block's rows and builds the columns' mod-2 bitsets over them in one
+pass over the entries, then transposes and reduces exactly only the pivot
+rows of their mod-2 echelon, independent mod 2, hence over Q, and builds
+only the vectors it keeps; each is checked over Z against the block's
+columns, and a count proves that they and the products span the block's
+kernel. A block whose rank drops mod 2 fails a check and reduces all its
+rows. A coordinate's bitset depends only on its subset and on its
 generator's pattern: the size k and the subsets of the odd terms
 (odd_terms), not their targets. So the generators of a pattern share one
 table, and each (pattern, subset) bitset is built once a piece; the
@@ -125,13 +128,15 @@ def _combinations(nvars: int, k: int):
 
 def subsets(algebra: ExteriorAlgebra, k: int):
     """The k-subsets in combinations order, and their weight groups as
-    (packed weight, weight, subset numbers)."""
+    (packed weight, weight, subset numbers, the one number of a group of
+    one or None), in the order of their first subset."""
     if k not in algebra._subsets:
         subs, groups = _combinations(algebra.nvars, k)[0], {}
         for s, S in enumerate(subs):
             w = map(sum, zip(*(algebra.var_weights[i] for i in S)))
             groups.setdefault(tuple(w), []).append(s)
-        algebra._subsets[k] = (subs, [(pack(w), w, ids) for w, ids in groups.items()])
+        algebra._subsets[k] = (subs, [(pack(w), w, ids, ids[0] if len(ids) == 1 else None)
+                                      for w, ids in groups.items()])
     return algebra._subsets[k]
 
 
@@ -336,35 +341,44 @@ def block_kernel(src_ids, columns: list[dict[int, int]],
                  products=()) -> tuple[int, list[tuple[int, dict[int, int]]]]:
     """(nullity, kept) of one block: the (free coordinate, kernel vector)
     pairs, in src_ids, that a greedy echelon of the products, exact columns
-    over the block's keys in its kernel, would keep. The block is transposed
-    to rows and reduced last row first, which fills in far less on tall
-    blocks; pivots and kernel depend only on the row space.
+    over the block's keys in its kernel, would keep. The block's rows are
+    reduced last row first, which fills in far less on tall blocks; pivots
+    and kernel depend only on the row space.
 
-    Only the pivot rows of the columns' mod-2 echelon, each column a bitset
-    over the rows with its top bit as pivot, are reduced: they are
-    independent mod 2, hence over Q, so their kernel K, with free columns F,
-    holds the block's, and restriction to F is injective on K. Reducing the
-    products' restrictions with the largest column as pivot leaves the kept
-    f, the free columns that are no pivot. Only their vectors are built,
-    each checked over Z against the columns; if all pass, they and the
-    products span |F| = dim K dimensions of the block's kernel, so K is it.
-    Otherwise, when rank mod 2 falls short of the rank, all rows are
-    reduced."""
-    n, rows = len(columns), {}
-    for c, col in enumerate(columns):
+    One pass over the entries numbers the rows at first appearance and
+    builds each column's bitset of odd entries over those numbers. Only the
+    pivot rows of their mod-2 echelon, each column's top bit its pivot, are
+    transposed and reduced: they are independent mod 2, hence over Q, so
+    their kernel K, with free columns F, holds the block's, and restriction
+    to F is injective on K. Reducing the products' restrictions with the
+    largest column as pivot leaves the kept f, the free columns that are no
+    pivot. Only their vectors are built, each checked over Z against the
+    columns; if all pass, they and the products span |F| = dim K dimensions
+    of the block's kernel, so K is it. Otherwise, when rank mod 2 falls
+    short of the rank, every row is transposed and reduced."""
+    n, at, odd = len(columns), {}, []
+    for col in columns:
+        bits = 0
         for r, v in col.items():
-            rows.setdefault(r, {})[c] = v
-    index, at = dict(zip(src_ids, range(n))), dict(zip(rows, range(len(rows))))
+            i = at.setdefault(r, len(at))
+            if v & 1:
+                bits ^= 1 << i
+        odd.append(bits)
+    index = dict(zip(src_ids, range(n)))
     try:
         # column n-1-c of a restriction is c, so Echelon's pivot is the largest
         products = [{n - 1 - index[key]: v for key, v in col.items()} for col in products]
     except KeyError as err:
         raise InvariantViolation(f"a product reaches key {err}, outside its block") from None
-    rows = list(rows.values())
-    sieve = echelon_mod2(sum(1 << at[r] for r, v in col.items() if v & 1) for col in columns)
-    sieved = [rows[top - 1] for top in sorted(sieve, reverse=True)]  # last row first
+    keys = list(at)
+    sieved = [keys[top - 1] for top in sorted(echelon_mod2(odd), reverse=True)]  # last row first
     for full in (False, True):
-        ech = Echelon(reversed(rows) if full else sieved)
+        # the rows to reduce in that order, each filled in column order
+        rows = {r: {} for r in (reversed(keys) if full else sieved)}
+        for c, col in enumerate(columns):
+            for r in col.keys() & rows.keys():
+                rows[r][c] = col[r]
+        ech = Echelon(rows.values())
         free = ech.free_columns(n)
         spanned = Echelon({c: v for c, v in col.items() if n - 1 - c not in ech.rows}
                           for col in products)
@@ -387,9 +401,10 @@ def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
     """The degree-d piece of phi, laid out as its blocks without columns.
     The coordinate (j, S) weighs g_j.weight plus the weights of S, so j's
     keys, from j * height + offset(k) on, join blocks a subset weight group
-    at a time; blocks come in the order of their first coordinate.
-    Generators of one size k and one odd-term set (odd_terms of their
-    columns) share a pattern."""
+    at a time: one block lookup per (generator, group), and a group of one
+    subset appends its one key. Blocks come in the order of their first
+    coordinate, their keys ascending. Generators of one size k and one
+    odd-term set (odd_terms of their columns) share a pattern."""
     algebra = phi.source.algebra
     offset, height = positions(phi.source, d)
     row_offset, row_height = positions(phi.target, d)
@@ -406,11 +421,15 @@ def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
             patterns[k, Ts] = (offset[k], [(row_offset[len(T) + k], wedge_table(algebra, T, k)[1])
                                            for T in Ts if len(T) + k <= algebra.nvars], {})
         piece.odd[j] = patterns[k, Ts]
-        for w_key, w, ids in subsets(algebra, k)[1]:
+        for w_key, w, ids, one in subsets(algebra, k)[1]:
             b = g.key + w_key
-            if b not in by_key:
-                by_key[b] = ([], tuple(map(add, g.weight, w)) if k else g.weight, b)
-            by_key[b][0].extend(map(start.__add__, ids))
+            block = by_key.get(b)
+            if block is None:
+                block = by_key[b] = ([], tuple(map(add, g.weight, w)) if k else g.weight, b)
+            if one is None:
+                block[0].extend(map(start.__add__, ids))
+            else:
+                block[0].append(start + one)
     piece.blocks = list(by_key.values())
     return piece
 
@@ -429,9 +448,12 @@ def minimal_free_cover(
     In each degree the new generators are canonical kernel vectors that are
     independent of everything the previously chosen generators already span
     after multiplication by the algebra; a block certified mod 2 gains none
-    (see the module notes). The returned map sends the cover onto the kernel
-    through degree_floor; callers know the floor from theory and audit the
-    generator counts instead of probing below it.
+    (see the module notes). A block that no product reaches skips the
+    products' pivots and count: its columns' independence mod 2 certifies
+    it, and failing that block_kernel runs on it without products. The
+    returned map sends the cover onto the kernel through degree_floor;
+    callers know the floor from theory and audit the generator counts
+    instead of probing below it.
 
     Returns (onto, dims): the cover onto.source, each generator carrying its
     degree and block weight, and dims[d] = (columns, nullity) of phi's
@@ -450,16 +472,21 @@ def minimal_free_cover(
         height, columns, nullity, kernel = piece.height, 0, 0, []
         for ids, weight, key in piece.blocks:
             columns += len(ids)
-            # the block's products, as bitsets over the same positions; their
-            # exact columns are over the same keys
-            prods = products.get(key, [])
-            basis = echelon_mod2(shifted.odd_columns(prods)) if prods else {}
-            # a pivot at a position two columns share fails the count
-            rest = [c for c in ids if c % height + 1 not in basis] if basis else ids
-            if len(rest) + len(basis) == len(ids) and independent_mod2(piece.odd_columns(rest)):
-                nullity += len(basis)
-                continue
-            block_nullity, kept = piece.kernel_vectors(ids, shifted.block_columns(prods))
+            prods = products.get(key)
+            if prods is None:  # no product reaches the block: no pivots to take off
+                if independent_mod2(piece.odd_columns(ids)):
+                    continue
+                block_nullity, kept = piece.kernel_vectors(ids)
+            else:
+                # the products as bitsets over the same positions; their exact
+                # columns are over the same keys
+                basis = echelon_mod2(shifted.odd_columns(prods))
+                # a pivot at a position two columns share fails the count
+                rest = [c for c in ids if c % height + 1 not in basis]
+                if len(rest) + len(basis) == len(ids) and independent_mod2(piece.odd_columns(rest)):
+                    nullity += len(basis)
+                    continue
+                block_nullity, kept = piece.kernel_vectors(ids, shifted.block_columns(prods))
             nullity += block_nullity
             kernel += [(free, weight, vec) for free, vec in kept]
         dims[d] = (columns, nullity)

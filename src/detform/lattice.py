@@ -138,19 +138,32 @@ def convex_hull_with_facets(points) -> Polytope:
     return Polytope(n, tuple(pts), vertices, facets, tuple(Edge(*e) for e in edges))
 
 
-def _cofactors(rows: list[Point]) -> Point:
+def _cofactors(rows: list[Point], memo: dict | None = None) -> Point:
     """Signed maximal minors of n - 1 vectors in Z^n: orthogonal to them, 0 iff dependent.
 
     Each minor is its first row against the other rows' cofactors (Laplace),
     down to the cross product in Z^3, or the empty row set's (1,) in Z^1.
+    The minors of one call share their lower sub-matrices, so a call of 4 or
+    more rows keeps a memo by rows and expands each sub-matrix of 3 or more
+    rows once: C(n, m + 1) of m rows, where Laplace alone expands n!/(m + 1)!.
     """
     if len(rows) == 2:
         (a, b, c), (d, e, f) = rows
         return (b * f - c * e, c * d - a * f, a * e - b * d)
     if not rows:
         return (1,)
+    if memo is None:  # the top call; with 3 rows its minors are cross products
+        sub = {} if len(rows) > 3 else None
+    elif (key := tuple(rows)) in memo:
+        return memo[key]
+    else:
+        sub = memo
     minors = ([r[:j] + r[j + 1:] for r in rows] for j in range(len(rows) + 1))
-    return tuple((-1) ** j * sum(map(mul, m[0], _cofactors(m[1:]))) for j, m in enumerate(minors))
+    normal = tuple((-1) ** j * sum(map(mul, m[0], _cofactors(m[1:], sub)))
+                   for j, m in enumerate(minors))
+    if memo is not None:
+        memo[key] = normal
+    return normal
 
 
 def point_census(Q: Polytope, k: int) -> tuple[tuple[Point, ...], tuple[int, ...]]:

@@ -4,9 +4,10 @@ check(name) hulls the row's support, asserts the selection that
 best_selection(Q, seed=0) gives, builds the window twice in one process
 (the second build reads the tables the first one left) and checks the
 window and matrix digests after each, and certifies exactness once. It
-prints one line of times and peak RSS, and fails naming the row and the
-check. Tier-1 runs the rows without a peak-RSS ceiling (test_golden.py);
-CI runs each other row in its own process, with pytest not imported:
+prints one line of wall and CPU times and peak RSS, and fails naming the
+row and the check. Tier-1 runs the rows without a peak-RSS ceiling
+(test_golden.py); CI runs each other row in its own process, with pytest
+not imported:
 
     PYTHONPATH=src:tests python tests/rungs.py box24
 
@@ -55,17 +56,27 @@ RUNGS = {
     # the 3x2x2 box (N=12): the largest weight blocks tier-1 can afford
     "box12": Rung(box(3, 2, 2), (0, 1, 4), "5ec2edb4a2141b51", "6db4d8901b747966"),
     # 3x3x2 (N=18): degree -3 positions up to C(18, 5) = 8,568; a build takes
-    # 1-2 s on a 2-core machine, initial forms 24-29 s (bracket.evaluate)
+    # 1-2 s CPU on a 2-core machine, initial forms 24-29 s (bracket.evaluate)
     "box18": Rung(box(3, 3, 2), (0, 1, 4), "9438d59e126dd587", "012267aa9cc99edf",
                   ceiling=60, initial_forms=True),
-    # 3Δ (N=20): 78 blocks the mod-2 certificate cannot clear; 2-5 s a build
+    # 3Δ (N=20): 78 blocks the mod-2 certificate cannot clear; 2-4 s CPU a build
     "simplex3": Rung(tuple(p for p in box(4, 4, 4) if sum(p) <= 3), (0, 1),
                      "4db2b26e7c6f4a20", "87263e5a18a48a72", ceiling=90),
     # 4x3x2 (N=24): the middle map's degree -4 piece sends 30 blocks of
-    # 106,108 columns to block_kernel; 8-13 s a build
+    # 106,108 columns to block_kernel; 7-10 s CPU a build
     "box24": Rung(box(4, 3, 2), (0, 1, 4), "666ca55d4ada41df", "54d01976fa6478a2",
                   ceiling=180),
 }
+
+
+def clocks() -> tuple[float, float]:
+    return time.perf_counter(), time.process_time()
+
+
+def since(start: tuple[float, float]) -> str:
+    """Wall and CPU seconds since start, a reading of clocks()."""
+    wall, cpu = (now - then for now, then in zip(clocks(), start))
+    return f"{wall:.2f} s ({cpu:.2f} s CPU)"
 
 
 def check(name: str) -> None:
@@ -77,22 +88,22 @@ def check(name: str) -> None:
         built = []
         for repeat in range(2):
             what = f"build {repeat + 1}"
-            start = time.perf_counter()
+            start = clocks()
             w = build_window(Q, row.selection)
-            built.append(time.perf_counter() - start)
+            built.append(since(start))
             what = f"window digest after build {repeat + 1}"
             assert digest(window_dump(w)) == row.window, digest(window_dump(w))
             what = f"matrix digest after build {repeat + 1}"
             matrix = apply_U4(w.maps[0])
             assert digest(export_matrix(matrix)) == row.matrix, digest(export_matrix(matrix))
             if not repeat:
-                what, first, start = "exactness", matrix, time.perf_counter()
+                what, first, start = "exactness", matrix, clocks()
                 check_exactness(w)
-                exact = time.perf_counter() - start
+                exact = since(start)
             del w  # the second build must not hold the first window: peak RSS is per build
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"{name}: build {built[0]:.2f} s, again {built[1]:.2f} s,"
-              f" exactness {exact:.2f} s, peak RSS {rss:.0f} MB")
+        print(f"{name}: build {built[0]}, again {built[1]}, exactness {exact},"
+              f" peak RSS {rss:.0f} MB")
         what = "peak RSS"
         assert row.ceiling is None or rss <= row.ceiling, \
             f"{rss:.0f} MB above the {row.ceiling} MB ceiling"

@@ -68,8 +68,11 @@ def test_census_matches_box_reference(points, data):
 
 
 def test_census_matches_box_reference_on_the_supports_and_the_corpus():
-    # fresh hulls, so each dilation is walked here, in dimensions 3 and 4
-    supports = [parse_support(path.read_text()) for path in sorted(SUPPORTS.glob("*.txt"))]
+    # fresh hulls, so each dilation is walked here, in dimensions 3 and 4;
+    # the 7-dimensional support's box reference at k = 4 holds 9^7 points
+    supports = [points for points in (parse_support(path.read_text())
+                                      for path in sorted(SUPPORTS.glob("*.txt")))
+                if len(points[0]) <= 4]
     for points in supports + [points for points, _, _ in acceptance_corpus()]:
         Q = convex_hull_with_facets(points)
         for k in range(1, 5):

@@ -35,6 +35,7 @@ from detform.linalg import Echelon, echelon_mod2, independent_mod2, primitive_in
 from detform.shelling import best_selection
 from detform.tate import build_phi2, build_window, check_exactness, window_dump
 
+from conftest import acceptance_corpus
 from rungs import RUNGS, digest
 
 
@@ -125,6 +126,9 @@ def checked_piece(phi: FreeModuleMap, d: int):
     ids = sorted(c for src_ids, _, _ in piece.blocks for c in src_ids)
     assert ids == [reference_key(phi.source, d, coord) for coord in coords]
     assert [piece.coord(c) for c in ids] == coords
+    # blocks come in the order of their first keys
+    firsts = [src_ids[0] for src_ids, _, _ in piece.blocks]
+    assert firsts == sorted(firsts)
     keyed: dict = {}
     for src_ids, _, _ in piece.blocks:
         assert src_ids == sorted(src_ids)
@@ -389,6 +393,31 @@ def check_blocks_split_by_weight(a: int, b: int) -> None:
 def test_cover_matches_reference_on_cube_phi2(cube):
     middle = cover_like_reference(build_phi2(cube, (0, 1, 4)), degree_floor=-3)
     cover_like_reference(middle, degree_floor=-4)
+
+
+@pytest.mark.parametrize("index", [2, 9, 12])
+def test_cover_matches_reference_on_corpus_windows(index):
+    # small N and many small blocks: the pieces both covers scan hold
+    # hundreds of one-column blocks, which lay_out fills a key at a time,
+    # and of blocks no earlier generator's product reaches, which the cover
+    # certifies or reduces without products; both covers must equal the
+    # reference's
+    _, Q, selection = acceptance_corpus()[index]
+    phi, one, unreached = build_phi2(Q, selection), 0, 0
+    for floor in (-3, -4):
+        into = cover_like_reference(phi, floor)
+        gens = into.source.generators
+        for d in range(max(phi.source.degrees()), floor - 1, -1):
+            higher = [j for j, g in enumerate(gens) if g.degree > d]
+            products = FreeModuleMap(GradedFreeModule(into.source.algebra,
+                                                      tuple(gens[j] for j in higher)),
+                                     phi.source, [into.columns[j] for j in higher])
+            reached = {key for _, _, key in graded_piece(products, d).blocks}
+            for src_ids, _, key in graded_piece(phi, d).blocks:
+                one += len(src_ids) == 1
+                unreached += key not in reached
+        phi = into
+    assert one > 200 and unreached > 500
 
 
 def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
