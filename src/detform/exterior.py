@@ -128,15 +128,13 @@ def _combinations(nvars: int, k: int):
 
 def subsets(algebra: ExteriorAlgebra, k: int):
     """The k-subsets in combinations order, and their weight groups as
-    (packed weight, weight, subset numbers, the one number of a group of
-    one or None), in the order of their first subset."""
+    (packed weight, weight, subset numbers)."""
     if k not in algebra._subsets:
         subs, groups = _combinations(algebra.nvars, k)[0], {}
         for s, S in enumerate(subs):
             w = map(sum, zip(*(algebra.var_weights[i] for i in S)))
             groups.setdefault(tuple(w), []).append(s)
-        algebra._subsets[k] = (subs, [(pack(w), w, ids, ids[0] if len(ids) == 1 else None)
-                                      for w, ids in groups.items()])
+        algebra._subsets[k] = (subs, [(pack(w), w, ids) for w, ids in groups.items()])
     return algebra._subsets[k]
 
 
@@ -421,15 +419,15 @@ def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
             patterns[k, Ts] = (offset[k], [(row_offset[len(T) + k], wedge_table(algebra, T, k)[1])
                                            for T in Ts if len(T) + k <= algebra.nvars], {})
         piece.odd[j] = patterns[k, Ts]
-        for w_key, w, ids, one in subsets(algebra, k)[1]:
+        for w_key, w, ids in subsets(algebra, k)[1]:
             b = g.key + w_key
             block = by_key.get(b)
             if block is None:
                 block = by_key[b] = ([], tuple(map(add, g.weight, w)) if k else g.weight, b)
-            if one is None:
-                block[0].extend(map(start.__add__, ids))
+            if len(ids) == 1:
+                block[0].append(start + ids[0])
             else:
-                block[0].append(start + one)
+                block[0].extend(map(start.__add__, ids))
     piece.blocks = list(by_key.values())
     return piece
 
@@ -448,12 +446,12 @@ def minimal_free_cover(
     In each degree the new generators are canonical kernel vectors that are
     independent of everything the previously chosen generators already span
     after multiplication by the algebra; a block certified mod 2 gains none
-    (see the module notes). A block that no product reaches skips the
-    products' pivots and count: its columns' independence mod 2 certifies
-    it, and failing that block_kernel runs on it without products. The
-    returned map sends the cover onto the kernel through degree_floor;
-    callers know the floor from theory and audit the generator counts
-    instead of probing below it.
+    (see the module notes). A block that no product reaches has no pivots
+    to take off: its columns' independence mod 2 certifies it, and failing
+    that block_kernel runs on it without products. The returned map sends
+    the cover onto the kernel through degree_floor; callers know the floor
+    from theory and audit the generator counts instead of probing below
+    it.
 
     Returns (onto, dims): the cover onto.source, each generator carrying its
     degree and block weight, and dims[d] = (columns, nullity) of phi's
@@ -472,21 +470,16 @@ def minimal_free_cover(
         height, columns, nullity, kernel = piece.height, 0, 0, []
         for ids, weight, key in piece.blocks:
             columns += len(ids)
-            prods = products.get(key)
-            if prods is None:  # no product reaches the block: no pivots to take off
-                if independent_mod2(piece.odd_columns(ids)):
-                    continue
-                block_nullity, kept = piece.kernel_vectors(ids)
-            else:
-                # the products as bitsets over the same positions; their exact
-                # columns are over the same keys
-                basis = echelon_mod2(shifted.odd_columns(prods))
-                # a pivot at a position two columns share fails the count
-                rest = [c for c in ids if c % height + 1 not in basis]
-                if len(rest) + len(basis) == len(ids) and independent_mod2(piece.odd_columns(rest)):
-                    nullity += len(basis)
-                    continue
-                block_nullity, kept = piece.kernel_vectors(ids, shifted.block_columns(prods))
+            # the block's products, as bitsets over the same positions; their
+            # exact columns are over the same keys
+            prods = products.get(key, [])
+            basis = echelon_mod2(shifted.odd_columns(prods)) if prods else {}
+            # a pivot at a position two columns share fails the count
+            rest = [c for c in ids if c % height + 1 not in basis] if basis else ids
+            if len(rest) + len(basis) == len(ids) and independent_mod2(piece.odd_columns(rest)):
+                nullity += len(basis)
+                continue
+            block_nullity, kept = piece.kernel_vectors(ids, shifted.block_columns(prods))
             nullity += block_nullity
             kernel += [(free, weight, vec) for free, vec in kept]
         dims[d] = (columns, nullity)

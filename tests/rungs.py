@@ -59,11 +59,11 @@ RUNGS = {
     # 1-2 s CPU on a 2-core machine, initial forms 24-29 s (bracket.evaluate)
     "box18": Rung(box(3, 3, 2), (0, 1, 4), "9438d59e126dd587", "012267aa9cc99edf",
                   ceiling=60, initial_forms=True),
-    # 3Δ (N=20): 78 blocks the mod-2 certificate cannot clear; 2-4 s CPU a build
+    # 3Δ (N=20): 78 blocks the mod-2 certificate cannot clear; 2-5 s CPU a build
     "simplex3": Rung(tuple(p for p in box(4, 4, 4) if sum(p) <= 3), (0, 1),
                      "4db2b26e7c6f4a20", "87263e5a18a48a72", ceiling=90),
     # 4x3x2 (N=24): the middle map's degree -4 piece sends 30 blocks of
-    # 106,108 columns to block_kernel; 7-10 s CPU a build
+    # 106,108 columns to block_kernel; 7-13 s CPU a build
     "box24": Rung(box(4, 3, 2), (0, 1, 4), "666ca55d4ada41df", "54d01976fa6478a2",
                   ceiling=180),
 }
