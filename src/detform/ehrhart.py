@@ -2,7 +2,8 @@
 
 Both counting polynomials are cubic, so four exact values pin them down;
 every further identity the theory supplies is then checked against direct
-enumeration, making this module an oracle for the rest of the package.
+enumeration, making this module an oracle for the rest of the package. The
+checks run in integers, on the forward differences of the counts.
 """
 
 from __future__ import annotations
@@ -10,29 +11,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InterpolationMismatch, InvariantViolation, UnsupportedDimension
-from .lattice import Polytope, interior_points, lattice_points_scaled, points_off_facets
+from .lattice import Polytope, facet_bits, point_census
 from .linalg import QQ
 from .shelling import as_selection, euler_characteristic
 
-# monomial coefficients of the binomial basis 1, x, C(x,2), C(x,3)
-_BINOM = (
-    (QQ(1), QQ(0), QQ(0), QQ(0)),
-    (QQ(0), QQ(1), QQ(0), QQ(0)),
-    (QQ(0), QQ(-1, 2), QQ(1, 2), QQ(0)),
-    (QQ(0), QQ(1, 3), QQ(-1, 2), QQ(1, 6)),
-)
+
+def _differences(values) -> tuple[int, int, int, int]:
+    """Forward differences d0..d3 of integer values at x = 0, 1, 2, 3."""
+    if len(values) != 4:
+        raise InvariantViolation("need values at exactly x = 0, 1, 2, 3")
+    v0, v1, v2, v3 = values
+    return v0, v1 - v0, v2 - 2 * v1 + v0, v3 - 3 * v2 + 3 * v1 - v0
+
+
+def _binomial_eval(d, x: int) -> int:
+    """d0 + d1 x + d2 C(x, 2) + d3 C(x, 3), an integer at every integer x."""
+    c2 = x * (x - 1) // 2
+    return d[0] + d[1] * x + d[2] * c2 + d[3] * (c2 * (x - 2) // 3)
 
 
 def interpolate_cubic(values) -> tuple:
-    """Cubic with the given exact values at x = 0, 1, 2, 3 (coefficients ascending)."""
-    v = [QQ(x) for x in values]
-    if len(v) != 4:
-        raise InvariantViolation("need values at exactly x = 0, 1, 2, 3")
-    diffs = [v[0],
-             v[1] - v[0],
-             v[2] - 2 * v[1] + v[0],
-             v[3] - 3 * v[2] + 3 * v[1] - v[0]]
-    return tuple(sum(d * row[j] for d, row in zip(diffs, _BINOM)) for j in range(4))
+    """Cubic with the given integer values at x = 0, 1, 2, 3 (coefficients ascending)."""
+    d0, d1, d2, d3 = _differences(values)
+    return tuple(QQ(c, 6) for c in (6 * d0, 6 * d1 - 3 * d2 + 2 * d3, 3 * d2 - 3 * d3, d3))
 
 
 def poly_eval(coeffs, x):
@@ -74,31 +75,32 @@ def ehrhart_pair(Q: Polytope, sel) -> EhrhartPair:
         raise UnsupportedDimension(
             f"counting polynomials need a 3-polytope, not dimension {Q.dim}")
     selection = as_selection(Q, sel)
-    complement = tuple(i for i in range(Q.num_facets) if i not in selection)
+    chosen = facet_bits(Q, selection)
+    others = ((1 << Q.num_facets) - 1) & ~chosen
+    census = [point_census(Q, k)[1] for k in range(1, 5)]
 
-    counts = [1] + [len(lattice_points_scaled(Q, k)) for k in range(1, 4)]
-    p = interpolate_cubic(counts)
-    if poly_eval(p, 4) != len(lattice_points_scaled(Q, 4)):
+    counts = [1] + [len(bits) for bits in census[:3]]
+    p, d = interpolate_cubic(counts), _differences(counts)
+    if _binomial_eval(d, 4) != len(census[3]):
         raise InterpolationMismatch("full count at k = 4 disagrees with the cubic")
     for k in range(1, 4):
-        if -poly_eval(p, -k) != len(interior_points(Q, k)):
+        if -_binomial_eval(d, -k) != census[k - 1].count(0):
             raise InterpolationMismatch(f"interior reciprocity fails at k = {k}")
 
     chi = euler_characteristic(Q, selection)
-    off_counts = [1 - chi] + [len(points_off_facets(Q, k, selection)) for k in range(1, 4)]
-    p_off = interpolate_cubic(off_counts)
+    off_counts = [1 - chi] + [sum(not b & chosen for b in bits) for bits in census[:3]]
+    p_off, d_off = interpolate_cubic(off_counts), _differences(off_counts)
     for k in range(1, 4):
-        if -poly_eval(p_off, -k) != len(points_off_facets(Q, k, complement)):
+        if -_binomial_eval(d_off, -k) != sum(not b & others for b in census[k - 1]):
             raise InterpolationMismatch(f"facet-removed reciprocity fails at k = {k}")
 
-    vol = p[3] * 6
-    if vol.denominator != 1 or vol <= 0:
-        raise InterpolationMismatch("normalized volume is not a positive integer")
-    inside = -poly_eval(p, -1)
-    bdry = poly_eval(p, 1) + poly_eval(p, -1)
-    q1 = poly_eval(p, 1) - poly_eval(p_off, 1)
-    qm1 = poly_eval(p, -1) - poly_eval(p_off, -1)
-    return EhrhartPair(p, p_off, selection, chi, int(vol), int(inside), int(bdry), int(q1 - qm1))
+    # d3 = 6 * p[3] is the normalized volume
+    if d[3] <= 0:
+        raise InterpolationMismatch("normalized volume is not positive")
+    p1, pm1 = _binomial_eval(d, 1), _binomial_eval(d, -1)
+    q1 = p1 - _binomial_eval(d_off, 1)
+    qm1 = pm1 - _binomial_eval(d_off, -1)
+    return EhrhartPair(p, p_off, selection, chi, d[3], -pm1, p1 + pm1, q1 - qm1)
 
 
 def predicted_size(pair: EhrhartPair) -> int:

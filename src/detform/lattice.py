@@ -3,11 +3,13 @@
 All arithmetic is integer or exact rational; nothing here touches floats.
 Points are plain integer tuples, ordered lexicographically ascending wherever
 an order matters (this fixes every index used downstream). Facet normals are
-integer cofactors, and incidences are bit sets. column_runs cuts each column
-of a box into runs that violate the same facet half-spaces; the points of kQ
-are the runs that violate none, walked once per polytope and k into a census
-of each point with the bit set of its facets, and every point query is a
-filter over that census.
+integer cofactors, and incidences are bit sets. The points of kQ, each with
+the bit set of its facets, are walked once per polytope and k into a census
+that every point query filters. The walk visits only the columns over kQ's
+shadow, cut out by the vertical facets and, in dimension 3, by the edges
+between a lower and an upper facet, and takes one interval per column.
+column_runs cuts the columns of a box into runs that violate the same
+half-spaces; it serves verify.divisor_cohomology only.
 """
 
 from __future__ import annotations
@@ -217,25 +219,65 @@ def interior_points(Q: Polytope, k: int) -> list[Point]:
 
 
 def _column_walk(Q: Polytope, k: int) -> tuple[tuple[Point, ...], tuple[int, ...]]:
-    box = [range(k * min(c), k * max(c) + 1) for c in zip(*Q.vertices)]
-    points, bits = [], []
-    for prefix, runs, whole, tight in column_runs(box, [(f.normal, -k * f.offset) for f in Q.facets]):
-        for start, stop, violated in runs:
-            if not violated:
-                points += [prefix + (t,) for t in range(start, stop + 1)]
-                bits += [whole | tight.get(t, 0) for t in range(start, stop + 1)]
-    return tuple(points), tuple(bits)
+    # Once the coordinates before it are fixed, coordinate i is bounded by
+    # the half-spaces whose last nonzero coefficient is the i-th: the facets
+    # and, in dimension 3, the combinations cancelling z over each edge
+    # between a lower and an upper facet. a*x >= r holds from ceil(r/a) on
+    # for a > 0, up to floor(r/a) for a < 0, and is tight only where r/a is
+    # exact: within the range, at an end.
+    halfspaces = [(f.normal, -k * f.offset) for f in Q.facets]
+    for e in Q.edges:
+        (u, r), (v, s) = (halfspaces[i] for i in e.facet_ids)
+        if u[-1] * v[-1] < 0:
+            cu, cv = abs(v[-1]), abs(u[-1])
+            halfspaces.append((tuple(cu * x + cv * y for x, y in zip(u, v)), cu * r + cv * s))
+    n, F = Q.dim, Q.num_facets
+    levels = [([], []) for _ in range(n)]
+    for j, (normal, _) in enumerate(halfspaces):
+        i = max(i for i, c in enumerate(normal) if c)
+        levels[i][normal[i] < 0].append((normal[i], normal[i - 1], 1 << j if j < F else 0, j))
+    box = [(k * min(c), k * max(c)) for c in zip(*Q.vertices)]
+    # a row: a prefix, the residuals before its last coordinate y (0 for the
+    # empty prefix), y, and the facets tight on all of the row
+    rows = [((), [bound for _, bound in halfspaces], 0, 0)]
+    for i, (lower, upper) in enumerate(levels):
+        grown = []
+        for prefix, rest, y, on in rows:
+            lo, hi = box[i]
+            low = high = 0
+            for a, b, bit, j in lower:
+                r = rest[j] - b * y
+                q = -(-r // a)
+                if q >= lo:
+                    if q > lo:
+                        lo, low = q, 0
+                    if q * a == r:
+                        low |= bit
+            for a, b, bit, j in upper:
+                r = rest[j] - b * y
+                q = r // a
+                if q <= hi:
+                    if q < hi:
+                        hi, high = q, 0
+                    if q * a == r:
+                        high |= bit
+            if lo > hi:
+                continue
+            if i < n - 1:
+                rest = [r - normal[i - 1] * y for (normal, _), r in zip(halfspaces, rest)]
+            grown += [(prefix + (x,), rest, x, on | (x == lo and low) | (x == hi and high))
+                      for x in range(lo, hi + 1)]
+        rows = grown
+    return tuple(row[0] for row in rows), tuple(row[3] for row in rows)
 
 
 def column_runs(box, halfspaces):
     """Cut every column of a box into runs by half-spaces <m, normal> >= bound.
 
     The box is one range per coordinate; a column fixes all but the last.
-    Yields (prefix, runs, whole, tight) per column in lexicographic order:
-    the runs (start, stop, violated) cover the last range in order, violated
-    being the bit set (bit i for half-space i) with <m, normal> < bound on
-    the run; whole and tight[t] are those with equality on the whole column
-    and at height t alone.
+    Yields (prefix, runs) per column in lexicographic order: the runs
+    (start, stop, violated) cover the last range in order, violated being
+    the bit set (bit i for half-space i) with <m, normal> < bound on the run.
     """
     columns = [((), [bound for _, bound in halfspaces])]
     for i, coords in enumerate(box[:-1]):
@@ -246,18 +288,14 @@ def column_runs(box, halfspaces):
     rising = sum(bit for a, bit in cuts if a > 0)
     for prefix, rest in columns:
         # half-space i reads a*t >= r along the column: for a > 0 it holds
-        # from ceil(r/a) on, for a < 0 up to floor(r/a), and is tight at r/a
-        violated, whole, tight, flips = rising, 0, {}, []
+        # from ceil(r/a) on, for a < 0 up to floor(r/a)
+        violated, flips = rising, []
         for (a, bit), r in zip(cuts, rest):
             if a:
                 q, rem = divmod(r, a)
-                if not rem:
-                    tight[q] = tight.get(q, 0) | bit
                 flips.append((q + 1 if a < 0 or rem else q, bit))
             elif r > 0:
                 violated |= bit
-            elif not r:
-                whole |= bit
         runs, start = [], lo
         for t, bit in sorted(flips):
             if t > hi:
@@ -267,7 +305,7 @@ def column_runs(box, halfspaces):
                 start = t
             violated ^= bit
         runs.append((start, hi, violated))
-        yield prefix, runs, whole, tight
+        yield prefix, runs
 
 
 def polar_dual_vertices(Q: Polytope) -> list[tuple]:

@@ -112,7 +112,7 @@ def divisor_cohomology(Q: Polytope, selection, k: int,
     memo, dims, R = {} if _memo is None else _memo, [0] * (Q.dim + 1), box_radius
     # u is negative on facet j where <u, normal_j> < (chosen_j) - k * offset_j
     halfspaces = [(f.normal, (chosen >> j & 1) - k * f.offset) for j, f in enumerate(Q.facets)]
-    for prefix, runs, _, _ in column_runs([range(-R, R + 1)] * 3, halfspaces):
+    for prefix, runs in column_runs([range(-R, R + 1)] * 3, halfspaces):
         rim = max(map(abs, prefix)) == R
         for start, stop, neg in runs:
             if neg not in memo:  # no negative facet: a character of H^0

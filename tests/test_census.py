@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from pathlib import Path
 
 from hypothesis import assume, given, settings
@@ -67,20 +68,58 @@ def test_census_matches_box_reference(points, data):
         assert points_off_facets(Q, k, selection) == [m for m, on in ref if not on & selection]
 
 
+def _cross(n):
+    return [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+
+
+# (support, dilations) in every dimension the hull accepts: segments and
+# polygons; 3-polytopes with negative coordinates and vertical facets; thin
+# skew simplices, nearly all of whose box columns are empty; 4-polytopes,
+# with and without vertical facets; and two 5-polytopes
+EVERY_DIMENSION = {
+    "segment": ([(0,), (3,)], range(1, 5)),
+    "negative segment": ([(-2,), (5,), (1,)], range(1, 5)),
+    "unit segment": ([(-1,), (0,)], range(1, 5)),
+    "triangle": ([(0, 0), (3, 1), (1, 4)], range(1, 5)),
+    "square": ([(-2, -1), (1, -1), (1, 2), (-2, 2)], range(1, 5)),
+    "pentagon": ([(-1, 0), (2, -3), (3, 1), (0, 2), (-2, 1)], range(1, 5)),
+    "prism": ([(-2, -1, -1), (1, -1, -1), (-2, 2, -1), (-2, -1, 2), (1, -1, 2), (-2, 2, 2)],
+              range(1, 5)),
+    "pyramid": ([(-1, -1, -2), (2, -1, -2), (2, 2, -2), (-1, 2, -2), (-1, -1, 1)], range(1, 5)),
+    "skew simplex": ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (6, 5, 1)], range(1, 5)),
+    "skew simplex, one vertical facet": ([(-3, 2, 1), (-2, 2, 1), (-3, 3, 1), (2, -2, 2)],
+                                         range(1, 5)),
+    "skew simplex, negative": ([(0, 0, 0), (1, 1, 0), (0, 1, 1), (5, -4, 3)], range(1, 5)),
+    "4-cube": (list(itertools.product((-1, 1), repeat=4)), range(1, 5)),
+    "4-cross-polytope": (_cross(4) + [(0,) * 4], range(1, 5)),
+    "skew 4-simplex": ([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (3, -2, 4, 1)],
+                       range(1, 5)),
+    "5-simplex": ([(0,) * 5] + [tuple(-(i == j) for j in range(5)) for i in range(5)]
+                  + [(2, 1, 1, -1, 1)], range(1, 3)),
+    "5-cross-polytope": (_cross(5), range(1, 3)),
+}
+
+
 def test_census_matches_box_reference_on_the_supports_and_the_corpus():
-    # fresh hulls, so each dilation is walked here, in dimensions 3 and 4;
-    # the 7-dimensional support's box reference at k = 4 holds 9^7 points
+    # fresh hulls, so each dilation is walked here; the 7-dimensional
+    # support's box reference at k = 4 holds 9^7 points
     supports = [points for points in (parse_support(path.read_text())
                                       for path in sorted(SUPPORTS.glob("*.txt")))
                 if len(points[0]) <= 4]
-    for points in supports + [points for points, _, _ in acceptance_corpus()]:
+    cases = [(str(points), (points, range(1, 5)))
+             for points in supports + [points for points, _, _ in acceptance_corpus()]]
+    for name, (points, dilations) in cases + list(EVERY_DIMENSION.items()):
         Q = convex_hull_with_facets(points)
-        for k in range(1, 5):
+        for k in dilations:
             ref = reference_census(Q, k)
             found, bits = point_census(Q, k)
-            assert list(found) == [m for m, _ in ref]
+            assert list(found) == [m for m, _ in ref], (name, k)
             assert [{i for i in range(Q.num_facets) if b >> i & 1} for b in bits] == \
-                [on for _, on in ref]
+                [on for _, on in ref], (name, k)
+        if name.startswith("skew"):
+            # thin indeed: at k = 4 fewer than one column of the box in five holds a point
+            box = math.prod(k * (max(c) - min(c)) + 1 for c in list(zip(*Q.vertices))[:-1])
+            assert len({m[:-1] for m in found}) * 5 < box, name
 
 
 def test_census_lifecycle(monkeypatch):
