@@ -30,9 +30,9 @@ class CoefficientSystem:
 
     Row k holds the coefficients of the k-th polynomial in the canonical
     (lexicographic) order of the support.  Every entry is an int or a
-    Fraction; a float, string or other inexact or unparsed value is a
-    ValueError.  Indices are 1-based in the accessors, matching the bracket
-    notation, and an index outside the system is a ValueError.
+    Fraction; a bool, a float, a string or another inexact or unparsed
+    value is a ValueError.  Indices are 1-based in the accessors, matching
+    the bracket notation, and an index outside the system is a ValueError.
     """
 
     rows: tuple[tuple[QQ, ...], ...]
@@ -44,7 +44,7 @@ class CoefficientSystem:
             raise ValueError("coefficient rows have unequal lengths")
         for row in self.rows:
             for c in row:
-                if not isinstance(c, (int, QQ)):
+                if isinstance(c, bool) or not isinstance(c, (int, QQ)):
                     raise ValueError(
                         f"coefficient {c!r} is not an int or a Fraction")
 
@@ -106,9 +106,9 @@ def format_coefficients(system: CoefficientSystem) -> str:
 
 
 def random_coefficients(npoints: int, rng) -> CoefficientSystem:
+    """Four rows of ints drawn uniformly from -99..99, row by row."""
     rows = tuple(
-        tuple(qq(rng.randint(-_COEFFICIENT_BOUND, _COEFFICIENT_BOUND))
-              for _ in range(npoints))
+        tuple(rng.randint(-_COEFFICIENT_BOUND, _COEFFICIENT_BOUND) for _ in range(npoints))
         for _ in range(NUM_POLYS))
     return CoefficientSystem(rows)
 

@@ -27,8 +27,9 @@ def qq(value) -> QQ:
 
 
 def rat_str(value) -> str:
-    """Canonical string form of an exact rational ('3/4', '-2', '0')."""
-    return str(QQ(value))
+    """Canonical string form of an exact rational ('3/4', '-2', '0'): an int
+    (not a bool) prints itself, and any other value goes through a Fraction."""
+    return str(value) if type(value) is int else str(QQ(value))
 
 
 def primitive_integer_vector(vec: dict) -> dict:

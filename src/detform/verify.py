@@ -12,11 +12,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import prod
+from operator import mul
 
 from .bracket import CoefficientSystem
 from .errors import NotStabilized, UnsupportedDimension
 from .lattice import Polytope, column_runs, facet_bits, facet_ids, point_census
-from .linalg import Echelon, qq
+from .linalg import QQ, Echelon, qq
 from .shelling import as_selection
 
 
@@ -141,7 +142,14 @@ def cohomology_profile(Q: Polytope, selection, k_lo: int, k_hi: int,
 def common_root_system(support, x0, seed: int = 0) -> CoefficientSystem:
     """Four random rows, each adjusted in its last entry to vanish at x0.
 
-    A root whose length is not the points' dimension is a ValueError.
+    Built in integers. With x0_t = n_t/d_t and lo_t, hi_t the least and
+    greatest exponent of coordinate t over the support, each monomial value
+    times the common factor prod n_t^(-lo_t) d_t^(hi_t) is the integer
+    M_p = prod n_t^(p_t - lo_t) d_t^(hi_t - p_t). A row's head entries are
+    its drawn ints h_i, and its last entry its one Fraction
+    -sum(h_i M_i) / M_last, in which the factor cancels. A root with a zero
+    coordinate, or whose length is not the points' dimension, is a
+    ValueError.
     """
     x0 = tuple(qq(c) for c in x0)
     if any(c == 0 for c in x0):
@@ -151,13 +159,15 @@ def common_root_system(support, x0, seed: int = 0) -> CoefficientSystem:
     bad = next((p for p in support if len(p) != len(x0)), None)
     if bad is not None:
         raise ValueError(f"point {tuple(bad)} has {len(bad)} coordinates, the root {len(x0)}")
-    monos = [prod((c ** e for c, e in zip(x0, p)), start=qq(1)) for p in support]
+    lo, hi = map(min, zip(*support)), map(max, zip(*support))
+    scales = [(c.numerator, c.denominator, l, h) for c, l, h in zip(x0, lo, hi)]
+    monos = [prod(n ** (e - l) * d ** (h - e) for (n, d, l, h), e in zip(scales, p))
+             for p in support]
     rng = random.Random(seed)
     rows = []
     for _ in range(4):
-        head = [qq(rng.randint(-9, 9)) for _ in range(len(support) - 1)]
-        solved = -sum((c * m for c, m in zip(head, monos[:-1])), qq(0)) / monos[-1]
-        rows.append(tuple(head) + (solved,))
+        head = [rng.randint(-9, 9) for _ in range(len(support) - 1)]
+        rows.append((*head, QQ(-sum(map(mul, head, monos)), monos[-1])))
     return CoefficientSystem(tuple(rows))
 
 

@@ -105,10 +105,23 @@ def test_coefficient_shape_guard():
     with pytest.raises(ValueError):
         CoefficientSystem(((qq(1),), (qq(1),), (qq(1),), (qq(1), qq(2))))
     assert CoefficientSystem(((1, qq(2)),) * 4).entry(4, 2) == 2
-    # a float used to be evaluated at its binary value, a string kept as text
-    for bad in (0.1, "1/2", Decimal("0.1")):
-        with pytest.raises(ValueError, match="not an int or a Fraction"):
+    # a float used to be evaluated at its binary value, a string kept as
+    # text, and a bool taken as 0 or 1
+    for bad in (0.1, "1/2", Decimal("0.1"), True, False):
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not an int or a Fraction")):
             CoefficientSystem(((qq(1), bad),) + ((qq(1), qq(2)),) * 3)
+    with pytest.raises(ValueError, match="True is not an int or a Fraction"):
+        CoefficientSystem(((True, 2), (1, 2), (1, 2), (1, False)))
+
+
+def test_random_coefficients_are_the_drawn_ints():
+    for npoints, seed in ((5, 0), (8, 3), (12, 11)):
+        C = random_coefficients(npoints, random.Random(seed))
+        rng = random.Random(seed)
+        assert C.rows == tuple(tuple(qq(rng.randint(-99, 99)) for _ in range(npoints))
+                               for _ in range(4))
+        assert all(type(c) is int for row in C.rows for c in row)
+        assert parse_coefficients(format_coefficients(C)) == C
 
 
 def test_coefficient_indices_are_checked():

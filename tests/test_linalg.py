@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detform.errors import InvariantViolation
-from detform.linalg import Echelon, det_bareiss, echelon_mod2, independent_mod2
+from detform.linalg import Echelon, det_bareiss, echelon_mod2, independent_mod2, rat_str
 
 
 def odd_bits(vec: dict) -> int:
@@ -155,3 +155,12 @@ def test_echelon_mod2_drops_dependent_bitsets_and_independent_mod2_stops_there()
     assert independent_mod2([0b110, 0b011, 0b001])
     assert echelon_mod2([0, 0b1]) == {1: 1}
     assert not independent_mod2([0, 0b1])
+
+
+def test_rat_str_prints_ints_itself_and_the_rest_through_a_fraction():
+    cases = [(0, "0"), (-1, "-1"), (-42, "-42"), (10 ** 30, "1" + "0" * 30),
+             (-(10 ** 30), "-1" + "0" * 30), (True, "1"), (False, "0"),
+             (Fraction(-5, 7), "-5/7"), (Fraction(6, 3), "2"), ("3/4", "3/4"),
+             ("-6/8", "-3/4")]
+    for value, text in cases:
+        assert rat_str(value) == text == str(Fraction(value))

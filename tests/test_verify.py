@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -300,6 +302,37 @@ def test_common_root_rows_vanish(octahedron):
     for x0 in ((2, 3), (2, 3, 5, 7)):
         with pytest.raises(ValueError, match="coordinates"):
             common_root_system(A, x0, seed=0)
+
+
+def fraction_common_root_rows(support, x0, seed):
+    """The common-root rows built in Fractions throughout: every monomial
+    value, head entry and row sum. The reference for the integer build."""
+    x0 = tuple(qq(c) for c in x0)
+    monos = [prod((c ** e for c, e in zip(x0, p)), start=qq(1)) for p in support]
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(4):
+        head = [qq(rng.randint(-9, 9)) for _ in range(len(support) - 1)]
+        solved = -sum((c * m for c, m in zip(head, monos[:-1])), qq(0)) / monos[-1]
+        rows.append(tuple(head) + (solved,))
+    return tuple(rows)
+
+
+def test_common_root_rows_match_the_fraction_formula(cube, octahedron):
+    # no determinant digest pins these rows (a common-root determinant is
+    # 0), so the integer build is checked entry for entry; the cube's
+    # exponents are 0 and 1, the octahedron's reach -1 and 2Δ's reach 2
+    supports = [lattice_points_scaled(Q, 1)
+                for Q in (cube, octahedron, dilated_simplex(3, 2))]
+    assert [(min(map(min, A)), max(map(max, A))) for A in supports] == [(0, 1), (-1, 1), (0, 2)]
+    roots = ((-3, "5/7", 2), ("-1/2", 3, -1), (1, 1, 1), ("2/3", "-4/9", "7/5"),
+             (Fraction(-9, 4), 5, "1/6"))
+    for A in supports:
+        for seed, x0 in enumerate(roots):
+            C = common_root_system(A, x0, seed=seed)
+            assert C.rows == fraction_common_root_rows(A, x0, seed)
+            for row in C.rows:
+                assert [type(c) for c in row] == [int] * (len(A) - 1) + [Fraction]
 
 
 def test_common_roots_kill_determinants(cube, octahedron):
