@@ -36,7 +36,6 @@ from .errors import (
     EmptyInput,
     InterpolationMismatch,
     InvariantViolation,
-    NoInteriorPoint,
     NonGenericDirection,
     NotStabilized,
     ParseError,
@@ -84,7 +83,6 @@ __all__ = [
     "EmptyInput",
     "InterpolationMismatch",
     "InvariantViolation",
-    "NoInteriorPoint",
     "NonGenericDirection",
     "NotStabilized",
     "ParseError",

@@ -43,7 +43,6 @@ from .errors import (
     EmptyInput,
     InterpolationMismatch,
     InvariantViolation,
-    NoInteriorPoint,
     NonGenericDirection,
     NotStabilized,
     ParseError,
@@ -77,8 +76,7 @@ EXIT_INTERNAL = 7
 
 _ERROR_CODES = (
     ((ParseError, EmptyInput), EXIT_PARSE),
-    ((DegenerateSpan, NoInteriorPoint, NonGenericDirection, UnsupportedDimension),
-     EXIT_GEOMETRY),
+    ((DegenerateSpan, NonGenericDirection, UnsupportedDimension), EXIT_GEOMETRY),
     ((DimensionMismatch, DegreePatternViolation,
       InterpolationMismatch), EXIT_DIMENSION),
     ((NotStabilized,), EXIT_VERIFY),

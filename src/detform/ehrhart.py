@@ -1,9 +1,10 @@
 """Lattice point counting polynomials and the matrix size they predict.
 
-Both counting polynomials are cubic, so four exact values pin them down;
-every further identity the theory supplies is then checked against direct
-enumeration, making this module an oracle for the rest of the package. The
-checks run in integers, on the forward differences of the counts.
+Both counting polynomials are cubic, so four exact values pin them down:
+their forward differences at x = 0, which is how each is kept. A cubic at
+any integer x is then an integer, d0 + d1 x + d2 C(x, 2) + d3 C(x, 3).
+Every further identity the theory supplies is checked against direct
+enumeration, making this module an oracle for the rest of the package.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 from .errors import InterpolationMismatch, InvariantViolation, UnsupportedDimension
 from .lattice import Polytope, facet_bits, point_census
-from .linalg import QQ
 from .shelling import as_selection, euler_characteristic
 
 
@@ -30,30 +30,18 @@ def _binomial_eval(d, x: int) -> int:
     return d[0] + d[1] * x + d[2] * c2 + d[3] * (c2 * (x - 2) // 3)
 
 
-def interpolate_cubic(values) -> tuple:
-    """Cubic with the given integer values at x = 0, 1, 2, 3 (coefficients ascending)."""
-    d0, d1, d2, d3 = _differences(values)
-    return tuple(QQ(c, 6) for c in (6 * d0, 6 * d1 - 3 * d2 + 2 * d3, 3 * d2 - 3 * d3, d3))
-
-
-def poly_eval(coeffs, x):
-    acc = QQ(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 @dataclass(frozen=True)
 class EhrhartPair:
     """Counting polynomial of Q and its facet-removed companion.
 
     p counts lattice points of the k-fold dilation; p_off counts those
-    avoiding the selected facets. Scalars: normalized volume V, interior count i_Q, boundary
+    avoiding the selected facets. Each is kept as its forward differences
+    d0..d3 at x = 0. Scalars: normalized volume V, interior count i_Q, boundary
     counts B_Q for the whole polytope and B_I for the selected disk.
     """
 
-    p: tuple
-    p_off: tuple
+    p_differences: tuple[int, int, int, int]
+    p_off_differences: tuple[int, int, int, int]
     selection: tuple[int, ...]
     chi: int
     volume: int
@@ -61,8 +49,8 @@ class EhrhartPair:
     boundary: int
     boundary_selected: int
 
-    def p_off_at(self, x):
-        return poly_eval(self.p_off, QQ(x))
+    def p_off_at(self, x: int) -> int:
+        return _binomial_eval(self.p_off_differences, x)
 
 
 def ehrhart_pair(Q: Polytope, sel) -> EhrhartPair:
@@ -80,7 +68,7 @@ def ehrhart_pair(Q: Polytope, sel) -> EhrhartPair:
     census = [point_census(Q, k)[1] for k in range(1, 5)]
 
     counts = [1] + [len(bits) for bits in census[:3]]
-    p, d = interpolate_cubic(counts), _differences(counts)
+    d = _differences(counts)
     if _binomial_eval(d, 4) != len(census[3]):
         raise InterpolationMismatch("full count at k = 4 disagrees with the cubic")
     for k in range(1, 4):
@@ -89,18 +77,18 @@ def ehrhart_pair(Q: Polytope, sel) -> EhrhartPair:
 
     chi = euler_characteristic(Q, selection)
     off_counts = [1 - chi] + [sum(not b & chosen for b in bits) for bits in census[:3]]
-    p_off, d_off = interpolate_cubic(off_counts), _differences(off_counts)
+    d_off = _differences(off_counts)
     for k in range(1, 4):
         if -_binomial_eval(d_off, -k) != sum(not b & others for b in census[k - 1]):
             raise InterpolationMismatch(f"facet-removed reciprocity fails at k = {k}")
 
-    # d3 = 6 * p[3] is the normalized volume
+    # d3, six times the leading coefficient, is the normalized volume
     if d[3] <= 0:
         raise InterpolationMismatch("normalized volume is not positive")
     p1, pm1 = _binomial_eval(d, 1), _binomial_eval(d, -1)
     q1 = p1 - _binomial_eval(d_off, 1)
     qm1 = pm1 - _binomial_eval(d_off, -1)
-    return EhrhartPair(p, p_off, selection, chi, d[3], -pm1, p1 + pm1, q1 - qm1)
+    return EhrhartPair(d, d_off, selection, chi, d[3], -pm1, p1 + pm1, q1 - qm1)
 
 
 def predicted_size(pair: EhrhartPair) -> int:
@@ -110,16 +98,18 @@ def predicted_size(pair: EhrhartPair) -> int:
     size = (pair.volume + 3 * (pair.boundary - pair.boundary_selected)
             + 6 * pair.interior)
     alt = pair.p_off_at(2) - 4 * pair.p_off_at(-1)
-    if QQ(size) != alt:
+    if size != alt:
         raise InterpolationMismatch(f"size formula disagrees: {size} vs {alt}")
     return size
 
 
 def squareness_check(pair: EhrhartPair) -> bool:
-    """Fourth difference of p_off at the window ends; zero means a square matrix."""
-    total = (pair.p_off_at(2) - 4 * pair.p_off_at(1) + 6 * pair.p_off_at(0)
-             - 4 * pair.p_off_at(-1) + pair.p_off_at(-2))
-    return total == 0
+    """Whether the window's rows, p_off(2) - 4 p_off(-1) by the facet-removed
+    reciprocity ehrhart_pair checks, match its columns, 4 p_off(1) - p_off(-2).
+    Rows less columns is p_off's fourth difference at -2, 0 for a cubic, less
+    6 p_off(0) = 6 (1 - chi): square exactly when chi = 1, as on a disk."""
+    rows = pair.p_off_at(2) - 4 * pair.p_off_at(-1)
+    return rows == 4 * pair.p_off_at(1) - pair.p_off_at(-2)
 
 
 def resultant_degree(pair: EhrhartPair) -> tuple[int, int]:

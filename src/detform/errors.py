@@ -17,10 +17,6 @@ class DegenerateSpan(DetformError):
     """Input points do not affinely span the ambient space."""
 
 
-class NoInteriorPoint(DetformError):
-    """A construction needed a point strictly inside the polytope."""
-
-
 class UnsupportedDimension(DetformError):
     """The construction needs a 3-polytope, and the input spans another dimension."""
 

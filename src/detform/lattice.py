@@ -1,6 +1,6 @@
 """Exact lattice polytope geometry: hulls, facets, faces, point enumeration.
 
-All arithmetic is integer or exact rational; nothing here touches floats.
+All arithmetic is in integers; nothing here touches floats or Fractions.
 Points are plain integer tuples, ordered lexicographically ascending wherever
 an order matters (this fixes every index used downstream). Facet normals are
 integer cofactors, and incidences are bit sets. The points of kQ, each with
@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
-from .errors import DegenerateSpan, EmptyInput, NoInteriorPoint, ParseError
-from .linalg import QQ, Echelon
+from .errors import DegenerateSpan, EmptyInput, ParseError
+from .linalg import Echelon
 
 Point = tuple[int, ...]
 
@@ -91,9 +91,15 @@ def convex_hull_with_facets(points) -> Polytope:
     supporting ones are the facets. A point's facets form a bit set, and a
     point is a vertex iff no other point's set contains its own: a point
     inside a face G has exactly G's facets, which every vertex of G lies on,
-    while the facets through a vertex meet in that vertex alone.
+    while the facets through a vertex meet in that vertex alone. A
+    coordinate that is not an int (a bool, a float or a string is not) is
+    a ParseError.
     """
-    pts = sorted(set(tuple(int(c) for c in p) for p in points))
+    pts = [tuple(p) for p in points]
+    bad = next((p for p in pts if any(type(c) is not int for c in p)), None)
+    if bad is not None:
+        raise ParseError(f"point {bad} has a coordinate that is not an integer")
+    pts = sorted(set(pts))
     if not pts:
         raise EmptyInput("no points given")
     dims = {len(p) for p in pts}
@@ -306,22 +312,6 @@ def column_runs(box, halfspaces):
             violated ^= bit
         runs.append((start, hi, violated))
         yield prefix, runs
-
-
-def polar_dual_vertices(Q: Polytope) -> list[tuple]:
-    """Vertices of the polar dual, one per facet, after centering Q.
-
-    Q is translated by its vertex centroid so the origin is interior; the
-    vertex dual to facet i is normal_i / (offset_i + <centroid, normal_i>).
-    """
-    t = [QQ(sum(c), len(Q.vertices)) for c in zip(*Q.vertices)]
-    out = []
-    for f in Q.facets:
-        shifted = QQ(f.offset) + sum(QQ(tc) * nc for tc, nc in zip(t, f.normal))
-        if shifted <= 0:
-            raise NoInteriorPoint("centroid is not strictly interior")
-        out.append(tuple(QQ(c) / shifted for c in f.normal))
-    return out
 
 
 def parse_support(text: str) -> list[Point]:

@@ -22,7 +22,10 @@ from .errors import InvariantViolation
 
 
 def qq(value) -> QQ:
-    """Coerce ints, strings like '3/4', and rationals to the working type."""
+    """Coerce ints, strings like '3/4', and rationals to the working type. A
+    float is inexact and a bool is not a number, so either is a ValueError."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{value!r} is not an exact rational")
     return QQ(value)
 
 

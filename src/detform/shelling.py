@@ -5,16 +5,18 @@ topological disk. Partial shellings produce disks by construction; counts
 on the boundary sphere, popcounts of per-facet vertex, edge and neighbour
 masks, certify arbitrary selections. A disk's shelling order comes from
 one greedy pass that never backtracks, as every partial shelling of a disk
-extends; a selection that is not a disk is refused at once.
+extends; a selection that is not a disk is refused at once. Line shellings
+rank facets on polar vertices scaled to integer vectors, so ties are exact.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .errors import NonGenericDirection
-from .lattice import Polytope, facet_bits, facet_ids, point_census, polar_dual_vertices
+from .lattice import Polytope, _dot, facet_bits, facet_ids, point_census
 
 Selection = tuple[int, ...]
 
@@ -174,7 +176,21 @@ def line_shelling(Q: Polytope, direction, k: int) -> PartialShelling:
         raise ValueError(f"direction has {len(direction)} coordinates, expected {Q.dim}")
     if any(type(c) is not int for c in direction):
         raise ValueError(f"direction {tuple(direction)} has a component that is not an integer")
-    return certify(Q, _sweep_order(polar_dual_vertices(Q), direction)[:k])
+    return certify(Q, _sweep_order(_polar_vertices(Q), direction)[:k])
+
+
+def _polar_vertices(Q: Polytope) -> list[tuple[int, ...]]:
+    """The polar dual's vertices, one per facet, after centering Q, each times
+    one common positive factor that makes them all integer vectors.
+
+    The vertex centroid c is interior, so facet i's polar vertex is
+    normal_i / s_i with s_i = offset_i + <c, normal_i> > 0. S_i = |V| s_i is
+    an integer; with L = lcm(S), the vertex times L / |V| is (L / S_i) normal_i.
+    """
+    total = [sum(c) for c in zip(*Q.vertices)]
+    scaled = [len(Q.vertices) * f.offset + _dot(total, f.normal) for f in Q.facets]
+    common = math.lcm(*scaled)
+    return [tuple(common // s * c for c in f.normal) for s, f in zip(scaled, Q.facets)]
 
 
 def _sweep_order(duals, direction) -> list[int]:
@@ -235,7 +251,7 @@ def _sweep_prefixes(Q: Polytope, seed: int):
     """Each proper prefix, as a bit set, of the facet orders of _SWEEP_SAMPLES
     generic sweep directions drawn from the seed: line shellings, hence disks."""
     rng = random.Random(seed)
-    duals = polar_dual_vertices(Q)
+    duals = _polar_vertices(Q)
     drawn = 0
     while drawn < _SWEEP_SAMPLES:
         direction = tuple(rng.randint(-9, 9) for _ in range(Q.dim))

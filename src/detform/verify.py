@@ -147,9 +147,9 @@ def common_root_system(support, x0, seed: int = 0) -> CoefficientSystem:
     times the common factor prod n_t^(-lo_t) d_t^(hi_t) is the integer
     M_p = prod n_t^(p_t - lo_t) d_t^(hi_t - p_t). A row's head entries are
     its drawn ints h_i, and its last entry its one Fraction
-    -sum(h_i M_i) / M_last, in which the factor cancels. A root with a zero
-    coordinate, or whose length is not the points' dimension, is a
-    ValueError.
+    -sum(h_i M_i) / M_last, in which the factor cancels. A root with a zero,
+    float or bool coordinate, or whose length is not the points' dimension,
+    is a ValueError.
     """
     x0 = tuple(qq(c) for c in x0)
     if any(c == 0 for c in x0):

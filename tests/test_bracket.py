@@ -138,6 +138,16 @@ def test_coefficient_indices_are_checked():
             C.scale_row(poly, 2)
 
 
+def test_scale_row_refuses_a_float_or_a_bool_factor():
+    # 0.1 used to scale by its binary value, and True by 1
+    C = random_coefficients(5, random.Random(3))
+    for factor in (0.1, True):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            C.scale_row(1, factor)
+    for factor in (3, "5/3", qq("-2/7")):
+        assert C.scale_row(1, factor).rows[0] == tuple(qq(factor) * c for c in C.rows[0])
+
+
 def test_strip_matrix_is_all_brackets(cube):
     w = build_window(cube, (0, 1, 4))
     M = apply_U4(w.maps[0])

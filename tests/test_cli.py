@@ -625,12 +625,12 @@ def test_unexpected_exception_in_verify_exits_seven(octa_file, capsys, monkeypat
 @pytest.mark.parametrize("site, command", [
     ("detform.bracket.det_bareiss", "evaluate"),
     ("detform.bracket.det_bareiss", "verify"),
-    ("detform.ehrhart.interpolate_cubic", "predict-size"),
-    ("detform.ehrhart.interpolate_cubic", "verify"),
+    ("detform.ehrhart._differences", "predict-size"),
+    ("detform.ehrhart._differences", "verify"),
 ])
 def test_a_malformed_internal_call_exits_seven(octa_file, tmp_path, capsys, monkeypatch,
                                                 site, command):
-    # only the package's own code calls det_bareiss and interpolate_cubic, so
+    # only the package's own code calls det_bareiss and _differences, so
     # a matrix or value list of the wrong shape there is a bug: not bad
     # geometry (exit 3) and, inside verify, not a failed check (exit 6)
     code, built = run_json(capsys, command="build-matrix", support_path=octa_file,

@@ -69,6 +69,34 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+# the polytope layer counts and ranks in integers; the covers' maps have
+# integer entries
+INTEGER_MODULES = ("lattice", "shelling", "ehrhart", "tate", "exterior")
+RATIONAL_NAMES = {"fractions", "Fraction", "QQ", "qq"}
+
+
+def rational_imports(source: str) -> set[str]:
+    """The modules and names among RATIONAL_NAMES that the source imports."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update([node.module or ""] + [alias.name for alias in node.names])
+    return imported & RATIONAL_NAMES
+
+
+def test_rational_imports_are_found():
+    source = ("import fractions\nfrom fractions import Fraction as F\n"
+              "from .linalg import Echelon, qq\n")
+    assert rational_imports(source) == {"fractions", "Fraction", "qq"}
+
+
+@pytest.mark.parametrize("module", INTEGER_MODULES)
+def test_integer_module_imports_no_rationals(module):
+    assert rational_imports((SRC / f"{module}.py").read_text(encoding="utf-8")) == set()
+
+
 @pytest.mark.parametrize("module, attr", [entry[:2] for entry in SPANS.FUNCTIONS])
 def test_traced_function_exists(module, attr):
     assert hasattr(importlib.import_module(f"detform.{module}"), attr)

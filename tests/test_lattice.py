@@ -1,4 +1,4 @@
-"""Hull construction, point enumeration, duality."""
+"""Hull construction, point enumeration, facet queries."""
 
 from __future__ import annotations
 
@@ -27,9 +27,8 @@ from detform.lattice import (
     lattice_points_scaled,
     parse_support,
     points_off_facets,
-    polar_dual_vertices,
 )
-from detform.linalg import QQ, Echelon, det_bareiss, primitive_integer_vector
+from detform.linalg import Echelon, det_bareiss, primitive_integer_vector
 from detform.shelling import (
     boundary_lattice_count,
     euler_characteristic,
@@ -108,19 +107,6 @@ def test_points_off_facets_octahedron(octahedron):
     assert points_off_facets(octahedron, 1, sel) == [(0, 0, 0)]
 
 
-def test_polar_dual_cube(octahedron, cube):
-    duals = polar_dual_vertices(cube)
-    assert sorted(duals) == sorted(
-        tuple(QQ(2) * c for c in v) for v in octahedron.vertices)
-
-
-def test_polar_dual_octahedron(octahedron):
-    duals = polar_dual_vertices(octahedron)
-    assert sorted(duals) == sorted(
-        tuple(QQ(s) for s in signs)
-        for signs in [(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)])
-
-
 def test_face_complex(cube, octahedron):
     assert len(cube.edges) == 12
     assert len(octahedron.edges) == 12
@@ -187,6 +173,16 @@ def test_parse_support_roundtrip():
         parse_support("0 0 x\n")
     with pytest.raises(ParseError):
         parse_support("0 0 0\n1 1\n")
+
+
+def test_hull_refuses_a_coordinate_that_is_not_an_int():
+    # int() would read 1.9 as 1, and True and "1" both as 1
+    cube = [list(p) for p in itertools.product((0, 1), repeat=3)]
+    for bad in (1.9, True, "1"):
+        points = cube + [[0, bad, 2]]
+        with pytest.raises(ParseError, match=re.escape(f"point {(0, bad, 2)}")):
+            convex_hull_with_facets(points)
+    assert convex_hull_with_facets(cube).vertices == tuple(map(tuple, cube))
 
 
 def test_vertex_facet_incidence_random():

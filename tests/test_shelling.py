@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -196,6 +197,55 @@ def test_random_line_shellings_are_disks():
             assert is_disk(Q, sh.selection)
             assert euler_characteristic(Q, sh.selection) == 1
             assert boundary_lattice_count(Q, sh.selection) >= 3
+
+
+# The Fraction polar vertices the sweep ranked facets by before it ranked
+# them by integer multiples, kept here as the reference for its order and ties.
+
+def fraction_polar_vertices(Q):
+    """normal_i / (offset_i + <c, normal_i>) per facet, c the vertex centroid."""
+    t = [Fraction(sum(c), len(Q.vertices)) for c in zip(*Q.vertices)]
+    out = []
+    for f in Q.facets:
+        shifted = f.offset + sum(tc * nc for tc, nc in zip(t, f.normal))
+        assert shifted > 0, "centroid is not strictly interior"
+        out.append(tuple(Fraction(c) / shifted for c in f.normal))
+    return out
+
+
+def reference_sweep_order(duals, direction):
+    """Facet ids by the direction's value on their polar vertex, largest
+    first, or None when two values tie."""
+    values = [sum(d * c for d, c in zip(direction, v)) for v in duals]
+    if len(set(values)) != len(values):
+        return None
+    return sorted(range(len(duals)), key=lambda i: values[i], reverse=True)
+
+
+def test_sweep_order_matches_the_fraction_polar_vertices():
+    rng = random.Random(6174)
+    polytopes = [convex_hull_with_facets(pts) for pts in (CUBE_POINTS, OCTA_POINTS, ANNULUS_POINTS)]
+    while len(polytopes) < 15:
+        Q = random_polytope(rng, span=5, max_points=16)
+        if Q.num_facets > shelling.EXHAUSTIVE_FACET_LIMIT:
+            polytopes.append(Q)
+    orders = ties = 0
+    for Q in polytopes:
+        s, duals = Q.num_facets, fraction_polar_vertices(Q)
+        directions = [d for d in itertools.product(range(-2, 3), repeat=3) if any(d)]
+        directions += [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(60)]
+        for direction in directions:
+            want = reference_sweep_order(duals, direction)
+            try:
+                got = line_shelling(Q, direction, s - 1).order
+            except NonGenericDirection as exc:
+                assert want is None, (Q.vertices, direction)
+                assert str(exc) == f"direction {direction} ties two polar vertices"
+                ties += 1
+                continue
+            assert got == tuple(want[:-1]), (Q.vertices, direction)
+            orders += 1
+    assert orders > 1000 and ties > 500
 
 
 def test_boundary_count_is_the_lattice_length_of_the_boundary_cycle():

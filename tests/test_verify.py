@@ -298,6 +298,10 @@ def test_common_root_rows_vanish(octahedron):
             assert polynomial_value(A, C.rows[k], x0) == 0
     with pytest.raises(ValueError):
         common_root_system(A, (1, 0, 2), seed=0)
+    # a float coordinate used to be taken at its binary value, a bool as 0 or 1
+    for x0 in ((0.1, 2, 3), (1, True, 3)):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            common_root_system(A, x0, seed=0)
     # zip used to truncate: a 2-coordinate root gave rows with no common root
     for x0 in ((2, 3), (2, 3, 5, 7)):
         with pytest.raises(ValueError, match="coordinates"):
