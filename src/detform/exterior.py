@@ -222,7 +222,9 @@ class FreeModuleMap:
 
     def compose(self, inner: FreeModuleMap) -> FreeModuleMap:
         """self ∘ inner: column j is the sum of c * (self column i ∧ e_S) over
-        the terms (i, S), c of inner's column j."""
+        the terms (i, S), c of inner's column j. The build never forms it
+        (block_kernel proves each cover column is a kernel vector); tests
+        compose windows with it as their reference."""
         if inner.target is not self.source and inner.target != self.source:
             raise InvariantViolation("composition mismatch")
         columns = []
@@ -233,9 +235,6 @@ class FreeModuleMap:
                     out[key] = out.get(key, 0) + c * v
             columns.append({key: v for key, v in out.items() if v})
         return FreeModuleMap(inner.source, self.target, columns)
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
 
 
 def positions(module: GradedFreeModule, d: int) -> tuple[dict[int, int], int]:

@@ -4,10 +4,11 @@ check(name) hulls the row's support, asserts the selection that
 best_selection(Q, seed=0) gives, builds the window twice in one process
 (the second build reads the tables the first one left) and checks the
 window and matrix digests after each, and certifies exactness once. It
-prints one line of wall and CPU times and peak RSS, and fails naming the
-row and the check. Tier-1 runs the rows without a peak-RSS ceiling
-(test_golden.py); CI runs each other row in its own process, with pytest
-not imported:
+prints one line of wall and CPU times and peak RSS, and only then asserts
+that the window's two compositions vanish (composes_to_zero), so the
+ceiling measures the build alone. It fails naming the row and the check.
+Tier-1 runs the rows without a peak-RSS ceiling (test_golden.py); CI runs
+each other row in its own process, with pytest not imported:
 
     PYTHONPATH=src:tests python tests/rungs.py box24
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from detform.bracket import apply_U4, export_matrix
 from detform.lattice import convex_hull_with_facets
 from detform.shelling import best_selection
-from detform.tate import build_window, check_exactness, window_dump
+from detform.tate import TateWindow, build_window, check_exactness, window_dump
 
 
 def digest(data) -> str:
@@ -69,6 +70,15 @@ RUNGS = {
 }
 
 
+def composes_to_zero(w: TateWindow) -> bool:
+    """True if maps[2] ∘ maps[1] and maps[1] ∘ maps[0] are zero, composed by
+    FreeModuleMap.compose. The build never composes: block_kernel proves each
+    cover column a kernel vector over block keys, so this also checks the
+    keys' translation back to (generator, subset) coordinates."""
+    return not any(w.maps[2].compose(w.maps[1]).columns) and \
+        not any(w.maps[1].compose(w.maps[0]).columns)
+
+
 def clocks() -> tuple[float, float]:
     return time.perf_counter(), time.process_time()
 
@@ -100,13 +110,16 @@ def check(name: str) -> None:
                 what, first, start = "exactness", matrix, clocks()
                 check_exactness(w)
                 exact = since(start)
-            del w  # the second build must not hold the first window: peak RSS is per build
+                del w  # the second build must not hold the first window: peak RSS is per build
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{name}: build {built[0]}, again {built[1]}, exactness {exact},"
               f" peak RSS {rss:.0f} MB")
         what = "peak RSS"
         assert row.ceiling is None or rss <= row.ceiling, \
             f"{rss:.0f} MB above the {row.ceiling} MB ceiling"
+        # the second window's digest is the first's, so its maps are the first's
+        what = "compositions"
+        assert composes_to_zero(w), "a composition of the window's maps is not zero"
         if row.initial_forms:
             what = "initial forms"
             from test_initial_forms import check_initial_forms

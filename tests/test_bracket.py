@@ -22,7 +22,12 @@ from detform.bracket import (
     parse_coefficients,
     random_coefficients,
 )
-from detform.errors import DegreePatternViolation, DimensionMismatch, ParseError
+from detform.errors import (
+    DegreePatternViolation,
+    DimensionMismatch,
+    InvariantViolation,
+    ParseError,
+)
 from detform.exterior import (
     ExteriorAlgebra,
     FreeModuleMap,
@@ -323,18 +328,21 @@ def test_apply_rejects_degree_pattern_violations():
     src2 = GradedFreeModule(algebra, (Generator(-1, (0, 0, 0)),))
     tgt4 = GradedFreeModule(algebra, tuple(
         Generator(0, (i, 0, 0)) for i in range(4)))
+    # entries are checked by validate_degrees alone: a wrong degree is a bug
+    # upstream, not a pattern of the generators
     bad_entry = FreeModuleMap(src2, tgt4, [{(0, (2, 3)): 1}])
-    with pytest.raises(DegreePatternViolation, match="degree -2"):
+    with pytest.raises(InvariantViolation, match=r"has degrees \[-2\], expected -1"):
         apply_U4(bad_entry)
 
     inhomogeneous = FreeModuleMap(src2, tgt4, [{(0, (2,)): 1, (0, (2, 3)): 1}])
-    with pytest.raises(DegreePatternViolation, match="inhomogeneous"):
+    with pytest.raises(InvariantViolation, match=r"has degrees \[-2, -1\], expected -1"):
         apply_U4(inhomogeneous)
 
-    # a linear source (4 columns) into a copied target (4 rows): the zero corner
+    # a linear source (4 columns) into a copied target (4 rows): the zero
+    # corner, whose entries would need degree +2
     tgt3 = GradedFreeModule(algebra, (Generator(-3, (1, 1, 1)),))
     corner = FreeModuleMap(src2, tgt3, [{(0, (2,)): 1}])
-    with pytest.raises(DegreePatternViolation, match=r"connects degrees -1 -> -3"):
+    with pytest.raises(InvariantViolation, match=r"has degrees \[-1\], expected 2"):
         apply_U4(corner)
 
     src4 = GradedFreeModule(algebra, (Generator(-4, (0, 0, 0)),))

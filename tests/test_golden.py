@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from detform.bracket import apply_U4, evaluate, random_coefficients
+from detform.exterior import FreeModuleMap
 from detform.tate import build_window
 from rungs import RUNGS, check
 
@@ -25,6 +26,19 @@ def test_the_check_fails_on_a_changed_row(field, monkeypatch):
     value = (0, 1, 5) if field == "selection" else "0" * 16
     monkeypatch.setitem(RUNGS, "cube", dataclasses.replace(RUNGS["cube"], **{field: value}))
     with pytest.raises(AssertionError, match=f"rung cube: {field}"):
+        check("cube")
+
+
+def test_the_check_fails_on_a_nonzero_composition(monkeypatch):
+    compose = FreeModuleMap.compose
+
+    def off(self, inner):
+        out = compose(self, inner)
+        out.columns[-1] = {(0, ()): 1}
+        return out
+
+    monkeypatch.setattr(FreeModuleMap, "compose", off)
+    with pytest.raises(AssertionError, match="rung cube: compositions"):
         check("cube")
 
 

@@ -175,6 +175,7 @@ KEPT_FOR_OUTSIDE_READERS = {
     "bracket: CoefficientSystem.scale_row": "tests/test_acceptance.py, the gate",
     "bracket: CoefficientSystem.permute_rows": "tests/test_acceptance.py, the gate",
     "exterior: GradedPiece.source_coords": "perfbench/spans.py, the tracer",
+    "exterior: FreeModuleMap.compose": "perfbench/spans.py, the tracer",
 }
 
 
