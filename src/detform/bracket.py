@@ -9,12 +9,13 @@ times, one copy per polynomial.  Everything stays exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .errors import DegreePatternViolation, DimensionMismatch, ParseError
 from .exterior import FreeModuleMap
 from .linalg import QQ, clear_denominators, det_bareiss, qq, rat_str
+from .record import Frozen
 from .tate import point_of, support_of
 
 Point = tuple[int, ...]
@@ -24,8 +25,7 @@ NUM_POLYS = 4
 _COEFFICIENT_BOUND = 99
 
 
-@dataclass(frozen=True)
-class CoefficientSystem:
+class CoefficientSystem(Frozen):
     """Exact rational coefficients: four rows, one column per support point.
 
     Row k holds the coefficients of the k-th polynomial in the canonical
@@ -35,9 +35,10 @@ class CoefficientSystem:
     the bracket notation, and an index outside the system is a ValueError.
     """
 
-    rows: tuple[tuple[QQ, ...], ...]
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple[tuple[QQ, ...], ...]):
+        object.__setattr__(self, "rows", rows)
         if len(self.rows) != NUM_POLYS:
             raise ValueError("a coefficient system has exactly four rows")
         if len({len(r) for r in self.rows}) != 1:
@@ -123,23 +124,20 @@ def bracket_value(quad: Quad, system: CoefficientSystem) -> QQ:
     return det_bareiss(minor)
 
 
-@dataclass(frozen=True)
-class BracketCell:
+class BracketCell(NamedTuple):
     """Sum of bracket variables: ((quad, coefficient), ...), quads 1-based."""
 
     terms: tuple[tuple[Quad, QQ], ...]
 
 
-@dataclass(frozen=True)
-class LinearCell:
+class LinearCell(NamedTuple):
     """Sum of single coefficients of one polynomial: ((point index, weight), ...)."""
 
     poly: int
     terms: tuple[tuple[int, QQ], ...]
 
 
-@dataclass(frozen=True, eq=True)
-class BracketMatrix:
+class BracketMatrix(NamedTuple):
     """Square matrix in bracket and coefficient variables, Theorem-style blocks.
 
     Labels are ("point", m) for bracket rows and columns, ("copy", k, m) for
@@ -316,14 +314,23 @@ def export_matrix(matrix: BracketMatrix) -> dict:
 
 
 def import_matrix(data: dict) -> BracketMatrix:
-    """Inverse of export_matrix; a row, col, poly, point, bracket or copy index
-    that is not an int (a bool or a float is not), a cell outside the square,
-    a poly or copy outside 1..4, a point or bracket index outside the support,
-    a bracket that is not 4 increasing indices, a coefficient that is not a
-    string or an int, or a label point that is not integers of the support's
-    dimension is a ParseError."""
+    """Inverse of export_matrix; a support point that is not ints of one
+    dimension (a bool or a float is not an int), a support that is not
+    strictly ascending (the order export_matrix writes, so a repeated point
+    is refused), a row, col, poly, point, bracket or copy index that is not
+    an int, a cell outside the square, a poly or copy outside 1..4, a point
+    or bracket index outside the support, a bracket that is not 4 increasing
+    indices, a coefficient that is not a string or an int, or a label point
+    that is not integers of the support's dimension is a ParseError."""
     try:
         support = tuple(tuple(p) for p in data["support"])
+        dim = len(support[0]) if support else 0
+        for p in support:
+            if len(p) != dim or any(type(c) is not int for c in p):
+                raise ValueError(f"support point {list(p)!r} is not {dim} integers")
+        for p, q in zip(support, support[1:]):
+            if p >= q:
+                raise ValueError(f"support points {list(p)!r}, {list(q)!r} are not ascending")
 
         def integer(value) -> int:
             if type(value) is not int:
@@ -341,7 +348,7 @@ def import_matrix(data: dict) -> BracketMatrix:
             return qq(value)
 
         def label(lab: dict) -> tuple:
-            point, dim = tuple(lab["point"]), len(support[0])
+            point = tuple(lab["point"])
             if len(point) != dim or any(type(c) is not int for c in point):
                 raise ValueError(f"label point {lab['point']!r} is not {dim} integers")
             if "copy" not in lab:

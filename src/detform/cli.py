@@ -19,7 +19,7 @@ import json
 import random
 import sys
 import traceback
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bracket import (
     apply_U4,
@@ -92,8 +92,7 @@ class NoDiskSelection(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     support_path: str
     shelling: str = "auto"

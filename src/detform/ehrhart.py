@@ -9,7 +9,7 @@ enumeration, making this module an oracle for the rest of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InterpolationMismatch, InvariantViolation, UnsupportedDimension
 from .lattice import Polytope, facet_bits, point_census
@@ -30,8 +30,7 @@ def _binomial_eval(d, x: int) -> int:
     return d[0] + d[1] * x + d[2] * c2 + d[3] * (c2 * (x - 2) // 3)
 
 
-@dataclass(frozen=True)
-class EhrhartPair:
+class EhrhartPair(NamedTuple):
     """Counting polynomial of Q and its facet-removed companion.
 
     p counts lattice points of the k-fold dilation; p_off counts those

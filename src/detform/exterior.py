@@ -52,11 +52,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import add
 
 from .errors import InvariantViolation
 from .linalg import Echelon, echelon_mod2, independent_mod2, primitive_integer_vector
+from .record import Frozen, Record
 
 Subset = tuple[int, ...]
 Vector = dict[tuple[int, Subset], int]
@@ -97,19 +97,19 @@ def pack(weight) -> int:
     return key
 
 
-@dataclass(frozen=True)
-class ExteriorAlgebra:
+class ExteriorAlgebra(Frozen):
     """Ambient algebra data: generator count and one torus weight per generator.
-    _subsets caches the weight groups of the subsets, built once a size."""
+    _subsets caches the weight groups of the subsets, built once a size;
+    reach bounds |w(S)| entrywise. Neither takes part in equality."""
 
-    nvars: int
-    var_weights: tuple[tuple[int, ...], ...]
-    _subsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    reach: int = field(init=False, repr=False, compare=False)  # bounds |w(S)| entrywise
+    __slots__ = ("nvars", "var_weights", "_subsets", "reach")
+    _fields = ("nvars", "var_weights")
 
-    def __post_init__(self):
-        reach = sum(max(map(abs, w), default=0) for w in self.var_weights)
-        object.__setattr__(self, "reach", reach)
+    def __init__(self, nvars: int, var_weights: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "var_weights", var_weights)
+        object.__setattr__(self, "_subsets", {})
+        object.__setattr__(self, "reach", sum(max(map(abs, w), default=0) for w in var_weights))
 
 
 # tables that depend only on the generator count, shared by every algebra:
@@ -150,22 +150,25 @@ def wedge_table(algebra: ExteriorAlgebra, T: Subset, k: int):
     return _TABLES[key]
 
 
-@dataclass(frozen=True)
-class Generator:
-    degree: int
-    weight: tuple[int, ...]
-    key: int = field(init=False, repr=False, compare=False)  # pack(weight)
+class Generator(Frozen):
+    """A generator's degree and torus weight; key = pack(weight), computed
+    once, is left out of equality."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", pack(self.weight))
+    __slots__ = ("degree", "weight", "key")
+    _fields = ("degree", "weight")
+
+    def __init__(self, degree: int, weight: tuple[int, ...]):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "key", pack(weight))
 
 
-@dataclass(frozen=True)
-class GradedFreeModule:
-    algebra: ExteriorAlgebra
-    generators: tuple[Generator, ...]
+class GradedFreeModule(Frozen):
+    __slots__ = _fields = ("algebra", "generators")
 
-    def __post_init__(self):
+    def __init__(self, algebra: ExteriorAlgebra, generators: tuple[Generator, ...]):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "generators", generators)
         weights = [g.weight for g in self.generators]
         lengths = {len(w) for w in self.algebra.var_weights}
         lengths.update(map(len, weights))
@@ -188,17 +191,15 @@ class GradedFreeModule:
         return dict(sorted(Counter(self.degrees()).items(), reverse=True))
 
 
-@dataclass
-class FreeModuleMap:
+class FreeModuleMap(Record):
     """Map of graded free right modules, given by the images of the source
     generators: columns[j] is the image of source generator j, a vector with
     nonzero integer coefficients."""
 
-    source: GradedFreeModule
-    target: GradedFreeModule
-    columns: list[Vector]
+    __slots__ = _fields = ("source", "target", "columns")
 
-    def __post_init__(self):
+    def __init__(self, source: GradedFreeModule, target: GradedFreeModule, columns: list[Vector]):
+        self.source, self.target, self.columns = source, target, columns
         if self.source.algebra != self.target.algebra:
             raise InvariantViolation("source and target live over different algebras")
         if len(self.columns) != self.source.rank:
@@ -256,18 +257,21 @@ def odd_terms(col: Vector) -> frozenset:
     return once
 
 
-@dataclass
-class GradedPiece:
+class GradedPiece(Record):
     """Degree-d component of phi, laid out as its torus-weight blocks
-    (ascending source keys, weight, packed weight)."""
+    (ascending source keys, weight, packed weight). rows is
+    positions(phi.target, d); height counts the source positions, and a
+    coordinate's key is j * height + position; odd maps a generator to its
+    pattern: first position, [(row at idx 0, idx)], memo. terms, built by
+    exact_terms, starts empty."""
 
-    phi: FreeModuleMap
-    d: int
-    rows: tuple[dict[int, int], int]  # positions(phi.target, d)
-    blocks: list[tuple[list[int], tuple[int, ...], int]]
-    height: int  # source positions; a coordinate's key is j * height + position
-    odd: dict[int, tuple]  # generator -> pattern: first position, [(row at idx 0, idx)], memo
-    terms: dict[int, list[tuple]] = field(default_factory=dict)  # built by exact_terms
+    __slots__ = _fields = ("phi", "d", "rows", "blocks", "height", "odd", "terms")
+
+    def __init__(self, phi: FreeModuleMap, d: int, rows: tuple[dict[int, int], int],
+                 blocks: list[tuple[list[int], tuple[int, ...], int]], height: int,
+                 odd: dict[int, tuple]):
+        self.phi, self.d, self.rows, self.blocks = phi, d, rows, blocks
+        self.height, self.odd, self.terms = height, odd, {}
 
     @property
     def source_coords(self) -> list[tuple[int, Subset]]:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
 from .errors import DegenerateSpan, EmptyInput, ParseError
 from .linalg import Echelon
+from .record import Frozen
 
 Point = tuple[int, ...]
 
@@ -45,8 +46,7 @@ def affine_rank(points: list[Point]) -> int:
     return Echelon(dict(enumerate(_sub(p, base))) for p in points[1:]).rank
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """One facet inequality <m, normal> >= -offset plus its vertex set."""
 
     normal: Point
@@ -54,28 +54,27 @@ class Facet:
     vertex_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     vertex_ids: tuple[int, int]
     facet_ids: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(Frozen):
     """Full-dimensional lattice polytope with its facet and face data.
 
     Facets are sorted by (normal, offset); vertices lexicographically. In
     dimension 3 the edge list is populated, each edge with its two facets.
+    _census, _faces and _masks are per-polytope memos, filled on demand and
+    left out of equality and hashing.
     """
 
-    dim: int
-    points: tuple[Point, ...]
-    vertices: tuple[Point, ...]
-    facets: tuple[Facet, ...]
-    edges: tuple[Edge, ...] = field(default=())
-    _census: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _faces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("dim", "points", "vertices", "facets", "edges", "_census", "_faces", "_masks")
+    _fields = ("dim", "points", "vertices", "facets", "edges")
+
+    def __init__(self, dim: int, points: tuple[Point, ...], vertices: tuple[Point, ...],
+                 facets: tuple[Facet, ...], edges: tuple[Edge, ...] = ()):
+        for name, value in zip(self.__slots__, (dim, points, vertices, facets, edges, {}, {}, {})):
+            object.__setattr__(self, name, value)
 
     @property
     def num_facets(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonGenericDirection
 from .lattice import Polytope, _dot, facet_bits, facet_ids, point_census
@@ -46,8 +46,7 @@ def _masks(Q: Polytope) -> tuple[list[int], list[int], list[int]]:
     return Q._masks["vertices"], Q._masks["edges"], Q._masks["adjacent"]
 
 
-@dataclass(frozen=True)
-class ShellingStep:
+class ShellingStep(NamedTuple):
     """Intersection of one facet with the union of the facets before it."""
 
     facet_id: int
@@ -55,8 +54,7 @@ class ShellingStep:
     ok: bool
 
 
-@dataclass(frozen=True)
-class PartialShelling:
+class PartialShelling(NamedTuple):
     order: tuple[int, ...]
     steps: tuple[ShellingStep, ...]
 

@@ -13,7 +13,7 @@ in the dual degrees -3 and -4 the point is the negated weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, InvariantViolation, UnsupportedDimension
 from .exterior import (
@@ -39,8 +39,7 @@ def support_of(algebra: ExteriorAlgebra) -> tuple[Point, ...]:
     return tuple(tuple(-c for c in w) for w in algebra.var_weights)
 
 
-@dataclass(frozen=True)
-class TateWindow:
+class TateWindow(NamedTuple):
     """The window's three maps; its four terms and its support are read off them.
 
     maps[k] goes terms[k-1] -> terms[k]. maps[0] carries the final matrix:

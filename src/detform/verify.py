@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import prod
 from operator import mul
+from typing import NamedTuple
 
 from .bracket import CoefficientSystem
 from .errors import NotStabilized, UnsupportedDimension
@@ -77,8 +77,7 @@ def reduced_cohomology(Q: Polytope, selection) -> tuple[int, ...]:
     return tuple(len(levels[d + 1]) - ranks[d + 1] - ranks[d + 2] for d in range(Q.dim))
 
 
-@dataclass(frozen=True)
-class CohomologyEntry:
+class CohomologyEntry(NamedTuple):
     """Sheaf cohomology dimensions of one divisor twist, all degrees 0..dim."""
 
     k: int

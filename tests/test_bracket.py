@@ -269,6 +269,13 @@ def _label(field, value, copy):
     return mutate
 
 
+def _support(i, value):
+    """Set support point i; None repeats the point before it."""
+    def mutate(data):
+        data["support"][i] = list(data["support"][i - 1]) if value is None else value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_set("poly", "poly", 0), "poly 0 outside 1..4"),
     (_set("poly", "poly", 5), "poly 5 outside 1..4"),
@@ -299,12 +306,18 @@ def _label(field, value, copy):
     (_label("point", [0, 0], True), re.escape("label point [0, 0] is not 3 integers")),
     (_label("point", [0, 0, 0, 0], False), re.escape("label point [0, 0, 0, 0] is not 3 integers")),
     (_label("point", [True, 0, 0], True), re.escape("label point [True, 0, 0] is not 3 integers")),
+    (_support(1, [0.5, 0, 0]), re.escape("support point [0.5, 0, 0] is not 3 integers")),
+    (_support(1, [0, True, 0]), re.escape("support point [0, True, 0] is not 3 integers")),
+    (_support(1, "abc"), re.escape("support point ['a', 'b', 'c'] is not 3 integers")),
+    (_support(1, [0, 0]), re.escape("support point [0, 0] is not 3 integers")),
+    (_support(1, None), r"support points \[-1, 0, 0\], \[-1, 0, 0\] are not ascending"),
 ], ids=["poly-0", "poly-5", "point-0", "point-8", "quad-0", "quad-8",
         "quad-order", "quad-short", "row-99", "col-neg", "labels",
         "row-float", "col-bool", "poly-float", "poly-bool", "point-float", "quad-float",
         "coeff-float", "quad-coeff-float", "coeff-bool", "quad-coeff-none",
         "copy-9", "copy-0", "copy-float", "copy-str",
-        "label-float", "label-short", "label-long", "label-bool"])
+        "label-float", "label-short", "label-long", "label-bool",
+        "support-float", "support-bool", "support-str", "support-short", "support-repeat"])
 def test_import_rejects_malformed_cells(octahedron_matrix, mutate, message):
     # a poly-0 cell used to evaluate silently with the last coefficient row,
     # and a float index imported and then failed as a list index in evaluate

@@ -6,7 +6,7 @@ reference for the census and for the three point queries filtered from it.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import itertools
 import math
 from pathlib import Path
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from detform import lattice
 from detform.ehrhart import ehrhart_pair
 from detform.lattice import (
+    Polytope,
     affine_rank,
     convex_hull_with_facets,
     interior_points,
@@ -124,7 +125,7 @@ def test_census_matches_box_reference_on_the_supports_and_the_corpus():
 
 def test_census_lifecycle(monkeypatch):
     Q = convex_hull_with_facets(CUBE_POINTS)
-    twin = dataclasses.replace(Q)
+    twin = Polytope(Q.dim, Q.points, Q.vertices, Q.facets, Q.edges)
     digest = hash(Q)
     walks = []
     walk = lattice._column_walk
@@ -143,7 +144,7 @@ def test_census_lifecycle(monkeypatch):
     # a filled census changes neither equality nor hashing, and copies start empty
     assert Q == twin and hash(Q) == hash(twin) == digest
     assert twin._census == {}
-    assert dataclasses.replace(Q)._census == {}
+    assert copy.copy(Q)._census == {}
     assert translate(Q, (1, 0, 0))._census == {}
 
     # every query hands out a fresh list

@@ -12,13 +12,18 @@ tests alone, unless a named reader outside ``src/`` needs it; a module-level
 ``alias = function`` is a second name for one thing.
 
 The benchmark's traced run wraps detform functions and methods by name
-(``perfbench/spans.py``), so every name it lists must exist as well.
+(``perfbench/spans.py``), so every name it lists must exist as well. And
+importing the package and its command line front end imports no
+``dataclasses`` (``tests/no_dataclasses.py``).
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,6 +100,14 @@ def test_rational_imports_are_found():
 @pytest.mark.parametrize("module", INTEGER_MODULES)
 def test_integer_module_imports_no_rationals(module):
     assert rational_imports((SRC / f"{module}.py").read_text(encoding="utf-8")) == set()
+
+
+def test_importing_detform_imports_no_dataclasses():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, str(ROOT / "tests" / "no_dataclasses.py")], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert Path(run.stdout.strip()).parent == SRC
 
 
 @pytest.mark.parametrize("module, attr", [entry[:2] for entry in SPANS.FUNCTIONS])
