@@ -36,9 +36,11 @@ from .errors import (
     EmptyInput,
     InterpolationMismatch,
     InvariantViolation,
+    NoDiskSelection,
     NonGenericDirection,
     NotStabilized,
     ParseError,
+    SearchTooLarge,
     UnsupportedDimension,
 )
 from .lattice import (
@@ -83,11 +85,13 @@ __all__ = [
     "EmptyInput",
     "InterpolationMismatch",
     "InvariantViolation",
+    "NoDiskSelection",
     "NonGenericDirection",
     "NotStabilized",
     "ParseError",
     "PartialShelling",
     "Polytope",
+    "SearchTooLarge",
     "TateWindow",
     "UnsupportedDimension",
     "apply_U4",

@@ -5,11 +5,9 @@ facet selection, and writes one JSON object, its first key the --seed value,
 to stdout or to --output; predict-size and evaluate print one line of text
 instead unless --json or --output is given.  All randomness flows from --seed.
 
-Exit codes: 0 success, 2 parse failure, 3 degenerate geometry or a support
-of a dimension other than 3 where the window is needed, 4 no disk
-selection found, 5 dimension mismatch against the predicted counts, 6
-verification failure, 7 broken internal invariant or any other unexpected
-exception (a bug, not bad input).
+Exit codes: 0 success, else the exit_code of the DetformError raised (see
+errors.py), 2 for a file that cannot be read, 6 for a failed verify check,
+and 7 for any other exception, a ValueError included: a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -37,13 +35,9 @@ from .ehrhart import (
 )
 from .errors import (
     DegenerateSpan,
-    DegreePatternViolation,
     DetformError,
-    DimensionMismatch,
-    EmptyInput,
-    InterpolationMismatch,
     InvariantViolation,
-    NonGenericDirection,
+    NoDiskSelection,
     NotStabilized,
     ParseError,
     UnsupportedDimension,
@@ -66,31 +60,6 @@ from .verify import (
     high_dim_feasible_selection,
     reduced_cohomology,
 )
-
-EXIT_PARSE = 2
-EXIT_GEOMETRY = 3
-EXIT_NO_DISK = 4
-EXIT_DIMENSION = 5
-EXIT_VERIFY = 6
-EXIT_INTERNAL = 7
-
-_ERROR_CODES = (
-    ((ParseError, EmptyInput), EXIT_PARSE),
-    ((DegenerateSpan, NonGenericDirection, UnsupportedDimension), EXIT_GEOMETRY),
-    ((DimensionMismatch, DegreePatternViolation,
-      InterpolationMismatch), EXIT_DIMENSION),
-    ((NotStabilized,), EXIT_VERIFY),
-    ((InvariantViolation,), EXIT_INTERNAL),
-)
-
-# what a failing verify check raises; a broken invariant or any other error reaches run()
-_CHECK_FAILURES = tuple(cls for classes, code in _ERROR_CODES if code != EXIT_INTERNAL
-                        for cls in classes) + (ValueError, AssertionError)
-
-
-class NoDiskSelection(Exception):
-    pass
-
 
 class RunConfig(NamedTuple):
     command: str
@@ -126,11 +95,10 @@ def _parse_indices(spec: str, num_facets: int) -> tuple[int, ...]:
 
 def _resolve_shelling(Q, spec: str, seed: int):
     if spec == "auto":
-        search = lambda: best_selection(Q, seed=seed)
-    elif spec.startswith("indices="):
-        ids = _parse_indices(spec, Q.num_facets)
-        search = lambda: shelling_order_for(Q, ids)
-    elif spec.startswith("direction="):
+        return best_selection(Q, seed=seed)
+    if spec.startswith("indices="):
+        return shelling_order_for(Q, _parse_indices(spec, Q.num_facets))
+    if spec.startswith("direction="):
         try:
             coords, steps = spec[len("direction="):].split(":")
             direction = tuple(int(t) for t in coords.split(","))
@@ -141,13 +109,8 @@ def _resolve_shelling(Q, spec: str, seed: int):
             raise ParseError(f"direction in {spec!r} needs {Q.dim} coordinates")
         if not 1 <= k < Q.num_facets:
             raise ParseError(f"step count in {spec!r} outside 1..{Q.num_facets - 1}")
-        search = lambda: line_shelling(Q, direction, k)
-    else:
-        raise ParseError(f"unknown shelling spec {spec!r}")
-    try:
-        return search()
-    except ValueError as exc:
-        raise NoDiskSelection(str(exc)) from None
+        return line_shelling(Q, direction, k)
+    raise ParseError(f"unknown shelling spec {spec!r}")
 
 
 def _resolve_for_window(config: RunConfig, Q):
@@ -330,12 +293,14 @@ def _cmd_verify(config: RunConfig, Q) -> int:
     ):
         try:
             checks.append({"name": name, "passed": True, "detail": check()})
-        except _CHECK_FAILURES as exc:
+        except (DetformError, AssertionError) as exc:
+            if getattr(exc, "exit_code", None) == InvariantViolation.exit_code:
+                raise  # a bug, not a failed check
             checks.append({"name": name, "passed": False,
                            "detail": f"{type(exc).__name__}: {exc}"})
     all_passed = all(c["passed"] for c in checks)
     _emit(config, {"selection": list(sel), "checks": checks, "all_passed": all_passed})
-    return 0 if all_passed else EXIT_VERIFY
+    return 0 if all_passed else NotStabilized.exit_code
 
 
 def _fail(message: str):
@@ -406,20 +371,13 @@ def run(config: RunConfig) -> int:
     try:
         Q = _load_polytope(config.support_path)
         return _COMMANDS[config.command](config, Q)
-    except NoDiskSelection as exc:
-        return _diagnose(EXIT_NO_DISK, exc)
-    except (OSError, UnicodeDecodeError) as exc:
-        return _diagnose(EXIT_PARSE, exc)
     except DetformError as exc:
-        for classes, code in _ERROR_CODES:
-            if isinstance(exc, classes):
-                return _diagnose(code, exc)
-        return _diagnose(EXIT_INTERNAL, exc)
-    except ValueError as exc:
-        return _diagnose(EXIT_GEOMETRY, exc)
+        return _diagnose(exc.exit_code, exc)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _diagnose(ParseError.exit_code, exc)
     except Exception as exc:  # a bug: diagnosed with its type and origin, not a traceback
         frame = traceback.extract_tb(exc.__traceback__)[-1]
-        return _diagnose(EXIT_INTERNAL, exc,
+        return _diagnose(InvariantViolation.exit_code, exc,
                          where=f"{frame.filename}:{frame.lineno} in {frame.name}")
 
 

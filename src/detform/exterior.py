@@ -263,9 +263,10 @@ class GradedPiece(Record):
     positions(phi.target, d); height counts the source positions, and a
     coordinate's key is j * height + position; odd maps a generator to its
     pattern: first position, [(row at idx 0, idx)], memo. terms, built by
-    exact_terms, starts empty."""
+    exact_terms, starts empty and stays out of equality."""
 
-    __slots__ = _fields = ("phi", "d", "rows", "blocks", "height", "odd", "terms")
+    __slots__ = ("phi", "d", "rows", "blocks", "height", "odd", "terms")
+    _fields = ("phi", "d", "rows", "blocks", "height", "odd")
 
     def __init__(self, phi: FreeModuleMap, d: int, rows: tuple[dict[int, int], int],
                  blocks: list[tuple[list[int], tuple[int, ...], int]], height: int,

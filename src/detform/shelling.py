@@ -15,7 +15,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .errors import NonGenericDirection
+from .errors import NoDiskSelection, NonGenericDirection
 from .lattice import Polytope, _dot, facet_bits, facet_ids, point_census
 
 Selection = tuple[int, ...]
@@ -69,14 +69,15 @@ def is_partial_shelling(Q: Polytope, order) -> tuple[bool, tuple[ShellingStep, .
     Each facet after the first must meet the union of its predecessors in
     one path of its boundary cycle. The union so far is a disk, so that
     meeting is a subgraph of the cycle, and a subgraph with an edge is one
-    path exactly when it has one more vertex than edges.
+    path exactly when it has one more vertex than edges. An order of every
+    facet, or of none, is NoDiskSelection: no proper disk.
     """
     order = tuple(order)
     if len(set(order)) != len(order):
         raise ValueError("facet indices must be distinct")
     facet_bits(Q, order)
     if not 1 <= len(order) < Q.num_facets:
-        raise ValueError("order must be a nonempty proper subset of the facets")
+        raise NoDiskSelection("order must be a nonempty proper subset of the facets")
 
     vertices, edges, _ = _masks(Q)
     steps = [ShellingStep(order[0], (), True)]
@@ -94,9 +95,10 @@ def is_partial_shelling(Q: Polytope, order) -> tuple[bool, tuple[ShellingStep, .
 
 
 def certify(Q: Polytope, order) -> PartialShelling:
+    """The order with its shelling certificate, or NoDiskSelection."""
     ok, steps = is_partial_shelling(Q, order)
     if not ok:
-        raise ValueError(f"order {order} is not a partial shelling (fails at facet {steps[-1].facet_id})")
+        raise NoDiskSelection(f"order {order} is not a partial shelling (fails at facet {steps[-1].facet_id})")
     return PartialShelling(tuple(order), steps)
 
 
@@ -207,7 +209,7 @@ def shelling_order_for(Q: Polytope, sel) -> PartialShelling:
     a facet that meets the shelled disk in more than one path encloses a
     pocket of the selection, and a facet of an innermost pocket that shares
     an edge with the disk meets it in one path. So the pass sticks only on
-    a selection that is not a disk.
+    a selection that is not a disk, which it refuses with NoDiskSelection.
     """
     sel = as_selection(Q, sel)
     order, rest = list(sel[:1]), list(sel[1:])
@@ -218,7 +220,7 @@ def shelling_order_for(Q: Polytope, sel) -> PartialShelling:
         order.append(step)
         rest.remove(step)
     if rest or not order:
-        raise ValueError(f"selection {sel} admits no shelling order")
+        raise NoDiskSelection(f"selection {sel} admits no shelling order")
     return certify(Q, order)
 
 
@@ -232,7 +234,8 @@ def best_selection(Q: Polytope, seed: int = 0) -> PartialShelling:
     With few facets the candidates are every proper subset that is a disk,
     enumerated as bit sets; otherwise they are the sweep prefixes drawn from
     the seed. The choice is one minimum over them: highest score first, ties
-    to the smallest sorted index tuple.
+    to the smallest sorted index tuple. With no candidate it raises
+    NoDiskSelection.
     """
     s = Q.num_facets
     if s <= EXHAUSTIVE_FACET_LIMIT:
@@ -241,7 +244,7 @@ def best_selection(Q: Polytope, seed: int = 0) -> PartialShelling:
         candidates = _sweep_prefixes(Q, seed)
     best = min(candidates, key=lambda m: (-_frontier(Q, m), facet_ids(m)), default=None)
     if best is None:
-        raise ValueError("no disk selection found")
+        raise NoDiskSelection("no disk selection found")
     return shelling_order_for(Q, facet_ids(best))
 
 

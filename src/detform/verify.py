@@ -15,7 +15,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .bracket import CoefficientSystem
-from .errors import NotStabilized, UnsupportedDimension
+from .errors import NotStabilized, SearchTooLarge, UnsupportedDimension
 from .lattice import Polytope, column_runs, facet_bits, facet_ids, point_census
 from .linalg import QQ, Echelon, qq
 from .shelling import as_selection
@@ -207,11 +207,12 @@ def feasibility_high_dim(Q: Polytope, selection) -> bool:
 
 def high_dim_feasible_selection(Q: Polytope):
     """First proper facet subset passing the census condition and the homology
-    test, or None; the census condition is bit algebra, so it goes first."""
+    test, or None; the census condition is bit algebra, so it goes first.
+    Above 16 facets it refuses the search with SearchTooLarge."""
     if Q.dim < 5:
         raise ValueError("expected dimension at least 5")
     if Q.num_facets > 16:
-        raise ValueError("facet count too large for exhaustive search")
+        raise SearchTooLarge("facet count too large for exhaustive search")
     for size in range(1, Q.num_facets):
         for sel in itertools.combinations(range(Q.num_facets), size):
             if _census_feasible(Q, facet_bits(Q, sel)) and not any(reduced_cohomology(Q, sel)):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from detform.bracket import format_coefficients, import_matrix
-from detform.cli import _ERROR_CODES, RunConfig, build_parser, config_from_args, main, run
+from detform.cli import RunConfig, build_parser, config_from_args, main, run
 from detform import errors, tate
 from detform.ehrhart import ehrhart_pair
 from detform.errors import DetformError, DimensionMismatch, InvariantViolation, UnsupportedDimension
@@ -432,6 +432,53 @@ def test_annulus_selection_exits_four(tmp_path, capsys):
         "message": f"selection {ANNULUS} admits no shelling order"}
 
 
+EVERY_CUBE_FACET = "indices=0,1,2,3,4,5"
+
+
+@pytest.mark.parametrize("command", ["shell", "build-matrix"])
+def test_a_selection_of_every_facet_exits_four(cube_file, capsys, command):
+    # the whole boundary is no disk: the shelling pass refuses its last step
+    code = run(RunConfig(command=command, support_path=cube_file, shelling=EVERY_CUBE_FACET))
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "code": 4, "type": "NoDiskSelection",
+        "message": "order must be a nonempty proper subset of the facets"}
+
+
+def test_feasibility_of_every_facet_is_infeasible(cube_file, capsys):
+    code, out = run_json(capsys, command="feasibility", support_path=cube_file,
+                         shelling=EVERY_CUBE_FACET)
+    assert code == 0
+    assert out == {"seed": 0, "dimension": 3, "feasible": False,
+                   "detail": "order must be a nonempty proper subset of the facets"}
+
+
+@pytest.fixture
+def cross5_file(tmp_path):
+    # the 5-dimensional cross-polytope: 32 facets, past the exhaustive search
+    rows = ["0 0 0 0 0"] + [" ".join(str(s * (i == j)) for j in range(5))
+                            for i in range(5) for s in (1, -1)]
+    path = tmp_path / "cross5.txt"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_feasibility_past_the_facet_limit_exits_three(cross5_file, capsys):
+    code = run(RunConfig(command="feasibility", support_path=cross5_file))
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["code"], err["message"]) == (3, "facet count too large for exhaustive search")
+
+
+def test_the_facet_limit_refusal_is_typed(cross5_file, capsys):
+    assert run(RunConfig(command="feasibility", support_path=cross5_file)) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "SearchTooLarge"
+
+
 def test_bad_shelling_spec_exits_two(cube_file, capsys):
     for spec in ("bogus", "indices=a,b", "direction=1,2,3"):
         code = run(RunConfig(command="shell", support_path=cube_file,
@@ -533,7 +580,7 @@ def test_unexpected_exception_exits_seven(octa_file, capsys, monkeypatch):
 
 
 def test_untyped_detform_error_exits_seven(octa_file, capsys, monkeypatch):
-    # an error of the package with no row in the table is a bug, not a
+    # an error of the package with no exit code of its own is a bug, not a
     # failed verification
     def explode(Q, sel):
         raise DetformError("forced for the error-path test")
@@ -546,11 +593,21 @@ def test_untyped_detform_error_exits_seven(octa_file, capsys, monkeypatch):
     assert (err["code"], err["type"]) == (7, "DetformError")
 
 
-def test_every_detform_error_has_an_exit_code():
-    tabled = {cls for classes, _ in _ERROR_CODES for cls in classes}
-    subclasses = {cls for cls in vars(errors).values()
-                  if isinstance(cls, type) and issubclass(cls, DetformError)}
-    assert subclasses - {DetformError} <= tabled
+def test_every_detform_error_exits_with_its_exit_code(octa_file, capsys, monkeypatch):
+    # the base class and each subclass, raised where the window is built
+    classes = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, DetformError)]
+    assert len(classes) == 13
+    for cls in classes:
+        def explode(Q, sel, cls=cls):
+            raise cls("forced")
+
+        monkeypatch.setattr("detform.cli.build_window", explode)
+        code = run(RunConfig(command="build-matrix", support_path=octa_file,
+                             shelling="indices=0,1,2,4"))
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == err["code"] == cls.exit_code, cls
+        assert cls.exit_code in range(2, 8) and err["type"] == cls.__name__
 
 
 def test_inhomogeneous_left_map_exits_seven(octa_file, capsys, monkeypatch):
@@ -592,8 +649,8 @@ def test_invariant_violation_in_verify_exits_seven(octa_file, capsys, monkeypatc
 
 
 def test_untyped_detform_error_in_verify_exits_seven(octa_file, capsys, monkeypatch):
-    # an error of the package with no row in the table is a bug in verify
-    # too: reported as in build-matrix, not as a failed check and exit 6
+    # an error of the package with no exit code of its own is a bug in
+    # verify too: reported as in build-matrix, not as a failed check and exit 6
     def explode(Q, sel):
         raise DetformError("forced")
 
@@ -607,8 +664,9 @@ def test_untyped_detform_error_in_verify_exits_seven(octa_file, capsys, monkeypa
 
 
 def test_unexpected_exception_in_verify_exits_seven(octa_file, capsys, monkeypatch):
-    # only typed errors, ValueError and _fail's AssertionError are failed
-    # checks; any other exception is a bug, diagnosed as in build-matrix
+    # only typed errors with an exit code below 7 and _fail's AssertionError
+    # are failed checks; any other exception is a bug, diagnosed as in
+    # build-matrix
     def explode(Q, sel):
         raise KeyError("forced for the error-path test")
 
@@ -620,6 +678,25 @@ def test_unexpected_exception_in_verify_exits_seven(octa_file, capsys, monkeypat
     err = json.loads(captured.err)["error"]
     assert (err["code"], err["type"]) == (7, "KeyError")
     assert err["where"].endswith(" in explode")
+
+
+def _raise_value_error(Q, sel):
+    raise ValueError("forced for the error-path test")
+
+
+@pytest.mark.parametrize("command", ["build-matrix", "verify"])
+def test_a_value_error_is_a_bug(octa_file, capsys, monkeypatch, command):
+    # a ValueError the package does not type is neither bad input (exit 3)
+    # nor, inside verify, a failed check (exit 6)
+    monkeypatch.setattr("detform.cli.build_window", _raise_value_error)
+    code = run(RunConfig(command=command, support_path=octa_file,
+                         shelling="indices=0,1,2,4", roots=1))
+    assert code == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert (err["code"], err["type"]) == (7, "ValueError")
+    assert err["where"].endswith(" in _raise_value_error")
 
 
 @pytest.mark.parametrize("site, command", [

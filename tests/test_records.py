@@ -23,13 +23,14 @@ from detform.exterior import (
     Generator,
     GradedFreeModule,
     GradedPiece,
+    lay_out,
 )
 from detform.lattice import Edge, Facet, Polytope, convex_hull_with_facets
 from detform.shelling import PartialShelling, ShellingStep
-from detform.tate import TateWindow
+from detform.tate import TateWindow, build_phi2
 from detform.verify import CohomologyEntry
 
-from conftest import CUBE_POINTS
+from conftest import CUBE_POINTS, OCTA_POINTS
 
 
 def algebra():
@@ -100,3 +101,12 @@ def test_record_value_semantics(make, field, other, frozen, hashes):
     else:
         with pytest.raises(TypeError):
             hash(a)
+
+
+def test_a_graded_piece_leaves_its_terms_cache_out_of_equality():
+    # serving block_columns fills the terms cache; equality reads the fields
+    phi = build_phi2(convex_hull_with_facets(OCTA_POINTS), (0, 1, 2, 4))
+    a, b = lay_out(phi, 1), lay_out(phi, 1)
+    a.block_columns(a.blocks[0][0])
+    assert a.terms and not b.terms
+    assert a == b

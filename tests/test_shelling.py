@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from detform import shelling
-from detform.errors import NonGenericDirection
+from detform.errors import NoDiskSelection, NonGenericDirection
 from detform.lattice import convex_hull_with_facets
 from detform.shelling import (
     best_selection,
@@ -361,8 +361,30 @@ def test_ring_step_meeting_in_two_edges_fails(cube):
     assert reference_shelling(cube, ring)[0] is False
 
 
+def test_every_refusal_of_a_disk_is_a_no_disk_selection(cube):
+    # the four places the library finds no disk or no order of one; each
+    # is still a ValueError for callers that catch that
+    simplex4 = convex_hull_with_facets([(0, 0, 0, 0)] + [
+        tuple(int(i == j) for j in range(4)) for i in range(4)])
+    sides = [facet_index(cube, n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]]
+    top, bottom = facet_index(cube, (0, 0, 1)), facet_index(cube, (0, 0, -1))
+    for refuse, message in [
+        (lambda: best_selection(simplex4), "no disk selection found"),
+        (lambda: shelling_order_for(cube, (top, bottom)),
+         f"selection {tuple(sorted((top, bottom)))} admits no shelling order"),
+        (lambda: is_partial_shelling(cube, range(6)),
+         "order must be a nonempty proper subset of the facets"),
+        (lambda: certify(cube, sides),
+         f"order {sides} is not a partial shelling (fails at facet {sides[3]})"),
+    ]:
+        with pytest.raises(NoDiskSelection) as caught:
+            refuse()
+        assert isinstance(caught.value, ValueError) and str(caught.value) == message
+
+
 # The depth-first search the greedy pass in shelling_order_for replaced, kept
-# here as the reference it must agree with on orders, steps and errors.
+# here as the reference it must agree with on orders, steps and errors,
+# the type of each error included.
 
 def reference_shelling_order_for(Q, sel):
     sel = tuple(sorted(set(sel)))
@@ -386,7 +408,7 @@ def reference_shelling_order_for(Q, sel):
         found = extend([first], {first})
         if found:
             return certify(Q, found)
-    raise ValueError(f"selection {sel} admits no shelling order")
+    raise NoDiskSelection(f"selection {sel} admits no shelling order")
 
 
 def _outcome(search, Q, sel):
