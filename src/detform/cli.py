@@ -93,9 +93,14 @@ def _parse_indices(spec: str, num_facets: int) -> tuple[int, ...]:
     return ids
 
 
-def _resolve_shelling(Q, spec: str, seed: int):
+def _resolve_shelling(config: RunConfig, Q):
+    """The --shelling selection, once any support but a 3-polytope is refused."""
+    if Q.dim != 3:
+        raise UnsupportedDimension(
+            f"{config.command} needs a 3-polytope; the support spans dimension {Q.dim}")
+    spec = config.shelling
     if spec == "auto":
-        return best_selection(Q, seed=seed)
+        return best_selection(Q, seed=config.seed)
     if spec.startswith("indices="):
         return shelling_order_for(Q, _parse_indices(spec, Q.num_facets))
     if spec.startswith("direction="):
@@ -111,15 +116,6 @@ def _resolve_shelling(Q, spec: str, seed: int):
             raise ParseError(f"step count in {spec!r} outside 1..{Q.num_facets - 1}")
         return line_shelling(Q, direction, k)
     raise ParseError(f"unknown shelling spec {spec!r}")
-
-
-def _resolve_for_window(config: RunConfig, Q):
-    """The shelling of a command that builds on the window or counts its
-    size, which need a 3-polytope: any other dimension is refused first."""
-    if Q.dim != 3:
-        raise UnsupportedDimension(
-            f"{config.command} needs a 3-polytope; the support spans dimension {Q.dim}")
-    return _resolve_shelling(Q, config.shelling, config.seed)
 
 
 def _require_positive(flag: str, value: int | None) -> None:
@@ -166,9 +162,8 @@ def _cmd_facets(config: RunConfig, Q) -> int:
 
 
 def _cmd_shell(config: RunConfig, Q) -> int:
-    shelling = _resolve_shelling(Q, config.shelling, config.seed)
+    shelling = _resolve_shelling(config, Q)
     sel = shelling.selection
-    disk = is_disk(Q, sel)
     _emit(config, {
         "selection": list(sel),
         "order": list(shelling.order),
@@ -176,14 +171,14 @@ def _cmd_shell(config: RunConfig, Q) -> int:
             {"facet": s.facet_id, "shared_edges": [list(e) for e in s.shared_edges]}
             for s in shelling.steps
         ],
-        "is_disk": disk,
-        "boundary_lattice_count": boundary_lattice_count(Q, sel) if disk else None,
+        "is_disk": is_disk(Q, sel),
+        "boundary_lattice_count": boundary_lattice_count(Q, sel),
     })
     return 0
 
 
 def _cmd_predict_size(config: RunConfig, Q) -> int:
-    shelling = _resolve_for_window(config, Q)
+    shelling = _resolve_shelling(config, Q)
     pair = ehrhart_pair(Q, shelling)
     size = predicted_size(pair)
     per_poly, total = resultant_degree(pair)
@@ -204,7 +199,7 @@ def _cmd_predict_size(config: RunConfig, Q) -> int:
 
 
 def _build(config: RunConfig, Q):
-    shelling = _resolve_for_window(config, Q)
+    shelling = _resolve_shelling(config, Q)
     window = build_window(Q, shelling.selection)
     return shelling, window, apply_U4(window.maps[0])
 
@@ -241,7 +236,7 @@ def _cmd_verify(config: RunConfig, Q) -> int:
     _require_positive("--roots", config.roots)
     _require_positive("--box-radius", config.box_radius)
     rng = random.Random(config.seed)
-    sel = _resolve_for_window(config, Q).selection
+    sel = _resolve_shelling(config, Q).selection
     matrix = None  # set by window_counts once the window is built
 
     def built():
@@ -316,7 +311,7 @@ def _cmd_cohomology(config: RunConfig, Q) -> int:
         raise ParseError(f"bad twist range {config.k_range!r}") from None
     if lo > hi:
         raise ParseError(f"empty twist range {config.k_range!r}")
-    shelling = _resolve_for_window(config, Q)
+    shelling = _resolve_shelling(config, Q)
     entries = cohomology_profile(Q, shelling.selection, lo, hi,
                                  box_radius=config.box_radius)
     _emit(config, {
@@ -333,8 +328,7 @@ def _cmd_cohomology(config: RunConfig, Q) -> int:
 def _cmd_feasibility(config: RunConfig, Q) -> int:
     if Q.dim == 3:
         try:
-            shelling = _resolve_shelling(Q, config.shelling, config.seed)
-            out = {"feasible": True, "selection": list(shelling.selection)}
+            out = {"feasible": True, "selection": list(_resolve_shelling(config, Q).selection)}
         except NoDiskSelection as exc:
             out = {"feasible": False, "detail": str(exc)}
     elif Q.dim == 4:
@@ -344,7 +338,7 @@ def _cmd_feasibility(config: RunConfig, Q) -> int:
         ids = _parse_indices(config.shelling, Q.num_facets)
         try:
             out = {"feasible": feasibility_high_dim(Q, ids), "selection": list(ids)}
-        except ValueError as exc:
+        except NoDiskSelection as exc:
             out = {"feasible": False, "detail": str(exc), "selection": list(ids)}
     elif Q.dim >= 5:
         sel = high_dim_feasible_selection(Q)

@@ -262,11 +262,11 @@ class GradedPiece(Record):
     (ascending source keys, weight, packed weight). rows is
     positions(phi.target, d); height counts the source positions, and a
     coordinate's key is j * height + position; odd maps a generator to its
-    pattern: first position, [(row at idx 0, idx)], memo. terms, built by
-    exact_terms, starts empty and stays out of equality."""
+    pattern: first position, [(row at idx 0, idx)], memo. Equality reads
+    phi and d, which the rest derive from, so no cache enters it."""
 
     __slots__ = ("phi", "d", "rows", "blocks", "height", "odd", "terms")
-    _fields = ("phi", "d", "rows", "blocks", "height", "odd")
+    _fields = ("phi", "d")
 
     def __init__(self, phi: FreeModuleMap, d: int, rows: tuple[dict[int, int], int],
                  blocks: list[tuple[list[int], tuple[int, ...], int]], height: int,

@@ -34,7 +34,8 @@ def _bits(Q: Polytope, sel) -> int:
 
 def _masks(Q: Polytope) -> tuple[list[int], list[int], list[int]]:
     """Per facet the bit sets of its vertices, its edges (bit j: Q.edges[j]) and
-    the facets across them, once per polytope; from dimension 4 on, no edges."""
+    the facets across them, once per polytope; they decide disks in dimension 3
+    only, since from dimension 4 on Q has no edges."""
     if not Q._masks:
         edges, adjacent = [0] * Q.num_facets, [0] * Q.num_facets
         for j, e in enumerate(Q.edges):
@@ -234,11 +235,13 @@ def best_selection(Q: Polytope, seed: int = 0) -> PartialShelling:
     With few facets the candidates are every proper subset that is a disk,
     enumerated as bit sets; otherwise they are the sweep prefixes drawn from
     the seed. The choice is one minimum over them: highest score first, ties
-    to the smallest sorted index tuple. With no candidate it raises
-    NoDiskSelection.
+    to the smallest sorted index tuple. With no candidate, or outside
+    dimension 3, where the disk test does not hold, it raises NoDiskSelection.
     """
     s = Q.num_facets
-    if s <= EXHAUSTIVE_FACET_LIMIT:
+    if Q.dim != 3:
+        candidates = ()
+    elif s <= EXHAUSTIVE_FACET_LIMIT:
         candidates = (m for m in range(1, (1 << s) - 1) if _is_disk(Q, m))
     else:
         candidates = _sweep_prefixes(Q, seed)
@@ -250,18 +253,22 @@ def best_selection(Q: Polytope, seed: int = 0) -> PartialShelling:
 
 def _sweep_prefixes(Q: Polytope, seed: int):
     """Each proper prefix, as a bit set, of the facet orders of _SWEEP_SAMPLES
-    generic sweep directions drawn from the seed: line shellings, hence disks."""
+    generic sweep directions drawn from the seed: line shellings, hence disks;
+    NonGenericDirection once every nonzero direction in [-9, 9]^3 has tied."""
     rng = random.Random(seed)
     duals = _polar_vertices(Q)
-    drawn = 0
+    drawn, tied = 0, set()
     while drawn < _SWEEP_SAMPLES:
         direction = tuple(rng.randint(-9, 9) for _ in range(Q.dim))
-        if not any(direction):
+        if not any(direction) or direction in tied:
             continue
         try:
             order = _sweep_order(duals, direction)
         except NonGenericDirection:
-            continue
+            tied.add(direction)
+            if len(tied) < 19 ** 3 - 1:
+                continue
+            raise NonGenericDirection("every nonzero direction in [-9, 9]^3 ties two polar vertices")
         drawn += 1
         chosen = 0
         for i in order[:-1]:

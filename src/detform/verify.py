@@ -15,7 +15,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .bracket import CoefficientSystem
-from .errors import NotStabilized, SearchTooLarge, UnsupportedDimension
+from .errors import NoDiskSelection, NotStabilized, SearchTooLarge, UnsupportedDimension
 from .lattice import Polytope, column_runs, facet_bits, facet_ids, point_census
 from .linalg import QQ, Echelon, qq
 from .shelling import as_selection
@@ -190,18 +190,17 @@ def feasibility_dim4(Q: Polytope) -> tuple[bool, int | None]:
 
 
 def feasibility_high_dim(Q: Polytope, selection) -> bool:
-    """Dimension >= 5 test: the census condition on the selected facets.
-
-    The selection's facet union must carry no reduced rational homology
-    (checked through its cells); being a manifold is the caller's lookout.
-    """
+    """Dimension >= 5 test: the census condition on the selected facets. A
+    selection that is empty, of every facet, or whose union carries reduced
+    rational homology (checked through its cells) is NoDiskSelection; being
+    a manifold is the caller's lookout."""
     if Q.dim < 5:
         raise ValueError("expected dimension at least 5")
     sel = as_selection(Q, selection)
     if not sel or len(sel) >= Q.num_facets:
-        raise ValueError("selection must be a nonempty proper facet subset")
+        raise NoDiskSelection("selection must be a nonempty proper facet subset")
     if any(reduced_cohomology(Q, sel)):
-        raise ValueError("facet union carries reduced homology")
+        raise NoDiskSelection("facet union carries reduced homology")
     return _census_feasible(Q, facet_bits(Q, sel))
 
 

@@ -3,9 +3,12 @@ the test-only helpers that look facets up and move hulls."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import random
+import signal
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,25 @@ SIMPLEX2_POINTS = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
 ANNULUS_POINTS = [p for p in itertools.product(range(4), repeat=3)
                   if 2 <= sum(p) <= 7 and max(p) - min(p) <= 2]
 ANNULUS = (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13)
+# the radius-3 lattice ball: 56 facets, and no nonzero direction in
+# [-9, 9]^3 sweeps them without a tie
+BALL3_PATH = Path(__file__).resolve().parents[1] / "supports" / "ball3.txt"
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block once it has run seconds of wall time,
+    so a search that never ends fails its test instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def facet_index(Q: Polytope, normal) -> int:

@@ -17,7 +17,7 @@ from detform.lattice import convex_hull_with_facets, parse_support
 from detform.tate import build_window
 from detform.verify import CohomologyEntry, common_root_system, divisor_cohomology
 
-from conftest import ANNULUS, ANNULUS_POINTS
+from conftest import ANNULUS, ANNULUS_POINTS, BALL3_PATH, time_limit
 
 ROOT = Path(__file__).resolve().parents[1]
 CUBE = "0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n1 0 1\n0 1 1\n1 1 1\n"
@@ -68,23 +68,12 @@ def test_shell_reports_disk_and_boundary(cube_file, capsys):
     assert out["steps"][0]["shared_edges"] == []
 
 
-def test_shell_on_a_4_polytope_is_not_a_disk(capsys):
-    # V - E + F = 1 marks a disk on a 3-polytope boundary only; a 4-polytope
-    # has no edge list, so its one-facet shelling prints is_disk false
-    with pytest.raises(SystemExit) as exc:
-        main(["shell", str(ROOT / "supports" / "simplex4.txt"), "--shelling", "indices=0", "--json"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out == (
-        '{\n  "seed": 0,\n  "selection": [\n    0\n  ],\n  "order": [\n    0\n  ],\n'
-        '  "steps": [\n    {\n      "facet": 0,\n      "shared_edges": []\n    }\n  ],\n'
-        '  "is_disk": false,\n  "boundary_lattice_count": null\n}\n')
-
-
 @pytest.mark.parametrize("command", ["build-matrix", "evaluate", "predict-size", "verify",
-                                     "cohomology"])
+                                     "cohomology", "shell"])
 @pytest.mark.parametrize("spec", ["indices=0", "auto"])
 def test_a_4_polytope_is_refused_up_front_by_its_dimension(tmp_path, capsys, command, spec):
-    # the window and its counts need a 3-polytope: the 4-simplex is refused
+    # the window and its counts need a 3-polytope, and so does the disk test
+    # of a shelling (V - E + F = 1 over edges): the 4-simplex is refused
     # before any selection is searched or built, whatever the shelling
     coeffs = tmp_path / "coeffs.txt"
     coeffs.write_text("1 1 1 1 1\n" * 4)
@@ -479,6 +468,32 @@ def test_the_facet_limit_refusal_is_typed(cross5_file, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "SearchTooLarge"
 
 
+def test_shell_refuses_a_5_polytope_before_any_search(cross5_file, capsys):
+    # no direction in [-9, 9]^5 sweeps the cross-polytope without a tie, so
+    # a search past its 32 facets would never end
+    with time_limit(10):
+        code = run(RunConfig(command="shell", support_path=cross5_file))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert json.loads(captured.err)["error"] == {
+        "code": 3, "type": "UnsupportedDimension",
+        "message": "shell needs a 3-polytope; the support spans dimension 5"}
+
+
+@pytest.mark.parametrize("command", ["shell", "predict-size", "cohomology", "feasibility",
+                                     "build-matrix", "verify"])
+def test_a_support_with_no_generic_direction_exits_three(capsys, command):
+    # the radius-3 ball's 56 facets are past the enumeration, and every
+    # direction the sweep may draw ties two of them: the search is refused
+    with time_limit(5):
+        code = run(RunConfig(command=command, support_path=str(BALL3_PATH)))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert json.loads(captured.err)["error"] == {
+        "code": 3, "type": "NonGenericDirection",
+        "message": "every nonzero direction in [-9, 9]^3 ties two polar vertices"}
+
+
 def test_bad_shelling_spec_exits_two(cube_file, capsys):
     for spec in ("bogus", "indices=a,b", "direction=1,2,3"):
         code = run(RunConfig(command="shell", support_path=cube_file,
@@ -684,12 +699,15 @@ def _raise_value_error(Q, sel):
     raise ValueError("forced for the error-path test")
 
 
-@pytest.mark.parametrize("command", ["build-matrix", "verify"])
-def test_a_value_error_is_a_bug(octa_file, capsys, monkeypatch, command):
-    # a ValueError the package does not type is neither bad input (exit 3)
-    # nor, inside verify, a failed check (exit 6)
-    monkeypatch.setattr("detform.cli.build_window", _raise_value_error)
-    code = run(RunConfig(command=command, support_path=octa_file,
+@pytest.mark.parametrize("command", ["build-matrix", "verify", "feasibility"])
+def test_a_value_error_is_a_bug(octa_file, cross5_file, capsys, monkeypatch, command):
+    # a ValueError the package does not type is neither bad input (exit 3),
+    # nor, inside verify, a failed check (exit 6), nor, in dimension 5 and
+    # up, an infeasible selection (only NoDiskSelection is)
+    high_dim = command == "feasibility"
+    site = "feasibility_high_dim" if high_dim else "build_window"
+    monkeypatch.setattr(f"detform.cli.{site}", _raise_value_error)
+    code = run(RunConfig(command=command, support_path=cross5_file if high_dim else octa_file,
                          shelling="indices=0,1,2,4", roots=1))
     assert code == 7
     captured = capsys.readouterr()

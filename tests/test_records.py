@@ -77,7 +77,7 @@ RECORDS = [
     (Generator, lambda: Generator(1, (1, 0)), "degree", 2, True, True),
     (GradedFreeModule, module, "generators", (), True, True),
     (FreeModuleMap, free_map, "columns", [{}, {}], False, False),
-    (GradedPiece, lambda: GradedPiece(free_map(), 0, ({0: 0}, 1), [], 2, {}), "height", 3,
+    (GradedPiece, lambda: GradedPiece(free_map(), 0, ({0: 0}, 1), [], 2, {}), "d", 1,
      False, False),
 ]
 
@@ -104,9 +104,13 @@ def test_record_value_semantics(make, field, other, frozen, hashes):
 
 
 def test_a_graded_piece_leaves_its_terms_cache_out_of_equality():
-    # serving block_columns fills the terms cache; equality reads the fields
+    # serving block_columns fills the terms cache, and serving odd_columns
+    # each pattern's memo; equality reads phi and d, which define the rest
     phi = build_phi2(convex_hull_with_facets(OCTA_POINTS), (0, 1, 2, 4))
     a, b = lay_out(phi, 1), lay_out(phi, 1)
     a.block_columns(a.blocks[0][0])
+    list(a.odd_columns(a.blocks[0][0]))
     assert a.terms and not b.terms
+    assert any(memo for _, _, memo in a.odd.values())
+    assert not any(memo for _, _, memo in b.odd.values())
     assert a == b

@@ -11,7 +11,7 @@ import pytest
 
 from detform import shelling
 from detform.errors import NoDiskSelection, NonGenericDirection
-from detform.lattice import convex_hull_with_facets
+from detform.lattice import convex_hull_with_facets, parse_support
 from detform.shelling import (
     best_selection,
     boundary_lattice_count,
@@ -26,10 +26,12 @@ from detform.shelling import (
 from conftest import (
     ANNULUS,
     ANNULUS_POINTS,
+    BALL3_PATH,
     CUBE_POINTS,
     OCTA_POINTS,
     facet_index,
     random_polytope,
+    time_limit,
 )
 
 SIMPLEX_POINTS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -361,15 +363,24 @@ def test_ring_step_meeting_in_two_edges_fails(cube):
     assert reference_shelling(cube, ring)[0] is False
 
 
-def test_every_refusal_of_a_disk_is_a_no_disk_selection(cube):
+def test_every_refusal_of_a_disk_is_a_no_disk_selection(cube, monkeypatch):
     # the four places the library finds no disk or no order of one; each
-    # is still a ValueError for callers that catch that
+    # is still a ValueError for callers that catch that. V - E + F = 1 over
+    # edges marks a disk on a 3-polytope boundary only, so best_selection
+    # refuses any other dimension without searching: the 5-dimensional
+    # cross-polytope's 32 facets are past the enumeration, and no direction
+    # in [-9, 9]^5 sweeps it without a tie, so a sweep would draw forever
     simplex4 = convex_hull_with_facets([(0, 0, 0, 0)] + [
         tuple(int(i == j) for j in range(4)) for i in range(4)])
+    cross5 = convex_hull_with_facets([(0,) * 5] + [
+        tuple(s * (i == j) for j in range(5)) for i in range(5) for s in (1, -1)])
+    assert cross5.num_facets == 32
+    monkeypatch.setattr(shelling, "_sweep_prefixes", None)
     sides = [facet_index(cube, n) for n in [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]]
     top, bottom = facet_index(cube, (0, 0, 1)), facet_index(cube, (0, 0, -1))
     for refuse, message in [
         (lambda: best_selection(simplex4), "no disk selection found"),
+        (lambda: best_selection(cross5), "no disk selection found"),
         (lambda: shelling_order_for(cube, (top, bottom)),
          f"selection {tuple(sorted((top, bottom)))} admits no shelling order"),
         (lambda: is_partial_shelling(cube, range(6)),
@@ -377,7 +388,7 @@ def test_every_refusal_of_a_disk_is_a_no_disk_selection(cube):
         (lambda: certify(cube, sides),
          f"order {sides} is not a partial shelling (fails at facet {sides[3]})"),
     ]:
-        with pytest.raises(NoDiskSelection) as caught:
+        with time_limit(10), pytest.raises(NoDiskSelection) as caught:
             refuse()
         assert isinstance(caught.value, ValueError) and str(caught.value) == message
 
@@ -458,6 +469,24 @@ def test_greedy_order_matches_the_search_on_random_hulls():
                     disks += disk
                     others += not disk
     assert disks > 600 and others > 500
+
+
+def test_the_sweep_ends_once_every_direction_has_tied(monkeypatch):
+    # no nonzero direction in [-9, 9]^3 is generic on the radius-3 ball: each
+    # of the 19^3 - 1 is evaluated once, then the search is refused
+    ball = convex_hull_with_facets(parse_support(BALL3_PATH.read_text()))
+    assert ball.num_facets == 56
+    evaluated, order = [], shelling._sweep_order
+
+    def sweep_order(duals, direction):
+        evaluated.append(direction)
+        return order(duals, direction)
+
+    monkeypatch.setattr(shelling, "_sweep_order", sweep_order)
+    with time_limit(10), pytest.raises(NonGenericDirection) as caught:
+        best_selection(ball, seed=3)
+    assert str(caught.value) == "every nonzero direction in [-9, 9]^3 ties two polar vertices"
+    assert len(evaluated) == len(set(evaluated)) == 19 ** 3 - 1
 
 
 # The argmin best_selection took through a closure before it became one min

@@ -25,7 +25,14 @@ from detform.lattice import (
     points_off_facets,
 )
 from detform.shelling import best_selection, is_disk
-from detform.tate import build_phi2, build_window, check_exactness, point_of, window_dump
+from detform.tate import (
+    build_phi2,
+    build_window,
+    check_exactness,
+    point_of,
+    support_of,
+    window_dump,
+)
 
 from conftest import CUBE_POINTS, OCTA_POINTS, acceptance_corpus, random_polytope, translate
 from rungs import RUNGS, composes_to_zero
@@ -110,20 +117,50 @@ def test_octahedron_window(octahedron):
     check_exactness(w)
 
 
+def rung_windows(name):
+    """The window of a tests/rungs.py row, or of each acceptance-corpus instance."""
+    if name == "corpus":
+        cases = [(Q, selection) for _, Q, selection in acceptance_corpus()]
+    else:
+        cases = [(convex_hull_with_facets(RUNGS[name].points), RUNGS[name].selection)]
+    return [build_window(Q, selection) for Q, selection in cases]
+
+
 @pytest.mark.parametrize("name", ["cube", "octahedron", "box12", "corpus"])
 def test_every_window_composes_to_zero(name):
     # the build proves each cover column a kernel vector over block keys and
     # composes nothing; compose, over (generator, subset) coordinates, is
     # the reference on the cube, the octahedron, box12 and all 25
     # acceptance-corpus windows
-    if name == "corpus":
-        cases = [(Q, selection) for _, Q, selection in acceptance_corpus()]
-    else:
-        cases = [(convex_hull_with_facets(RUNGS[name].points), RUNGS[name].selection)]
-    for Q, selection in cases:
-        w = build_window(Q, selection)
+    for w in rung_windows(name):
         assert all(any(phi.columns) for phi in w.maps.values())
         assert composes_to_zero(w)
+
+
+def koszul_columns(phi, degree):
+    """Σ_a (m + a) ⊗ e_a for each degree-`degree` source generator of phi, at
+    point m, over the support points a: each m + a is looked up among the
+    target's generators of degree + 1, never a dual one at the same point."""
+    at = {point_of(t): i for i, t in enumerate(phi.target.generators)
+          if t.degree == degree + 1}
+    support = support_of(phi.source.algebra)
+    return {j: {(at[tuple(x + y for x, y in zip(point_of(g), a))], (i,)): 1
+                for i, a in enumerate(support)}
+            for j, g in enumerate(phi.source.generators) if g.degree == degree}
+
+
+@pytest.mark.parametrize("name", ["cube", "octahedron", "box12", "corpus"])
+def test_the_linear_cover_columns_are_koszul_columns(name):
+    # the covers find the middle map's degree-0 columns and the left map's
+    # degree -1 columns by reduction; each is the Koszul column of its
+    # point, every coefficient +1, as in phi_2
+    checked = 0
+    for w in rung_windows(name):
+        for k, degree in ((1, 0), (0, -1)):
+            for j, column in koszul_columns(w.maps[k], degree).items():
+                assert w.maps[k].columns[j] == column, (k, j)
+                checked += 1
+    assert checked
 
 
 def nullity(piece) -> int:

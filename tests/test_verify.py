@@ -10,7 +10,7 @@ from math import prod
 import pytest
 
 from detform.bracket import apply_U4, evaluate
-from detform.errors import NotStabilized, UnsupportedDimension
+from detform.errors import NoDiskSelection, NotStabilized, UnsupportedDimension
 from detform.lattice import (
     convex_hull_with_facets,
     lattice_points_scaled,
@@ -395,9 +395,9 @@ def reference_feasibility_high_dim(Q, selection):
         raise ValueError("expected dimension at least 5")
     sel = tuple(sorted(set(selection)))
     if not sel or len(sel) >= Q.num_facets:
-        raise ValueError("selection must be a nonempty proper facet subset")
+        raise NoDiskSelection("selection must be a nonempty proper facet subset")
     if any(reduced_cohomology(Q, sel)):
-        raise ValueError("facet union carries reduced homology")
+        raise NoDiskSelection("facet union carries reduced homology")
     k1, k2 = (n + 1) // 2 - 2, (n + 2) // 2 - 2
     comp = tuple(j for j in range(Q.num_facets) if j not in set(sel))
     if k1 >= 1 and points_off_facets(Q, k1, sel):
