@@ -42,15 +42,22 @@ columns, and a count proves that they and the products span the block's
 kernel. A block whose rank drops mod 2 fails a check and reduces all its
 rows. A coordinate's bitset depends only on its subset and on its
 generator's pattern: the size k and the subsets of the odd terms
-(odd_terms), not their targets. So the generators of a pattern share one
-table, and each (pattern, subset) bitset is built once a piece; the
+(odd_terms), not their targets. So lay_out builds one table per pattern,
+indexed by position, and the generators of a pattern share it; the
 rightmost map's columns, one term per support point each, all share one.
+
+A caller may give the cover generators it knows (the window's Koszul
+columns, see tate.step_left). Each joins its degree's products, so its
+bitset takes a pivot in its block, which must then pass the certificate;
+the column itself is checked over Z against the block's exact columns,
+as block_kernel checks each vector it keeps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from operator import add
 
@@ -224,7 +231,7 @@ class FreeModuleMap(Record):
     def compose(self, inner: FreeModuleMap) -> FreeModuleMap:
         """self ∘ inner: column j is the sum of c * (self column i ∧ e_S) over
         the terms (i, S), c of inner's column j. The build never forms it
-        (block_kernel proves each cover column is a kernel vector); tests
+        (the cover checks each column over Z as a kernel vector); tests
         compose windows with it as their reference."""
         if inner.target is not self.source and inner.target != self.source:
             raise InvariantViolation("composition mismatch")
@@ -262,8 +269,9 @@ class GradedPiece(Record):
     (ascending source keys, weight, packed weight). rows is
     positions(phi.target, d); height counts the source positions, and a
     coordinate's key is j * height + position; odd maps a generator to its
-    pattern: first position, [(row at idx 0, idx)], memo. Equality reads
-    phi and d, which the rest derive from, so no cache enters it."""
+    pattern: first position, and the odd-entry bitset of each position.
+    Equality reads phi and d, which the rest derive from, so no cache
+    enters it."""
 
     __slots__ = ("phi", "d", "rows", "blocks", "height", "odd", "terms")
     _fields = ("phi", "d")
@@ -316,27 +324,14 @@ class GradedPiece(Record):
                             in self.exact_terms(j) if idx[s] is not None})
         return columns
 
-    def odd_columns(self, ids):
-        """Those columns' odd entries as bitsets over positions, XOR-ed; each
-        (pattern, subset) bitset is built once and shared by the pattern's
-        generators. A generator's keys are looked up once per run of them."""
-        odd, height, base, end = self.odd, self.height, 0, -1
-        for c in ids:
-            s = c - base
-            if not 0 <= s < end:
-                j = c // height
-                first, table, memo = odd[j]
-                base, end = j * height + first, height - first
-                s = c - base
-            bits = memo.get(s)
-            if bits is None:
-                bits = 0
-                for at, idx in table:
-                    u = idx[s]
-                    if u is not None:
-                        bits ^= 1 << at + u
-                memo[s] = bits
-            yield bits
+    def odd_columns(self, ids, pivots=None) -> list[int]:
+        """Those columns' odd entries as bitsets over positions, one read of
+        their pattern's table each. With pivots, an echelon_mod2 basis keyed
+        by bit_length, a column at position p is left out if p + 1 is a key."""
+        odd, height = self.odd, self.height
+        if pivots:
+            return [odd[c // height][1][c % height] for c in ids if c % height + 1 not in pivots]
+        return [odd[c // height][1][c % height] for c in ids]
 
 
 def block_kernel(src_ids, columns: list[dict[int, int]],
@@ -399,14 +394,33 @@ def annihilates(columns: list[dict[int, int]], vec: dict[int, int]) -> bool:
     return not any(total.values())
 
 
-def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
+def odd_table(algebra: ExteriorAlgebra, k: int, first: int, row_offset: dict[int, int],
+              Ts: frozenset) -> list[int]:
+    """A pattern's bitsets of odd entries, indexed by position, from first
+    on: at the s-th k-subset S, the bit row_offset[|U|] + idx of each
+    e_T ∧ e_S = ±e_U, U the idx-th subset of its size, over T in Ts."""
+    hits = [(row_offset[len(T) + k], wedge_table(algebra, T, k)[1])
+            for T in Ts if len(T) + k <= algebra.nvars]  # else e_T ∧ e_S = 0 for every S
+    table = [0] * first
+    for s in range(math.comb(algebra.nvars, k)):
+        bits = 0
+        for at, idx in hits:
+            if (u := idx[s]) is not None:
+                bits ^= 1 << at + u
+        table.append(bits)
+    return table
+
+
+def lay_out(phi: FreeModuleMap, d: int, terms=None) -> GradedPiece:
     """The degree-d piece of phi, laid out as its blocks without columns.
     The coordinate (j, S) weighs g_j.weight plus the weights of S, so j's
     keys, from j * height + offset(k) on, join blocks a subset weight group
     at a time: one block lookup per (generator, group), and a group of one
     subset appends its one key. Blocks come in the order of their first
     coordinate, their keys ascending. Generators of one size k and one
-    odd-term set (odd_terms of their columns) share a pattern."""
+    odd-term set (odd_terms of their columns, or terms[j] where a cover
+    has computed them once for all its degrees) share a pattern and its
+    odd_table."""
     algebra = phi.source.algebra
     offset, height = positions(phi.source, d)
     row_offset, row_height = positions(phi.target, d)
@@ -418,10 +432,9 @@ def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
         if k not in offset:
             continue
         start = j * height + offset[k]
-        Ts = odd_terms(phi.columns[j])
+        Ts = terms[j] if terms else odd_terms(phi.columns[j])
         if (k, Ts) not in patterns:
-            patterns[k, Ts] = (offset[k], [(row_offset[len(T) + k], wedge_table(algebra, T, k)[1])
-                                           for T in Ts if len(T) + k <= algebra.nvars], {})
+            patterns[k, Ts] = offset[k], odd_table(algebra, k, offset[k], row_offset, Ts)
         piece.odd[j] = patterns[k, Ts]
         for w_key, w, ids in subsets(algebra, k)[1]:
             b = g.key + w_key
@@ -436,14 +449,30 @@ def lay_out(phi: FreeModuleMap, d: int) -> GradedPiece:
     return piece
 
 
-def graded_piece(phi: FreeModuleMap, d: int) -> GradedPiece:
+def graded_piece(phi: FreeModuleMap, d: int, terms=None) -> GradedPiece:
     """The degree-d component of phi, laid out as its blocks (see lay_out)."""
-    return lay_out(phi, d)
+    return lay_out(phi, d, terms)
+
+
+def given_columns(piece: GradedPiece, shifted: GradedPiece, ids, weight, keys) -> list:
+    """(largest key, weight, column) of each given column, the product of a
+    given generator at one of these keys of shifted, in a block of piece
+    certified mod 2. Each must lie in the block and be checked over Z
+    against its exact columns, as block_kernel checks the vectors it keeps."""
+    found = []
+    for vec in shifted.block_columns(keys):
+        if not vec or not vec.keys() <= set(ids) or not annihilates(
+                piece.block_columns(list(vec)), dict(enumerate(vec.values()))):
+            raise InvariantViolation(f"a given column of degree {piece.d} and weight {weight}"
+                                     " is zero or no kernel vector")
+        found.append((max(vec), weight, vec))
+    return found
 
 
 def minimal_free_cover(
     phi: FreeModuleMap,
     degree_floor: int,
+    given: FreeModuleMap | None = None,
 ) -> tuple[FreeModuleMap, dict[int, tuple[int, int]]]:
     """Minimal graded free cover of ker(phi), scanned from the top degree down.
 
@@ -457,6 +486,14 @@ def minimal_free_cover(
     from theory and audit the generator counts instead of probing below
     it.
 
+    given, a map into phi.source, holds generators the caller knows: each
+    column joins its degree's products and becomes a generator of the
+    cover, keyed at its largest key among that degree's kernel vectors. Its
+    block must pass the mod-2 certificate, and the column is checked over Z
+    against the block's exact columns; either failure, or a column of the
+    wrong degree or weight, is an InvariantViolation. That no given column
+    is redundant is the caller's to audit, by counting generators.
+
     Returns (onto, dims): the cover onto.source, each generator carrying its
     degree and block weight, and dims[d] = (columns, nullity) of phi's
     degree-d piece for every degree scanned.
@@ -466,23 +503,44 @@ def minimal_free_cover(
     gens: list[Generator] = []
     vectors: list[Vector] = []
     dims: dict[int, tuple[int, int]] = {}
+    phi_terms, vector_terms = list(map(odd_terms, phi.columns)), []
+    if given is not None:
+        given.validate_degrees()
 
-    def add_generators(d: int) -> None:
-        piece = graded_piece(phi, d)
-        shifted = lay_out(FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), d)
+    def add_generators(d: int) -> int:
+        piece = graded_piece(phi, d, phi_terms)
+        known = [j for j, g in enumerate(given.source.generators) if g.degree == d] if given else []
+        shifted = lay_out(FreeModuleMap(
+            GradedFreeModule(algebra, (*gens, *(given.source.generators[j] for j in known))),
+            F, vectors + [given.columns[j] for j in known]), d,
+            vector_terms + [odd_terms(given.columns[j]) for j in known])
         products = {key: ids for ids, _, key in shifted.blocks}
-        height, columns, nullity, kernel = piece.height, 0, 0, []
+        first_known = len(gens) * shifted.height  # the given columns' products from here
+        columns, nullity, kernel, proved = 0, 0, [], 0
         for ids, weight, key in piece.blocks:
             columns += len(ids)
             # the block's products, as bitsets over the same positions; their
             # exact columns are over the same keys
-            prods = products.get(key, [])
-            basis = echelon_mod2(shifted.odd_columns(prods)) if prods else {}
-            # a pivot at a position two columns share fails the count
-            rest = [c for c in ids if c % height + 1 not in basis] if basis else ids
-            if len(rest) + len(basis) == len(ids) and independent_mod2(piece.odd_columns(rest)):
-                nullity += len(basis)
-                continue
+            prods = products.get(key, ())
+            if not prods:  # no pivots to take off
+                if independent_mod2(piece.odd_columns(ids)):
+                    continue
+            else:
+                basis = echelon_mod2(shifted.odd_columns(prods))
+                # a pivot at a position two columns share fails the count
+                rest = piece.odd_columns(ids, basis)
+                given_here = prods[-1] >= first_known  # given columns' products come last
+                if len(rest) + len(basis) == len(ids) and independent_mod2(rest):
+                    nullity += len(basis)
+                    if given_here:
+                        found = given_columns(piece, shifted, ids, weight,
+                                              prods[bisect_left(prods, first_known):])
+                        kernel += found
+                        proved += len(found)
+                    continue
+                if given_here:
+                    raise InvariantViolation(f"the block of a given column of degree {d} and"
+                                             f" weight {weight} fails the mod-2 certificate")
             block_nullity, kept = piece.kernel_vectors(ids, shifted.block_columns(prods))
             nullity += block_nullity
             kernel += [(free, weight, vec) for free, vec in kept]
@@ -492,7 +550,13 @@ def minimal_free_cover(
             # an integer kernel vector is positive at its free column, not
             # at its leading one; the cover's signs follow the leading entry
             vectors.append({piece.coord(c): v for c, v in primitive_integer_vector(vec).items()})
+            vector_terms.append(odd_terms(vectors[-1]))
+        return proved
 
+    proved = 0
     for d in range(max(F.degrees(), default=degree_floor - 1), degree_floor - 1, -1):
-        add_generators(d)  # its layouts are freed before the next degree's are built
+        proved += add_generators(d)  # its layouts are freed before the next degree's are built
+    if given is not None and proved != given.source.rank:
+        raise InvariantViolation(f"{given.source.rank - proved} given columns"
+                                 " lie in no block of the degrees scanned")
     return FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), dims

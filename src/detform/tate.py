@@ -13,6 +13,7 @@ in the dual degrees -3 and -4 the point is the negated weight.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, InvariantViolation, UnsupportedDimension
@@ -22,6 +23,7 @@ from .exterior import (
     GradedFreeModule,
     Generator,
     minimal_free_cover,
+    pack,
 )
 from .lattice import Point, Polytope, _add, lattice_points_scaled, points_off_facets
 from .shelling import as_selection, is_disk
@@ -116,24 +118,48 @@ def _audit(module: GradedFreeModule, predicted: dict[int, list[Point]], where: s
             raise DimensionMismatch(f"{where}: degree {d} weights do not match the predicted points")
 
 
+def koszul_map(F: GradedFreeModule, degree: int) -> FreeModuleMap:
+    """The Koszul columns Σ_a (m + a) ⊗ e_a into F, in this degree: one per
+    m whose every translate m + a is a generator of F one degree up, read
+    off F itself. A variable of weight v = -a sends m to m - v, found by the
+    packed weight pack(m) - pack(v), as exterior's blocks are."""
+    at = {g.key: i for i, g in enumerate(F.generators) if g.degree == degree + 1}
+    var_weights = F.algebra.var_weights
+    steps = [pack(v) for v in var_weights]
+    gens, columns = [], []
+    for g in F.generators:
+        if g.degree == degree + 1:  # m = g + v_0 for the first variable's v_0
+            rows = [at.get(g.key + steps[0] - step) for step in steps]
+            if None not in rows:
+                gens.append(Generator(degree, tuple(map(add, g.weight, var_weights[0]))))
+                columns.append({(i, (a,)): 1 for a, i in enumerate(rows)})
+    return FreeModuleMap(GradedFreeModule(F.algebra, tuple(gens)), F, columns)
+
+
 def step_left(Q: Polytope, sel, rightmost: FreeModuleMap) -> TateWindow:
     """Two minimal free covers, with every generator count and point audited.
 
-    Each cover lands in its map's kernel by construction, so no composition
-    is formed: block_kernel checks every kept vector over Z against its
-    block's exact columns, which hold every target coordinate of the
-    block's degree and weight, or takes it from a full exact reduction.
+    Each cover is given its linear generators, the Koszul columns of
+    koszul_map: degree 0 for the middle cover, degree -1 for the left. The
+    cover proves each by its block's mod-2 certificate and a check over Z,
+    and finds the other generators by reduction; the points of the given
+    ones are read off the map, so the audit still checks them. Each cover
+    lands in its map's kernel by construction, so no composition is
+    formed: a given column is checked over Z against its block's exact
+    columns, which hold every target coordinate of the block's degree and
+    weight, and block_kernel checks each kept vector the same way or takes
+    it from a full exact reduction.
     DimensionMismatch here is a hard failure: the predicted counts encode
     the vanishing theorem, so a mismatch means a bug, not an unlucky input.
     """
     selection = as_selection(Q, sel)
     complement = tuple(i for i in range(Q.num_facets) if i not in selection)
 
-    middle_map, phi2_dims = minimal_free_cover(rightmost, degree_floor=-3)
+    middle_map, phi2_dims = minimal_free_cover(rightmost, -3, koszul_map(rightmost.source, 0))
     _audit(middle_map.source, {0: points_off_facets(Q, 2, selection),
                                -3: points_off_facets(Q, 1, complement)}, "middle term")
 
-    left_map, middle_dims = minimal_free_cover(middle_map, degree_floor=-4)
+    left_map, middle_dims = minimal_free_cover(middle_map, -4, koszul_map(middle_map.source, -1))
     _audit(left_map.source, {-1: points_off_facets(Q, 1, selection),
                              -4: points_off_facets(Q, 2, complement)}, "left term")
 
@@ -156,9 +182,10 @@ def check_exactness(window: TateWindow) -> None:
     so a replaced left map is reduced again. A degree a cover did not scan
     lies above its map's top generator: its piece is empty, read as (0, 0).
     Equal dimensions make the window exact because im ⊆ ker, which the
-    covers proved as they were built: block_kernel checks each kept vector
-    over Z against its block's columns, or takes it from a full reduction.
-    A map replaced after the build is not checked for it here.
+    covers proved as they were built: a given Koszul column by its check
+    over Z against its block's columns, every other column by block_kernel,
+    which checks each kept vector the same way or takes it from a full
+    reduction. A map replaced after the build is not checked for it here.
     """
     _, left = minimal_free_cover(window.maps[0], degree_floor=-4)
     dims = {**window.piece_dims, 0: left}

@@ -630,8 +630,8 @@ def test_inhomogeneous_left_map_exits_seven(octa_file, capsys, monkeypatch):
     # still composes to zero, so only the degree check can catch it
     real_cover = tate.minimal_free_cover
 
-    def mixed_cover(phi, degree_floor):
-        onto, dims = real_cover(phi, degree_floor)
+    def mixed_cover(phi, degree_floor, given=None):
+        onto, dims = real_cover(phi, degree_floor, given)
         if degree_floor == -4:
             degrees = onto.source.degrees()
             deep, shallow = degrees.index(-4), degrees.index(-1)
@@ -648,6 +648,28 @@ def test_inhomogeneous_left_map_exits_seven(octa_file, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "InvariantViolation"
     assert "has degrees" in err["message"]
+
+
+def test_a_phi2_coefficient_of_two_exits_seven(octa_file, capsys, monkeypatch):
+    # the middle cover is given the Koszul columns of phi_2's source points;
+    # with one coefficient of phi_2 set to 2, the given column through that
+    # entry is no kernel vector, which the cover reports as a bug
+    real_phi2 = tate.build_phi2
+
+    def doubled(Q, sel):
+        phi = real_phi2(Q, sel)
+        [(j, (a,))] = list(tate.koszul_map(phi.source, 0).columns[0])[:1]
+        column = phi.columns[j]
+        column[next(key for key in column if key[1] != (a,))] = 2
+        return phi
+
+    monkeypatch.setattr(tate, "build_phi2", doubled)
+    code = run(RunConfig(command="build-matrix", support_path=octa_file,
+                         shelling="indices=0,1,2,4"))
+    assert code == 7
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "InvariantViolation"
+    assert "given column of degree 0" in err["message"]
 
 
 def test_invariant_violation_in_verify_exits_seven(octa_file, capsys, monkeypatch):

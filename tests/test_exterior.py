@@ -270,6 +270,41 @@ def test_minimal_cover_finds_deep_generator():
     assert not any(phi.compose(into).columns)
 
 
+def test_a_given_generator_is_the_one_reduction_finds():
+    # given the generator it would find, the cover returns it unchanged,
+    # proved by its block's certificate and a check over Z
+    alg = algebra(2)
+    phi = FreeModuleMap(module(alg, 0), module(alg, 1), [{(0, (0,)): 1}])
+    found = minimal_free_cover(phi, degree_floor=-2)
+    given = FreeModuleMap(found[0].source, phi.source, found[0].columns)
+    assert minimal_free_cover(phi, -2, given) == found
+
+
+# phi sends a weight-0 generator to t0 ∧ e0 + 2 t1 ∧ e1, over variables of
+# weights 1 and 2: in degree -1, (g, {0}) weighs 1 and maps to an even
+# nonzero vector, (g, {1}) weighs 2 and maps to t0 ∧ e01
+WEIGHTED = ExteriorAlgebra(2, ((1,), (2,)))
+EVEN = FreeModuleMap(GradedFreeModule(WEIGHTED, (Generator(0, (0,)),)),
+                     GradedFreeModule(WEIGHTED, (Generator(1, (-1,)), Generator(1, (-2,)))),
+                     [{(0, (0,)): 1, (1, (1,)): 2}])
+
+
+@pytest.mark.parametrize("degree, weight, column, message", [
+    (-1, 1, {(0, (0,)): 1}, "is zero or no kernel vector"),  # passes mod 2 only
+    (-1, 2, {}, "is zero or no kernel vector"),
+    (-1, 1, {(0, (1,)): 1}, "fails the mod-2 certificate"),  # a column of weight 2
+    (-1, 5, {(0, (0,)): 1}, "lie in no block"),
+    (-3, 1, {}, "lie in no block"),  # below the floor
+    (-1, 1, {(0, (0, 1)): 1}, "has degrees"),
+], ids=["even-image", "zero", "other-weight", "no-block", "unscanned", "wrong-degree"])
+def test_a_given_column_that_is_no_generator_is_an_invariant_violation(degree, weight,
+                                                                       column, message):
+    given = FreeModuleMap(GradedFreeModule(WEIGHTED, (Generator(degree, (weight,)),)),
+                          EVEN.source, [column])
+    with pytest.raises(InvariantViolation, match=message):
+        minimal_free_cover(EVEN, -2, given)
+
+
 def test_cover_image_matches_kernel_dimensions():
     rng = random.Random(3)
     alg = algebra(3)
@@ -927,7 +962,7 @@ def test_modules_refuse_torus_weights_of_another_length():
 
 def laid_out_pieces(build, monkeypatch) -> list:
     """Every piece lay_out makes while build() runs: cover pieces and their
-    products alike, kept alive with their memos."""
+    products alike, kept alive with their tables."""
     pieces = []
     lay_out = exterior.lay_out
 
@@ -957,20 +992,24 @@ SIMPLEX2 = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
 
 
 @pytest.mark.parametrize("name", ["cube", "octahedron", "simplex2"])
-def test_memoized_bitsets_are_every_sharing_generators_odd_entries(name, request,
-                                                                   monkeypatch):
-    # a (pattern, subset) bitset is built for one generator and read for
-    # every generator of its pattern: it must be each one's odd entries
+def test_pattern_tables_hold_every_sharing_generators_odd_entries(name, request,
+                                                                  monkeypatch):
+    # a pattern's table is built once a piece and read for every generator
+    # of its pattern: at each of the generator's positions it must hold that
+    # coordinate's odd entries, read off its exact column
     Q = (convex_hull_with_facets(SIMPLEX2) if name == "simplex2"
          else request.getfixturevalue(name))
     sel = best_selection(Q).selection
     pieces = laid_out_pieces(lambda: build_window(Q, sel), monkeypatch)
     checked, shared = 0, 0
     for piece in pieces:
-        for j, (first, _, memo) in piece.odd.items():
-            for s, bits in memo.items():
-                assert bits == odd_bits_of(piece, j * piece.height + first + s)
-            checked += len(memo)
+        N = piece.phi.source.algebra.nvars
+        for j, (first, table) in piece.odd.items():
+            k = piece.phi.source.generators[j].degree - piece.d
+            assert len(table) == first + math.comb(N, k)
+            for position in range(first, len(table)):
+                assert table[position] == odd_bits_of(piece, j * piece.height + position)
+            checked += len(table) - first
         shared += len(piece.odd) - len({id(pattern) for pattern in piece.odd.values()})
     assert checked > 0 and shared > 0
 
@@ -1005,12 +1044,12 @@ def test_block_ids_of_the_ladders_pieces_are_coordinate_keys(name, request, monk
     assert laid > 0
 
 
-def test_generators_of_two_sizes_keep_their_own_bitset_memos():
+def test_generators_of_two_sizes_keep_their_own_bitset_tables():
     # targets of degrees 2 and 1 let a degree-1 and a degree-0 generator
     # carry the same odd-term subset {0}; in degree -1 they wedge it with
-    # 2- and 1-subsets into rows of two sizes, so they share no memo. The
+    # 2- and 1-subsets into rows of two sizes, so they share no table. The
     # empty pattern, of a column whose two odd terms at one subset cancel and
-    # of an all-even column, is again kept once per size
+    # of an all-even column, is again kept once per size, all zero
     alg = algebra(4)
     phi = FreeModuleMap(module(alg, 1, 0, 1, 1, 0, 1), module(alg, 2, 1, 2), [
         {(0, (0,)): 1},
@@ -1023,12 +1062,12 @@ def test_generators_of_two_sizes_keep_their_own_bitset_memos():
     piece = checked_piece(phi, -1)
     odd = piece.odd
     assert odd[0] is odd[2] and odd[1] is not odd[0]
-    assert odd[3] is not odd[4] and odd[3][1] == odd[4][1] == []
+    assert odd[3] is not odd[4] and set(odd[3][1]) == set(odd[4][1]) == {0}
     assert len({id(pattern) for pattern in odd.values()}) == 5
     ids = [c for src_ids, _, _ in piece.blocks for c in src_ids]
     assert len(ids) == len(piece.source_coords)
-    assert list(piece.odd_columns(ids)) == [odd_bits_of(piece, c) for c in ids]
-    assert {j: len(memo) for j, (_, _, memo) in odd.items()} == {
+    assert piece.odd_columns(ids) == [odd_bits_of(piece, c) for c in ids]
+    assert {j: len(table) - first for j, (first, table) in odd.items()} == {
         0: 6, 1: 4, 2: 6, 3: 6, 4: 4, 5: 6}
     cover_like_reference(phi, degree_floor=-4)
 

@@ -21,11 +21,15 @@ def test_rung(name):
     check(name)
 
 
-@pytest.mark.parametrize("field", ["window", "matrix", "selection"])
-def test_the_check_fails_on_a_changed_row(field, monkeypatch):
-    value = (0, 1, 5) if field == "selection" else "0" * 16
+@pytest.mark.parametrize("field, value, check_name", [
+    ("window", "0" * 16, "window"), ("matrix", "0" * 16, "matrix"),
+    ("selection", (0, 1, 5), "selection"),
+    # one block more falling back to block_kernel than the row pins
+    ("fallbacks", {("left", -4): 7}, "fallback blocks"),
+], ids=["window", "matrix", "selection", "fallbacks"])
+def test_the_check_fails_on_a_changed_row(field, value, check_name, monkeypatch):
     monkeypatch.setitem(RUNGS, "cube", dataclasses.replace(RUNGS["cube"], **{field: value}))
-    with pytest.raises(AssertionError, match=f"rung cube: {field}"):
+    with pytest.raises(AssertionError, match=f"rung cube: {check_name}"):
         check("cube")
 
 

@@ -104,13 +104,13 @@ def test_record_value_semantics(make, field, other, frozen, hashes):
 
 
 def test_a_graded_piece_leaves_its_terms_cache_out_of_equality():
-    # serving block_columns fills the terms cache, and serving odd_columns
-    # each pattern's memo; equality reads phi and d, which define the rest
+    # serving block_columns fills the terms cache of one piece only, and
+    # each piece lays out its own pattern tables; equality reads phi and d,
+    # which define the rest
     phi = build_phi2(convex_hull_with_facets(OCTA_POINTS), (0, 1, 2, 4))
     a, b = lay_out(phi, 1), lay_out(phi, 1)
     a.block_columns(a.blocks[0][0])
-    list(a.odd_columns(a.blocks[0][0]))
     assert a.terms and not b.terms
-    assert any(memo for _, _, memo in a.odd.values())
-    assert not any(memo for _, _, memo in b.odd.values())
+    assert a.odd_columns(a.blocks[0][0]) == b.odd_columns(b.blocks[0][0])
+    assert a.odd == b.odd and not any(a.odd[j] is b.odd[j] for j in a.odd)
     assert a == b

@@ -16,6 +16,7 @@ from detform.exterior import (
     FreeModuleMap,
     GradedFreeModule,
     Generator,
+    GradedPiece,
     graded_piece,
     minimal_free_cover,
 )
@@ -34,7 +35,8 @@ from detform.tate import (
     window_dump,
 )
 
-from conftest import CUBE_POINTS, OCTA_POINTS, acceptance_corpus, random_polytope, translate
+from conftest import (CUBE_POINTS, OCTA_POINTS, SIMPLEX2_POINTS, acceptance_corpus,
+                      random_polytope, translate)
 from rungs import RUNGS, composes_to_zero
 
 STRIP = (0, 1, 4)
@@ -117,13 +119,20 @@ def test_octahedron_window(octahedron):
     check_exactness(w)
 
 
-def rung_windows(name):
-    """The window of a tests/rungs.py row, or of each acceptance-corpus instance."""
+def rung_cases(name):
+    """(polytope, selection) of a tests/rungs.py row, of the benchmark's
+    2-simplex, or of each acceptance-corpus instance."""
     if name == "corpus":
-        cases = [(Q, selection) for _, Q, selection in acceptance_corpus()]
-    else:
-        cases = [(convex_hull_with_facets(RUNGS[name].points), RUNGS[name].selection)]
-    return [build_window(Q, selection) for Q, selection in cases]
+        return [(Q, selection) for _, Q, selection in acceptance_corpus()]
+    if name == "simplex2":
+        Q = convex_hull_with_facets(SIMPLEX2_POINTS)
+        return [(Q, best_selection(Q, seed=0).selection)]
+    return [(convex_hull_with_facets(RUNGS[name].points), RUNGS[name].selection)]
+
+
+def rung_windows(name):
+    """The window of each case of rung_cases(name)."""
+    return [build_window(Q, selection) for Q, selection in rung_cases(name)]
 
 
 @pytest.mark.parametrize("name", ["cube", "octahedron", "box12", "corpus"])
@@ -161,6 +170,46 @@ def test_the_linear_cover_columns_are_koszul_columns(name):
                 assert w.maps[k].columns[j] == column, (k, j)
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("name", ["cube", "octahedron", "simplex2", "box12", "corpus"])
+def test_given_koszul_columns_build_the_window_reduction_finds(name, monkeypatch):
+    # step_left gives the middle cover its degree-0 and the left cover its
+    # degree -1 Koszul columns; covers given none find them by reduction,
+    # and must give the same maps and piece dims. With them given, only the
+    # middle cover's degree -3 and the left cover's degree -4 pieces take
+    # block_kernel
+    reduced = []
+    kernel_vectors = GradedPiece.kernel_vectors
+
+    def recorded(self, ids, products=()):
+        reduced.append((self.phi, self.d))
+        return kernel_vectors(self, ids, products)
+
+    monkeypatch.setattr(GradedPiece, "kernel_vectors", recorded)
+    for Q, selection in rung_cases(name):
+        reduced.clear()
+        w = build_window(Q, selection)
+        assert all((phi is w.maps[2] and d == -3) or (phi is w.maps[1] and d == -4)
+                   for phi, d in reduced)
+        middle, phi2_dims = minimal_free_cover(w.maps[2], degree_floor=-3)
+        left, middle_dims = minimal_free_cover(middle, degree_floor=-4)
+        assert (middle, left) == (w.maps[1], w.maps[0])
+        assert {2: phi2_dims, 1: middle_dims} == w.piece_dims
+
+
+def test_the_koszul_map_reads_its_points_off_the_module(cube):
+    # degree 0 of the middle cover at 2Q off the selection, degree -1 of the
+    # left cover at Q off it: every m with m + A among the generators one
+    # degree up, and no generator point of another degree counts
+    w = build_window(cube, CORNER)
+    for k, degree, dilation in ((1, 0, 2), (0, -1, 1)):
+        given = tate.koszul_map(w.maps[k].target, degree)
+        assert sorted(point_of(g) for g in given.source.generators) == points_off_facets(
+            cube, dilation, CORNER)
+        mine = [j for j, g in enumerate(w.maps[k].source.generators) if g.degree == degree]
+        assert sorted(given.columns, key=sorted) == sorted(
+            (w.maps[k].columns[j] for j in mine), key=sorted)
 
 
 def nullity(piece) -> int:
