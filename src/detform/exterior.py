@@ -45,19 +45,12 @@ generator's pattern: the size k and the subsets of the odd terms
 (odd_terms), not their targets. So lay_out builds one table per pattern,
 indexed by position, and the generators of a pattern share it; the
 rightmost map's columns, one term per support point each, all share one.
-
-A caller may give the cover generators it knows (the window's Koszul
-columns, see tate.step_left). Each joins its degree's products, so its
-bitset takes a pivot in its block, which must then pass the certificate;
-the column itself is checked over Z against the block's exact columns,
-as block_kernel checks each vector it keeps.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from collections import Counter
 from operator import add
 
@@ -231,7 +224,7 @@ class FreeModuleMap(Record):
     def compose(self, inner: FreeModuleMap) -> FreeModuleMap:
         """self ∘ inner: column j is the sum of c * (self column i ∧ e_S) over
         the terms (i, S), c of inner's column j. The build never forms it
-        (the cover checks each column over Z as a kernel vector); tests
+        (block_kernel proves each cover column is a kernel vector); tests
         compose windows with it as their reference."""
         if inner.target is not self.source and inner.target != self.source:
             raise InvariantViolation("composition mismatch")
@@ -454,25 +447,9 @@ def graded_piece(phi: FreeModuleMap, d: int, terms=None) -> GradedPiece:
     return lay_out(phi, d, terms)
 
 
-def given_columns(piece: GradedPiece, shifted: GradedPiece, ids, weight, keys) -> list:
-    """(largest key, weight, column) of each given column, the product of a
-    given generator at one of these keys of shifted, in a block of piece
-    certified mod 2. Each must lie in the block and be checked over Z
-    against its exact columns, as block_kernel checks the vectors it keeps."""
-    found = []
-    for vec in shifted.block_columns(keys):
-        if not vec or not vec.keys() <= set(ids) or not annihilates(
-                piece.block_columns(list(vec)), dict(enumerate(vec.values()))):
-            raise InvariantViolation(f"a given column of degree {piece.d} and weight {weight}"
-                                     " is zero or no kernel vector")
-        found.append((max(vec), weight, vec))
-    return found
-
-
 def minimal_free_cover(
     phi: FreeModuleMap,
     degree_floor: int,
-    given: FreeModuleMap | None = None,
 ) -> tuple[FreeModuleMap, dict[int, tuple[int, int]]]:
     """Minimal graded free cover of ker(phi), scanned from the top degree down.
 
@@ -486,14 +463,6 @@ def minimal_free_cover(
     from theory and audit the generator counts instead of probing below
     it.
 
-    given, a map into phi.source, holds generators the caller knows: each
-    column joins its degree's products and becomes a generator of the
-    cover, keyed at its largest key among that degree's kernel vectors. Its
-    block must pass the mod-2 certificate, and the column is checked over Z
-    against the block's exact columns; either failure, or a column of the
-    wrong degree or weight, is an InvariantViolation. That no given column
-    is redundant is the caller's to audit, by counting generators.
-
     Returns (onto, dims): the cover onto.source, each generator carrying its
     degree and block weight, and dims[d] = (columns, nullity) of phi's
     degree-d piece for every degree scanned.
@@ -504,19 +473,13 @@ def minimal_free_cover(
     vectors: list[Vector] = []
     dims: dict[int, tuple[int, int]] = {}
     phi_terms, vector_terms = list(map(odd_terms, phi.columns)), []
-    if given is not None:
-        given.validate_degrees()
 
-    def add_generators(d: int) -> int:
+    def add_generators(d: int) -> None:
         piece = graded_piece(phi, d, phi_terms)
-        known = [j for j, g in enumerate(given.source.generators) if g.degree == d] if given else []
-        shifted = lay_out(FreeModuleMap(
-            GradedFreeModule(algebra, (*gens, *(given.source.generators[j] for j in known))),
-            F, vectors + [given.columns[j] for j in known]), d,
-            vector_terms + [odd_terms(given.columns[j]) for j in known])
+        shifted = lay_out(FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), d,
+                          vector_terms)
         products = {key: ids for ids, _, key in shifted.blocks}
-        first_known = len(gens) * shifted.height  # the given columns' products from here
-        columns, nullity, kernel, proved = 0, 0, [], 0
+        columns, nullity, kernel = 0, 0, []
         for ids, weight, key in piece.blocks:
             columns += len(ids)
             # the block's products, as bitsets over the same positions; their
@@ -529,18 +492,9 @@ def minimal_free_cover(
                 basis = echelon_mod2(shifted.odd_columns(prods))
                 # a pivot at a position two columns share fails the count
                 rest = piece.odd_columns(ids, basis)
-                given_here = prods[-1] >= first_known  # given columns' products come last
                 if len(rest) + len(basis) == len(ids) and independent_mod2(rest):
                     nullity += len(basis)
-                    if given_here:
-                        found = given_columns(piece, shifted, ids, weight,
-                                              prods[bisect_left(prods, first_known):])
-                        kernel += found
-                        proved += len(found)
                     continue
-                if given_here:
-                    raise InvariantViolation(f"the block of a given column of degree {d} and"
-                                             f" weight {weight} fails the mod-2 certificate")
             block_nullity, kept = piece.kernel_vectors(ids, shifted.block_columns(prods))
             nullity += block_nullity
             kernel += [(free, weight, vec) for free, vec in kept]
@@ -551,12 +505,7 @@ def minimal_free_cover(
             # at its leading one; the cover's signs follow the leading entry
             vectors.append({piece.coord(c): v for c, v in primitive_integer_vector(vec).items()})
             vector_terms.append(odd_terms(vectors[-1]))
-        return proved
 
-    proved = 0
     for d in range(max(F.degrees(), default=degree_floor - 1), degree_floor - 1, -1):
-        proved += add_generators(d)  # its layouts are freed before the next degree's are built
-    if given is not None and proved != given.source.rank:
-        raise InvariantViolation(f"{given.source.rank - proved} given columns"
-                                 " lie in no block of the degrees scanned")
+        add_generators(d)  # its layouts are freed before the next degree's are built
     return FreeModuleMap(GradedFreeModule(algebra, tuple(gens)), F, vectors), dims

@@ -199,7 +199,6 @@ def det_bareiss(matrix: list[list]) -> QQ:
             if lead:
                 for j in range(k + 1, n):
                     mi[j] = (mi[j] * pivot - lead * mk[j]) // prev
-                mi[k] = 0
             elif pivot != prev:
                 for j in range(k + 1, n):
                     mi[j] = mi[j] * pivot // prev

@@ -59,33 +59,35 @@ class Rung:
 
 RUNGS = {
     "cube": Rung(box(2, 2, 2), (0, 1, 4), "f0710d057a4fb249", "392586e8fd7e4ea4",
-                 {("left", -4): 6}),
+                 {("left", -4): 6, ("middle", 0): 6}),
     "octahedron": Rung(((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
                         (0, 0, -1)), (0, 1, 2, 4), "22b805c2197eae7e", "a3ff0bed791d37e6",
-                       {("left", -4): 10, ("middle", -3): 1}),
+                       {("left", -4): 10, ("left", -1): 1, ("middle", -3): 1, ("middle", 0): 10}),
     # the 3x2x2 box (N=12): the largest weight blocks tier-1 can afford
     "box12": Rung(box(3, 2, 2), (0, 1, 4), "5ec2edb4a2141b51", "6db4d8901b747966",
-                  {("left", -4): 12}),
+                  {("left", -4): 12, ("middle", 0): 12}),
     # 3x3x2 (N=18): degree -3 positions up to C(18, 5) = 8,568; a build takes
     # 1-2 s CPU on a 2-core machine, initial forms 24-29 s (bracket.evaluate)
     "box18": Rung(box(3, 3, 2), (0, 1, 4), "9438d59e126dd587", "012267aa9cc99edf",
-                  {("left", -4): 20}, ceiling=60, initial_forms=True),
-    # 3Δ (N=20): 39 blocks the mod-2 certificate cannot clear; 1-5 s CPU a build
+                  {("left", -4): 20, ("left", -1): 4, ("middle", 0): 36},
+                  ceiling=60, initial_forms=True),
+    # 3Δ (N=20): 78 blocks the mod-2 certificate cannot clear; 1-5 s CPU a build
     "simplex3": Rung(tuple(p for p in box(4, 4, 4) if sum(p) <= 3), (0, 1),
                      "4db2b26e7c6f4a20", "87263e5a18a48a72",
-                     {("left", -4): 35, ("middle", -3): 4}, ceiling=90),
+                     {("left", -4): 35, ("left", -1): 4, ("middle", -3): 4, ("middle", 0): 35},
+                     ceiling=90),
     # 4x3x2 (N=24): the middle map's degree -4 piece sends 30 blocks of
     # 106,108 columns to block_kernel; 4-13 s CPU a build
     "box24": Rung(box(4, 3, 2), (0, 1, 4), "666ca55d4ada41df", "54d01976fa6478a2",
-                  {("left", -4): 30}, ceiling=180),
+                  {("left", -4): 30, ("left", -1): 6, ("middle", 0): 54}, ceiling=180),
 }
 
 
 def composes_to_zero(w: TateWindow) -> bool:
     """True if maps[2] ∘ maps[1] and maps[1] ∘ maps[0] are zero, composed by
-    FreeModuleMap.compose. The build never composes: the cover proves each
-    column a kernel vector over block keys, so this also checks the keys'
-    translation back to (generator, subset) coordinates."""
+    FreeModuleMap.compose. The build never composes: block_kernel proves each
+    cover column a kernel vector over block keys, so this also checks the
+    keys' translation back to (generator, subset) coordinates."""
     return not any(w.maps[2].compose(w.maps[1]).columns) and \
         not any(w.maps[1].compose(w.maps[0]).columns)
 

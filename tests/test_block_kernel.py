@@ -89,9 +89,7 @@ def fallback_blocks(windows, monkeypatch):
 
     def recorded_kernel(src_ids, columns, products):
         blocks.append((list(src_ids), columns, products))
-        with monkeypatch.context() as m:  # the cover's checks of given columns are not these
-            m.setattr(exterior, "annihilates", recorded_check)
-            return kernel(src_ids, columns, products)
+        return kernel(src_ids, columns, products)
 
     def recorded_check(columns, vec):
         checks.append(annihilates(columns, vec))
@@ -99,6 +97,7 @@ def fallback_blocks(windows, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(exterior, "block_kernel", recorded_kernel)
+        m.setattr(exterior, "annihilates", recorded_check)
         for Q, selection in windows:
             check_exactness(build_window(Q, selection))
     return blocks, checks

@@ -630,8 +630,8 @@ def test_inhomogeneous_left_map_exits_seven(octa_file, capsys, monkeypatch):
     # still composes to zero, so only the degree check can catch it
     real_cover = tate.minimal_free_cover
 
-    def mixed_cover(phi, degree_floor, given=None):
-        onto, dims = real_cover(phi, degree_floor, given)
+    def mixed_cover(phi, degree_floor):
+        onto, dims = real_cover(phi, degree_floor)
         if degree_floor == -4:
             degrees = onto.source.degrees()
             deep, shallow = degrees.index(-4), degrees.index(-1)
@@ -650,26 +650,31 @@ def test_inhomogeneous_left_map_exits_seven(octa_file, capsys, monkeypatch):
     assert "has degrees" in err["message"]
 
 
-def test_a_phi2_coefficient_of_two_exits_seven(octa_file, capsys, monkeypatch):
-    # the middle cover is given the Koszul columns of phi_2's source points;
-    # with one coefficient of phi_2 set to 2, the given column through that
-    # entry is no kernel vector, which the cover reports as a bug
+def test_a_phi2_coefficient_of_two_fails_the_middle_audit(octa_file, capsys, monkeypatch):
+    # one coefficient of phi_2 set to 2, in the column of the first source
+    # point p with every p - a_0 + a a source point: the degree-0 Koszul
+    # column at m = p - a_0 is then no kernel vector, so the middle cover
+    # finds 9 of the 10 degree-0 generators predicted, and the audit refuses it
     real_phi2 = tate.build_phi2
 
     def doubled(Q, sel):
         phi = real_phi2(Q, sel)
-        [(j, (a,))] = list(tate.koszul_map(phi.source, 0).columns[0])[:1]
+        at = {g.weight: j for j, g in enumerate(phi.source.generators)}
+        support = tate.support_of(phi.source.algebra)
+        j = next(j for p, j in at.items() if all(
+            tuple(x - y + z for x, y, z in zip(p, support[0], a)) in at for a in support))
         column = phi.columns[j]
-        column[next(key for key in column if key[1] != (a,))] = 2
+        column[next(key for key in column if key[1] != (0,))] = 2
         return phi
 
     monkeypatch.setattr(tate, "build_phi2", doubled)
     code = run(RunConfig(command="build-matrix", support_path=octa_file,
                          shelling="indices=0,1,2,4"))
-    assert code == 7
+    assert code == DimensionMismatch.exit_code == 5
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "InvariantViolation"
-    assert "given column of degree 0" in err["message"]
+    assert err["type"] == "DimensionMismatch"
+    assert err["message"] == ("middle term: generator counts {0: 9, -1: 2, -3: 1},"
+                              " predicted {0: 10, -3: 1}")
 
 
 def test_invariant_violation_in_verify_exits_seven(octa_file, capsys, monkeypatch):

@@ -270,41 +270,6 @@ def test_minimal_cover_finds_deep_generator():
     assert not any(phi.compose(into).columns)
 
 
-def test_a_given_generator_is_the_one_reduction_finds():
-    # given the generator it would find, the cover returns it unchanged,
-    # proved by its block's certificate and a check over Z
-    alg = algebra(2)
-    phi = FreeModuleMap(module(alg, 0), module(alg, 1), [{(0, (0,)): 1}])
-    found = minimal_free_cover(phi, degree_floor=-2)
-    given = FreeModuleMap(found[0].source, phi.source, found[0].columns)
-    assert minimal_free_cover(phi, -2, given) == found
-
-
-# phi sends a weight-0 generator to t0 ∧ e0 + 2 t1 ∧ e1, over variables of
-# weights 1 and 2: in degree -1, (g, {0}) weighs 1 and maps to an even
-# nonzero vector, (g, {1}) weighs 2 and maps to t0 ∧ e01
-WEIGHTED = ExteriorAlgebra(2, ((1,), (2,)))
-EVEN = FreeModuleMap(GradedFreeModule(WEIGHTED, (Generator(0, (0,)),)),
-                     GradedFreeModule(WEIGHTED, (Generator(1, (-1,)), Generator(1, (-2,)))),
-                     [{(0, (0,)): 1, (1, (1,)): 2}])
-
-
-@pytest.mark.parametrize("degree, weight, column, message", [
-    (-1, 1, {(0, (0,)): 1}, "is zero or no kernel vector"),  # passes mod 2 only
-    (-1, 2, {}, "is zero or no kernel vector"),
-    (-1, 1, {(0, (1,)): 1}, "fails the mod-2 certificate"),  # a column of weight 2
-    (-1, 5, {(0, (0,)): 1}, "lie in no block"),
-    (-3, 1, {}, "lie in no block"),  # below the floor
-    (-1, 1, {(0, (0, 1)): 1}, "has degrees"),
-], ids=["even-image", "zero", "other-weight", "no-block", "unscanned", "wrong-degree"])
-def test_a_given_column_that_is_no_generator_is_an_invariant_violation(degree, weight,
-                                                                       column, message):
-    given = FreeModuleMap(GradedFreeModule(WEIGHTED, (Generator(degree, (weight,)),)),
-                          EVEN.source, [column])
-    with pytest.raises(InvariantViolation, match=message):
-        minimal_free_cover(EVEN, -2, given)
-
-
 def test_cover_image_matches_kernel_dimensions():
     rng = random.Random(3)
     alg = algebra(3)
