@@ -17,6 +17,7 @@ import json
 import random
 import sys
 import traceback
+from pathlib import Path
 from typing import NamedTuple
 
 from .bracket import (
@@ -370,13 +371,22 @@ def run(config: RunConfig) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         return _diagnose(ParseError.exit_code, exc)
     except Exception as exc:  # a bug: diagnosed with its type and origin, not a traceback
+        # the origin is read from the package's parent on, wherever that is
         frame = traceback.extract_tb(exc.__traceback__)[-1]
+        path, package = Path(frame.filename).resolve(), Path(__file__).resolve().parent
+        where = (path.relative_to(package.parent).as_posix() if path.is_relative_to(package)
+                 else path.name)
         return _diagnose(InvariantViolation.exit_code, exc,
-                         where=f"{frame.filename}:{frame.lineno} in {frame.name}")
+                         where=f"{where}:{frame.lineno} in {frame.name}")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a refusal like any other: one line of JSON, exit 2
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="detform",
         description="Exact determinantal resultant matrices for trivariate "
                     "Laurent systems sharing a Newton polytope.")
@@ -425,15 +435,9 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     # argparse reads a space-separated "-2..2" as an option flag, so fold the
     # value into --k-range= form before parsing
     merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (token == "--k-range" and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")):
-            merged.append(f"--k-range={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if merged and merged[-1] == "--k-range" and token.startswith("-"):
+            merged[-1] = f"--k-range={token}"
         else:
             merged.append(token)
     return merged
@@ -442,7 +446,10 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> None:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_merge_dash_values(list(argv)))
+    try:
+        args = build_parser().parse_args(_merge_dash_values(list(argv)))
+    except ParseError as exc:
+        sys.exit(_diagnose(exc.exit_code, exc))
     sys.exit(run(config_from_args(args)))
 
 

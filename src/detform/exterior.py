@@ -31,7 +31,8 @@ bitsets gives pivots P2, and rank2(products) >= |P2|. If the columns off P2,
 rest, are independent mod 2 and |rest| + |P2| = columns, the kernel has
 dimension at most |P2|, and the products span it over Q; the count fails
 only where sources of one degree and weight share a pivot's position. A
-block no product reaches has no P2, so its columns are tested as they are.
+block no product reaches has no P2, so its columns are tested as they are:
+independent mod 2 when echelon_mod2 keeps a row for each, the one test.
 Any other block takes block_kernel with its products' exact columns, if
 any, and gains the kernel vectors they do not span. block_kernel numbers
 the block's rows and builds the columns' mod-2 bitsets over them in one
@@ -55,7 +56,7 @@ from collections import Counter
 from operator import add
 
 from .errors import InvariantViolation
-from .linalg import Echelon, echelon_mod2, independent_mod2, primitive_integer_vector
+from .linalg import Echelon, echelon_mod2, primitive_integer_vector
 from .record import Frozen, Record
 
 Subset = tuple[int, ...]
@@ -64,14 +65,14 @@ Vector = dict[tuple[int, Subset], int]
 
 def wedge_subsets(T: Subset, S: Subset) -> tuple[int, Subset] | None:
     """Sign and index set of e_T ∧ e_S, or None when they overlap."""
-    inversions = 0
+    sign = 1
     for t in T:
         for s in S:
             if t == s:
                 return None
-            if t > s:
-                inversions += 1
-    return (-1 if inversions % 2 else 1), tuple(sorted(T + S))
+            if t > s:  # one inversion
+                sign = -sign
+    return sign, tuple(sorted(T + S))
 
 
 def times(vec: Vector, S: Subset) -> Vector:
@@ -369,7 +370,7 @@ def block_kernel(src_ids, columns: list[dict[int, int]],
             for r in col.keys() & rows.keys():
                 rows[r][c] = col[r]
         ech = Echelon(rows.values())
-        free = ech.free_columns(n)
+        free = [c for c in range(n) if c not in ech.rows]
         spanned = Echelon({c: v for c, v in col.items() if n - 1 - c not in ech.rows}
                           for col in products)
         found = [(f, ech.kernel_vector(f)) for f in free if n - 1 - f not in spanned.rows]
@@ -486,13 +487,13 @@ def minimal_free_cover(
             # exact columns are over the same keys
             prods = products.get(key, ())
             if not prods:  # no pivots to take off
-                if independent_mod2(piece.odd_columns(ids)):
+                if len(echelon_mod2(piece.odd_columns(ids))) == len(ids):
                     continue
             else:
                 basis = echelon_mod2(shifted.odd_columns(prods))
                 # a pivot at a position two columns share fails the count
                 rest = piece.odd_columns(ids, basis)
-                if len(rest) + len(basis) == len(ids) and independent_mod2(rest):
+                if len(rest) + len(basis) == len(ids) and len(echelon_mod2(rest)) == len(rest):
                     nullity += len(basis)
                     continue
             block_nullity, kept = piece.kernel_vectors(ids, shifted.block_columns(prods))

@@ -8,7 +8,7 @@ the bit set of its facets, are walked once per polytope and k into a census
 that every point query filters. The walk visits only the columns over kQ's
 shadow, cut out by the vertical facets and, in dimension 3, by the edges
 between a lower and an upper facet, and takes one interval per column.
-column_runs cuts the columns of a box into runs that violate the same
+column_runs cuts the columns of a cube into runs that violate the same
 half-spaces; it serves verify.divisor_cohomology only.
 """
 
@@ -276,19 +276,19 @@ def _column_walk(Q: Polytope, k: int) -> tuple[tuple[Point, ...], tuple[int, ...
     return tuple(row[0] for row in rows), tuple(row[3] for row in rows)
 
 
-def column_runs(box, halfspaces):
-    """Cut every column of a box into runs by half-spaces <m, normal> >= bound.
+def column_runs(R: int, halfspaces):
+    """Cut every column of the cube [-R, R]^3 into runs by half-spaces
+    <m, normal> >= bound.
 
-    The box is one range per coordinate; a column fixes all but the last.
-    Yields (prefix, runs) per column in lexicographic order: the runs
-    (start, stop, violated) cover the last range in order, violated being
-    the bit set (bit i for half-space i) with <m, normal> < bound on the run.
+    A column fixes the first two coordinates. Yields (prefix, runs) per
+    column in lexicographic order: the runs (start, stop, violated) cover
+    -R..R in order, violated being the bit set (bit i for half-space i)
+    with <m, normal> < bound on the run.
     """
     columns = [((), [bound for _, bound in halfspaces])]
-    for i, coords in enumerate(box[:-1]):
+    for i in range(2):
         columns = [(prefix + (x,), [r - normal[i] * x for r, (normal, _) in zip(rest, halfspaces)])
-                   for prefix, rest in columns for x in coords]
-    lo, hi = box[-1][0], box[-1][-1]
+                   for prefix, rest in columns for x in range(-R, R + 1)]
     cuts = [(normal[-1], 1 << i) for i, (normal, _) in enumerate(halfspaces)]
     rising = sum(bit for a, bit in cuts if a > 0)
     for prefix, rest in columns:
@@ -301,15 +301,15 @@ def column_runs(box, halfspaces):
                 flips.append((q + 1 if a < 0 or rem else q, bit))
             elif r > 0:
                 violated |= bit
-        runs, start = [], lo
+        runs, start = [], -R
         for t, bit in sorted(flips):
-            if t > hi:
+            if t > R:
                 break
             if t > start:
                 runs.append((start, t - 1, violated))
                 start = t
             violated ^= bit
-        runs.append((start, hi, violated))
+        runs.append((start, R, violated))
         yield prefix, runs
 
 

@@ -4,13 +4,14 @@ Everything here works with arbitrary-precision integers and exact rationals;
 no floating point. Sparse vectors are dicts mapping column index to a nonzero
 value. Echelon forms hold integer rows, eliminate fraction-free and use the
 canonical pivot rule (first nonzero column) so results are reproducible bit
-for bit. The modular routines work on the bitsets of odd entries, and
-vectors independent mod 2 are independent over Q: independent_mod2 proves
-independence and echelon_mod2 builds a mod-2 echelon, each in one XOR loop.
-Given a block's columns as bitsets over its rows, its pivots pick rows
-independent mod 2 that an echelon can reduce alone; that they span the row
-space is for the caller to prove over Z (exterior.block_kernel does), and
-to reduce every row when the proof fails.
+for bit. The modular routine works on the bitsets of odd entries: vectors
+independent mod 2 are independent over Q, and echelon_mod2 builds a mod-2
+echelon in one XOR loop, with one row per bitset exactly when the bitsets
+are independent mod 2, the one certificate of independence. Given a
+block's columns as bitsets over its rows, its pivots pick rows independent
+mod 2 that an echelon can reduce alone; that they span the row space is
+for the caller to prove over Z (exterior.block_kernel does), and to reduce
+every row when the proof fails.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ def rat_str(value) -> str:
 def primitive_integer_vector(vec: dict) -> dict:
     """Divide an integer sparse vector by its content, leading entry > 0.
 
-    Leading means the smallest column index present. Returns a new dict.
+    Leading means the smallest column index present; vec is nonzero.
+    Returns a new dict.
     """
-    if not vec:
-        return {}
     g = 0
     for v in vec.values():
         g = gcd(g, v)
@@ -63,21 +63,6 @@ def echelon_mod2(bitsets) -> dict[int, int]:
     return basis
 
 
-def independent_mod2(bitsets) -> bool:
-    """One-sided test: True proves integer vectors, given as the bitsets of
-    their odd entries, independent over Q: some maximal minor is odd, hence
-    nonzero. False proves nothing: vectors dependent mod 2 may still be
-    independent over Q. Stops at the first bitset that reduces to 0."""
-    basis: dict[int, int] = {}
-    for bits in bitsets:
-        while (top := bits.bit_length()) in basis:
-            bits ^= basis[top]
-        if not bits:
-            return False
-        basis[top] = bits
-    return True
-
-
 class Echelon:
     """Incremental row echelon form with primitive integer rows.
 
@@ -97,14 +82,16 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: dict) -> dict:
-        """Return a positive multiple of vec's residue; does not insert."""
+    def insert(self, vec: dict) -> bool:
+        """Reduce vec against the pivot rows and keep a nonzero residue,
+        made primitive, as a new pivot row. True if kept."""
         row = {c: v for c, v in vec.items() if v}
         while row:
             c = min(row)
             piv = self.rows.get(c)
             if piv is None:
-                return row
+                self.rows[c] = primitive_integer_vector(row)
+                return True
             g = gcd(piv[c], row[c])
             scale, factor = piv[c] // g, row[c] // g
             if scale != 1:
@@ -115,16 +102,7 @@ class Echelon:
                     row[col] = acc
                 else:
                     row.pop(col, None)
-        return row
-
-    def insert(self, vec: dict) -> bool:
-        """Reduce vec and keep the residue as a new pivot row. True if kept."""
-        row = self.reduce(vec)
-        if not row:
-            return False
-        row = primitive_integer_vector(row)
-        self.rows[min(row)] = row
-        return True
+        return False
 
     def kernel_vector(self, free_col: int) -> dict:
         """Integer kernel vector, positive at free_col and 0 at other free columns.
@@ -148,9 +126,6 @@ class Echelon:
                     x = {col: scale * v for col, v in x.items()}
                 x[c] = -s // g
         return x
-
-    def free_columns(self, ncols: int) -> list[int]:
-        return [c for c in range(ncols) if c not in self.rows]
 
 
 def clear_denominators(row) -> tuple[int, list[int]]:

@@ -165,14 +165,10 @@ def check_exactness(window: TateWindow) -> None:
     for k, top in ((1, 0), (0, -1)):
         for d in range(top, top - 4, -1):
             columns, nullity = dims[k].get(d, (0, 0))
-            _require_exact(k, d, dims[k + 1].get(d, (0, 0))[1], columns - nullity)
-
-
-def _require_exact(term: int, d: int, kernel_dim: int, image_dim: int) -> None:
-    if kernel_dim != image_dim:
-        raise DimensionMismatch(
-            f"window not exact at term {term}, degree {d}: "
-            f"kernel {kernel_dim}, image {image_dim}")
+            kernel, image = dims[k + 1].get(d, (0, 0))[1], columns - nullity
+            if kernel != image:
+                raise DimensionMismatch(f"window not exact at term {k}, degree {d}: "
+                                        f"kernel {kernel}, image {image}")
 
 
 def window_dump(window: TateWindow) -> dict:

@@ -179,8 +179,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 
 def outcome(argv: list[str]) -> dict:
     """The pinned fields of one command's run. stderr is one line of JSON
-    from cli.run, or argparse's usage, wrapped to the terminal's width, and
-    then its error line: only that last line is pinned."""
+    from cli.main, a refused argument included; its last line is pinned."""
     code, out, err = run(argv)
     line = err.splitlines()[-1] if err else None
     try:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from detform.bracket import format_coefficients, import_matrix
 from detform.cli import RunConfig, build_parser, config_from_args, main, run
-from detform import errors, tate
+from detform import errors, linalg, tate
 from detform.ehrhart import ehrhart_pair
 from detform.errors import DetformError, DimensionMismatch, InvariantViolation, UnsupportedDimension
 from detform.lattice import convex_hull_with_facets, parse_support
@@ -578,20 +579,30 @@ def test_invariant_violation_exits_seven(octa_file, capsys, monkeypatch):
 
 def test_unexpected_exception_exits_seven(octa_file, capsys, monkeypatch):
     # any exception outside the typed ones is a bug: a JSON diagnosis naming
-    # its type, never a traceback
+    # its type and origin, never a traceback; the origin is a path from the
+    # package's parent on, or a base name outside the package, so no
+    # absolute path appears and the diagnosis is the same wherever it runs
     def explode(Q, sel):
         raise KeyError("forced for the error-path test")
 
-    monkeypatch.setattr("detform.cli.build_window", explode)
-    code = run(RunConfig(command="build-matrix", support_path=octa_file,
-                         shelling="indices=0,1,2,4"))
-    assert code == 7
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = json.loads(captured.err)["error"]
-    assert (err["code"], err["type"]) == (7, "KeyError")
-    assert err["where"].endswith(" in explode")
-    assert "Traceback" not in captured.err
+    def explode_inside(Q, sel):
+        linalg.primitive_integer_vector({})  # min() of no columns
+
+    line = explode.__code__.co_firstlineno + 1
+    for where, kind, fault in ((rf"test_cli\.py:{line} in explode", "KeyError", explode),
+                               (r"detform/linalg\.py:\d+ in primitive_integer_vector",
+                                "ValueError", explode_inside)):
+        monkeypatch.setattr("detform.cli.build_window", fault)
+        code = run(RunConfig(command="build-matrix", support_path=octa_file,
+                             shelling="indices=0,1,2,4"))
+        assert code == 7
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert (err["code"], err["type"]) == (7, kind)
+        assert re.fullmatch(where, err["where"])
+        assert "Traceback" not in captured.err
+        assert str(Path(linalg.__file__).resolve().parent) not in captured.err
 
 
 def test_untyped_detform_error_exits_seven(octa_file, capsys, monkeypatch):
@@ -609,10 +620,15 @@ def test_untyped_detform_error_exits_seven(octa_file, capsys, monkeypatch):
 
 
 def test_every_detform_error_exits_with_its_exit_code(octa_file, capsys, monkeypatch):
-    # the base class and each subclass, raised where the window is built
+    # the base class and each subclass, raised where the window is built,
+    # with the exit codes the README lists
     classes = [cls for cls in vars(errors).values()
                if isinstance(cls, type) and issubclass(cls, DetformError)]
-    assert len(classes) == 13
+    assert {cls.__name__: cls.exit_code for cls in classes} == {
+        "ParseError": 2, "EmptyInput": 2, "DegenerateSpan": 3, "UnsupportedDimension": 3,
+        "NonGenericDirection": 3, "SearchTooLarge": 3, "NoDiskSelection": 4,
+        "DimensionMismatch": 5, "InterpolationMismatch": 5, "DegreePatternViolation": 5,
+        "NotStabilized": 6, "DetformError": 7, "InvariantViolation": 7}
     for cls in classes:
         def explode(Q, sel, cls=cls):
             raise cls("forced")
@@ -622,7 +638,16 @@ def test_every_detform_error_exits_with_its_exit_code(octa_file, capsys, monkeyp
                              shelling="indices=0,1,2,4"))
         err = json.loads(capsys.readouterr().err)["error"]
         assert code == err["code"] == cls.exit_code, cls
-        assert cls.exit_code in range(2, 8) and err["type"] == cls.__name__
+        assert err["type"] == cls.__name__
+
+
+def test_main_reads_the_arguments_after_the_program_name(octa_file, capsys, monkeypatch):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr("sys.argv", ["detform", "facets", str(octa_file), "--json"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 3
 
 
 def test_inhomogeneous_left_map_exits_seven(octa_file, capsys, monkeypatch):

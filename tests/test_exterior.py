@@ -31,7 +31,7 @@ from detform.exterior import (
     wedge_subsets,
 )
 from detform.lattice import convex_hull_with_facets
-from detform.linalg import Echelon, echelon_mod2, independent_mod2, primitive_integer_vector
+from detform.linalg import Echelon, echelon_mod2, primitive_integer_vector
 from detform.shelling import best_selection
 from detform.tate import build_phi2, build_window, check_exactness, window_dump
 
@@ -279,8 +279,10 @@ def test_cover_image_matches_kernel_dimensions():
     into, dims = minimal_free_cover(phi, degree_floor=-3)
     cover = into.source
     assert not any(phi.compose(into).columns)
-    # the scan starts at phi's top source degree and stops at the floor
+    # the scan starts at phi's top source degree and stops at the floor; a
+    # source with no generators has no degree to scan
     assert sorted(dims, reverse=True) == [0, -1, -2, -3]
+    assert minimal_free_cover(FreeModuleMap(module(alg), G, []), degree_floor=-3)[1] == {}
     for d in range(0, -4, -1):
         piece = graded_piece(phi, d)
         nullity = len(kernel_basis(piece))
@@ -333,7 +335,7 @@ def reference_cover(phi: FreeModuleMap, degree_floor: int):
             for S in itertools.combinations(range(alg.nvars), g.degree - d):
                 products.insert({coord_at[key]: v for key, v in times(col, S).items()})
         ech = Echelon({coord_at[key]: v for key, v in row.items()} for row in rows.values())
-        kernel = [ech.kernel_vector(f) for f in ech.free_columns(len(coords))]
+        kernel = [ech.kernel_vector(f) for f in range(len(coords)) if f not in ech.rows]
         dims[d] = (len(coords), len(kernel))
         for vec in kernel:
             if products.insert(vec):
@@ -600,7 +602,7 @@ def test_kernel_vectors_over_free_columns_span_the_kernel():
         ncols = rng.randint(3, 7)
         rows = rand_rows(rng, rng.randint(0, 6), ncols)
         ech = Echelon(rows)
-        free = ech.free_columns(ncols)
+        free = [c for c in range(ncols) if c not in ech.rows]
         kernel = [ech.kernel_vector(f) for f in free]
         for row in rows:
             for vec in kernel:
@@ -655,8 +657,8 @@ def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
                 independent = Echelon(rest).rank == len(rest)
                 # the mod-2 certificate is one-sided: it never certifies a
                 # block the exact test does not
-                certified = independent_mod2(piece.odd_columns(
-                    [c for c in src_ids if c not in P2]))
+                rest2 = piece.odd_columns([c for c in src_ids if c not in P2])
+                certified = len(echelon_mod2(rest2)) == len(rest2)
                 assert not certified or independent
                 rank2 = len(echelon_mod2(piece.odd_columns(src_ids)))
                 assert certified == (sum(c in P2 for c in src_ids) + rank2 == len(columns))
@@ -705,22 +707,35 @@ def doubled(phi: FreeModuleMap) -> FreeModuleMap:
                          [{key: 2 * c for key, c in col.items()} for col in phi.columns])
 
 
+def certified_cover(phi: FreeModuleMap, degree_floor: int, monkeypatch):
+    """phi's cover and, for each block of phi's pieces in order, the bitsets
+    its mod-2 certificate reads and whether they clear it: a cleared block
+    calls no block_kernel."""
+    blocks = []
+    odd_columns, block_kernel = exterior.GradedPiece.odd_columns, exterior.block_kernel
+
+    def read(piece, ids, pivots=None):
+        bitsets = odd_columns(piece, ids, pivots)
+        if piece.phi is phi:  # not the products' piece
+            blocks.append([bitsets, True])
+        return bitsets
+
+    def reduced(src_ids, columns, products=()):
+        blocks[-1][1] = False
+        return block_kernel(src_ids, columns, products)
+
+    with monkeypatch.context() as m:
+        m.setattr(exterior.GradedPiece, "odd_columns", read)
+        m.setattr(exterior, "block_kernel", reduced)
+        into, dims = minimal_free_cover(phi, degree_floor)
+    return into, dims, [tuple(block) for block in blocks]
+
+
 def test_doubling_a_map_changes_no_cover(cube, monkeypatch):
     # 2·phi has phi's kernel and only even entries, so every column's odd
     # bitset is empty and the mod-2 test certifies no block with a column off
     # the products' pivots: every such block takes the exact block_kernel
     # path, and the cover and dims stay the same
-    certified = []
-    mod2 = exterior.independent_mod2
-    doubling = False
-
-    def recorded(bitsets):
-        bitsets = list(bitsets)
-        assert not (doubling and any(bitsets))
-        certified.append((bool(bitsets), mod2(bitsets)))
-        return certified[-1][1]
-
-    monkeypatch.setattr(exterior, "independent_mod2", recorded)
     phi2 = build_phi2(cube, (0, 1, 4))
     middle, _ = minimal_free_cover(phi2, degree_floor=-3)
     alg = ExteriorAlgebra(4, ((1, 0), (0, 1), (1, 1), (0, 0)))
@@ -730,10 +745,9 @@ def test_doubling_a_map_changes_no_cover(cube, monkeypatch):
     maps += [(weighted_map(rng, G, (0, 0, 0, -1, -1)), -4) for _ in range(3)]
     for phi, floor in maps:
         into, dims = minimal_free_cover(phi, floor)
-        del certified[:]
-        doubling = True
-        into2, dims2 = minimal_free_cover(doubled(phi), floor)
-        doubling = False
+        into2, dims2, blocks = certified_cover(doubled(phi), floor, monkeypatch)
+        assert not any(any(bitsets) for bitsets, _ in blocks)
+        certified = {(bool(bitsets), cleared) for bitsets, cleared in blocks}
         assert into2.source.generators == into.source.generators
         assert into2.columns == into.columns
         assert dims2 == dims
@@ -812,35 +826,44 @@ def test_exact_kernels_run_once_per_gained_generator(name, selection, gained, re
 
 def exact_per_block_cover(phi: FreeModuleMap, degree_floor: int, monkeypatch):
     """The cover with the mod-2 certificate refused, so that every block
-    takes block_kernel and its own exact products echelon."""
+    takes block_kernel and its own exact products echelon: every bitset
+    reads 0, so the products have no pivots mod 2, and every block, never
+    empty, fails its certificate."""
+    reduced = []
+    block_kernel = exterior.block_kernel
+
+    def counted(src_ids, columns, products=()):
+        reduced.append(src_ids)
+        return block_kernel(src_ids, columns, products)
+
     with monkeypatch.context() as m:
-        m.setattr(exterior, "independent_mod2", lambda bitsets: False)
-        return minimal_free_cover(phi, degree_floor)
+        m.setattr(exterior.GradedPiece, "odd_columns",
+                  lambda piece, ids, pivots=None: [0] * len(ids))
+        m.setattr(exterior, "block_kernel", counted)
+        into, dims = minimal_free_cover(phi, degree_floor)
+    assert reduced == [ids for d in dims for ids, _, _ in graded_piece(phi, d).blocks]
+    return into, dims
 
 
 def test_targets_sharing_positions_add_their_rows_mod_2(monkeypatch):
     # t0 and t1 have one degree and weight, so (t0, U) and (t1, U) sit at one
     # position and a column's odd entries there cancel in its bitset: the
     # bitsets are the odd columns with those rows added, a linear image, and
-    # a block they certify is certified exactly
+    # a block they certify is certified exactly. Odd terms at one position
+    # in two targets cancel, in three they do not, and even ones are dropped
+    assert exterior.odd_terms({(0, (1,)): 1, (1, (1,)): 3, (0, (2,)): 1, (1, (2,)): -1,
+                               (2, (2,)): 5, (0, (3,)): 2}) == {(2,)}
     alg = ExteriorAlgebra(4, ((1, 0), (0, 1), (1, 1), (0, 0)))
     G = GradedFreeModule(alg, (Generator(1, (0, 0)), Generator(1, (0, 0)), Generator(0, (1, 0))))
-    certified, shared = [], []
-    mod2 = exterior.independent_mod2
-
-    def recorded(bitsets):
-        certified.append(mod2(bitsets))
-        return certified[-1]
-
+    certified, shared = set(), []
     rng = random.Random(21)
     for _ in range(6):
         phi = weighted_map(rng, G, (0, 0, 0, -1, -1))
         shared += [S for col in phi.columns for (i, S), c in col.items()
                    if i == 0 and c & 1 and col.get((1, S), 0) & 1]
         exact = exact_per_block_cover(phi, -4, monkeypatch)
-        monkeypatch.setattr(exterior, "independent_mod2", recorded)
-        into, dims = minimal_free_cover(phi, degree_floor=-4)
-        monkeypatch.undo()
+        into, dims, blocks = certified_cover(phi, -4, monkeypatch)
+        certified.update(cleared for bitsets, cleared in blocks if bitsets)
         assert (into.source.generators, into.columns, dims) == (
             exact[0].source.generators, exact[0].columns, exact[1])
         assert (list(into.source.generators), into.columns, dims) == reference_cover(phi, -4)

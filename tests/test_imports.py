@@ -189,6 +189,7 @@ KEPT_FOR_OUTSIDE_READERS = {
     "bracket: CoefficientSystem.permute_rows": "tests/test_acceptance.py, the gate",
     "exterior: GradedPiece.source_coords": "perfbench/spans.py, the tracer",
     "exterior: FreeModuleMap.compose": "perfbench/spans.py, the tracer",
+    "cli: _Parser.error": "argparse, on every argument it refuses",
 }
 
 

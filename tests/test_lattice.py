@@ -251,7 +251,7 @@ def reference_hull(points):
     for subset in itertools.combinations(range(len(pts)), n):
         base = pts[subset[0]]
         ech = Echelon(dict(enumerate(c - b for c, b in zip(pts[i], base))) for i in subset[1:])
-        free = ech.free_columns(n)
+        free = [c for c in range(n) if c not in ech.rows]
         if len(free) != 1:
             continue
         kernel = primitive_integer_vector(ech.kernel_vector(free[0]))

@@ -1,4 +1,4 @@
-"""The one-sided mod-2 independence test and column sieve against exact
+"""The one-sided mod-2 independence certificate and column sieve against exact
 elimination, back-substitution against the reduced row echelon form over
 Q, and the determinant's shape check."""
 
@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detform.errors import InvariantViolation
-from detform.linalg import Echelon, det_bareiss, echelon_mod2, independent_mod2, rat_str
+from detform.linalg import Echelon, det_bareiss, echelon_mod2, rat_str
+
+from conftest import time_limit
 
 
 def odd_bits(vec: dict) -> int:
@@ -30,20 +32,34 @@ def dependent_mod2(vectors: list[dict]) -> bool:
         for subset in itertools.combinations(range(len(vectors)), k))
 
 
-def test_independent_mod2_proves_independence_over_q():
+def independent_mod2(vectors: list[dict]) -> bool:
+    """The cover's certificate: the odd-entry bitsets' mod-2 echelon keeps
+    a row for each vector."""
+    return len(echelon_mod2(map(odd_bits, vectors))) == len(vectors)
+
+
+def test_insert_scales_the_row_before_it_subtracts_the_pivot_row():
+    # 3 is no multiple of the pivot 2: unscaled, the leading entry would
+    # never cancel and the reduction would not end
+    with time_limit(5):
+        ech = Echelon([{0: 2, 1: 1}, {0: 3}])
+    assert ech.rows == {0: {0: 2, 1: 1}, 1: {1: 1}}
+
+
+def test_full_rank_mod_2_proves_independence_over_q():
     # independent over Q, equal mod 2
     pair = [{0: 1, 1: 1}, {0: 1, 1: -1}]
-    assert Echelon(pair).rank == 2 and not independent_mod2(map(odd_bits, pair))
+    assert Echelon(pair).rank == 2 and not independent_mod2(pair)
     rng = random.Random(21)
     outcomes = set()
     for _ in range(300):
         ncols = rng.randint(1, 5)
         vectors = [{c: rng.randint(-3, 3) for c in rng.sample(range(ncols), rng.randint(0, ncols))}
                    for _ in range(rng.randint(0, 4))]
-        mod2 = independent_mod2(map(odd_bits, vectors))
+        mod2 = independent_mod2(vectors)
         exact = Echelon(vectors).rank == len(vectors)
         assert mod2 == (not dependent_mod2(vectors))
-        assert independent_mod2(map(odd_bits, reversed(vectors))) == mod2
+        assert independent_mod2(vectors[::-1]) == mod2
         assert not mod2 or exact
         outcomes.add((mod2, exact))
     # False proves nothing: some draws are dependent mod 2 only
@@ -110,7 +126,7 @@ def test_kernel_vector_is_a_positive_multiple_of_the_rref_vector(first, later):
         inserted += rows
         basis = rref(ech.rows.values())
         assert basis.keys() == ech.rows.keys()
-        free = ech.free_columns(10)
+        free = [c for c in range(10) if c not in ech.rows]
         for f in free:
             vec, ref = ech.kernel_vector(f), rref_kernel_vector(basis, f)
             assert vec[f] > 0
@@ -145,16 +161,13 @@ def test_the_mod_2_sieve_keeps_a_basis_of_the_rows_mod_2():
         assert Echelon(kept).rank == len(kept)
 
 
-def test_echelon_mod2_drops_dependent_bitsets_and_independent_mod2_stops_there():
-    # 0b101 = 0b110 ^ 0b011 leaves no residue, so the echelon drops it, and
-    # the independence test gives up there without reading the bitsets after it
+def test_echelon_mod2_drops_dependent_bitsets():
+    # 0b101 = 0b110 ^ 0b011 leaves no residue, so the echelon drops it and
+    # keeps fewer rows than bitsets; a zero bitset is dropped at once
     assert echelon_mod2([0b110, 0b011, 0b101, 0b001]) == {3: 0b110, 2: 0b011, 1: 0b001}
-    rest = iter([0b110, 0b011, 0b101, 0b001])
-    assert not independent_mod2(rest)
-    assert list(rest) == [0b001]
-    assert independent_mod2([0b110, 0b011, 0b001])
+    assert echelon_mod2([0b110, 0b011, 0b001]) == {3: 0b110, 2: 0b011, 1: 0b001}
     assert echelon_mod2([0, 0b1]) == {1: 1}
-    assert not independent_mod2([0, 0b1])
+    assert echelon_mod2(iter([0b1, 0b1])) == {1: 1}
 
 
 def test_rat_str_prints_ints_itself_and_the_rest_through_a_fraction():

@@ -89,7 +89,8 @@ def test_line_shelling_cube(cube):
     assert is_disk(cube, sh.selection)
     with pytest.raises(NonGenericDirection):
         line_shelling(cube, (1, 0, 0), 3)
-    with pytest.raises(ValueError):
+    # all six facets are no prefix to stop at
+    with pytest.raises(ValueError, match="k must be an int satisfying 1 <= k < number of facets"):
         line_shelling(cube, (1, 2, 5), 6)
 
 
