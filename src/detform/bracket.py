@@ -183,7 +183,7 @@ def apply_U4(phi0: FreeModuleMap) -> BracketMatrix:
     k = 1..4; within each group generators go in point order.  A generator
     in another degree is a DegreePatternViolation; an entry of the wrong
     degree is a bug upstream, an InvariantViolation of validate_degrees.
-    That the map lands in the middle map's kernel, block_kernel proved for
+    That the map lands in the middle map's kernel, kernel_vectors proved for
     each column as the cover was built, over Z or by a full reduction.
     """
     support = support_of(phi0.source.algebra)

@@ -12,13 +12,14 @@ such maps. In degree d a module's coordinate (i, U) has one number, its key
 i * height + position; its position, offset(|U|) + the index of U among its
 size (positions), is the same in every weight block. A weight-preserving
 map's piece is block-diagonal by weight and is laid out as its blocks: the
-ascending keys of its source coordinates, and a weight. Exact columns are
+ascending keys of its source coordinates, and their packed weight; a
+generator's weight is read back from its free key. Exact columns are
 sparse over target keys, and (i, U) is read back from a key only where a
 new generator's column leaves the piece. The process wedges each term
 subset T with the k-subsets once per generator count N, into an (N, T, k)
 table of signs and indices that every algebra on N generators shares and
 block_columns reads on demand; a generator's exact terms are built only
-when a block that falls back to block_kernel first asks for them. Blocks
+when a block the certificate cannot clear first asks for them. Blocks
 are found by an integer, the weight packed linearly (pack), so a
 coordinate's is its generator's plus its subset's.
 
@@ -33,15 +34,35 @@ dimension at most |P2|, and the products span it over Q; the count fails
 only where sources of one degree and weight share a pivot's position. A
 block no product reaches has no P2, so its columns are tested as they are:
 independent mod 2 when echelon_mod2 keeps a row for each, the one test.
-Any other block takes block_kernel with its products' exact columns, if
-any, and gains the kernel vectors they do not span. block_kernel numbers
-the block's rows and builds the columns' mod-2 bitsets over them in one
-pass over the entries, then transposes and reduces exactly only the pivot
-rows of their mod-2 echelon, independent mod 2, hence over Q, and builds
-only the vectors it keeps; each is checked over Z against the block's
-columns, and a count proves that they and the products span the block's
-kernel. A block whose rank drops mod 2 fails a check and reduces all its
-rows. A coordinate's bitset depends only on its subset and on its
+Any other block goes to kernel_vectors with its products' exact columns,
+if any, and gains the kernel vectors they do not span. On every rung such
+a block gains one generator, a vector of signs, and signed_kernel proves
+it without reducing the block:
+1. the block's bitsets, each tagged with its column, XOR-reduce to the
+   mod-2 kernel of their map, as wide as the nullity over Q or wider, in
+   echelon form keyed by each vector's largest column, each vector zero at
+   the other keys;
+2. the products' odd entries have rank p2 mod 2, and the kernel must have
+   dimension p2 + 1;
+3. x, the kernel vector at the one key the products' pivots mod 2 miss, is
+   not in their span mod 2;
+4. sign_walk lifts x to v over Z on the exact columns of its support only:
+   every row meets the support twice, in entries of equal magnitude, with
+   signs that agree. So v is in the kernel, and v with p2 products
+   independent mod 2 is independent over Q: the nullity is p2 + 1;
+5. the products' exact echelon, keyed by the largest column as in
+   block_kernel: if v is zero at each of its pivots, the products have rank
+   p2, v's largest column is the one free column they miss, and v is the
+   vector block_kernel would keep there;
+6. a block where any step fails takes block_kernel.
+
+block_kernel numbers the block's rows and builds the columns' mod-2 bitsets
+over them in one pass over the entries, then transposes and reduces exactly
+only the pivot rows of their mod-2 echelon, independent mod 2, hence over
+Q, and builds only the vectors it keeps; each is checked over Z against the
+block's columns, and a count proves that they and the products span the
+block's kernel. A block whose rank drops mod 2 fails a check and reduces
+all its rows. A coordinate's bitset depends only on its subset and on its
 generator's pattern: the size k and the subsets of the odd terms
 (odd_terms), not their targets. So lay_out builds one table per pattern,
 indexed by position, and the generators of a pattern share it; the
@@ -53,7 +74,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from operator import add
 
 from .errors import InvariantViolation
 from .linalg import Echelon, echelon_mod2, primitive_integer_vector
@@ -129,13 +149,13 @@ def _combinations(nvars: int, k: int):
 
 def subsets(algebra: ExteriorAlgebra, k: int):
     """The k-subsets in combinations order, and their weight groups as
-    (packed weight, weight, subset numbers)."""
+    (packed weight, subset numbers)."""
     if k not in algebra._subsets:
         subs, groups = _combinations(algebra.nvars, k)[0], {}
         for s, S in enumerate(subs):
             w = map(sum, zip(*(algebra.var_weights[i] for i in S)))
             groups.setdefault(tuple(w), []).append(s)
-        algebra._subsets[k] = (subs, [(pack(w), w, ids) for w, ids in groups.items()])
+        algebra._subsets[k] = (subs, [(pack(w), ids) for w, ids in groups.items()])
     return algebra._subsets[k]
 
 
@@ -260,7 +280,9 @@ def odd_terms(col: Vector) -> frozenset:
 
 class GradedPiece(Record):
     """Degree-d component of phi, laid out as its torus-weight blocks
-    (ascending source keys, weight, packed weight). rows is
+    (ascending source keys, None, packed weight): a block's weight is any of
+    its coordinates', read through coord where a generator needs it, and
+    the middle field stays None for readers that unpack three. rows is
     positions(phi.target, d); height counts the source positions, and a
     coordinate's key is j * height + position; odd maps a generator to its
     pattern: first position, and the odd-entry bitset of each position.
@@ -271,7 +293,7 @@ class GradedPiece(Record):
     _fields = ("phi", "d")
 
     def __init__(self, phi: FreeModuleMap, d: int, rows: tuple[dict[int, int], int],
-                 blocks: list[tuple[list[int], tuple[int, ...], int]], height: int,
+                 blocks: list[tuple[list[int], None, int]], height: int,
                  odd: dict[int, tuple]):
         self.phi, self.d, self.rows, self.blocks = phi, d, rows, blocks
         self.height, self.odd, self.terms = height, odd, {}
@@ -293,8 +315,31 @@ class GradedPiece(Record):
 
     def kernel_vectors(self, ids, products=()) -> tuple[int, list[tuple[int, dict[int, int]]]]:
         """The nullity and kept kernel vectors of the block at these keys,
-        given its products over the same keys (see block_kernel)."""
-        return block_kernel(ids, self.block_columns(ids), products)
+        given its products over the same keys: signed_kernel's where it
+        proves them, else block_kernel's (see the module notes)."""
+        return self.signed_kernel(ids, products) or \
+            block_kernel(ids, self.block_columns(ids), products)
+
+    def signed_kernel(self, ids, products=()):
+        """(nullity, [(free key, vector)]) of a block that gains exactly one
+        generator, a vector of signs, proved in the steps the module notes
+        number 1 to 5; None where a step fails."""
+        n, products = len(ids), reversed_columns(ids, products)
+        # a residue of (bits << n) | 1 << c below bit n is a mod-2 kernel
+        # vector topped at c, zero at the other dependent columns
+        tagged = echelon_mod2(bits << n | 1 << c for c, bits in enumerate(self.odd_columns(ids)))
+        kernel = {top: x for top, x in tagged.items() if top <= n}
+        pivots = echelon_mod2(sum(1 << n - 1 - c for c, v in col.items() if v & 1)
+                              for col in products)
+        if len(kernel) != len(pivots) + 1:
+            return None
+        top = max(kernel.keys() - pivots.keys())
+        support = [c for c in range(top) if kernel[top] >> c & 1]
+        signs = sign_walk(self.block_columns([ids[c] for c in support]))
+        if signs is None or \
+                not Echelon(products).rows.keys().isdisjoint(n - 1 - c for c in support):
+            return None
+        return len(kernel), [(ids[top - 1], {ids[c]: s for c, s in zip(support, signs)})]
 
     def exact_terms(self, j: int) -> list[tuple]:
         """j's terms as (row key at idx 0, coefficient, signs, idx), built
@@ -348,6 +393,7 @@ def block_kernel(src_ids, columns: list[dict[int, int]],
     of the block's kernel, so K is it. Otherwise, when rank mod 2 falls
     short of the rank, every row is transposed and reduced."""
     n, at, odd = len(columns), {}, []
+    products = reversed_columns(src_ids, products)
     for col in columns:
         bits = 0
         for r, v in col.items():
@@ -355,12 +401,6 @@ def block_kernel(src_ids, columns: list[dict[int, int]],
             if v & 1:
                 bits ^= 1 << i
         odd.append(bits)
-    index = dict(zip(src_ids, range(n)))
-    try:
-        # column n-1-c of a restriction is c, so Echelon's pivot is the largest
-        products = [{n - 1 - index[key]: v for key, v in col.items()} for col in products]
-    except KeyError as err:
-        raise InvariantViolation(f"a product reaches key {err}, outside its block") from None
     keys = list(at)
     sieved = [keys[top - 1] for top in sorted(echelon_mod2(odd), reverse=True)]  # last row first
     for full in (False, True):
@@ -377,6 +417,45 @@ def block_kernel(src_ids, columns: list[dict[int, int]],
         if full or all(annihilates(columns, vec) for _, vec in found):
             break
     return len(free), [(src_ids[f], {src_ids[c]: v for c, v in vec.items()}) for f, vec in found]
+
+
+def reversed_columns(src_ids, products) -> list[dict[int, int]]:
+    """The products over the block's columns, numbered from the last: the
+    key src_ids[c] is n-1-c, so that Echelon's pivot is the largest column."""
+    index = dict(zip(reversed(src_ids), range(len(src_ids))))
+    try:
+        return [{index[key]: v for key, v in col.items()} for col in products]
+    except KeyError as err:
+        raise InvariantViolation(f"a product reaches key {err}, outside its block") from None
+
+
+def sign_walk(columns: list[dict[int, int]]) -> list[int] | None:
+    """Signs s, the last +1, with sum s[c] * columns[c] = 0 over Z, or None.
+    They are walked from the last column, row by row: every row must meet
+    the columns twice, in entries of equal magnitude, the signs must agree
+    on every row, and the walk must reach every column."""
+    meets: dict[int, list[tuple[int, int]]] = {}
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            meets.setdefault(r, []).append((c, v))
+    sign = {len(columns) - 1: 1}
+    todo = list(sign)
+    while todo:
+        a = todo.pop()
+        for r, v in columns[a].items():
+            pair = meets[r]
+            if len(pair) != 2:
+                return None
+            b, w = pair[pair[0][0] == a]  # the row's other entry
+            if w != v and w != -v:
+                return None
+            s = -sign[a] if w == v else sign[a]
+            if b not in sign:
+                sign[b] = s
+                todo.append(b)
+            elif sign[b] != s:
+                return None
+    return [sign[c] for c in range(len(columns))] if len(sign) == len(columns) else None
 
 
 def annihilates(columns: list[dict[int, int]], vec: dict[int, int]) -> bool:
@@ -418,7 +497,7 @@ def lay_out(phi: FreeModuleMap, d: int, terms=None) -> GradedPiece:
     algebra = phi.source.algebra
     offset, height = positions(phi.source, d)
     row_offset, row_height = positions(phi.target, d)
-    by_key: dict[int, tuple[list[int], tuple[int, ...], int]] = {}
+    by_key: dict[int, tuple[list[int], None, int]] = {}
     patterns: dict[tuple[int, frozenset], tuple] = {}
     piece = GradedPiece(phi, d, (row_offset, row_height), [], height, {})
     for j, g in enumerate(phi.source.generators):
@@ -430,11 +509,11 @@ def lay_out(phi: FreeModuleMap, d: int, terms=None) -> GradedPiece:
         if (k, Ts) not in patterns:
             patterns[k, Ts] = offset[k], odd_table(algebra, k, offset[k], row_offset, Ts)
         piece.odd[j] = patterns[k, Ts]
-        for w_key, w, ids in subsets(algebra, k)[1]:
+        for w_key, ids in subsets(algebra, k)[1]:
             b = g.key + w_key
             block = by_key.get(b)
             if block is None:
-                block = by_key[b] = ([], tuple(map(add, g.weight, w)) if k else g.weight, b)
+                block = by_key[b] = ([], None, b)
             if len(ids) == 1:
                 block[0].append(start + ids[0])
             else:
@@ -458,8 +537,10 @@ def minimal_free_cover(
     independent of everything the previously chosen generators already span
     after multiplication by the algebra; a block certified mod 2 gains none
     (see the module notes). A block that no product reaches has no pivots
-    to take off: its columns' independence mod 2 certifies it, and failing
-    that block_kernel runs on it without products. The returned map sends
+    to take off: its columns' independence mod 2 certifies it. A block not
+    certified goes to kernel_vectors, which proves its one new generator by
+    signs checked over Z and falls back to block_kernel's reduction of the
+    block where that proof fails. The returned map sends
     the cover onto the kernel through degree_floor; callers know the floor
     from theory and audit the generator counts instead of probing below
     it.
@@ -481,7 +562,7 @@ def minimal_free_cover(
                           vector_terms)
         products = {key: ids for ids, _, key in shifted.blocks}
         columns, nullity, kernel = 0, 0, []
-        for ids, weight, key in piece.blocks:
+        for ids, _, key in piece.blocks:
             columns += len(ids)
             # the block's products, as bitsets over the same positions; their
             # exact columns are over the same keys
@@ -498,10 +579,13 @@ def minimal_free_cover(
                     continue
             block_nullity, kept = piece.kernel_vectors(ids, shifted.block_columns(prods))
             nullity += block_nullity
-            kernel += [(free, weight, vec) for free, vec in kept]
+            kernel += kept
         dims[d] = (columns, nullity)
-        for _, weight, vec in sorted(kernel):  # free columns are distinct
-            gens.append(Generator(d, weight))
+        for free, vec in sorted(kernel):  # free columns are distinct
+            # the generator weighs what its block's coordinates weigh
+            j, S = piece.coord(free)
+            gens.append(Generator(d, tuple(map(sum, zip(F.generators[j].weight,
+                                                         *(algebra.var_weights[i] for i in S))))))
             # an integer kernel vector is positive at its free column, not
             # at its leading one; the cover's signs follow the leading entry
             vectors.append({piece.coord(c): v for c, v in primitive_integer_vector(vec).items()})

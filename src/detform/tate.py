@@ -120,7 +120,7 @@ def step_left(Q: Polytope, sel, rightmost: FreeModuleMap) -> TateWindow:
     """Two minimal free covers, with every generator count and point audited.
 
     Each cover lands in its map's kernel by construction, so no composition
-    is formed: block_kernel checks every kept vector over Z against its
+    is formed: kernel_vectors checks every kept vector over Z against its
     block's exact columns, which hold every target coordinate of the
     block's degree and weight, or takes it from a full exact reduction.
     DimensionMismatch here is a hard failure: the predicted counts encode
@@ -156,7 +156,7 @@ def check_exactness(window: TateWindow) -> None:
     so a replaced left map is reduced again. A degree a cover did not scan
     lies above its map's top generator: its piece is empty, read as (0, 0).
     Equal dimensions make the window exact because im ⊆ ker, which the
-    covers proved as they were built: block_kernel checks each kept vector
+    covers proved as they were built: kernel_vectors checks each kept vector
     over Z against its block's columns, or takes it from a full reduction.
     A map replaced after the build is not checked for it here.
     """

@@ -25,13 +25,21 @@ from hypothesis import strategies as st
 
 from detform import exterior
 from detform.errors import InvariantViolation
-from detform.exterior import block_kernel, minimal_free_cover
+from detform.exterior import (
+    ExteriorAlgebra,
+    FreeModuleMap,
+    Generator,
+    GradedFreeModule,
+    block_kernel,
+    minimal_free_cover,
+)
 from detform.lattice import convex_hull_with_facets
 from detform.linalg import Echelon, primitive_integer_vector
 from detform.shelling import best_selection
 from detform.tate import build_phi2, build_window, check_exactness
 
 from conftest import CUBE_POINTS, OCTA_POINTS, SIMPLEX2_POINTS, acceptance_corpus
+from rungs import RUNGS
 from test_linalg import rref, rref_kernel_vector
 
 
@@ -82,25 +90,46 @@ def agrees_with_both_references(src_ids, columns, products):
 
 def fallback_blocks(windows, monkeypatch):
     """Every block the covers of these (polytope, selection) windows and
-    their exactness checks hand to block_kernel, with its products, and the
-    outcome of every exact check of a kept vector."""
-    blocks, checks = [], []
-    kernel, annihilates = exterior.block_kernel, exterior.annihilates
+    their exactness checks hand to kernel_vectors: its keys, exact columns
+    and products, what kernel_vectors returned, and signed_kernel's answer
+    alone."""
+    blocks = []
+    kernel_vectors = exterior.GradedPiece.kernel_vectors
 
-    def recorded_kernel(src_ids, columns, products):
-        blocks.append((list(src_ids), columns, products))
-        return kernel(src_ids, columns, products)
+    def recorded(piece, ids, products=()):
+        found = kernel_vectors(piece, ids, products)
+        blocks.append((list(ids), piece.block_columns(ids), products, found,
+                       piece.signed_kernel(ids, products)))
+        return found
 
-    def recorded_check(columns, vec):
-        checks.append(annihilates(columns, vec))
+    with monkeypatch.context() as m:
+        m.setattr(exterior.GradedPiece, "kernel_vectors", recorded)
+        for Q, selection in windows:
+            check_exactness(build_window(Q, selection))
+    return blocks
+
+
+def checked_block_kernel(monkeypatch, src_ids, columns, products):
+    """block_kernel's output, and the outcome of each exact check it makes
+    of a kept vector."""
+    checks = []
+    annihilates = exterior.annihilates
+
+    def recorded(cols, vec):
+        checks.append(annihilates(cols, vec))
         return checks[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(exterior, "block_kernel", recorded_kernel)
-        m.setattr(exterior, "annihilates", recorded_check)
-        for Q, selection in windows:
-            check_exactness(build_window(Q, selection))
-    return blocks, checks
+        m.setattr(exterior, "annihilates", recorded)
+        return block_kernel(src_ids, columns, products), checks
+
+
+def ladder_windows():
+    """The cube, the octahedron and the 2-simplex as the benchmark's ladder
+    builds them."""
+    ladder = [convex_hull_with_facets(points)
+              for points in (CUBE_POINTS, OCTA_POINTS, SIMPLEX2_POINTS)]
+    return [(Q, best_selection(Q, seed=0).selection) for Q in ladder]
 
 
 def sieved_inserts(monkeypatch, src_ids, columns, products):
@@ -121,20 +150,20 @@ def sieved_inserts(monkeypatch, src_ids, columns, products):
 
 
 def test_the_sieve_agrees_with_the_full_reduction_on_the_ladder(monkeypatch):
-    # the cube, the octahedron and the 2-simplex as the benchmark's ladder
-    # builds them; no block needs the full reduction, so each block builds
-    # one sieved echelon and one of its products; the column sieve passes on
-    # exactly as many rows as the blocks' ranks, far fewer than they have,
-    # and keeps each, and every vector built is checked and kept, fewer
-    # than their nullities
-    ladder = [convex_hull_with_facets(points)
-              for points in (CUBE_POINTS, OCTA_POINTS, SIMPLEX2_POINTS)]
-    blocks, checks = fallback_blocks(
-        [(Q, best_selection(Q, seed=0).selection) for Q in ladder], monkeypatch)
-    assert blocks and checks and all(checks)
-    kept = nullity = rows = ranks = inserted = 0
-    for src_ids, columns, products in blocks:
-        n, found = agrees_with_both_references(src_ids, columns, products)
+    # every block the ladder hands to kernel_vectors, reduced by block_kernel:
+    # no block needs the full reduction, so each block builds one sieved
+    # echelon and one of its products; the column sieve passes on exactly
+    # as many rows as the blocks' ranks, far fewer than they have, and keeps
+    # each, and every vector built is checked and kept, fewer than their
+    # nullities
+    blocks = fallback_blocks(ladder_windows(), monkeypatch)
+    assert blocks
+    kept = nullity = rows = ranks = inserted = checked = 0
+    for src_ids, columns, products, _, _ in blocks:
+        (n, found), checks = checked_block_kernel(monkeypatch, src_ids, columns, products)
+        assert checks and all(checks)
+        checked += len(checks)
+        assert agrees_with_both_references(src_ids, columns, products) == (n, found)
         kept, nullity = kept + len(found), nullity + n
         rows += len({r for col in columns for r in col})
         ranks += Echelon(columns).rank
@@ -143,17 +172,109 @@ def test_the_sieve_agrees_with_the_full_reduction_on_the_ladder(monkeypatch):
         received, sieved_rank = echelons[0]
         assert sieved_rank == received  # every row the sieve passes on is kept
         inserted += received
-    assert len(checks) == kept < nullity
-    assert any(products for _, _, products in blocks)
+    assert checked == kept < nullity
+    assert any(products for _, _, products, _, _ in blocks)
     assert inserted == ranks < rows
 
 
 def test_the_sieve_agrees_with_the_full_reduction_on_the_corpus(monkeypatch):
-    blocks, checks = fallback_blocks([(Q, sel) for _, Q, sel in acceptance_corpus()[:4]],
-                                     monkeypatch)
-    assert blocks and all(checks)
-    for src_ids, columns, products in blocks:
+    blocks = fallback_blocks([(Q, sel) for _, Q, sel in acceptance_corpus()[:4]], monkeypatch)
+    assert blocks
+    for src_ids, columns, products, _, _ in blocks:
         agrees_with_both_references(src_ids, columns, products)
+
+
+def test_the_signed_kernel_equals_block_kernel_on_every_block(monkeypatch):
+    # the ladder, the acceptance corpus and the tier-1 rungs: every block
+    # handed to kernel_vectors gains one generator, a vector of signs, and
+    # signed_kernel proves it without block_kernel; its nullity, kept free
+    # key and primitive vector are block_kernel's
+    box12 = convex_hull_with_facets(RUNGS["box12"].points)
+    windows = ladder_windows() + [(Q, sel) for _, Q, sel in acceptance_corpus()]
+    windows.append((box12, RUNGS["box12"].selection))
+    blocks = fallback_blocks(windows, monkeypatch)
+    assert len(blocks) > 300
+    for src_ids, columns, products, found, signed in blocks:
+        assert signed is not None and found == signed
+        nullity, [(free, vec)] = signed
+        assert vec[free] == 1 and set(map(abs, vec.values())) == {1}
+        assert normalised_kept(signed) == normalised_kept(block_kernel(src_ids, columns,
+                                                                       products))
+    assert any(products for _, _, products, _, _ in blocks)
+
+
+def one_block(columns, products=()):
+    """A map whose degree-0 piece is one block with these integer columns,
+    {(target, variable): c} meaning c * t ∧ e_variable, laid out; its keys
+    are the column numbers. Targets of one degree share the position of a
+    variable, so their odd entries there add up mod 2."""
+    N = 1 + max((a for col in columns for _, a in col), default=0)
+    targets = 1 + max((t for col in columns for t, _ in col), default=0)
+    alg = ExteriorAlgebra(N, ((0,),) * N)
+    phi = FreeModuleMap(GradedFreeModule(alg, (Generator(0, (0,)),) * len(columns)),
+                        GradedFreeModule(alg, (Generator(1, (0,)),) * targets),
+                        [{(t, (a,)): c for (t, a), c in col.items()} for col in columns])
+    piece = exterior.lay_out(phi, 0)
+    [(ids, _, _)] = piece.blocks
+    assert ids == list(range(len(columns)))
+    return piece, ids
+
+
+@pytest.mark.parametrize("columns, products, nullity", [
+    # the mod-2 kernel vector (1, 1, 1) meets the row of e0 three times, once
+    # in an even entry
+    ([{(0, 0): 1}, {(0, 0): 1, (0, 1): 1}, {(0, 0): 2, (0, 1): 1}], [], 1),
+    # (1, 1) lifts to no vector of signs: its entries 1 and 3 differ in size
+    ([{(0, 0): 1}, {(0, 0): 3}], [], 1),
+    # two new generators: three equal columns leave a mod-2 kernel of 2
+    ([{(0, 0): 1}, {(0, 0): 1}, {(0, 0): 1}], [], 2),
+    # an even entry: the mod-2 kernel (1) is wider than the kernel over Q
+    ([{(0, 0): 2}], [], 0),
+    # rank drops mod 2: (1, 1) needs opposite signs on e0 and equal ones on e1
+    ([{(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (0, 1): -1}], [], 0),
+    # the products agree mod 2 but span the whole kernel over Q: the signed
+    # vector e0 sits at a pivot of their exact echelon
+    ([{}, {}], [{0: 1, 1: 1}, {0: -1, 1: 1}], 2),
+    # the targets t0 and t1 share e0's position, where the column's odd
+    # entries cancel: the mod-2 kernel vector e0 meets two rows once each
+    ([{(0, 0): 1, (1, 0): 1}], [], 0),
+], ids=["three-entries", "unequal-sizes", "two-generators", "even-entry", "signs-disagree",
+        "spanned-by-products", "shared-position"])
+def test_a_block_the_signs_cannot_prove_takes_block_kernel(columns, products, nullity):
+    piece, ids = one_block(columns)
+    assert piece.signed_kernel(ids, products) is None
+    exact = piece.block_columns(ids)
+    assert piece.kernel_vectors(ids, products) == block_kernel(ids, exact, products)
+    assert piece.kernel_vectors(ids, products)[0] == nullity == \
+        len(reference_block_kernel(ids, exact))
+    assert normalised_kept(piece.kernel_vectors(ids, products)) == \
+        normalised_kept(reference_kept(ids, exact, products))
+
+
+def test_a_block_the_signs_prove_keeps_block_kernels_vector():
+    # the cycle c0 - c1 - c2 = 0 over the rows of e0, e1 and e2, and the twin
+    # columns c3 = c4 = e3, whose difference is the one product: the mod-2
+    # kernel is one wider than the products', and its vector off their
+    # pivot, the cycle, walks to signs; without the product it is two wider
+    columns = [{(0, 0): 1, (0, 1): 1}, {(0, 1): 1, (0, 2): -1}, {(0, 0): 1, (0, 2): 1},
+               {(0, 3): 1}, {(0, 3): 1}]
+    products = [{3: 1, 4: -1}]
+    piece, ids = one_block(columns)
+    found = piece.signed_kernel(ids, products)
+    assert found == piece.kernel_vectors(ids, products) == (2, [(2, {0: -1, 1: 1, 2: 1})])
+    exact = block_kernel(ids, piece.block_columns(ids), products)
+    assert exact[0] == 2 and [free for free, _ in exact[1]] == [2]
+    assert normalised_kept(found) == normalised_kept(exact)
+    assert piece.signed_kernel(ids) is None
+
+
+def test_the_sign_walk_reaches_every_column_or_fails():
+    # two cycles that share no row: each is a kernel vector, and the walk
+    # from the last column never reaches the first
+    assert exterior.sign_walk([{0: 1}, {0: 1}, {1: 1}, {1: -1}]) is None
+    assert exterior.sign_walk([{0: 1}, {0: 1}]) == [-1, 1]
+    assert exterior.sign_walk([{0: 2, 1: -1}, {0: -2, 1: 1}]) == [1, 1]
+    assert exterior.sign_walk([{}]) == [1]
 
 
 @st.composite
@@ -198,6 +319,22 @@ def test_the_sieve_agrees_with_the_full_reduction_on_random_blocks(block):
     nullity, kept = agrees_with_both_references(src_ids, columns, products)
     # the products and the kept vectors together span the whole kernel
     assert len(kept) + Echelon(products).rank == nullity
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(blocks_with_products())
+def test_the_signed_kernel_agrees_with_block_kernel_on_random_blocks(block):
+    # row r of the random block is (target r % 2, variable r // 2): the two
+    # targets share each variable's position, where their odd entries add
+    # up mod 2; kernel_vectors must equal block_kernel whichever path it takes
+    src_ids, columns, products = block
+    piece, ids = one_block([{(r % 2, r // 2): v for r, v in col.items()} for col in columns])
+    at = dict(zip(src_ids, ids))
+    products = [{at[key]: v for key, v in col.items()} for col in products]
+    found, signed = piece.kernel_vectors(ids, products), piece.signed_kernel(ids, products)
+    exact = block_kernel(ids, piece.block_columns(ids), products)
+    assert normalised_kept(found) == normalised_kept(exact)
+    assert signed is None or found == signed
 
 
 def test_without_products_every_kernel_vector_is_kept():

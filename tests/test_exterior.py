@@ -376,10 +376,11 @@ def check_blocks_split_by_weight(a: int, b: int) -> None:
         F = phi.source
         for d in range(0, -5, -1):
             piece = checked_piece(phi, d)
-            weights = [w for _, w, _ in piece.blocks]
+            # each block holds the coordinates of one weight, its first key's
+            weights = [coord_weight(F, piece.coord(src_ids[0])) for src_ids, _, _ in piece.blocks]
             assert len(set(weights)) == len(weights)
             assert [key for _, _, key in piece.blocks] == list(map(exterior.pack, weights))
-            for src_ids, w, _ in piece.blocks:
+            for (src_ids, _, _), w in zip(piece.blocks, weights):
                 assert {coord_weight(F, piece.coord(c)) for c in src_ids} == {w}
         into = cover_like_reference(phi, degree_floor=-4)
         cover_like_reference(into, degree_floor=-5)
@@ -387,7 +388,7 @@ def check_blocks_split_by_weight(a: int, b: int) -> None:
         for g, vec in zip(into.source.generators, into.columns):
             assert {coord_weight(F, coord) for coord in vec} == {g.weight}
             piece = graded_piece(phi, g.degree)
-            blocks = {w for src_ids, w, _ in piece.blocks
+            blocks = {coord_weight(F, piece.coord(src_ids[0])) for src_ids, _, _ in piece.blocks
                       if any(piece.coord(c) in vec for c in src_ids)}
             assert blocks == {g.weight}
 
@@ -423,17 +424,24 @@ def test_cover_matches_reference_on_corpus_windows(index):
 
 
 def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
-    # every other block is certified without a kernel basis, and a block that
-    # gains a generator builds only the vectors it keeps, so back-substitution
-    # runs once per generator, at most once per free column of such a block
-    calls = []
-    kernel_vector = Echelon.kernel_vector
+    # every other block is certified without a kernel basis, and each block
+    # that gains a generator gains one, found by its sign walk: no
+    # back-substitution runs, and each block handed to kernel_vectors keeps
+    # one vector of a kernel that its products do not span
+    calls, kept = [], []
+    kernel_vector, kernel_vectors = Echelon.kernel_vector, exterior.GradedPiece.kernel_vectors
 
     def counted(self, free_col):
         calls.append(free_col)
         return kernel_vector(self, free_col)
 
+    def found(piece, ids, products=()):
+        result = kernel_vectors(piece, ids, products)
+        kept.append(len(result[1]))
+        return result
+
     monkeypatch.setattr(Echelon, "kernel_vector", counted)
+    monkeypatch.setattr(exterior.GradedPiece, "kernel_vectors", found)
     phi2 = build_phi2(cube, (0, 1, 4))
     middle, phi2_dims = minimal_free_cover(phi2, degree_floor=-3)
     left, middle_dims = minimal_free_cover(middle, degree_floor=-4)
@@ -443,11 +451,12 @@ def test_kernel_vectors_only_where_the_cover_gains(cube, monkeypatch):
     for phi, into in ((phi2, middle), (middle, left)):
         for d, w in {(g.degree, g.weight) for g in into.source.generators}:
             piece = graded_piece(phi, d)
-            [columns] = [piece.block_columns(ids) for ids, weight, _ in piece.blocks
-                         if weight == w]
+            [columns] = [piece.block_columns(ids) for ids, _, key in piece.blocks
+                         if key == exterior.pack(w)]
             gaining += len(columns) - Echelon(columns).rank
     scanned = sum(nullity for dims in (phi2_dims, middle_dims) for _, nullity in dims.values())
-    assert 0 < len(calls) == middle.source.rank + left.source.rank <= gaining < scanned
+    assert not calls and set(kept) == {1}
+    assert len(kept) == middle.source.rank + left.source.rank <= gaining < scanned
 
 
 @pytest.fixture
@@ -648,10 +657,10 @@ def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
     for _ in range(4):
         phi = weighted_map(rng, G, (0, 0, 0, -1, -1))
         into, _ = minimal_free_cover(phi, degree_floor=-4)
-        gained = {(g.degree, g.weight) for g in into.source.generators}
+        gained = {(g.degree, g.key) for g in into.source.generators}
         for d in range(0, -5, -1):
             piece, P, P2 = products_pivots(phi, into, d)
-            for src_ids, w, _ in piece.blocks:
+            for src_ids, _, key in piece.blocks:
                 columns = piece.block_columns(src_ids)
                 rest = [col for c, col in zip(src_ids, columns) if c not in P]
                 independent = Echelon(rest).rank == len(rest)
@@ -664,7 +673,7 @@ def test_blocks_are_certified_by_the_columns_off_the_products_pivots():
                 assert certified == (sum(c in P2 for c in src_ids) + rank2 == len(columns))
                 products = sum(c in P for c in src_ids)
                 assert independent == (Echelon(columns).rank + products == len(columns))
-                assert independent == ((d, w) not in gained)
+                assert independent == ((d, key) not in gained)
                 outcomes.add((independent, products > 0))
     assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
 
@@ -710,23 +719,28 @@ def doubled(phi: FreeModuleMap) -> FreeModuleMap:
 def certified_cover(phi: FreeModuleMap, degree_floor: int, monkeypatch):
     """phi's cover and, for each block of phi's pieces in order, the bitsets
     its mod-2 certificate reads and whether they clear it: a cleared block
-    calls no block_kernel."""
-    blocks = []
-    odd_columns, block_kernel = exterior.GradedPiece.odd_columns, exterior.block_kernel
+    calls no kernel_vectors."""
+    blocks, inside = [], []
+    odd_columns = exterior.GradedPiece.odd_columns
+    kernel_vectors = exterior.GradedPiece.kernel_vectors
 
     def read(piece, ids, pivots=None):
         bitsets = odd_columns(piece, ids, pivots)
-        if piece.phi is phi:  # not the products' piece
+        if piece.phi is phi and not inside:  # the certificate's, of phi's piece
             blocks.append([bitsets, True])
         return bitsets
 
-    def reduced(src_ids, columns, products=()):
+    def reduced(piece, ids, products=()):
         blocks[-1][1] = False
-        return block_kernel(src_ids, columns, products)
+        inside.append(ids)
+        try:
+            return kernel_vectors(piece, ids, products)
+        finally:
+            inside.pop()
 
     with monkeypatch.context() as m:
         m.setattr(exterior.GradedPiece, "odd_columns", read)
-        m.setattr(exterior, "block_kernel", reduced)
+        m.setattr(exterior.GradedPiece, "kernel_vectors", reduced)
         into, dims = minimal_free_cover(phi, degree_floor)
     return into, dims, [tuple(block) for block in blocks]
 
@@ -808,27 +822,34 @@ def test_products_dependent_only_mod_2_send_their_block_to_the_exact_path(monkey
 def test_exact_kernels_run_once_per_gained_generator(name, selection, gained, request,
                                                      monkeypatch):
     # every block that gains no generator is certified mod 2, and every block
-    # that gains one gains exactly one, so block_kernel runs once per
-    # generator the two covers gain
-    calls = []
-    block_kernel = exterior.block_kernel
+    # that gains one gains exactly one, so kernel_vectors runs once per
+    # generator the two covers gain; each proves its generator by the sign
+    # walk, and block_kernel never runs
+    calls, reduced = [], []
+    kernel_vectors, block_kernel = exterior.GradedPiece.kernel_vectors, exterior.block_kernel
 
-    def counted(src_ids, columns, products):
-        calls.append(len(src_ids))
+    def counted(piece, ids, products=()):
+        calls.append(len(ids))
+        return kernel_vectors(piece, ids, products)
+
+    def reducing(src_ids, columns, products):
+        reduced.append(len(src_ids))
         return block_kernel(src_ids, columns, products)
 
-    monkeypatch.setattr(exterior, "block_kernel", counted)
+    monkeypatch.setattr(exterior.GradedPiece, "kernel_vectors", counted)
+    monkeypatch.setattr(exterior, "block_kernel", reducing)
     phi2 = build_phi2(request.getfixturevalue(name), selection)
     middle, _ = minimal_free_cover(phi2, degree_floor=-3)
     left, _ = minimal_free_cover(middle, degree_floor=-4)
     assert len(calls) == middle.source.rank + left.source.rank == gained
+    assert not reduced
 
 
 def exact_per_block_cover(phi: FreeModuleMap, degree_floor: int, monkeypatch):
-    """The cover with the mod-2 certificate refused, so that every block
-    takes block_kernel and its own exact products echelon: every bitset
-    reads 0, so the products have no pivots mod 2, and every block, never
-    empty, fails its certificate."""
+    """The cover with the mod-2 certificate and the sign walk refused, so
+    that every block takes block_kernel and its own exact products echelon:
+    every bitset reads 0, so the products have no pivots mod 2, and every
+    block, never empty, fails its certificate."""
     reduced = []
     block_kernel = exterior.block_kernel
 
@@ -839,6 +860,7 @@ def exact_per_block_cover(phi: FreeModuleMap, degree_floor: int, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(exterior.GradedPiece, "odd_columns",
                   lambda piece, ids, pivots=None: [0] * len(ids))
+        m.setattr(exterior.GradedPiece, "signed_kernel", lambda piece, ids, products=(): None)
         m.setattr(exterior, "block_kernel", counted)
         into, dims = minimal_free_cover(phi, degree_floor)
     assert reduced == [ids for d in dims for ids, _, _ in graded_piece(phi, d).blocks]
@@ -1007,9 +1029,10 @@ def test_block_ids_of_the_ladders_pieces_are_coordinate_keys(name, request, monk
     # in every piece the covers and the exactness check lay out, products'
     # included, a block id is the key of its coordinate (j, S), computed
     # here from the definition, and the piece reads (j, S) back from it: S
-    # of j's size deg g_j - d, and g_j's weight plus S's the block's. The
-    # build never composes its maps, so this is where a slip in coord, which
-    # writes every cover column, shows apart from the digests
+    # of j's size deg g_j - d, and g_j's weight plus S's packs to the
+    # block's key. The build never composes its maps, so this is where a
+    # slip in coord, which writes every cover column, shows apart from the
+    # digests
     points = {"simplex2": SIMPLEX2, "box12": RUNGS["box12"].points}.get(name)
     Q = convex_hull_with_facets(points) if points else request.getfixturevalue(name)
     sel = best_selection(Q, seed=0).selection
@@ -1023,11 +1046,11 @@ def test_block_ids_of_the_ladders_pieces_are_coordinate_keys(name, request, monk
         ids = sorted(c for src_ids, _, _ in piece.blocks for c in src_ids)
         assert ids == [reference_key(source, d, coord) for coord in coords]
         assert [piece.coord(c) for c in ids] == coords
-        for src_ids, weight, _ in piece.blocks:
+        for src_ids, _, key in piece.blocks:
             for c in src_ids:
                 j, S = piece.coord(c)
                 assert len(S) == source.generators[j].degree - d
-                assert coord_weight(source, (j, S)) == weight
+                assert exterior.pack(coord_weight(source, (j, S))) == key
         laid += len(ids)
     assert laid > 0
 

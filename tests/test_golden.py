@@ -24,9 +24,11 @@ def test_rung(name):
 @pytest.mark.parametrize("field, value, check_name", [
     ("window", "0" * 16, "window"), ("matrix", "0" * 16, "matrix"),
     ("selection", (0, 1, 5), "selection"),
-    # one block more falling back to block_kernel than the row pins
+    # one block more handed to kernel_vectors than the row pins, and one
+    # block reaching block_kernel where the row pins none
     ("fallbacks", {("left", -4): 7}, "fallback blocks"),
-], ids=["window", "matrix", "selection", "fallbacks"])
+    ("reduced", {("left", -4): 1}, "reduced blocks"),
+], ids=["window", "matrix", "selection", "fallbacks", "reduced"])
 def test_the_check_fails_on_a_changed_row(field, value, check_name, monkeypatch):
     monkeypatch.setitem(RUNGS, "cube", dataclasses.replace(RUNGS["cube"], **{field: value}))
     with pytest.raises(AssertionError, match=f"rung cube: {check_name}"):

@@ -58,7 +58,7 @@ def test_phi2_cube_shapes(cube):
     # 24 * 8 entries land on distinct (target point, variable) rows
     piece = graded_piece(rightmost, 1)
     assert len(piece.source_coords) == 24
-    assert [w for _, w, _ in piece.blocks] == [g.weight for g in rightmost.source.generators]
+    assert [key for _, _, key in piece.blocks] == [g.key for g in rightmost.source.generators]
     columns = [piece.block_columns(ids) for ids, _, _ in piece.blocks]
     assert [len(cols) for cols in columns] == [1] * 24
     assert sum(len(col) for [col] in columns) == 24 * 8
